@@ -209,9 +209,8 @@ def sweep_temperature(
     p0 = _initial_vector(initial_state, dec.dimension)
 
     def job(temperature):
-        rates = build_rate_matrix(
-            dec, elems, replace(baths, temperature=float(temperature)), tol=degeneracy_tol, chain=spec
-        )
+        point = replace(baths, temperature=float(temperature))
+        rates = build_rate_matrix(dec, elems, point, tol=degeneracy_tol)
         return _excitation_at(rates, p0, t_star)
 
     meta = {"kappas": baths.kappas, "axes": baths.axes}
@@ -239,13 +238,8 @@ def sweep_coupling(
     def job(kappa):
         kappas_point = list(baths.kappas)
         kappas_point[site - 1] = float(kappa)
-        rates = build_rate_matrix(
-            dec,
-            elems,
-            replace(baths, kappas=tuple(kappas_point)),
-            tol=degeneracy_tol,
-            chain=spec,
-        )
+        point = replace(baths, kappas=tuple(kappas_point))
+        rates = build_rate_matrix(dec, elems, point, tol=degeneracy_tol)
         return _excitation_at(rates, p0, t_star)
 
     meta = {"temperature": baths.temperature, "axes": baths.axes}
@@ -332,7 +326,7 @@ def zeros_scaling(
             baths = BathConfig(temperature=1.0, kappas=(1.0,) * n)
             dec = spectral_decomposition(build_hamiltonian(spec))
             elems = coupling_matrix_elements(baths, dec)
-            rates = build_rate_matrix(dec, elems, baths, chain=spec)
+            rates = build_rate_matrix(dec, elems, baths)
             counts.add(count_structural_zeros(rates))
         if len(counts) != 1:
             raise SpinbathError(f"structural zero count varies across draws for N = {n}: {counts}")

@@ -10,7 +10,7 @@ distinct from merely small kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,21 +61,21 @@ class BathConfig:
         return len(self.kappas)
 
 
-def ohmic_spectral_density(kappa: float, omega: float) -> float:
-    """J(omega) = kappa * omega, evaluated only at positive gap frequencies."""
-    if omega <= 0:
-        raise DomainError(f"spectral density requires omega > 0, got {omega}")
+def ohmic_spectral_density(kappa: float, omega):
+    """J(omega) = kappa * omega, evaluated only at positive gap frequencies (scalar or array)."""
+    if np.any(np.less_equal(omega, 0)):
+        raise DomainError(f"spectral density requires omega > 0, got {np.min(omega)}")
     if kappa < 0:
         raise ValidationError(f"kappa must be >= 0, got {kappa}")
     return kappa * omega
 
 
-def spectral_density(config: BathConfig, site: int, omega: float) -> float:
+def spectral_density(config: BathConfig, site: int, omega):
     """J^(n)(omega) of the bath attached to 1-based `site`.
 
     Dispatches on the configured family; only the ohmic family ships, and no
     cutoff is modelled because rates only ever sample J at the finitely many
-    gap frequencies.
+    gap frequencies, passed as a scalar or an array.
     """
     if not 1 <= site <= config.n_sites:
         raise ValidationError(f"site {site} out of range 1..{config.n_sites}")
@@ -103,10 +103,24 @@ class CouplingElements:
     For diagonal chain Hamiltonians the eigenbasis is a permutation of the
     computational basis, so these elements are exact (no roundoff), which the
     structural-zero bookkeeping downstream relies on.
+
+    transitions is the table every rate build reads, read-only arrays
+    (rows, cols, weights) listing in row-major order each pair
+    i = rows[k] < j = cols[k] that some site couples, with
+    weights[n - 1, k] = |S_ij^(n)|^2.
     """
 
     matrices: tuple[np.ndarray, ...]
     axes: tuple[str, ...]
+    transitions: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        abs2 = np.stack([np.abs(s) ** 2 for s in self.matrices])
+        rows, cols = np.nonzero(np.triu(abs2.any(axis=0), k=1))
+        weights = abs2[:, rows, cols]
+        for a in (rows, cols, weights):
+            a.setflags(write=False)
+        object.__setattr__(self, "transitions", (rows, cols, weights))
 
     @property
     def n_sites(self) -> int:
@@ -118,15 +132,22 @@ class CouplingElements:
 
 
 def coupling_matrix_elements(config: BathConfig, dec: SpectralDecomposition) -> CouplingElements:
-    """Rotate every site's Pauli coupling operator into the energy basis."""
+    """Rotate every site's Pauli coupling operator into the energy basis: by
+    exact index permutation when every eigenvector is a basis state (every
+    z-type chain), else as u^dagger S u."""
     if 2 ** config.n_sites != dec.dimension:
         raise ValidationError(
             f"bath has {config.n_sites} sites but decomposition dimension is {dec.dimension}"
         )
     u = dec.vectors
+    order = np.argmax(u != 0, axis=0)
+    permutation = np.array_equal(u, np.eye(dec.dimension)[:, order])
     matrices = []
     for site, axis in enumerate(config.axes, start=1):
         s = local_operator(pauli_matrix(axis), site, config.n_sites)
+        if permutation:
+            matrices.append(s[np.ix_(order, order)])
+            continue
         s_energy = u.conj().T @ s @ u
         if np.max(np.abs(s_energy - s_energy.conj().T)) > 1e-12:
             raise ValidationError(

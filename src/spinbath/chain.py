@@ -132,23 +132,24 @@ class SpectralDecomposition:
     """Sorted eigensystem of a Hermitian matrix.
 
     energies are ascending; column j of `vectors` is the eigenstate |j> in
-    the computational basis; gap_table[i, j] = E_j - E_i.
+    the computational basis; gap_table[i, j] = E_j - E_i (read-only copies).
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     gap_table: np.ndarray = field(init=False, repr=False)
+    _reports: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=np.float64)
-        v = np.asarray(self.vectors)
+        e = np.array(self.energies, dtype=np.float64)
+        v = np.array(self.vectors)
         if e.ndim != 1 or v.shape != (e.size, e.size):
             raise ValidationError("energies/eigenvector shapes are inconsistent")
         if np.any(np.diff(e) < 0):
             raise ValidationError("energies must be sorted ascending")
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "gap_table", e[None, :] - e[:, None])
+        for name, a in (("energies", e), ("vectors", v), ("gap_table", e[None, :] - e[:, None])):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def dimension(self) -> int:
@@ -212,34 +213,40 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
 
     The spectrum is degenerate if any two eigenvalues lie within `tol`; the
     gap table is degenerate if any gap is below `tol` or two gaps belonging
-    to distinct state pairs agree within `tol`.
+    to distinct state pairs agree within `tol`, as neighbours in (omega, i, j)
+    order.  The report is computed once per (decomposition, tol) and kept on
+    the decomposition, whose read-only arrays keep it valid.
     """
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
+    if tol in dec._reports:
+        return dec._reports[tol]
     e = dec.energies
-    d = dec.dimension
 
-    spectrum_pairs = [
-        (i, i + 1, float(e[i + 1] - e[i])) for i in range(d - 1) if e[i + 1] - e[i] < tol
-    ]
+    steps = np.diff(e)
+    spectrum_pairs = [(int(i), int(i) + 1, float(steps[i])) for i in np.flatnonzero(steps < tol)]
 
-    gaps = [(float(e[j] - e[i]), i, j) for i in range(d) for j in range(i + 1, d)]
-    gaps.sort()
-    gap_pairs = []
-    for k in range(len(gaps) - 1):
-        w0, i0, j0 = gaps[k]
-        w1, i1, j1 = gaps[k + 1]
-        if w1 - w0 < tol:
-            gap_pairs.append(((i0, j0), (i1, j1), float(w1 - w0)))
-    tiny = [((i, j), (i, j), w) for w, i, j in gaps if w < tol]
+    # triu_indices lists the pairs by (i, j), so a stable sort orders them by (omega, i, j)
+    rows, cols = np.triu_indices(dec.dimension, k=1)
+    gaps = e[cols] - e[rows]
+    order = np.argsort(gaps, kind="stable")
+    gaps, rows, cols = gaps[order], rows[order], cols[order]
+    diffs = np.diff(gaps)
 
-    return DegeneracyReport(
+    def pair(k: int) -> tuple[int, int]:
+        return int(rows[k]), int(cols[k])
+
+    gap_pairs = [(pair(k), pair(k + 1), float(diffs[k])) for k in np.flatnonzero(diffs < tol)]
+    tiny = [(pair(k), pair(k), float(gaps[k])) for k in np.flatnonzero(gaps < tol)]
+
+    dec._reports[tol] = DegeneracyReport(
         spectrum_degenerate=bool(spectrum_pairs),
         gaps_degenerate=bool(gap_pairs or tiny),
         spectrum_pairs=tuple(spectrum_pairs),
         gap_pairs=tuple(tiny + gap_pairs),
         tolerance=float(tol),
     )
+    return dec._reports[tol]
 
 
 def check_frustration(spec: ChainSpec) -> bool:

@@ -1,7 +1,8 @@
 """Command-line interface: one config file in, deterministic CSV/JSON files out.
 
 Exit codes: 0 success, 2 configuration/model error, 3 numerical-integrity
-error.  Failures print a machine-readable JSON record to stderr.
+error, 4 output/IO error (any OSError, such as an output path that is a file).
+Failures print a machine-readable JSON record to stderr.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _header(cfg: RunConfig, command: str) -> list[str]:
 def _build_all(cfg: RunConfig):
     dec = spectral_decomposition(build_hamiltonian(cfg.chain))
     elems = coupling_matrix_elements(cfg.bath, dec)
-    rates = build_rate_matrix(dec, elems, cfg.bath, tol=cfg.degeneracy_tol, chain=cfg.chain)
+    rates = build_rate_matrix(dec, elems, cfg.bath, tol=cfg.degeneracy_tol)
     return dec, elems, rates
 
 
@@ -172,36 +173,25 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     p0 = resolve_initial_state(cfg, dec)
     times = cfg.times.values()
     header = _header(cfg, "fig2")
-    files = []
+    site, kappas = cfg.kappa_site, cfg.bath.kappas
 
-    curves = []
-    for temperature in cfg.fig2_temperatures:
-        rates = build_rate_matrix(
-            dec, elems, replace(cfg.bath, temperature=float(temperature)),
-            tol=cfg.degeneracy_tol, chain=cfg.chain,
-        )
-        traj = propagate_populations(rates, p0, times)
-        curves.append(1.0 - traj.populations[:, 0])
-    body = ["t," + ",".join(f"T={export.fmt(T)}" for T in cfg.fig2_temperatures)]
-    for k, t in enumerate(times):
-        body.append(",".join([export.fmt(t), *(export.fmt(c[k]) for c in curves)]))
-    files.append(export.write_lines(out / "fig2c.csv", header, body))
+    def curves(path: Path, labels: list[str], variants) -> Path:
+        columns = []  # P_exc(t) for each bath variant
+        for baths in variants:
+            rates = build_rate_matrix(dec, elems, baths, tol=cfg.degeneracy_tol)
+            columns.append(1.0 - propagate_populations(rates, p0, times).populations[:, 0])
+        body = ["t," + ",".join(labels)] + [
+            ",".join([export.fmt(t), *(export.fmt(c[k]) for c in columns)]) for k, t in enumerate(times)
+        ]
+        return export.write_lines(path, header, body)
 
-    site = cfg.kappa_site
-    curves = []
-    for kappa in cfg.fig2_kappas:
-        kappas = list(cfg.bath.kappas)
-        kappas[site - 1] = float(kappa)
-        rates = build_rate_matrix(
-            dec, elems, replace(cfg.bath, kappas=tuple(kappas)),
-            tol=cfg.degeneracy_tol, chain=cfg.chain,
-        )
-        traj = propagate_populations(rates, p0, times)
-        curves.append(1.0 - traj.populations[:, 0])
-    body = ["t," + ",".join(f"kappa{site}={export.fmt(k)}" for k in cfg.fig2_kappas)]
-    for k, t in enumerate(times):
-        body.append(",".join([export.fmt(t), *(export.fmt(c[k]) for c in curves)]))
-    files.append(export.write_lines(out / "fig2d.csv", header, body))
+    files = [
+        curves(out / "fig2c.csv", [f"T={export.fmt(T)}" for T in cfg.fig2_temperatures],
+               (replace(cfg.bath, temperature=float(T)) for T in cfg.fig2_temperatures)),
+        curves(out / "fig2d.csv", [f"kappa{site}={export.fmt(k)}" for k in cfg.fig2_kappas],
+               (replace(cfg.bath, kappas=kappas[: site - 1] + (float(k),) + kappas[site:])
+                for k in cfg.fig2_kappas)),
+    ]
 
     sweep_t = analysis.sweep_temperature(
         cfg.chain, cfg.bath, cfg.temperature_grid.values(), cfg.t_star,
@@ -287,6 +277,9 @@ def main(argv=None) -> int:
     except SpinbathError as exc:
         _report_error(exc, 2)
         return 2
+    except OSError as exc:
+        _report_error(exc, 4)
+        return 4
     for path in files:
         print(path)
     return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import BathConfig, CouplingElements, bose_einstein, spectral_density
-from .chain import DEGENERACY_TOL, ChainSpec, SpectralDecomposition, check_degeneracy
+from .chain import DEGENERACY_TOL, SpectralDecomposition, check_degeneracy
 from .errors import DegenerateGapError, ValidationError
 
 RATE_MATRIX_TOL = 1e-12
@@ -132,7 +132,6 @@ class RateMatrix:
     temperature: float
     kappas: tuple[float, ...]
     axes: tuple[str, ...]
-    chain: ChainSpec | None = None
 
     @property
     def dimension(self) -> int:
@@ -159,52 +158,45 @@ def build_rate_matrix(
     *,
     tol: float = DEGENERACY_TOL,
     allow_degenerate_gaps: bool = False,
-    chain: ChainSpec | None = None,
 ) -> RateMatrix:
     """Assemble the golden-rule rate matrix for the configured baths.
 
-    For every ordered level pair i < j with gap omega = E_j - E_i:
+    For every coupled level pair i < j of the transition table
+    `elems.transitions`, with gap omega = E_j - E_i:
 
         damping  Lambda[i, j] = sum_n J^(n)(omega) (1 + nbar_omega) |S_ij^(n)|^2
         gain     Lambda[j, i] = sum_n J^(n)(omega)      nbar_omega  |S_ij^(n)|^2
 
-    and the diagonal collects the negative outflow of each column, which for
-    the ground and top states reduces to pure gain and pure damping.
+    Pairs outside the table have no rate.  The diagonal is minus each
+    column's sum, the total outflow, which for the ground and top states
+    reduces to pure gain and pure damping.  A pair is structurally nonzero
+    when some site has kappa^(n) |S_ij^(n)|^2 > 0.
     """
     _require_nondegenerate(dec, tol, allow_degenerate_gaps)
     _check_bath(dec, elems, baths)
     d = dec.dimension
-    abs2 = np.stack([np.abs(s) ** 2 for s in elems.matrices])  # exact for diagonal chains
-    temperature = baths.temperature
+    rows, cols, weights = elems.transitions
+    omega = dec.gap_table[rows, cols]
+    nbar = np.array([bose_einstein(w, baths.temperature) for w in omega.tolist()])
+    j_omega = np.stack([spectral_density(baths, n, omega) for n in range(1, baths.n_sites + 1)])
+    coupled = (j_omega * weights).sum(axis=0)
 
     matrix = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            weights = abs2[:, i, j]
-            if not weights.any():
-                continue
-            omega = float(dec.gap_table[i, j])
-            nbar = bose_einstein(omega, temperature)
-            j_omega = np.array(
-                [spectral_density(baths, n, omega) for n in range(1, baths.n_sites + 1)]
-            )
-            coupled = float(j_omega @ weights)
-            matrix[i, j] = coupled * (1.0 + nbar)
-            matrix[j, i] = coupled * nbar
-    for i in range(d):
-        matrix[i, i] = -(matrix[:i, i].sum() + matrix[i + 1 :, i].sum())
+    matrix[rows, cols] = coupled * (1.0 + nbar)
+    matrix[cols, rows] = coupled * nbar
+    np.fill_diagonal(matrix, -matrix.sum(axis=0))
 
-    structural = (np.asarray(baths.kappas)[:, None, None] * abs2).sum(axis=0) > 0
-    np.fill_diagonal(structural, False)
-    mask = structural | np.diag(structural.any(axis=0))
+    mask = np.zeros((d, d), dtype=bool)
+    linked = (np.asarray(baths.kappas)[:, None] * weights).sum(axis=0) > 0
+    mask[rows, cols] = mask[cols, rows] = linked
+    np.fill_diagonal(mask, mask.any(axis=0))
     return RateMatrix(
         matrix=matrix,
         nonzero_mask=mask,
         energies=dec.energies.copy(),
-        temperature=temperature,
+        temperature=baths.temperature,
         kappas=baths.kappas,
         axes=baths.axes,
-        chain=chain,
     )
 
 
@@ -269,10 +261,6 @@ class LindbladSuperoperator:
         """The generator restricted to population components (should equal Lambda)."""
         idx = self.population_indices
         return self.matrix[np.ix_(idx, idx)].real
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Right-hand side of the master equation for a density matrix."""
-        return unvectorize(self.matrix @ vectorize(rho), self.dimension)
 
 
 def build_lindblad_superoperator(

@@ -35,13 +35,13 @@ def paper_dec(paper_spec):
 
 
 @pytest.fixture
-def paper_model(paper_spec, paper_dec):
+def paper_model(paper_dec):
     """Factory building (dec, elems, rates) for chosen couplings and temperature."""
 
     def build(kappas=(1.0, 1.0), temperature=1.0):
         baths = BathConfig(temperature=temperature, kappas=kappas)
         elems = coupling_matrix_elements(baths, paper_dec)
-        rates = build_rate_matrix(paper_dec, elems, baths, chain=paper_spec)
+        rates = build_rate_matrix(paper_dec, elems, baths)
         return paper_dec, elems, rates
 
     return build

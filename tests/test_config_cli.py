@@ -188,6 +188,15 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "NumericalIntegrityError"
 
+    def test_output_path_that_is_a_file_is_io_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = main(["fig2", "--config", "ising2_paper", "--out", str(taken)])
+        assert code == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "FileExistsError", "message": record["message"], "exit_code": 4}
+        assert str(taken) in record["message"]
+
     def test_degenerate_chain_is_config_class_error(self, tmp_path, capsys):
         path = tmp_path / "degen.cfg"
         path.write_text(

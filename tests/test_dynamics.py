@@ -13,6 +13,7 @@ from spinbath import (
     NumericalIntegrityError,
     PopulationState,
     ChainSpec,
+    Trajectory,
     ValidationError,
     build_hamiltonian,
     build_rate_matrix,
@@ -107,6 +108,14 @@ class TestPropagatePopulations:
         broken = replace(rates, matrix=rates.matrix + 0.05 * np.eye(4))
         with pytest.raises(NumericalIntegrityError, match="drift"):
             propagate_populations(broken, PopulationState.uniform(4), [0.0, 5.0])
+
+    def test_earliest_bad_snapshot_reported_drift_first(self):
+        good, negative, drifted = [0.5, 0.5], [1.5, -0.5], [0.5, 0.6]
+        with pytest.raises(NumericalIntegrityError, match=r"negative population -5\.000e-01 at t = 1$"):
+            Trajectory(times=[0.0, 1.0, 2.0], populations=[good, negative, drifted])
+        with pytest.raises(NumericalIntegrityError, match=r"drift 1\.000e-01 at t = 1$"):
+            Trajectory(times=[0.0, 1.0, 2.0], populations=[good, [-0.4, 1.5], negative])
+        assert Trajectory(times=[0.0, 1.0], populations=[good, good]).dimension == 2
 
     def test_time_grid_validation(self, paper_model):
         _, _, rates = paper_model()
