@@ -38,8 +38,6 @@ from .chain import (
     check_degeneracy,
     check_frustration,
     diagonal_energies,
-    local_operator,
-    pauli_matrix,
     spectral_decomposition,
 )
 from .config import GridSpec, RunConfig, builtin_config_path, parse_config

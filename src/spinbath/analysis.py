@@ -13,7 +13,6 @@ what the blocking phenomenology exploits.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -95,21 +94,14 @@ def detailed_balance_audit(rates: RateMatrix, dec: SpectralDecomposition, temper
     """
     if temperature <= 0:
         raise ValidationError(f"detailed-balance audit requires T > 0, got {temperature}")
-    d = rates.dimension
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not rates.nonzero_mask[i, j]:
-                continue
-            damping = rates.matrix[i, j]
-            gain = rates.matrix[j, i]
-            expected = float(np.exp(-dec.gap_table[i, j] / temperature))
-            if expected == 0.0:
-                deviation = 0.0 if gain == 0.0 else np.inf
-            else:
-                deviation = abs(gain / damping - expected) / expected
-            worst = max(worst, float(deviation))
-    return worst
+    rows, cols = np.nonzero(np.triu(rates.nonzero_mask, 1))
+    damping = rates.matrix[rows, cols]
+    gain = rates.matrix[cols, rows]
+    expected = np.exp(-dec.gap_table[rows, cols] / temperature)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deviation = np.abs(gain / damping - expected) / expected
+    underflow = np.where(gain == 0.0, 0.0, np.inf)  # exp(-omega/T) below double range
+    return float(np.max(np.where(expected == 0.0, underflow, deviation), initial=0.0))
 
 
 def restricted_gibbs_prediction(
@@ -155,7 +147,7 @@ class SweepResult:
         object.__setattr__(self, "values", v)
 
 
-def _sweep(axis, grid, t_star, point_job, site=None, metadata=None, threads=1):
+def _sweep(axis, grid, t_star, point_job, site=None, metadata=None):
     grid = np.asarray(grid, dtype=np.float64)
     if t_star <= 0:
         raise ValidationError(f"t_star must be positive, got {t_star}")
@@ -166,11 +158,7 @@ def _sweep(axis, grid, t_star, point_job, site=None, metadata=None, threads=1):
         except SpinbathError as exc:
             return np.nan, f"{type(exc).__name__}: {exc}"
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(grid.size)))
-    else:
-        results = [run(k) for k in range(grid.size)]
+    results = [run(k) for k in range(grid.size)]
     values = np.array([r[0] for r in results])
     errors = {k: r[1] for k, r in enumerate(results) if r[1] is not None}
     return SweepResult(
@@ -196,7 +184,6 @@ def sweep_temperature(
     t_star: float,
     *,
     initial_state=None,
-    threads: int = 1,
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> SweepResult:
     """P_exc(t*) from the ground state while the bath temperature is swept.
@@ -214,7 +201,7 @@ def sweep_temperature(
         return _excitation_at(rates, p0, t_star)
 
     meta = {"kappas": baths.kappas, "axes": baths.axes}
-    return _sweep("temperature", temperatures, t_star, job, metadata=meta, threads=threads)
+    return _sweep("temperature", temperatures, t_star, job, metadata=meta)
 
 
 def sweep_coupling(
@@ -225,7 +212,6 @@ def sweep_coupling(
     t_star: float,
     *,
     initial_state=None,
-    threads: int = 1,
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> SweepResult:
     """P_exc(t*) from the ground state while one site's coupling is swept (1-based site)."""
@@ -243,7 +229,7 @@ def sweep_coupling(
         return _excitation_at(rates, p0, t_star)
 
     meta = {"temperature": baths.temperature, "axes": baths.axes}
-    return _sweep("kappa", kappas, t_star, job, site=site, metadata=meta, threads=threads)
+    return _sweep("kappa", kappas, t_star, job, site=site, metadata=meta)
 
 
 def _initial_vector(initial_state, dimension: int) -> np.ndarray:

@@ -10,14 +10,12 @@ distinct from merely small kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import SpectralDecomposition, local_operator, pauli_matrix
+from .chain import SpectralDecomposition
 from .errors import DomainError, ValidationError
-
-SPECTRAL_FAMILIES = ("ohmic",)
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,6 @@ class BathConfig:
     temperature: float
     kappas: tuple[float, ...]
     axes: tuple[str, ...] = ()
-    family: str = "ohmic"
 
     def __post_init__(self):
         object.__setattr__(self, "temperature", float(self.temperature))
@@ -51,10 +48,6 @@ class BathConfig:
             if axis not in ("x", "y", "z"):
                 raise ValidationError(f"unknown coupling axis {axis!r}")
         object.__setattr__(self, "axes", axes)
-        if self.family not in SPECTRAL_FAMILIES:
-            raise ValidationError(
-                f"unknown spectral-density family {self.family!r}; available: {SPECTRAL_FAMILIES}"
-            )
 
     @property
     def n_sites(self) -> int:
@@ -71,11 +64,10 @@ def ohmic_spectral_density(kappa: float, omega):
 
 
 def spectral_density(config: BathConfig, site: int, omega):
-    """J^(n)(omega) of the bath attached to 1-based `site`.
+    """J^(n)(omega) of the ohmic bath attached to 1-based `site`.
 
-    Dispatches on the configured family; only the ohmic family ships, and no
-    cutoff is modelled because rates only ever sample J at the finitely many
-    gap frequencies, passed as a scalar or an array.
+    No cutoff is modelled because rates only ever sample J at the finitely
+    many gap frequencies, passed as a scalar or an array.
     """
     if not 1 <= site <= config.n_sites:
         raise ValidationError(f"site {site} out of range 1..{config.n_sites}")
@@ -97,61 +89,65 @@ def bose_einstein(omega: float, temperature: float) -> float:
 
 @dataclass(frozen=True)
 class CouplingElements:
-    """Coupling operators of every site rotated into the energy eigenbasis.
+    """The transition table: every nonzero <i|S^(n)|j> with i < j in the energy basis.
 
-    matrices[n] is the d x d array of <i|S^(n)|j>; Hermitian by construction.
-    For diagonal chain Hamiltonians the eigenbasis is a permutation of the
-    computational basis, so these elements are exact (no roundoff), which the
-    structural-zero bookkeeping downstream relies on.
-
-    transitions is the table every rate build reads, read-only arrays
-    (rows, cols, weights) listing in row-major order each pair
-    i = rows[k] < j = cols[k] that some site couples, with
-    weights[n - 1, k] = |S_ij^(n)|^2.
+    Each bath flips one spin, so the rows are the single-spin flips of the
+    sites with an x or y axis, d/2 per such site: read-only arrays rows,
+    cols, sites (1-based) and values = <rows|S^(sites)|cols>, in row-major
+    (i, j) order.  Values are exact (1 for x, -1j or +1j for y), so
+    |S_ij|^2 = 1 on every row, which the structural-zero bookkeeping
+    downstream relies on.  The lower triangle is the conjugate.
     """
 
-    matrices: tuple[np.ndarray, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    sites: np.ndarray
+    values: np.ndarray
     axes: tuple[str, ...]
-    transitions: tuple = field(init=False, repr=False, compare=False)
+    dimension: int
 
     def __post_init__(self):
-        abs2 = np.stack([np.abs(s) ** 2 for s in self.matrices])
-        rows, cols = np.nonzero(np.triu(abs2.any(axis=0), k=1))
-        weights = abs2[:, rows, cols]
-        for a in (rows, cols, weights):
+        for name in ("rows", "cols", "sites", "values"):
+            a = np.array(getattr(self, name))
             a.setflags(write=False)
-        object.__setattr__(self, "transitions", (rows, cols, weights))
+            object.__setattr__(self, name, a)
 
     @property
     def n_sites(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrices[0].shape[0]
+        return len(self.axes)
 
 
 def coupling_matrix_elements(config: BathConfig, dec: SpectralDecomposition) -> CouplingElements:
-    """Rotate every site's Pauli coupling operator into the energy basis: by
-    exact index permutation when every eigenvector is a basis state (every
-    z-type chain), else as u^dagger S u."""
-    if 2 ** config.n_sites != dec.dimension:
+    """Build the transition table from bit flips of the eigenstates' basis indices.
+
+    Site n flips bit 2^(N - n) (site 1 is the most significant bit); a z axis
+    commutes with the chain and contributes no rows.  For y the element is
+    -1j when site n is up (bit 0) in |i>, else +1j.
+    """
+    d = dec.dimension
+    if 2 ** config.n_sites != d:
         raise ValidationError(
-            f"bath has {config.n_sites} sites but decomposition dimension is {dec.dimension}"
+            f"bath has {config.n_sites} sites but decomposition dimension is {d}"
         )
-    u = dec.vectors
-    order = np.argmax(u != 0, axis=0)
-    permutation = np.array_equal(u, np.eye(dec.dimension)[:, order])
-    matrices = []
+    c = np.arange(d)
+    label = np.empty(d, dtype=np.intp)
+    label[dec.basis] = c  # eigenstate label of each basis state
+    rows, cols, sites, values = [], [], [], []
     for site, axis in enumerate(config.axes, start=1):
-        s = local_operator(pauli_matrix(axis), site, config.n_sites)
-        if permutation:
-            matrices.append(s[np.ix_(order, order)])
-            continue
-        s_energy = u.conj().T @ s @ u
-        if np.max(np.abs(s_energy - s_energy.conj().T)) > 1e-12:
-            raise ValidationError(
-                f"coupling elements for site {site} lost Hermiticity; check the eigenbasis"
-            )
-        matrices.append(s_energy)
-    return CouplingElements(matrices=tuple(matrices), axes=config.axes)
+        bit = 1 << (config.n_sites - site)
+        flipped = label[c ^ bit]
+        keep = (label < flipped) & (axis != "z")
+        rows.append(label[keep])
+        cols.append(flipped[keep])
+        sites.append(np.full(rows[-1].size, site))
+        values.append(np.ones(rows[-1].size) if axis != "y" else np.where(c[keep] & bit, 1j, -1j))
+    rows, cols, sites, values = (np.concatenate(a) for a in (rows, cols, sites, values))
+    order = np.lexsort((cols, rows))
+    return CouplingElements(
+        rows=rows[order],
+        cols=cols[order],
+        sites=sites[order],
+        values=values[order],
+        axes=config.axes,
+        dimension=d,
+    )

@@ -1,7 +1,8 @@
 """Command-line interface: one config file in, deterministic CSV/JSON files out.
 
-Exit codes: 0 success, 2 configuration/model error, 3 numerical-integrity
-error, 4 output/IO error (any OSError, such as an output path that is a file).
+Exit codes: 0 success, 2 configuration/model error, 3 numerical error (a
+numerical-integrity check or a failed linear-algebra routine), 4 output/IO
+error (any OSError, such as an output path that is a file), 5 out of memory.
 Failures print a machine-readable JSON record to stderr.
 """
 
@@ -134,7 +135,6 @@ def _cmd_sweep_t(cfg: RunConfig, out: Path) -> list[Path]:
         cfg.bath,
         cfg.temperature_grid.values(),
         cfg.t_star,
-        threads=cfg.threads,
         degeneracy_tol=cfg.degeneracy_tol,
     )
     return [export.write_sweep_csv(out / "sweep_T.csv", sweep, _header(cfg, "sweep-T"))]
@@ -147,7 +147,6 @@ def _cmd_sweep_kappa(cfg: RunConfig, out: Path) -> list[Path]:
         cfg.kappa_site,
         cfg.kappa_grid.values(),
         cfg.t_star,
-        threads=cfg.threads,
         degeneracy_tol=cfg.degeneracy_tol,
     )
     return [export.write_sweep_csv(out / "sweep_kappa.csv", sweep, _header(cfg, "sweep-kappa"))]
@@ -195,13 +194,13 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
 
     sweep_t = analysis.sweep_temperature(
         cfg.chain, cfg.bath, cfg.temperature_grid.values(), cfg.t_star,
-        initial_state=p0, threads=cfg.threads, degeneracy_tol=cfg.degeneracy_tol,
+        initial_state=p0, degeneracy_tol=cfg.degeneracy_tol,
     )
     files.append(export.write_sweep_csv(out / "fig2e.csv", sweep_t, header))
 
     sweep_k = analysis.sweep_coupling(
         cfg.chain, cfg.bath, site, cfg.kappa_grid.values(), cfg.t_star,
-        initial_state=p0, threads=cfg.threads, degeneracy_tol=cfg.degeneracy_tol,
+        initial_state=p0, degeneracy_tol=cfg.degeneracy_tol,
     )
     files.append(export.write_sweep_csv(out / "fig2f.csv", sweep_k, header))
     return files
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True,
                         help="path to a run config, or the name of a builtin one (e.g. ising2_paper)")
     parser.add_argument("--out", help=f"output directory (default: config, then ${OUT_DIR_ENV}, then .)")
-    parser.add_argument("--threads", type=int, help="parallel workers for sweeps")
     parser.add_argument("--seed", type=int, help="RNG seed for randomized runs")
     parser.add_argument("--max-n", type=int, dest="max_n", help="largest chain size for zeros-scaling")
     parser.add_argument("--draws", type=int, help="random draws per chain size for zeros-scaling")
@@ -266,12 +264,11 @@ def main(argv=None) -> int:
             command=args.command,
             out=args.out,
             seed=args.seed,
-            threads=args.threads,
             max_n=args.max_n,
             draws=args.draws,
         )
         files = run_command(cfg)
-    except NumericalIntegrityError as exc:
+    except (NumericalIntegrityError, np.linalg.LinAlgError) as exc:
         _report_error(exc, 3)
         return 3
     except SpinbathError as exc:
@@ -280,6 +277,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _report_error(exc, 4)
         return 4
+    except MemoryError as exc:
+        _report_error(exc, 5)
+        return 5
     for path in files:
         print(path)
     return 0

@@ -48,7 +48,6 @@ _SCHEMA = {
         "kappa_site",
         "out",
         "seed",
-        "threads",
         "max_n",
         "draws",
         "fig2_temperatures",
@@ -101,7 +100,6 @@ class RunConfig:
     kappa_site: int
     out: str | None
     seed: int | None
-    threads: int
     max_n: int
     draws: int
     fig2_temperatures: tuple[float, ...]
@@ -313,9 +311,6 @@ def parse_config(path) -> RunConfig:
     kappa_site = sections.get_int("run", "kappa_site", default=1)
     if not 1 <= kappa_site <= chain.n_sites:
         raise ConfigError(f"[run] kappa_site: site {kappa_site} out of range 1..{chain.n_sites}")
-    threads = sections.get_int("run", "threads", default=1)
-    if threads < 1:
-        raise ConfigError(f"[run] threads: expected a positive integer, got {threads}")
     t_star = sections.get_float("run", "t_star", default=10.0)
     if t_star <= 0:
         raise ConfigError(f"[run] t_star: expected a positive time, got {t_star}")
@@ -341,7 +336,6 @@ def parse_config(path) -> RunConfig:
         kappa_site=kappa_site,
         out=sections.get_str("run", "out"),
         seed=seed,
-        threads=threads,
         max_n=sections.get_int("run", "max_n", default=4),
         draws=sections.get_int("run", "draws", default=100),
         fig2_temperatures=sections.get_floats(
@@ -400,8 +394,8 @@ def resolve_initial_state(cfg: RunConfig, dec: SpectralDecomposition) -> Populat
         raise ConfigError(f"[run] initial_state: {exc}") from None
 
 
-def with_overrides(cfg: RunConfig, *, command=None, out=None, seed=None, threads=None,
-                   max_n=None, draws=None) -> RunConfig:
+def with_overrides(cfg: RunConfig, *, command=None, out=None, seed=None, max_n=None,
+                   draws=None) -> RunConfig:
     """Apply command-line overrides on top of a parsed configuration."""
     updates = {}
     if command is not None:
@@ -410,8 +404,6 @@ def with_overrides(cfg: RunConfig, *, command=None, out=None, seed=None, threads
         updates["out"] = str(out)
     if seed is not None:
         updates["seed"] = int(seed)
-    if threads is not None:
-        updates["threads"] = int(threads)
     if max_n is not None:
         updates["max_n"] = int(max_n)
     if draws is not None:

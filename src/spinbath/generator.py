@@ -23,9 +23,11 @@ import numpy as np
 
 from .bath import BathConfig, CouplingElements, bose_einstein, spectral_density
 from .chain import DEGENERACY_TOL, SpectralDecomposition, check_degeneracy
-from .errors import DegenerateGapError, ValidationError
+from .errors import CapacityError, DegenerateGapError, ValidationError
 
 RATE_MATRIX_TOL = 1e-12
+# The oracle is a dense d^4 complex matrix: 16.8 MB at N = 5, 268 MB at N = 6.
+MAX_LINDBLAD_SITES = 5
 
 
 def _require_nondegenerate(dec: SpectralDecomposition, tol: float, allow: bool) -> None:
@@ -81,7 +83,8 @@ def build_jump_operators(
 ) -> list[JumpOperator]:
     """One jump operator per (site, positive gap) with a nonzero coupling element.
 
-    Operators whose matrix would be all-zero are omitted.  With the explicit
+    Each site's flips from the transition table are taken in (omega, i, j)
+    order, so sites without flips get no operator.  With the explicit
     `allow_degenerate_gaps` override, elements whose gaps agree within `tol`
     are grouped into a single operator (the sum over equal-frequency terms);
     the override is outside the assumptions the acceptance suite covers.
@@ -89,29 +92,21 @@ def build_jump_operators(
     _require_nondegenerate(dec, tol, allow_degenerate_gaps)
     d = dec.dimension
     ops: list[JumpOperator] = []
-    for n, s in enumerate(elems.matrices, start=1):
-        entries = [
-            (float(dec.gap_table[i, j]), i, j)
-            for i in range(d)
-            for j in range(i + 1, d)
-            if s[i, j] != 0
-        ]
-        entries.sort()
-        groups: list[list[tuple[float, int, int]]] = []
-        for entry in entries:
-            if allow_degenerate_gaps and groups and entry[0] - groups[-1][0][0] < tol:
-                groups[-1].append(entry)
+    for n in range(1, elems.n_sites + 1):
+        flips = elems.sites == n
+        rows, cols, values = elems.rows[flips], elems.cols[flips], elems.values[flips]
+        omega = dec.gap_table[rows, cols]
+        groups: list[list[int]] = []
+        for k in np.lexsort((cols, rows, omega)).tolist():
+            if allow_degenerate_gaps and groups and omega[k] - omega[groups[-1][0]] < tol:
+                groups[-1].append(k)
             else:
-                groups.append([entry])
+                groups.append([k])
         for group in groups:
-            a = np.zeros((d, d), dtype=s.dtype)
-            pairs = []
-            for _, i, j in group:
-                a[i, j] = s[i, j]
-                pairs.append((i, j))
-            ops.append(
-                JumpOperator(site=n, omega=group[0][0], matrix=a, pairs=tuple(pairs))
-            )
+            a = np.zeros((d, d), dtype=values.dtype)
+            a[rows[group], cols[group]] = values[group]
+            pairs = tuple(zip(rows[group].tolist(), cols[group].tolist()))
+            ops.append(JumpOperator(site=n, omega=float(omega[group[0]]), matrix=a, pairs=pairs))
     return ops
 
 
@@ -161,25 +156,27 @@ def build_rate_matrix(
 ) -> RateMatrix:
     """Assemble the golden-rule rate matrix for the configured baths.
 
-    For every coupled level pair i < j of the transition table
-    `elems.transitions`, with gap omega = E_j - E_i:
+    For every row (i, j, n) of the transition table `elems`, the flip of
+    site n between levels i < j with gap omega = E_j - E_i:
 
-        damping  Lambda[i, j] = sum_n J^(n)(omega) (1 + nbar_omega) |S_ij^(n)|^2
-        gain     Lambda[j, i] = sum_n J^(n)(omega)      nbar_omega  |S_ij^(n)|^2
+        damping  Lambda[i, j] = J^(n)(omega) (1 + nbar_omega)
+        gain     Lambda[j, i] = J^(n)(omega)      nbar_omega
 
-    Pairs outside the table have no rate.  The diagonal is minus each
-    column's sum, the total outflow, which for the ground and top states
-    reduces to pure gain and pure damping.  A pair is structurally nonzero
-    when some site has kappa^(n) |S_ij^(n)|^2 > 0.
+    since |S_ij^(n)|^2 = 1.  Pairs outside the table have no rate.  The
+    diagonal is minus each column's sum, the total outflow, which for the
+    ground and top states reduces to pure gain and pure damping.  A pair is
+    structurally nonzero when its site has kappa^(n) > 0.
     """
     _require_nondegenerate(dec, tol, allow_degenerate_gaps)
     _check_bath(dec, elems, baths)
     d = dec.dimension
-    rows, cols, weights = elems.transitions
+    rows, cols, sites = elems.rows, elems.cols, elems.sites
     omega = dec.gap_table[rows, cols]
     nbar = np.array([bose_einstein(w, baths.temperature) for w in omega.tolist()])
-    j_omega = np.stack([spectral_density(baths, n, omega) for n in range(1, baths.n_sites + 1)])
-    coupled = (j_omega * weights).sum(axis=0)
+    coupled = np.empty(omega.size)
+    for n in range(1, baths.n_sites + 1):
+        flips = sites == n
+        coupled[flips] = spectral_density(baths, n, omega[flips])
 
     matrix = np.zeros((d, d))
     matrix[rows, cols] = coupled * (1.0 + nbar)
@@ -187,8 +184,7 @@ def build_rate_matrix(
     np.fill_diagonal(matrix, -matrix.sum(axis=0))
 
     mask = np.zeros((d, d), dtype=bool)
-    linked = (np.asarray(baths.kappas)[:, None] * weights).sum(axis=0) > 0
-    mask[rows, cols] = mask[cols, rows] = linked
+    mask[rows, cols] = mask[cols, rows] = np.asarray(baths.kappas)[sites - 1] > 0
     np.fill_diagonal(mask, mask.any(axis=0))
     return RateMatrix(
         matrix=matrix,
@@ -276,9 +272,14 @@ def build_lindblad_superoperator(
     Every damping term carries J(omega)(1 + nbar) with the sandwich
     A rho A-dagger and its anticommutator, every gain term carries
     J(omega) nbar with the adjoint sandwich; vec convention is column
-    stacking, vec(A rho B) = kron(B^T, A) vec(rho).
+    stacking, vec(A rho B) = kron(B^T, A) vec(rho).  Refused beyond
+    MAX_LINDBLAD_SITES sites, before anything is allocated.
     """
     _check_bath(dec, elems, baths)
+    if baths.n_sites > MAX_LINDBLAD_SITES:
+        raise CapacityError(
+            f"Lindblad superoperator limited to N <= {MAX_LINDBLAD_SITES}, got N = {baths.n_sites}"
+        )
     ops = build_jump_operators(dec, elems, tol=tol, allow_degenerate_gaps=allow_degenerate_gaps)
     d = dec.dimension
     eye = np.eye(d)

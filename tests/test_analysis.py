@@ -159,13 +159,6 @@ class TestSweeps:
         assert 0 in sweep.errors and "ValidationError" in sweep.errors[0]
         assert np.isnan(sweep.values[0]) and not np.isnan(sweep.values[1])
 
-    def test_threaded_sweep_matches_serial(self, paper_spec):
-        baths = BathConfig(temperature=1.0, kappas=(1e-5, 1.0))
-        grid = np.geomspace(0.1, 10, 13)
-        serial = sweep_temperature(paper_spec, baths, grid, 10.0)
-        threaded = sweep_temperature(paper_spec, baths, grid, 10.0, threads=4)
-        assert np.array_equal(serial.values, threaded.values)
-
     def test_invalid_t_star(self, paper_spec):
         baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
         with pytest.raises(ValidationError):

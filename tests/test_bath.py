@@ -15,12 +15,12 @@ from spinbath import (
     bose_einstein,
     build_hamiltonian,
     coupling_matrix_elements,
-    local_operator,
     ohmic_spectral_density,
-    pauli_matrix,
     spectral_decomposition,
     spectral_density,
 )
+
+from conftest import site_operator
 
 
 class TestOhmicSpectralDensity:
@@ -96,38 +96,49 @@ class TestBathConfig:
         cfg = BathConfig(temperature=1.0, kappas=(1.0, 0.0, 2.0))
         assert cfg.axes == ("x", "x", "x")
 
-    def test_unknown_family(self):
-        with pytest.raises(ValidationError):
-            BathConfig(temperature=1.0, kappas=(1.0,), family="lorentzian")
+
+def _pairs(elems, site=None):
+    return [
+        (i, j) for i, j, n in zip(elems.rows.tolist(), elems.cols.tolist(), elems.sites.tolist())
+        if site in (None, n)
+    ]
 
 
 class TestCouplingMatrixElements:
     def test_site_one_pathways(self, paper_dec):
         cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
         elems = coupling_matrix_elements(cfg, paper_dec)
-        s1 = elems.matrices[0]
-        expected = np.zeros((4, 4))
-        expected[0, 2] = expected[2, 0] = 1.0  # |1> <-> |3>
-        expected[1, 3] = expected[3, 1] = 1.0  # |2> <-> |4>
-        assert np.array_equal(s1, expected)
+        assert _pairs(elems, 1) == [(0, 2), (1, 3)]  # |1> <-> |3>, |2> <-> |4>
+        assert elems.values.tolist() == [1.0] * 4
 
     def test_site_two_pathways(self, paper_dec):
         cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
-        s2 = coupling_matrix_elements(cfg, paper_dec).matrices[1]
-        expected = np.zeros((4, 4))
-        expected[0, 1] = expected[1, 0] = 1.0  # |1> <-> |2>
-        expected[2, 3] = expected[3, 2] = 1.0  # |3> <-> |4>
-        assert np.array_equal(s2, expected)
+        elems = coupling_matrix_elements(cfg, paper_dec)
+        assert _pairs(elems, 2) == [(0, 1), (2, 3)]  # |1> <-> |2>, |3> <-> |4>
+        assert _pairs(elems) == [(0, 1), (0, 2), (1, 3), (2, 3)]  # row-major
+        assert elems.sites.tolist() == [2, 1, 1, 2]
 
     def test_z_coupling_is_diagonal(self, paper_dec):
+        # sigma_z commutes with the chain, so it has no off-diagonal elements
         cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("z", "z"))
-        for s in coupling_matrix_elements(cfg, paper_dec).matrices:
-            assert np.count_nonzero(s - np.diag(np.diagonal(s))) == 0
+        assert coupling_matrix_elements(cfg, paper_dec).rows.size == 0
+        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("z", "x"))
+        assert _pairs(coupling_matrix_elements(cfg, paper_dec)) == [(0, 1), (2, 3)]
 
-    def test_hermiticity(self, paper_dec):
+    def test_hermiticity(self):
+        # the table and its conjugate transpose rebuild the dense Hermitian operators;
+        # |h_2| < Delta: site 2 is up in the lower level of one flip and down in the
+        # other, so both signs of the y element occur
+        dec = spectral_decomposition(build_hamiltonian(ChainSpec(2, (1.0, -0.2), ((1, 2, 1 / 3),))))
         cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("x", "y"))
-        for s in coupling_matrix_elements(cfg, paper_dec).matrices:
-            assert np.max(np.abs(s - s.conj().T)) < 1e-12
+        elems = coupling_matrix_elements(cfg, dec)
+        u = np.eye(4)[:, dec.basis]
+        for site, axis in enumerate(cfg.axes, start=1):
+            flips = elems.sites == site
+            s = np.zeros((4, 4), dtype=complex)
+            s[elems.rows[flips], elems.cols[flips]] = elems.values[flips]
+            assert np.array_equal(s + s.conj().T, u.T @ site_operator(axis, site, 2) @ u)
+        assert set(elems.values[elems.sites == 2].tolist()) == {-1j, 1j}
 
     def test_dimension_mismatch(self, paper_dec):
         cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0, 1.0))
@@ -138,16 +149,14 @@ class TestCouplingMatrixElements:
         # [H, sigma_x^(n)] != 0 for both sites of the reference chain
         h = build_hamiltonian(paper_spec)
         for site in (1, 2):
-            s = local_operator(pauli_matrix("x"), site, 2)
+            s = site_operator("x", site, 2)
             assert np.max(np.abs(h @ s - s @ h)) > 0.1
 
     def test_independent_of_gauge_for_nondegenerate_spectra(self, paper_spec):
-        # rebuilding the decomposition must reproduce the same elements exactly
+        # rebuilding the decomposition must reproduce the same table exactly
         dec_a = spectral_decomposition(build_hamiltonian(paper_spec))
         dec_b = spectral_decomposition(build_hamiltonian(paper_spec))
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
-        for sa, sb in zip(
-            coupling_matrix_elements(cfg, dec_a).matrices,
-            coupling_matrix_elements(cfg, dec_b).matrices,
-        ):
-            assert np.array_equal(sa, sb)
+        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("x", "y"))
+        a, b = coupling_matrix_elements(cfg, dec_a), coupling_matrix_elements(cfg, dec_b)
+        for name in ("rows", "cols", "sites", "values"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))

@@ -76,14 +76,12 @@ class TestSpectralDecomposition:
         expected = two_spin_energies(1.0, 0.5, 1 / 3)
         assert np.max(np.abs(paper_dec.energies - expected)) < 1e-12
         # |1> = dd (index 3), |2> = du (2), |3> = ud (1), |4> = uu (0)
-        eye = np.eye(4)
-        for col, basis_index in enumerate((3, 2, 1, 0)):
-            assert np.array_equal(paper_dec.vectors[:, col], eye[:, basis_index])
+        assert paper_dec.basis.tolist() == [3, 2, 1, 0]
 
     def test_scaled_identity(self):
         dec = spectral_decomposition(2.5 * np.eye(6))
         assert np.allclose(dec.energies, 2.5)
-        dec.validate(1e-10)
+        assert dec.basis.tolist() == list(range(6))
 
     def test_three_site_sorted(self):
         spec = ChainSpec(3, (1.0, 0.6, 0.3), ((1, 2, 0.2), (2, 3, 0.1)))
@@ -100,11 +98,12 @@ class TestSpectralDecomposition:
         for _ in range(20):
             d = int(rng.integers(2, 9))
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = (g + g.conj().T) / 2
+            with pytest.raises(ValidationError, match="diagonal"):
+                spectral_decomposition((g + g.conj().T) / 2)
+            h = np.diag(rng.normal(size=d))
             dec = spectral_decomposition(h)
-            u = dec.vectors
-            assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-10
-            assert np.max(np.abs((u * dec.energies) @ u.conj().T - h)) < 1e-10
+            u = np.eye(d)[:, dec.basis]  # a permutation matrix, hence unitary
+            assert np.array_equal((u * dec.energies) @ u.T, h)
 
     def test_two_spin_formula_property(self):
         rng = np.random.default_rng(12)
@@ -116,9 +115,7 @@ class TestSpectralDecomposition:
 
     def test_tie_break_by_basis_index(self):
         dec = spectral_decomposition(np.diag([1.0, -1.0, 1.0, -1.0]))
-        eye = np.eye(4)
-        for col, basis_index in enumerate((1, 3, 0, 2)):
-            assert np.array_equal(dec.vectors[:, col], eye[:, basis_index])
+        assert dec.basis.tolist() == [1, 3, 0, 2]
 
 
 class TestCheckDegeneracy:

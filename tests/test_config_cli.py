@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from spinbath import ConfigError, builtin_config_path, parse_config
+from spinbath import ConfigError, builtin_config_path, cli, parse_config
 from spinbath.cli import main
 from spinbath.export import read_csv_columns, read_json_body
 
@@ -58,6 +58,10 @@ class TestParseConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("[chain]\nn = 2\nfields = 1, 0.5\nflux = 3\n\n[bath]\ntemperature=1\nkappas=1,1\n")
         with pytest.raises(ConfigError, match=r"flux.*line 4"):
+            parse_config(path)
+        # sweeps run serially; a file that still asks for threads is refused the same way
+        path.write_text("[chain]\nn = 1\nfields = 1\n[bath]\ntemperature=1\nkappas=1\n[run]\nthreads = 2\n")
+        with pytest.raises(ConfigError, match=r"'threads'.*line 8"):
             parse_config(path)
 
     def test_negative_kappa_rejected(self, tmp_path):
@@ -196,6 +200,18 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record == {"error": "FileExistsError", "message": record["message"], "exit_code": 4}
         assert str(taken) in record["message"]
+
+    @pytest.mark.parametrize(
+        "exc, code", [(np.linalg.LinAlgError("singular matrix"), 3), (MemoryError("no room"), 5)]
+    )
+    def test_linalg_and_memory_errors_are_json_records(self, exc, code, tmp_path, capsys, monkeypatch):
+        def fail(cfg, out):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "spectrum", fail)
+        assert main(["spectrum", "--config", "ising2_paper", "--out", str(tmp_path)]) == code
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
 
     def test_degenerate_chain_is_config_class_error(self, tmp_path, capsys):
         path = tmp_path / "degen.cfg"

@@ -9,6 +9,7 @@ import pytest
 
 from spinbath import (
     BathConfig,
+    CapacityError,
     ChainSpec,
     DegenerateGapError,
     build_hamiltonian,
@@ -147,6 +148,13 @@ class TestRateMatrix:
 
 
 class TestLindbladSuperoperator:
+    def test_capacity_guard_before_allocation(self):
+        spec = ChainSpec(6, (1.0, 0.9, 0.8, 0.7, 0.6, 0.5))
+        dec = spectral_decomposition(build_hamiltonian(spec))
+        cfg, elems = _elems(dec, (1.0,) * 6)
+        with pytest.raises(CapacityError, match="N <= 5"):
+            build_lindblad_superoperator(dec, elems, cfg)
+
     def test_gibbs_annihilated(self, paper_dec, paper_superop):
         for temperature in (0.1, 1.0, 10.0):
             superop = paper_superop(kappas=(1.0, 1.0), temperature=temperature)

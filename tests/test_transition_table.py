@@ -1,8 +1,9 @@
-"""The transition-table fast paths against the pair-loop code they replaced.
+"""The transition-table fast paths against the dense code they replaced.
 
 The reference implementations below are the package's original dense
-rotation, tuple-sort degeneracy check and pair-loop rate assembly, kept
-verbatim in arithmetic so the fast paths can be held to them.
+rotation of Kronecker-product coupling operators, tuple-sort degeneracy
+check, pair-loop rate assembly and pair-loop jump operators, kept verbatim
+in arithmetic so the fast paths can be held to them.
 """
 
 from __future__ import annotations
@@ -11,24 +12,32 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinbath import (
     BathConfig,
     ChainSpec,
     DegenerateGapError,
     DomainError,
+    JumpOperator,
     SpectralDecomposition,
     build_hamiltonian,
+    build_jump_operators,
+    build_lindblad_superoperator,
     build_rate_matrix,
     check_degeneracy,
     coupling_matrix_elements,
-    local_operator,
-    pauli_matrix,
+    count_structural_zeros,
+    predicted_zero_count,
     spectral_decomposition,
 )
+from spinbath import generator
 from spinbath.bath import bose_einstein, spectral_density
 from spinbath.chain import DegeneracyReport
 from spinbath.errors import ValidationError
+
+from conftest import site_operator
 
 TEMPERATURES = (0.0, 0.05, 1.0, 10.0)
 KAPPAS = (0.0, 1e-5, 0.3, 1.0)
@@ -37,15 +46,25 @@ TOLERANCES = (1e-9, 1e-3, 0.05)
 
 def reference_coupling_matrices(config: BathConfig, dec: SpectralDecomposition) -> list[np.ndarray]:
     """Dense rotation u^dagger S u of every site's coupling operator."""
-    u = dec.vectors
+    u = np.eye(dec.dimension)[:, dec.basis]
     matrices = []
     for site, axis in enumerate(config.axes, start=1):
-        s = local_operator(pauli_matrix(axis), site, config.n_sites)
+        s = site_operator(axis, site, config.n_sites)
         s_energy = u.conj().T @ s @ u
         if np.max(np.abs(s_energy - s_energy.conj().T)) > 1e-12:
             raise ValidationError(f"coupling elements for site {site} lost Hermiticity")
         matrices.append(s_energy)
     return matrices
+
+
+def reference_table(matrices) -> tuple[np.ndarray, ...]:
+    """(rows, cols, sites, values): the nonzero upper triangles, in row-major order."""
+    entries = sorted(
+        (i, j, n, s[i, j])
+        for n, s in enumerate(matrices, start=1)
+        for i, j in zip(*np.nonzero(np.triu(s, k=1)))
+    )
+    return tuple(np.array([e[k] for e in entries]) for k in range(4))
 
 
 def reference_degeneracy(dec: SpectralDecomposition, tol: float) -> DegeneracyReport:
@@ -100,6 +119,35 @@ def reference_rates(dec, matrices, baths, *, tol=1e-9, allow_degenerate_gaps=Fal
     return matrix, structural | np.diag(structural.any(axis=0))
 
 
+def reference_jump_operators(dec, matrices, *, tol=1e-9, allow_degenerate_gaps=False):
+    """Pair loop over every level pair of every site's dense coupling matrix."""
+    if not (allow_degenerate_gaps or reference_degeneracy(dec, tol).nondegenerate):
+        raise DegenerateGapError("degenerate spectrum or gaps")
+    d = dec.dimension
+    ops = []
+    for n, s in enumerate(matrices, start=1):
+        entries = [
+            (float(dec.gap_table[i, j]), i, j)
+            for i in range(d)
+            for j in range(i + 1, d)
+            if s[i, j] != 0
+        ]
+        entries.sort()
+        groups = []
+        for entry in entries:
+            if allow_degenerate_gaps and groups and entry[0] - groups[-1][0][0] < tol:
+                groups[-1].append(entry)
+            else:
+                groups.append([entry])
+        for group in groups:
+            a = np.zeros((d, d), dtype=s.dtype)
+            for _, i, j in group:
+                a[i, j] = s[i, j]
+            pairs = tuple((i, j) for _, i, j in group)
+            ops.append(JumpOperator(site=n, omega=group[0][0], matrix=a, pairs=pairs))
+    return ops
+
+
 def _random_chain(rng, n_sites: int, pairs) -> ChainSpec:
     fields = tuple(rng.uniform(0.5, 1.5, size=n_sites))
     couplings = tuple((a, b, float(rng.uniform(-0.5, 0.5))) for a, b in pairs)
@@ -123,23 +171,46 @@ def _cases():
 CASES = _cases()
 
 
+def _assert_same_table(elems, matrices):
+    table = (elems.rows, elems.cols, elems.sites, elems.values)
+    for got, expected in zip(table, reference_table(matrices)):
+        assert np.array_equal(got, expected)
+
+
+def _assert_same_jump_operators(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.site, a.omega, a.pairs) == (b.site, b.omega, b.pairs)
+        assert np.array_equal(a.matrix, b.matrix)
+
+
 def _assert_same_rates(dec, baths, allow):
     elems = coupling_matrix_elements(baths, dec)
     reference = reference_coupling_matrices(baths, dec)
-    for fast, slow in zip(elems.matrices, reference):
-        assert np.array_equal(fast, slow)
+    _assert_same_table(elems, reference)
     try:
         expected, expected_mask = reference_rates(
             dec, reference, baths, allow_degenerate_gaps=allow
         )
+        expected_ops = reference_jump_operators(dec, reference, allow_degenerate_gaps=allow)
     except Exception as exc:
         with pytest.raises(type(exc)):
             build_rate_matrix(dec, elems, baths, allow_degenerate_gaps=allow)
         return None
     rates = build_rate_matrix(dec, elems, baths, allow_degenerate_gaps=allow)
     assert np.array_equal(rates.nonzero_mask, expected_mask)
-    scale = np.max(np.abs(expected))
+    off = ~np.eye(dec.dimension, dtype=bool)
+    assert np.array_equal(rates.matrix[off], expected[off])
+    scale = np.max(np.abs(expected))  # the pair loop sums each column in another order
     assert np.max(np.abs(rates.matrix - expected)) <= 1e-15 * scale
+    ops = build_jump_operators(dec, elems, allow_degenerate_gaps=allow)
+    _assert_same_jump_operators(ops, expected_ops)
+    if dec.dimension <= 8:
+        superop = build_lindblad_superoperator(dec, elems, baths, allow_degenerate_gaps=allow)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generator, "build_jump_operators", lambda *args, **kwargs: expected_ops)
+            oracle = build_lindblad_superoperator(dec, elems, baths, allow_degenerate_gaps=allow)
+        assert np.array_equal(superop.matrix, oracle.matrix)
     return rates
 
 
@@ -188,28 +259,50 @@ def test_zero_gap_transition_raises_like_the_pair_loop():
         build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths, allow_degenerate_gaps=True)
 
 
-def test_general_eigenbasis_uses_the_dense_rotation():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    dec = spectral_decomposition(g + g.conj().T)
-    baths = BathConfig(temperature=1.0, kappas=(1.0, 0.5), axes=("x", "y"))
-    elems = coupling_matrix_elements(baths, dec)
-    for fast, slow in zip(elems.matrices, reference_coupling_matrices(baths, dec)):
-        assert np.array_equal(fast, slow)
-
-
 def test_transition_table_has_one_pair_per_spin_flip():
     spec = CASES[6][1]  # an all-pairs chain with N = 5
     dec = spectral_decomposition(build_hamiltonian(spec))
-    baths = BathConfig(temperature=1.0, kappas=(1.0,) * 5, axes=("x", "y", "x", "y", "x"))
-    rows, cols, weights = coupling_matrix_elements(baths, dec).transitions
+    baths = BathConfig(temperature=1.0, kappas=(1.0,) * 5, axes=("x", "y", "z", "y", "x"))
+    elems = coupling_matrix_elements(baths, dec)
     d = dec.dimension
-    assert rows.size == d * 5 // 2
-    assert np.all(rows < cols)
-    assert np.array_equal(weights.sum(axis=0), np.ones(rows.size))  # each pair is one site's flip
-    for a in (rows, cols, weights):
+    assert elems.rows.size == d * 4 // 2
+    assert np.all(elems.rows < elems.cols)
+    assert np.bincount(elems.sites).tolist() == [0, d // 2, d // 2, 0, d // 2, d // 2]
+    flipped = dec.basis[elems.rows] ^ dec.basis[elems.cols]
+    assert np.array_equal(flipped, 1 << (5 - elems.sites))  # exactly the site's bit differs
+    for a in (elems.rows, elems.cols, elems.sites, elems.values):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+@st.composite
+def _chains_and_baths(draw):
+    n = draw(st.integers(1, 6))
+    value = st.floats(-2.0, 2.0, allow_nan=False)
+    fields = tuple(draw(value) for _ in range(n))
+    couplings = tuple(
+        (a, b, draw(value)) for a, b in combinations(range(1, n + 1), 2) if draw(st.booleans())
+    )
+    axes = tuple(draw(st.sampled_from("xyz")) for _ in range(n))
+    kappas = tuple(draw(st.sampled_from((0.0, 1e-5, 0.3, 1.0))) for _ in range(n))
+    return ChainSpec(n, fields, couplings), axes, kappas
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains_and_baths())
+def test_table_equals_the_dense_rotation_on_random_chains(case):
+    spec, axes, kappas = case
+    dec = spectral_decomposition(build_hamiltonian(spec))
+    baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    elems = coupling_matrix_elements(baths, dec)
+    _assert_same_table(elems, reference_coupling_matrices(baths, dec))
+
+    # with every site coupled through x, the zeros law holds whatever the gaps
+    coupled = BathConfig(temperature=1.0, kappas=tuple(k or 0.5 for k in kappas))
+    elems = coupling_matrix_elements(coupled, dec)
+    assume(np.all(dec.gap_table[elems.rows, elems.cols] > 0))  # a zero-cost flip has no rate
+    rates = build_rate_matrix(dec, elems, coupled, allow_degenerate_gaps=True)
+    assert count_structural_zeros(rates) == predicted_zero_count(spec.n_sites)
 
 
 def test_report_is_computed_once_per_decomposition_and_tolerance(paper_spec):
@@ -225,13 +318,15 @@ def test_report_is_computed_once_per_decomposition_and_tolerance(paper_spec):
 
 def test_decomposition_arrays_are_private_and_read_only():
     energies = np.array([0.0, 1.0, 3.0])
-    vectors = np.eye(3)
-    dec = SpectralDecomposition(energies=energies, vectors=vectors)
+    basis = np.array([2, 0, 1])
+    dec = SpectralDecomposition(energies=energies, basis=basis)
     report = check_degeneracy(dec, 1e-9)
     energies[1] = 2.0  # the caller's arrays are copied, so this cannot reach dec
-    vectors[0, 0] = 5.0
-    assert dec.energies[1] == 1.0 and dec.vectors[0, 0] == 1.0
-    for a in (dec.energies, dec.vectors, dec.gap_table):
+    basis[0] = 1
+    assert dec.energies[1] == 1.0 and dec.basis[0] == 2
+    for a in (dec.energies, dec.basis, dec.gap_table):
         with pytest.raises(ValueError):
             a[0] = 7.0
     assert check_degeneracy(dec, 1e-9) is report
+    with pytest.raises(ValidationError, match="permutation"):
+        SpectralDecomposition(energies=energies, basis=np.array([0, 0, 1]))
