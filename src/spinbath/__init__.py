@@ -11,6 +11,7 @@ excitation pathways.
 from .analysis import (
     BlockPartition,
     SweepResult,
+    bath_at,
     connectivity_blocks,
     count_structural_zeros,
     detailed_balance_audit,

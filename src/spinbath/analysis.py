@@ -19,18 +19,19 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import expm
 
-from .bath import BathConfig, CouplingElements, coupling_matrix_elements
+from .bath import BathConfig, coupling_matrix_elements
 from .chain import (
-    DEGENERACY_TOL,
     ChainSpec,
     SpectralDecomposition,
     build_hamiltonian,
     check_degeneracy,
     spectral_decomposition,
 )
-from .dynamics import PopulationState
+from .dynamics import PopulationState, _as_population, _thermal_weights
 from .errors import SpinbathError, ValidationError
 from .generator import RateMatrix, build_rate_matrix, structural_blocks
+
+MAX_CHAIN_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,7 @@ class BlockPartition:
 def _block_gibbs(energies: np.ndarray, block: tuple[int, ...], temperature: float) -> np.ndarray:
     full = np.zeros(energies.size)
     idx = np.asarray(block)
-    e = energies[idx]
-    if temperature == 0.0:
-        full[idx[np.argmin(e)]] = 1.0
-        return full
-    w = np.exp(-(e - e.min()) / temperature)
-    full[idx] = w / w.sum()
+    full[idx] = _thermal_weights(energies[idx], temperature)
     return full
 
 
@@ -97,7 +93,7 @@ def detailed_balance_audit(rates: RateMatrix, dec: SpectralDecomposition, temper
     rows, cols = np.nonzero(np.triu(rates.nonzero_mask, 1))
     damping = rates.matrix[rows, cols]
     gain = rates.matrix[cols, rows]
-    expected = np.exp(-dec.gap_table[rows, cols] / temperature)
+    expected = np.exp(-(dec.energies[cols] - dec.energies[rows]) / temperature)
     with np.errstate(divide="ignore", invalid="ignore"):
         deviation = np.abs(gain / damping - expected) / expected
     underflow = np.where(gain == 0.0, 0.0, np.inf)  # exp(-omega/T) below double range
@@ -147,34 +143,51 @@ class SweepResult:
         object.__setattr__(self, "values", v)
 
 
-def _sweep(axis, grid, t_star, point_job, site=None, metadata=None):
+def bath_at(baths: BathConfig, axis: str, value: float, site: int | None = None) -> BathConfig:
+    """The bath variant at one sweep point.
+
+    axis "temperature" sets the temperature of every bath; axis "kappa" sets
+    the coupling of the 1-based `site` and leaves the other sites alone.
+    """
+    if axis == "temperature":
+        return replace(baths, temperature=float(value))
+    if axis != "kappa":
+        raise ValidationError(f"unknown sweep axis {axis!r}")
+    if site is None or not 1 <= site <= baths.n_sites:
+        raise ValidationError(f"site {site} out of range 1..{baths.n_sites}")
+    kappas = list(baths.kappas)
+    kappas[site - 1] = float(value)
+    return replace(baths, kappas=tuple(kappas))
+
+
+def _sweep(spec, baths, axis, grid, t_star, initial_state, metadata, site=None) -> SweepResult:
+    """P_exc(t*) = 1 - p_1(t*) with the rates rebuilt at every grid point.
+
+    The decomposition, the transition table and the initial vector are built
+    once; a point whose rates fail is recorded under its grid index and the
+    sweep continues.
+    """
+    dec = spectral_decomposition(build_hamiltonian(spec))
+    elems = coupling_matrix_elements(baths, dec)
+    p0 = _as_population(PopulationState.basis(dec.dimension, 0) if initial_state is None else initial_state)
+    if p0.size != dec.dimension:
+        raise ValidationError("initial state dimension does not match the spectrum")
     grid = np.asarray(grid, dtype=np.float64)
     if t_star <= 0:
         raise ValidationError(f"t_star must be positive, got {t_star}")
-
-    def run(k):
+    values = np.empty(grid.size)
+    errors = {}
+    for k, value in enumerate(grid):
         try:
-            return float(point_job(grid[k])), None
+            rates = build_rate_matrix(dec, elems, bath_at(baths, axis, value, site))
+            values[k] = 1.0 - float((expm(rates.matrix * t_star) @ p0)[0])
         except SpinbathError as exc:
-            return np.nan, f"{type(exc).__name__}: {exc}"
-
-    results = [run(k) for k in range(grid.size)]
-    values = np.array([r[0] for r in results])
-    errors = {k: r[1] for k, r in enumerate(results) if r[1] is not None}
+            values[k] = np.nan
+            errors[k] = f"{type(exc).__name__}: {exc}"
     return SweepResult(
-        axis=axis,
-        grid=grid,
-        values=values,
-        t_star=float(t_star),
-        site=site,
-        metadata=metadata or {},
-        errors=errors,
+        axis=axis, grid=grid, values=values, t_star=float(t_star), site=site,
+        metadata=metadata, errors=errors,
     )
-
-
-def _excitation_at(rates: RateMatrix, p0: np.ndarray, t_star: float) -> float:
-    p = expm(rates.matrix * t_star) @ p0
-    return 1.0 - float(p[0])
 
 
 def sweep_temperature(
@@ -184,24 +197,14 @@ def sweep_temperature(
     t_star: float,
     *,
     initial_state=None,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> SweepResult:
     """P_exc(t*) from the ground state while the bath temperature is swept.
 
     The generator is rebuilt at every grid point; per-point failures are
     recorded under the grid index and the sweep continues.
     """
-    dec = spectral_decomposition(build_hamiltonian(spec))
-    elems = coupling_matrix_elements(baths, dec)
-    p0 = _initial_vector(initial_state, dec.dimension)
-
-    def job(temperature):
-        point = replace(baths, temperature=float(temperature))
-        rates = build_rate_matrix(dec, elems, point, tol=degeneracy_tol)
-        return _excitation_at(rates, p0, t_star)
-
     meta = {"kappas": baths.kappas, "axes": baths.axes}
-    return _sweep("temperature", temperatures, t_star, job, metadata=meta)
+    return _sweep(spec, baths, "temperature", temperatures, t_star, initial_state, meta)
 
 
 def sweep_coupling(
@@ -212,32 +215,12 @@ def sweep_coupling(
     t_star: float,
     *,
     initial_state=None,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> SweepResult:
     """P_exc(t*) from the ground state while one site's coupling is swept (1-based site)."""
     if not 1 <= site <= spec.n_sites:
         raise ValidationError(f"site {site} out of range 1..{spec.n_sites}")
-    dec = spectral_decomposition(build_hamiltonian(spec))
-    elems = coupling_matrix_elements(baths, dec)
-    p0 = _initial_vector(initial_state, dec.dimension)
-
-    def job(kappa):
-        kappas_point = list(baths.kappas)
-        kappas_point[site - 1] = float(kappa)
-        point = replace(baths, kappas=tuple(kappas_point))
-        rates = build_rate_matrix(dec, elems, point, tol=degeneracy_tol)
-        return _excitation_at(rates, p0, t_star)
-
     meta = {"temperature": baths.temperature, "axes": baths.axes}
-    return _sweep("kappa", kappas, t_star, job, site=site, metadata=meta)
-
-
-def _initial_vector(initial_state, dimension: int) -> np.ndarray:
-    if initial_state is None:
-        return PopulationState.basis(dimension, 0).p
-    if isinstance(initial_state, PopulationState):
-        return initial_state.p
-    return PopulationState(np.asarray(initial_state)).p
+    return _sweep(spec, baths, "kappa", kappas, t_star, initial_state, meta, site)
 
 
 def locate_t_theta(sweep: SweepResult) -> float:
@@ -258,34 +241,28 @@ def locate_t_theta(sweep: SweepResult) -> float:
     return float(sweep.grid[1 + int(np.argmax(slopes))])
 
 
-def random_nondegenerate_chain(
-    n_sites: int,
-    rng: np.random.Generator,
-    *,
-    field_range: tuple[float, float] = (0.5, 1.5),
-    coupling_range: tuple[float, float] = (-0.5, 0.5),
-    tol: float = DEGENERACY_TOL,
-    max_draws: int = 1000,
-) -> ChainSpec:
+def random_nondegenerate_chain(n_sites: int, rng: np.random.Generator) -> ChainSpec:
     """Draw a chain with all-pairs couplings until spectrum and gaps are nondegenerate.
 
-    Couplings are drawn for every site pair: purely nearest-neighbour chains
-    of three or more sites always carry degenerate gaps (flipping an end spin
-    costs the same energy whatever the far spins do), so they can never pass
-    the rejection step.
+    Fields are drawn from U(0.5, 1.5) and a coupling from U(-0.5, 0.5) for
+    every site pair, at most MAX_CHAIN_DRAWS times, and a draw is accepted
+    when `check_degeneracy` passes at DEGENERACY_TOL.  Purely
+    nearest-neighbour chains of three or more sites always carry degenerate
+    gaps (flipping an end spin costs the same energy whatever the far spins
+    do), so they could never pass the rejection step.
     """
-    for _ in range(max_draws):
-        fields = tuple(rng.uniform(*field_range, size=n_sites))
+    for _ in range(MAX_CHAIN_DRAWS):
+        fields = tuple(rng.uniform(0.5, 1.5, size=n_sites))
         couplings = tuple(
-            (a, b, float(rng.uniform(*coupling_range)))
+            (a, b, float(rng.uniform(-0.5, 0.5)))
             for a, b in combinations(range(1, n_sites + 1), 2)
         )
         spec = ChainSpec(n_sites=n_sites, fields=fields, couplings=couplings)
         dec = spectral_decomposition(build_hamiltonian(spec))
-        if check_degeneracy(dec, tol).nondegenerate:
+        if check_degeneracy(dec).nondegenerate:
             return spec
     raise SpinbathError(
-        f"failed to draw a nondegenerate {n_sites}-site chain in {max_draws} attempts"
+        f"failed to draw a nondegenerate {n_sites}-site chain in {MAX_CHAIN_DRAWS} attempts"
     )
 
 

@@ -102,13 +102,13 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
 class SpectralDecomposition:
     """Sorted eigensystem of a diagonal Hamiltonian.
 
-    energies are ascending; eigenstate |k> is the computational-basis state
-    basis[k]; gap_table[i, j] = E_j - E_i (read-only copies).
+    energies are ascending and eigenstate |k> is the computational-basis
+    state basis[k] (read-only copies).  The gap of levels i < j is
+    energies[j] - energies[i]; no d x d gap table is stored.
     """
 
     energies: np.ndarray
     basis: np.ndarray
-    gap_table: np.ndarray = field(init=False, repr=False)
     _reports: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -121,7 +121,7 @@ class SpectralDecomposition:
             raise ValidationError("basis must be a permutation of the computational basis")
         if np.any(np.diff(e) < 0):
             raise ValidationError("energies must be sorted ascending")
-        for name, a in (("energies", e), ("basis", b), ("gap_table", e[None, :] - e[:, None])):
+        for name, a in (("energies", e), ("basis", b)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,21 +61,22 @@ def _header(cfg: RunConfig, command: str) -> list[str]:
 def _build_all(cfg: RunConfig):
     dec = spectral_decomposition(build_hamiltonian(cfg.chain))
     elems = coupling_matrix_elements(cfg.bath, dec)
-    rates = build_rate_matrix(dec, elems, cfg.bath, tol=cfg.degeneracy_tol)
+    rates = build_rate_matrix(dec, elems, cfg.bath)
     return dec, elems, rates
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
     dec = spectral_decomposition(build_hamiltonian(cfg.chain))
-    report = check_degeneracy(dec, cfg.degeneracy_tol)
+    report = check_degeneracy(dec)
     header = _header(cfg, "spectrum")
     files = []
     body = ["state,energy"] + [
         f"{i + 1},{export.fmt(e)}" for i, e in enumerate(dec.energies)
     ]
     files.append(export.write_lines(out / "spectrum.csv", header, body))
+    e = dec.energies.tolist()
     gaps = ["i,j,omega"] + [
-        f"{i + 1},{j + 1},{export.fmt(dec.gap_table[i, j])}"
+        f"{i + 1},{j + 1},{export.fmt(e[j] - e[i])}"
         for i in range(dec.dimension)
         for j in range(i + 1, dec.dimension)
     ]
@@ -130,24 +130,13 @@ def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _cmd_sweep_t(cfg: RunConfig, out: Path) -> list[Path]:
-    sweep = analysis.sweep_temperature(
-        cfg.chain,
-        cfg.bath,
-        cfg.temperature_grid.values(),
-        cfg.t_star,
-        degeneracy_tol=cfg.degeneracy_tol,
-    )
+    sweep = analysis.sweep_temperature(cfg.chain, cfg.bath, cfg.temperature_grid.values(), cfg.t_star)
     return [export.write_sweep_csv(out / "sweep_T.csv", sweep, _header(cfg, "sweep-T"))]
 
 
 def _cmd_sweep_kappa(cfg: RunConfig, out: Path) -> list[Path]:
     sweep = analysis.sweep_coupling(
-        cfg.chain,
-        cfg.bath,
-        cfg.kappa_site,
-        cfg.kappa_grid.values(),
-        cfg.t_star,
-        degeneracy_tol=cfg.degeneracy_tol,
+        cfg.chain, cfg.bath, cfg.kappa_site, cfg.kappa_grid.values(), cfg.t_star
     )
     return [export.write_sweep_csv(out / "sweep_kappa.csv", sweep, _header(cfg, "sweep-kappa"))]
 
@@ -172,35 +161,30 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     p0 = resolve_initial_state(cfg, dec)
     times = cfg.times.values()
     header = _header(cfg, "fig2")
-    site, kappas = cfg.kappa_site, cfg.bath.kappas
+    site = cfg.kappa_site
 
-    def curves(path: Path, labels: list[str], variants) -> Path:
-        columns = []  # P_exc(t) for each bath variant
-        for baths in variants:
-            rates = build_rate_matrix(dec, elems, baths, tol=cfg.degeneracy_tol)
+    def curves(path: Path, label: str, axis: str, points) -> Path:
+        columns = []  # P_exc(t) for each bath variant, built by the sweeps' own rule
+        for value in points:
+            rates = build_rate_matrix(dec, elems, analysis.bath_at(cfg.bath, axis, value, site))
             columns.append(1.0 - propagate_populations(rates, p0, times).populations[:, 0])
-        body = ["t," + ",".join(labels)] + [
+        body = ["t," + ",".join(f"{label}={export.fmt(v)}" for v in points)] + [
             ",".join([export.fmt(t), *(export.fmt(c[k]) for c in columns)]) for k, t in enumerate(times)
         ]
         return export.write_lines(path, header, body)
 
     files = [
-        curves(out / "fig2c.csv", [f"T={export.fmt(T)}" for T in cfg.fig2_temperatures],
-               (replace(cfg.bath, temperature=float(T)) for T in cfg.fig2_temperatures)),
-        curves(out / "fig2d.csv", [f"kappa{site}={export.fmt(k)}" for k in cfg.fig2_kappas],
-               (replace(cfg.bath, kappas=kappas[: site - 1] + (float(k),) + kappas[site:])
-                for k in cfg.fig2_kappas)),
+        curves(out / "fig2c.csv", "T", "temperature", cfg.fig2_temperatures),
+        curves(out / "fig2d.csv", f"kappa{site}", "kappa", cfg.fig2_kappas),
     ]
 
     sweep_t = analysis.sweep_temperature(
-        cfg.chain, cfg.bath, cfg.temperature_grid.values(), cfg.t_star,
-        initial_state=p0, degeneracy_tol=cfg.degeneracy_tol,
+        cfg.chain, cfg.bath, cfg.temperature_grid.values(), cfg.t_star, initial_state=p0
     )
     files.append(export.write_sweep_csv(out / "fig2e.csv", sweep_t, header))
 
     sweep_k = analysis.sweep_coupling(
-        cfg.chain, cfg.bath, site, cfg.kappa_grid.values(), cfg.t_star,
-        initial_state=p0, degeneracy_tol=cfg.degeneracy_tol,
+        cfg.chain, cfg.bath, site, cfg.kappa_grid.values(), cfg.t_star, initial_state=p0
     )
     files.append(export.write_sweep_csv(out / "fig2f.csv", sweep_k, header))
     return files

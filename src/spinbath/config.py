@@ -52,7 +52,6 @@ _SCHEMA = {
         "draws",
         "fig2_temperatures",
         "fig2_kappas",
-        "degeneracy_tol",
     ),
 }
 
@@ -104,7 +103,6 @@ class RunConfig:
     draws: int
     fig2_temperatures: tuple[float, ...]
     fig2_kappas: tuple[float, ...]
-    degeneracy_tol: float
     source_hash: str
     source_path: str
 
@@ -317,9 +315,6 @@ def parse_config(path) -> RunConfig:
     seed = sections.get_int("run", "seed", default=None)
     if seed is not None and seed < 0:
         raise ConfigError(f"[run] seed: expected a nonnegative integer, got {seed}")
-    degeneracy_tol = sections.get_float("run", "degeneracy_tol", default=1e-9)
-    if degeneracy_tol <= 0:
-        raise ConfigError("[run] degeneracy_tol: expected a positive tolerance")
 
     initial_state = sections.get_str("run", "initial_state", default="ground")
     _validate_initial_state(initial_state, chain.dimension)
@@ -342,7 +337,6 @@ def parse_config(path) -> RunConfig:
             "run", "fig2_temperatures", default=(0.1, 0.3, 1.0, 3.0, 10.0)
         ),
         fig2_kappas=sections.get_floats("run", "fig2_kappas", default=(0.001, 0.01, 0.1, 1.0)),
-        degeneracy_tol=degeneracy_tol,
         source_hash=hashlib.sha256(text.encode()).hexdigest(),
         source_path=str(path),
     )

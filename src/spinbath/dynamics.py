@@ -175,7 +175,7 @@ def propagate_density(superop: LindbladSuperoperator, rho0: np.ndarray, times) -
     )
 
 
-def steady_states(rates: RateMatrix, tol: float = 1e-12) -> list[PopulationState]:
+def steady_states(rates: RateMatrix) -> list[PopulationState]:
     """One stationary population vector per decoupled structural block.
 
     Each block's restricted generator is solved for its kernel independently;
@@ -193,7 +193,7 @@ def steady_states(rates: RateMatrix, tol: float = 1e-12) -> list[PopulationState
         else:
             idx = np.asarray(block)
             sub = rates.matrix[np.ix_(idx, idx)]
-            kernel = null_space(sub, rcond=tol)
+            kernel = null_space(sub, rcond=1e-12)
             if kernel.shape[1] != 1:
                 raise NumericalIntegrityError(
                     f"block {tuple(i + 1 for i in block)} has kernel dimension "
@@ -210,13 +210,22 @@ def steady_states(rates: RateMatrix, tol: float = 1e-12) -> list[PopulationState
     return states
 
 
+def _thermal_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
+    """exp(-E_i/T)/Z over the given levels, shifted by their minimum so it
+    cannot overflow; at T = 0 all weight sits on the first lowest level."""
+    if temperature == 0.0:
+        w = np.zeros(energies.size)
+        w[np.argmin(energies)] = 1.0
+        return w
+    w = np.exp(-(energies - energies.min()) / temperature)
+    return w / w.sum()
+
+
 def gibbs_state(dec: SpectralDecomposition, temperature: float) -> PopulationState:
     """Thermal population vector exp(-E_i/T)/Z, evaluated overflow-safely."""
     if temperature <= 0:
         raise ValidationError(f"Gibbs state requires T > 0, got {temperature}")
-    shifted = dec.energies - dec.energies.min()
-    w = np.exp(-shifted / temperature)
-    return PopulationState(w / w.sum())
+    return PopulationState(_thermal_weights(dec.energies, temperature))
 
 
 def excitation_probability(trajectory) -> np.ndarray:

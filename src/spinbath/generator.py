@@ -9,8 +9,9 @@ Two routes are built from the same spectral data:
   on column-stacked density matrices, assembled from the secular jump
   operators.
 
-Both constructions assume a nondegenerate spectrum with nondegenerate gaps
-and refuse degenerate input by default.  Structural zeros of Lambda (entries
+Both constructions assume a nondegenerate spectrum with nondegenerate gaps,
+checked at the fixed tolerance chain.DEGENERACY_TOL, and refuse degenerate
+input unless explicitly allowed.  Structural zeros of Lambda (entries
 that vanish for every T > 0 given the kappa and coupling-element patterns)
 are tracked by an exact mask, never by thresholding floats.
 """
@@ -30,19 +31,19 @@ RATE_MATRIX_TOL = 1e-12
 MAX_LINDBLAD_SITES = 5
 
 
-def _require_nondegenerate(dec: SpectralDecomposition, tol: float, allow: bool) -> None:
-    report = check_degeneracy(dec, tol)
+def _require_nondegenerate(dec: SpectralDecomposition, allow: bool) -> None:
+    report = check_degeneracy(dec, DEGENERACY_TOL)
     if allow or report.nondegenerate:
         return
     if report.spectrum_degenerate:
         i, j, diff = report.spectrum_pairs[0]
         raise DegenerateGapError(
-            f"spectrum degenerate: |E_{i + 1} - E_{j + 1}| = {diff:.3e} < {tol:.1e}"
+            f"spectrum degenerate: |E_{i + 1} - E_{j + 1}| = {diff:.3e} < {DEGENERACY_TOL:.1e}"
         )
     (i, j), (k, l), diff = report.gap_pairs[0]
     raise DegenerateGapError(
         f"gaps degenerate: omega({i + 1},{j + 1}) and omega({k + 1},{l + 1}) differ by "
-        f"{diff:.3e} < {tol:.1e}"
+        f"{diff:.3e} < {DEGENERACY_TOL:.1e}"
     )
 
 
@@ -63,50 +64,48 @@ def _check_bath(dec: SpectralDecomposition, elems: CouplingElements, baths: Bath
 class JumpOperator:
     """Secular jump operator of one site at one positive transition frequency.
 
-    `matrix` lives in the energy basis and lowers |j> to |i> for every stored
-    (i, j) pair; with nondegenerate gaps there is exactly one pair.  `site`
-    is the 1-based site label.
+    In the energy basis it lowers |j> to |i> with amplitude values[k] for the
+    k-th stored (i, j) pair, and has no other entries; with nondegenerate
+    gaps there is exactly one pair.  `site` is the 1-based site label.
     """
 
     site: int
     omega: float
-    matrix: np.ndarray
     pairs: tuple[tuple[int, int], ...]
+    values: tuple[complex, ...]
 
 
 def build_jump_operators(
     dec: SpectralDecomposition,
     elems: CouplingElements,
     *,
-    tol: float = DEGENERACY_TOL,
     allow_degenerate_gaps: bool = False,
 ) -> list[JumpOperator]:
     """One jump operator per (site, positive gap) with a nonzero coupling element.
 
     Each site's flips from the transition table are taken in (omega, i, j)
     order, so sites without flips get no operator.  With the explicit
-    `allow_degenerate_gaps` override, elements whose gaps agree within `tol`
-    are grouped into a single operator (the sum over equal-frequency terms);
-    the override is outside the assumptions the acceptance suite covers.
+    `allow_degenerate_gaps` override, elements whose gaps agree within
+    DEGENERACY_TOL are grouped into a single operator (the sum over
+    equal-frequency terms); the override is outside the assumptions the
+    acceptance suite covers.
     """
-    _require_nondegenerate(dec, tol, allow_degenerate_gaps)
-    d = dec.dimension
+    _require_nondegenerate(dec, allow_degenerate_gaps)
     ops: list[JumpOperator] = []
     for n in range(1, elems.n_sites + 1):
         flips = elems.sites == n
         rows, cols, values = elems.rows[flips], elems.cols[flips], elems.values[flips]
-        omega = dec.gap_table[rows, cols]
+        omega = dec.energies[cols] - dec.energies[rows]
         groups: list[list[int]] = []
         for k in np.lexsort((cols, rows, omega)).tolist():
-            if allow_degenerate_gaps and groups and omega[k] - omega[groups[-1][0]] < tol:
+            if allow_degenerate_gaps and groups and omega[k] - omega[groups[-1][0]] < DEGENERACY_TOL:
                 groups[-1].append(k)
             else:
                 groups.append([k])
         for group in groups:
-            a = np.zeros((d, d), dtype=values.dtype)
-            a[rows[group], cols[group]] = values[group]
             pairs = tuple(zip(rows[group].tolist(), cols[group].tolist()))
-            ops.append(JumpOperator(site=n, omega=float(omega[group[0]]), matrix=a, pairs=pairs))
+            ops.append(JumpOperator(site=n, omega=float(omega[group[0]]), pairs=pairs,
+                                    values=tuple(values[group].tolist())))
     return ops
 
 
@@ -151,7 +150,6 @@ def build_rate_matrix(
     elems: CouplingElements,
     baths: BathConfig,
     *,
-    tol: float = DEGENERACY_TOL,
     allow_degenerate_gaps: bool = False,
 ) -> RateMatrix:
     """Assemble the golden-rule rate matrix for the configured baths.
@@ -167,11 +165,11 @@ def build_rate_matrix(
     ground and top states reduces to pure gain and pure damping.  A pair is
     structurally nonzero when its site has kappa^(n) > 0.
     """
-    _require_nondegenerate(dec, tol, allow_degenerate_gaps)
+    _require_nondegenerate(dec, allow_degenerate_gaps)
     _check_bath(dec, elems, baths)
     d = dec.dimension
     rows, cols, sites = elems.rows, elems.cols, elems.sites
-    omega = dec.gap_table[rows, cols]
+    omega = dec.energies[cols] - dec.energies[rows]
     nbar = np.array([bose_einstein(w, baths.temperature) for w in omega.tolist()])
     coupled = np.empty(omega.size)
     for n in range(1, baths.n_sites + 1):
@@ -264,7 +262,6 @@ def build_lindblad_superoperator(
     elems: CouplingElements,
     baths: BathConfig,
     *,
-    tol: float = DEGENERACY_TOL,
     allow_degenerate_gaps: bool = False,
 ) -> LindbladSuperoperator:
     """Assemble -i[H, .] plus the dissipator from the secular jump operators.
@@ -280,14 +277,15 @@ def build_lindblad_superoperator(
         raise CapacityError(
             f"Lindblad superoperator limited to N <= {MAX_LINDBLAD_SITES}, got N = {baths.n_sites}"
         )
-    ops = build_jump_operators(dec, elems, tol=tol, allow_degenerate_gaps=allow_degenerate_gaps)
+    ops = build_jump_operators(dec, elems, allow_degenerate_gaps=allow_degenerate_gaps)
     d = dec.dimension
     eye = np.eye(d)
     h = np.diag(dec.energies)
     super_matrix = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
     for op in ops:
-        a = op.matrix
+        a = np.zeros((d, d), dtype=elems.values.dtype)
+        a[tuple(zip(*op.pairs))] = op.values
         a_dag = a.conj().T
         j_omega = spectral_density(baths, op.site, op.omega)
         nbar = bose_einstein(op.omega, baths.temperature)

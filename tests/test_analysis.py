@@ -13,6 +13,7 @@ from spinbath import (
     PopulationState,
     SweepResult,
     ValidationError,
+    bath_at,
     connectivity_blocks,
     count_structural_zeros,
     detailed_balance_audit,
@@ -159,10 +160,23 @@ class TestSweeps:
         assert 0 in sweep.errors and "ValidationError" in sweep.errors[0]
         assert np.isnan(sweep.values[0]) and not np.isnan(sweep.values[1])
 
+    def test_bath_at_sets_one_axis(self):
+        baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y"))
+        assert bath_at(baths, "temperature", 0.3) == replace(baths, temperature=0.3)
+        assert bath_at(baths, "kappa", 0.5, site=2) == replace(baths, kappas=(1e-5, 0.5))
+        for axis, site in (("field", 1), ("kappa", None), ("kappa", 3)):
+            with pytest.raises(ValidationError):
+                bath_at(baths, axis, 0.5, site)
+
     def test_invalid_t_star(self, paper_spec):
         baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
         with pytest.raises(ValidationError):
             sweep_temperature(paper_spec, baths, np.geomspace(0.1, 1, 5), 0.0)
+
+    def test_initial_state_must_match_the_spectrum(self, paper_spec):
+        baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
+        with pytest.raises(ValidationError, match="dimension"):
+            sweep_temperature(paper_spec, baths, [0.5, 1.0], 10.0, initial_state=[0.5, 0.5] + [0.0] * 6)
 
 
 class TestLocateTTheta:

@@ -64,6 +64,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"'threads'.*line 8"):
             parse_config(path)
 
+    def test_degeneracy_tolerance_is_not_a_setting(self, tmp_path, capsys):
+        # the tolerance is the fixed chain.DEGENERACY_TOL; a file that sets it is refused
+        path = tmp_path / "tol.cfg"
+        path.write_text(BLOCKED + "degeneracy_tol = 1e-6\n")
+        assert main(["blocks", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "'degeneracy_tol'" in record["message"] and "line 13" in record["message"]
+
     def test_negative_kappa_rejected(self, tmp_path):
         path = tmp_path / "neg.cfg"
         path.write_text("[chain]\nn = 1\nfields = 1\n[bath]\ntemperature = 1\nkappas = -1\n")
@@ -191,6 +200,23 @@ class TestCli:
         assert code == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "NumericalIntegrityError"
+
+    def test_fig2_curves_and_sweeps_build_the_same_baths(self, tmp_path):
+        out = tmp_path / "fig2"
+        assert main(["fig2", "--config", "ising2_paper", "--out", str(out)]) == 0
+
+        def rows(name):
+            lines = (out / name).read_text().splitlines()
+            return [line.split(",") for line in lines if not line.startswith("#")]
+
+        def at_t_star(name, label):  # t = t_star = 10 is the last time of the curves
+            header, *body = rows(name)
+            assert body[-1][0] == "10"
+            return body[-1][header.index(label)]
+
+        thermal, chemical = dict(rows("fig2e.csv")[1:]), dict(rows("fig2f.csv")[1:])
+        assert at_t_star("fig2c.csv", "T=10") == thermal["10"] == "0.458916890192"
+        assert at_t_star("fig2d.csv", "kappa1=1") == chemical["1"] == "0.701779922116"
 
     def test_output_path_that_is_a_file_is_io_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"

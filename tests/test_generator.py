@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinbath import (
     build_rate_matrix,
     coupling_matrix_elements,
     gibbs_state,
+    random_nondegenerate_chain,
     spectral_decomposition,
     structural_blocks,
     unvectorize,
@@ -40,10 +42,7 @@ class TestJumpOperators:
             (pytest.approx(4 / 3), ((1, 3),)),
             (pytest.approx(8 / 3), ((0, 2),)),
         ]
-        for op in ops:
-            (i, j) = op.pairs[0]
-            assert op.matrix[i, j] == 1.0
-            assert np.count_nonzero(op.matrix) == 1
+        assert [op.values for op in ops] == [(1.0,), (1.0,)]
 
     def test_site_two_operators(self, paper_dec):
         _, elems = _elems(paper_dec, (1.0, 1.0))
@@ -72,7 +71,20 @@ class TestJumpOperators:
         assert len(site1) == 1
         assert site1[0].omega == pytest.approx(2.0)
         assert len(site1[0].pairs) == 2
-        assert np.count_nonzero(site1[0].matrix) == 2
+        assert site1[0].values == (1.0, 1.0)
+
+    def test_operators_store_only_their_entries(self):
+        # operators keep their entries only: a d x d matrix per flip would take 512 MiB here
+        dec = spectral_decomposition(build_hamiltonian(random_nondegenerate_chain(8, np.random.default_rng(3))))
+        _, elems = _elems(dec, (1.0,) * 8)
+        tracemalloc.start()
+        try:
+            ops = build_jump_operators(dec, elems)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ops) == 8 * 2**8 // 2
+        assert peak < 8 * 2**20
 
 
 class TestRateMatrix:
@@ -137,7 +149,7 @@ class TestRateMatrix:
                     if not rates.nonzero_mask[i, j]:
                         continue
                     ratio = rates.matrix[j, i] / rates.matrix[i, j]
-                    expected = math.exp(-float(dec.gap_table[i, j]) / temperature)
+                    expected = math.exp(-float(dec.energies[j] - dec.energies[i]) / temperature)
                     assert ratio == pytest.approx(expected, rel=1e-10)
 
     def test_mask_is_temperature_independent(self, paper_model):
@@ -179,7 +191,9 @@ class TestLindbladSuperoperator:
             rho = random_density(rng, 4)
             rhs = -1j * (h @ rho - rho @ h)
             for op in ops:
-                a = op.matrix
+                a = np.zeros((4, 4))
+                for (i, j), value in zip(op.pairs, op.values):
+                    a[i, j] = value
                 from spinbath import bose_einstein, spectral_density
 
                 j_omega = spectral_density(cfg, op.site, op.omega)

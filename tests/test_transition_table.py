@@ -104,7 +104,7 @@ def reference_rates(dec, matrices, baths, *, tol=1e-9, allow_degenerate_gaps=Fal
             weights = abs2[:, i, j]
             if not weights.any():
                 continue
-            omega = float(dec.gap_table[i, j])
+            omega = float(dec.energies[j] - dec.energies[i])
             nbar = bose_einstein(omega, baths.temperature)
             j_omega = np.array(
                 [spectral_density(baths, n, omega) for n in range(1, baths.n_sites + 1)]
@@ -127,7 +127,7 @@ def reference_jump_operators(dec, matrices, *, tol=1e-9, allow_degenerate_gaps=F
     ops = []
     for n, s in enumerate(matrices, start=1):
         entries = [
-            (float(dec.gap_table[i, j]), i, j)
+            (float(dec.energies[j] - dec.energies[i]), i, j)
             for i in range(d)
             for j in range(i + 1, d)
             if s[i, j] != 0
@@ -140,11 +140,9 @@ def reference_jump_operators(dec, matrices, *, tol=1e-9, allow_degenerate_gaps=F
             else:
                 groups.append([entry])
         for group in groups:
-            a = np.zeros((d, d), dtype=s.dtype)
-            for _, i, j in group:
-                a[i, j] = s[i, j]
             pairs = tuple((i, j) for _, i, j in group)
-            ops.append(JumpOperator(site=n, omega=group[0][0], matrix=a, pairs=pairs))
+            values = tuple(s[i, j].item() for i, j in pairs)
+            ops.append(JumpOperator(site=n, omega=group[0][0], pairs=pairs, values=values))
     return ops
 
 
@@ -180,8 +178,7 @@ def _assert_same_table(elems, matrices):
 def _assert_same_jump_operators(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        assert (a.site, a.omega, a.pairs) == (b.site, b.omega, b.pairs)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert (a.site, a.omega, a.pairs, a.values) == (b.site, b.omega, b.pairs, b.values)
 
 
 def _assert_same_rates(dec, baths, allow):
@@ -300,7 +297,7 @@ def test_table_equals_the_dense_rotation_on_random_chains(case):
     # with every site coupled through x, the zeros law holds whatever the gaps
     coupled = BathConfig(temperature=1.0, kappas=tuple(k or 0.5 for k in kappas))
     elems = coupling_matrix_elements(coupled, dec)
-    assume(np.all(dec.gap_table[elems.rows, elems.cols] > 0))  # a zero-cost flip has no rate
+    assume(np.all(dec.energies[elems.cols] > dec.energies[elems.rows]))  # a zero-cost flip has no rate
     rates = build_rate_matrix(dec, elems, coupled, allow_degenerate_gaps=True)
     assert count_structural_zeros(rates) == predicted_zero_count(spec.n_sites)
 
@@ -324,7 +321,7 @@ def test_decomposition_arrays_are_private_and_read_only():
     energies[1] = 2.0  # the caller's arrays are copied, so this cannot reach dec
     basis[0] = 1
     assert dec.energies[1] == 1.0 and dec.basis[0] == 2
-    for a in (dec.energies, dec.basis, dec.gap_table):
+    for a in (dec.energies, dec.basis):
         with pytest.raises(ValueError):
             a[0] = 7.0
     assert check_degeneracy(dec, 1e-9) is report
