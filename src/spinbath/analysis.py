@@ -251,6 +251,12 @@ def random_nondegenerate_chain(n_sites: int, rng: np.random.Generator) -> ChainS
     gaps (flipping an end spin costs the same energy whatever the far spins
     do), so they could never pass the rejection step.
     """
+    return _draw_nondegenerate(n_sites, rng)[0]
+
+
+def _draw_nondegenerate(n_sites: int, rng: np.random.Generator) -> tuple[ChainSpec, SpectralDecomposition]:
+    """The draw behind `random_nondegenerate_chain`, also returning the accepted
+    decomposition, which keeps its degeneracy report."""
     for _ in range(MAX_CHAIN_DRAWS):
         fields = tuple(rng.uniform(0.5, 1.5, size=n_sites))
         couplings = tuple(
@@ -260,7 +266,7 @@ def random_nondegenerate_chain(n_sites: int, rng: np.random.Generator) -> ChainS
         spec = ChainSpec(n_sites=n_sites, fields=fields, couplings=couplings)
         dec = spectral_decomposition(build_hamiltonian(spec))
         if check_degeneracy(dec).nondegenerate:
-            return spec
+            return spec, dec
     raise SpinbathError(
         f"failed to draw a nondegenerate {n_sites}-site chain in {MAX_CHAIN_DRAWS} attempts"
     )
@@ -285,9 +291,8 @@ def zeros_scaling(
     for n in range(min_n, max_n + 1):
         counts = set()
         for _ in range(draws):
-            spec = random_nondegenerate_chain(n, rng)
+            _, dec = _draw_nondegenerate(n, rng)
             baths = BathConfig(temperature=1.0, kappas=(1.0,) * n)
-            dec = spectral_decomposition(build_hamiltonian(spec))
             elems = coupling_matrix_elements(baths, dec)
             rates = build_rate_matrix(dec, elems, baths)
             counts.add(count_structural_zeros(rates))

@@ -10,12 +10,15 @@ distinct from merely small kappa.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import SpectralDecomposition
 from .errors import DomainError, ValidationError
+
+_LOG_DBL_MAX = 709.782712893384  # log of the largest double; np.expm1 overflows above it
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,12 @@ def bose_einstein(omega: float, temperature: float) -> float:
         raise ValidationError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0.0:
         return 0.0
-    # np.expm1 overflows to inf rather than raising, giving the correct 0 limit
-    with np.errstate(over="ignore"):
-        return float(1.0 / np.expm1(omega / temperature))
+    x = float(omega) / float(temperature)
+    if x > _LOG_DBL_MAX:  # exp(x) is beyond double range: the occupation is 0
+        return 0.0
+    # Python float division: a subnormal x gives inf without a numpy overflow warning
+    m = float(np.expm1(x))  # not math.expm1, which differs from np.expm1 in the last bit
+    return 1.0 / m if m else math.inf  # m == 0 when omega / T underflows
 
 
 @dataclass(frozen=True)

@@ -191,21 +191,26 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
     # triu_indices lists the pairs by (i, j), so a stable sort orders them by (omega, i, j)
     rows, cols = np.triu_indices(dec.dimension, k=1)
     gaps = e[cols] - e[rows]
-    order = np.argsort(gaps, kind="stable")
-    gaps, rows, cols = gaps[order], rows[order], cols[order]
-    diffs = np.diff(gaps)
+    flagged = []
+    # Levels spaced by tol or more leave no gap below tol (the smallest gap is a
+    # step), and whether two gaps lie within tol depends on their values alone:
+    # an unstable sort settles that, and the (omega, i, j) order only names pairs.
+    if spectrum_pairs or np.any(np.diff(np.sort(gaps)) < tol):
+        order = np.argsort(gaps, kind="stable")
+        gaps, rows, cols = gaps[order], rows[order], cols[order]
+        diffs = np.diff(gaps)
 
-    def pair(k: int) -> tuple[int, int]:
-        return int(rows[k]), int(cols[k])
+        def pair(k: int) -> tuple[int, int]:
+            return int(rows[k]), int(cols[k])
 
-    gap_pairs = [(pair(k), pair(k + 1), float(diffs[k])) for k in np.flatnonzero(diffs < tol)]
-    tiny = [(pair(k), pair(k), float(gaps[k])) for k in np.flatnonzero(gaps < tol)]
+        flagged = [(pair(k), pair(k), float(gaps[k])) for k in np.flatnonzero(gaps < tol)]
+        flagged += [(pair(k), pair(k + 1), float(diffs[k])) for k in np.flatnonzero(diffs < tol)]
 
     dec._reports[tol] = DegeneracyReport(
         spectrum_degenerate=bool(spectrum_pairs),
-        gaps_degenerate=bool(gap_pairs or tiny),
+        gaps_degenerate=bool(flagged),
         spectrum_pairs=tuple(spectrum_pairs),
-        gap_pairs=tuple(tiny + gap_pairs),
+        gap_pairs=tuple(flagged),
         tolerance=float(tol),
     )
     return dec._reports[tol]

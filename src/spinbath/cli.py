@@ -75,8 +75,9 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
     ]
     files.append(export.write_lines(out / "spectrum.csv", header, body))
     e = dec.energies.tolist()
+    label = [f"{k}," for k in range(1, dec.dimension + 1)]
     gaps = ["i,j,omega"] + [
-        f"{i + 1},{j + 1},{export.fmt(e[j] - e[i])}"
+        f"{label[i]}{label[j]}{e[j] - e[i]:.12g}"  # export.fmt of a Python float, inlined
         for i in range(dec.dimension)
         for j in range(i + 1, dec.dimension)
     ]

@@ -4,6 +4,12 @@ All floats are written with 12 significant digits and every file starts with
 '#'-prefixed provenance lines (command, config hash, parameter echo), so
 identical configurations produce byte-identical artifacts.  JSON bodies
 follow the same header lines; `read_json_body` strips them again.
+
+A real matrix is mostly exact zeros (the rate matrix has d(N+1) nonzeros of
+d^2), so `write_matrix_csv` writes every +0.0 entry as the literal "0", which
+is what the 12-digit format gives it, and formats only the other entries
+(-0.0 stays "-0"; NaN and +-inf are formatted as "nan", "inf", "-inf").
+Masks are 0/1 grids rendered as one byte buffer.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 def fmt(value) -> str:
@@ -46,17 +54,40 @@ def write_lines(path: Path, header: list[str], body: list[str]) -> Path:
 def write_matrix_csv(path, matrix, header: list[str], labels: list[str] | None = None) -> Path:
     """Row-major matrix dump; complex entries become re+imi pairs."""
     m = np.asarray(matrix)
-    render = fmt_complex if np.iscomplexobj(m) else fmt
-    body = []
-    if labels is not None:
-        body.append(",".join(labels))
-    body.extend(",".join(render(x) for x in row) for row in m)
+    body = [",".join(labels)] if labels is not None else []
+    if np.iscomplexobj(m):
+        body.extend(",".join(fmt_complex(x) for x in row) for row in m)
+    else:
+        body.extend(_real_rows(np.asarray(m, dtype=np.float64)))
     return write_lines(path, header, body)
+
+
+def _real_rows(m: np.ndarray) -> list[str]:
+    """fmt of every entry, one line per row, with a format call only where it can differ from "0"."""
+    rows, cols = np.nonzero((m != 0) | np.signbit(m))  # NaN != 0 holds, -0.0 has its sign bit
+    text = [format(x, ".12g") for x in m[rows, cols].tolist()]
+    starts = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    lines = []
+    for r in range(m.shape[0]):
+        cells = ["0"] * m.shape[1]
+        for k in range(starts[r], starts[r + 1]):
+            cells[cols[k]] = text[k]
+        lines.append(",".join(cells))
+    return lines
 
 
 def write_mask_csv(path, mask, header: list[str]) -> Path:
-    body = [",".join(str(int(x)) for x in row) for row in np.asarray(mask)]
-    return write_lines(path, header, body)
+    """0/1 grid, one row per line; any other entry is refused."""
+    grid = np.asarray(mask)
+    if np.any((grid != 0) & (grid != 1)):
+        raise ValidationError("mask entries must be 0 or 1")
+    n, m = grid.shape
+    buf = np.full((n, max(2 * m, 1)), ord(","), dtype=np.uint8)  # digit, comma, ..., digit, newline
+    buf[:, 0 : 2 * m : 2] = grid + ord("0")
+    buf[:, -1] = ord("\n")
+    text = buf.tobytes().decode("ascii")
+    return write_lines(path, header, [text[:-1]] if n else [])
 
 
 def write_trajectory_csv(path, trajectory, header: list[str]) -> Path:

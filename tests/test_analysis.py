@@ -14,6 +14,7 @@ from spinbath import (
     SweepResult,
     ValidationError,
     bath_at,
+    check_degeneracy,
     connectivity_blocks,
     count_structural_zeros,
     detailed_balance_audit,
@@ -25,6 +26,7 @@ from spinbath import (
     sweep_temperature,
     zeros_scaling,
 )
+from spinbath import analysis
 
 
 class TestConnectivityBlocks:
@@ -73,6 +75,23 @@ class TestZeroCounts:
         rng = np.random.default_rng(51)
         rows = zeros_scaling(3, 5, rng, min_n=3)
         assert rows == [(3, 32, 32)]
+
+    def test_scaling_reuses_the_accepted_decompositions(self, monkeypatch):
+        built = []
+        decompose = analysis.spectral_decomposition
+        monkeypatch.setattr(
+            analysis, "spectral_decomposition", lambda h: built.append(decompose(h)) or built[-1]
+        )
+        drawing, scaling = np.random.default_rng(12), np.random.default_rng(12)
+        specs = [random_nondegenerate_chain(n, drawing) for n in (2, 3, 4) for _ in range(3)]
+        candidates = len(built)
+        built.clear()
+        zeros_scaling(4, 3, scaling)
+        # the same draws, each decomposed once: the rate builds reuse the accepted ones
+        assert len(built) == candidates
+        assert drawing.random() == scaling.random()
+        accepted = [dec for dec in built if check_degeneracy(dec).nondegenerate]
+        assert [dec.dimension for dec in accepted] == [spec.dimension for spec in specs]
 
 
 class TestDetailedBalanceAudit:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,32 @@ class TestBoseEinstein:
             assert nbar / (1 + nbar) == pytest.approx(
                 math.exp(-omega / temperature), rel=1e-12
             )
+
+    def test_matches_the_errstate_formula_bit_for_bit(self):
+        def reference(omega, temperature):
+            with np.errstate(over="ignore"):
+                return float(1.0 / np.expm1(omega / temperature))
+
+        def warnings_of(fn, *args):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = fn(*args)
+            return value, {str(w.message) for w in caught if w.category is RuntimeWarning}
+
+        edge = 709.782712893384  # log of the largest double
+        cases = [(w, 1.0) for w in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf))]
+        rng = np.random.default_rng(17)
+        for temperature in (1e-4, 0.01, 1.0, 10.0, 1e6):
+            omegas = 10.0 ** rng.uniform(-8.0, 3.0, size=200)
+            cases += [(float(w), temperature) for w in (*omegas, 1e-300, 5e-324)]
+        for omega, temperature in cases:
+            expected, expected_warnings = warnings_of(reference, omega, temperature)
+            got, got_warnings = warnings_of(bose_einstein, omega, temperature)
+            assert got.hex() == expected.hex(), (omega, temperature)
+            assert got_warnings <= expected_warnings, (omega, temperature)
+        assert bose_einstein(5e-324, 1.0) == math.inf  # 1/x overflows for a subnormal x
+        assert bose_einstein(np.nextafter(edge, np.inf), 1.0) == 0.0
+        assert bose_einstein(edge, 1.0) > 0.0
 
 
 class TestBathConfig:

@@ -2,8 +2,8 @@
 
 The reference implementations below are the package's original dense
 rotation of Kronecker-product coupling operators, tuple-sort degeneracy
-check, pair-loop rate assembly and pair-loop jump operators, kept verbatim
-in arithmetic so the fast paths can be held to them.
+check, pair-loop rate assembly, pair-loop jump operators and per-entry CSV
+rendering, kept verbatim in arithmetic so the fast paths can be held to them.
 """
 
 from __future__ import annotations
@@ -29,13 +29,16 @@ from spinbath import (
     check_degeneracy,
     coupling_matrix_elements,
     count_structural_zeros,
+    parse_config,
     predicted_zero_count,
+    random_nondegenerate_chain,
     spectral_decomposition,
 )
-from spinbath import generator
+from spinbath import cli, generator
 from spinbath.bath import bose_einstein, spectral_density
 from spinbath.chain import DegeneracyReport
 from spinbath.errors import ValidationError
+from spinbath.export import fmt, fmt_complex, write_matrix_csv, write_mask_csv
 
 from conftest import site_operator
 
@@ -327,3 +330,111 @@ def test_decomposition_arrays_are_private_and_read_only():
     assert check_degeneracy(dec, 1e-9) is report
     with pytest.raises(ValidationError, match="permutation"):
         SpectralDecomposition(energies=energies, basis=np.array([0, 0, 1]))
+
+
+def reference_render_rows(matrix) -> list[str]:
+    """The per-entry CSV rendering the emission fast paths replaced."""
+    m = np.asarray(matrix)
+    render = fmt_complex if np.iscomplexobj(m) else fmt
+    return [",".join(render(x) for x in row) for row in m]
+
+
+def reference_mask_rows(mask) -> list[str]:
+    return [",".join(str(int(x)) for x in row) for row in np.asarray(mask)]
+
+
+def test_matrix_csv_matches_the_per_entry_rendering(tmp_path):
+    rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, -2.5, 1 / 3])
+    path = tmp_path / "m.csv"
+    for shape in ((1, 1), (2, 2), (3, 7), (0, 4), (4, 0), (64, 64)):
+        real = rng.choice(special, size=shape)
+        real[rng.random(shape) < 0.5] = 0.0
+        cplx = real.astype(complex)
+        cplx.imag = rng.choice(special, size=shape)
+        for m in (real, real.astype(np.float32), real > 0, cplx):
+            labels = [f"c{k}" for k in range(shape[1])]
+            write_matrix_csv(path, m, ["# h"], labels=labels)
+            expected = ["# h", ",".join(labels), *reference_render_rows(m)]
+            assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_mask_csv_matches_the_per_entry_rendering(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "mask.csv"
+    for shape in ((1, 1), (2, 2), (5, 3), (0, 2), (3, 0), (256, 256)):
+        mask = rng.random(shape) < 0.3
+        for grid in (mask, mask.astype(int), mask.astype(np.uint8)):
+            write_mask_csv(path, grid, ["# h"])
+            assert path.read_bytes() == ("\n".join(["# h", *reference_mask_rows(grid)]) + "\n").encode()
+    with pytest.raises(ValidationError):
+        write_mask_csv(path, np.array([[0, 2]]), ["# h"])
+
+
+def _decomposition(energies) -> SpectralDecomposition:
+    return SpectralDecomposition(energies=np.asarray(energies, dtype=float), basis=np.arange(len(energies)))
+
+
+DEGENERACY_EDGES = {
+    "d=1": [0.0],
+    "d=2": [0.0, 1.0],
+    "d=2-tie": [0.5, 0.5],
+    "exact-energy-tie": [0.0, 1.0, 1.0, 3.0],
+    "gap-below-tol": [0.0, 1.0, 1.0 + 5e-10, 4.0],
+    "two-gaps-within-tol": [0.0, 1.0, 3.0, 4.0 + 5e-10],
+    "exact-gap-tie": [0.0, 1.0, 2.5, 3.5],
+    "spaced": [0.0, 1.0, 3.0, 7.0],
+}
+
+
+@pytest.mark.parametrize("label", DEGENERACY_EDGES)
+def test_degeneracy_fast_path_on_edge_spectra(label, monkeypatch):
+    stable_sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: stable_sorts.append(1) or argsort(*a, **k))
+    for tol in TOLERANCES:
+        dec = _decomposition(DEGENERACY_EDGES[label])
+        report = check_degeneracy(dec, tol)
+        expected = reference_degeneracy(dec, tol)
+        assert report == expected and repr(report) == repr(expected)
+        assert check_degeneracy(dec, tol) is report
+    if label in ("d=1", "d=2", "spaced"):
+        assert not stable_sorts  # nondegenerate input never orders the pairs
+
+
+def _all_pairs_config(spec: ChainSpec) -> str:
+    kappas = (1e-5,) + (1.0,) * (spec.n_sites - 1)
+    return "\n".join([
+        "[chain]",
+        f"n = {spec.n_sites}",
+        "fields = " + ", ".join(repr(h) for h in spec.fields),
+        "couplings = " + ", ".join(f"{a}-{b}: {d!r}" for a, b, d in spec.couplings),
+        "[bath]",
+        "temperature = 1.0",
+        "kappas = " + ", ".join(repr(k) for k in kappas),
+    ]) + "\n"
+
+
+def test_cli_files_match_the_per_entry_rendering(tmp_path):
+    spec = random_nondegenerate_chain(6, np.random.default_rng(66))
+    path = tmp_path / "n6.cfg"
+    path.write_text(_all_pairs_config(spec))
+    for command in ("spectrum", "rates"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+
+    cfg = parse_config(path)
+    dec = spectral_decomposition(build_hamiltonian(cfg.chain))
+    rates = build_rate_matrix(dec, coupling_matrix_elements(cfg.bath, dec), cfg.bath)
+    e, d = dec.energies, dec.dimension
+    expected = {
+        "gaps.csv": ["i,j,omega"] + [
+            f"{i + 1},{j + 1},{fmt(e[j] - e[i])}" for i in range(d) for j in range(i + 1, d)
+        ],
+        "rates.csv": [",".join(f"E={fmt(x)}" for x in e), *reference_render_rows(rates.matrix)],
+        "rates_mask.csv": reference_mask_rows(rates.nonzero_mask),
+    }
+    for name, body in expected.items():
+        text = (tmp_path / name).read_text()
+        header = [line for line in text.split("\n") if line.startswith("#")]
+        assert len(header) == 3
+        assert (tmp_path / name).read_bytes() == ("\n".join([*header, *body]) + "\n").encode()
