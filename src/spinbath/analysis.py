@@ -68,7 +68,7 @@ def connectivity_blocks(rates: RateMatrix) -> BlockPartition:
 
 def predicted_zero_count(n_sites: int) -> int:
     """Minimum number of structural zeros of Lambda for an N-site chain,
-    2^N (2^N - (N+1)), valid when every site couples and gaps are nondegenerate."""
+    2^N (2^N - (N+1)), valid when every site couples and the spectrum is nondegenerate."""
     if n_sites < 1:
         raise ValidationError(f"n_sites must be >= 1, got {n_sites}")
     d = 2 ** int(n_sites)
@@ -81,42 +81,36 @@ def count_structural_zeros(rates: RateMatrix) -> int:
     return int(d * d - np.count_nonzero(rates.nonzero_mask))
 
 
-def detailed_balance_audit(rates: RateMatrix, dec: SpectralDecomposition, temperature: float) -> float:
+def detailed_balance_audit(rates: RateMatrix) -> float:
     """Worst relative deviation of gain/damping ratios from exp(-omega/T).
 
-    Scans every structurally nonzero pair; passes when the result is below
-    1e-10.  Division by a structurally zero damping rate cannot occur because
-    structural nonzeros have strictly positive damping entries.
+    Scans every structurally nonzero pair at the build temperature; passes
+    when the result is below 1e-10.  Division by a structurally zero damping
+    rate cannot occur because structural nonzeros have strictly positive
+    damping entries.
     """
+    e, temperature = rates.energies, rates.temperature
     if temperature <= 0:
         raise ValidationError(f"detailed-balance audit requires T > 0, got {temperature}")
     rows, cols = np.nonzero(np.triu(rates.nonzero_mask, 1))
     damping = rates.matrix[rows, cols]
     gain = rates.matrix[cols, rows]
-    expected = np.exp(-(dec.energies[cols] - dec.energies[rows]) / temperature)
+    expected = np.exp(-(e[cols] - e[rows]) / temperature)
     with np.errstate(divide="ignore", invalid="ignore"):
         deviation = np.abs(gain / damping - expected) / expected
     underflow = np.where(gain == 0.0, 0.0, np.inf)  # exp(-omega/T) below double range
     return float(np.max(np.where(expected == 0.0, underflow, deviation), initial=0.0))
 
 
-def restricted_gibbs_prediction(
-    blocks: BlockPartition,
-    p0,
-    dec: SpectralDecomposition,
-    temperature: float,
-) -> PopulationState:
+def restricted_gibbs_prediction(blocks: BlockPartition, p0) -> PopulationState:
     """Late-time state implied by block weights: each block keeps its initial
     weight and thermalises internally to the restricted Gibbs distribution."""
-    p = p0.p if isinstance(p0, PopulationState) else np.asarray(p0, dtype=np.float64)
-    if p.size != dec.dimension:
-        raise ValidationError("initial state dimension does not match the spectrum")
-    out = np.zeros(dec.dimension)
-    for block in blocks.blocks:
-        weight = float(p[np.asarray(block)].sum())
-        if weight == 0.0:
-            continue
-        out += weight * _block_gibbs(dec.energies, block, temperature)
+    p = _as_population(p0)
+    out = np.zeros(blocks.restricted_gibbs[0].size)
+    if p.size != out.size:
+        raise ValidationError("initial state dimension does not match the blocks")
+    for block, gibbs in zip(blocks.blocks, blocks.restricted_gibbs):
+        out += float(p[np.asarray(block)].sum()) * gibbs
     return PopulationState(out)
 
 
@@ -242,14 +236,11 @@ def locate_t_theta(sweep: SweepResult) -> float:
 
 
 def random_nondegenerate_chain(n_sites: int, rng: np.random.Generator) -> ChainSpec:
-    """Draw a chain with all-pairs couplings until spectrum and gaps are nondegenerate.
+    """Draw a chain with all-pairs couplings until its spectrum is nondegenerate.
 
     Fields are drawn from U(0.5, 1.5) and a coupling from U(-0.5, 0.5) for
     every site pair, at most MAX_CHAIN_DRAWS times, and a draw is accepted
-    when `check_degeneracy` passes at DEGENERACY_TOL.  Purely
-    nearest-neighbour chains of three or more sites always carry degenerate
-    gaps (flipping an end spin costs the same energy whatever the far spins
-    do), so they could never pass the rejection step.
+    when `check_degeneracy` passes at DEGENERACY_TOL.
     """
     return _draw_nondegenerate(n_sites, rng)[0]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import SpectralDecomposition
+from .chain import SpectralDecomposition, _spin_flips
 from .errors import DomainError, ValidationError
 
 _LOG_DBL_MAX = 709.782712893384  # log of the largest double; np.expm1 overflows above it
@@ -124,30 +124,23 @@ class CouplingElements:
 
 
 def coupling_matrix_elements(config: BathConfig, dec: SpectralDecomposition) -> CouplingElements:
-    """Build the transition table from bit flips of the eigenstates' basis indices.
+    """Build the transition table from the spin flips of the eigenbasis.
 
-    Site n flips bit 2^(N - n) (site 1 is the most significant bit); a z axis
-    commutes with the chain and contributes no rows.  For y the element is
-    -1j when site n is up (bit 0) in |i>, else +1j.
+    A z axis commutes with the chain and contributes no rows.  For y the
+    element is -1j when site n is up (bit 0) in |i>, else +1j.
     """
     d = dec.dimension
     if 2 ** config.n_sites != d:
         raise ValidationError(
             f"bath has {config.n_sites} sites but decomposition dimension is {d}"
         )
-    c = np.arange(d)
-    label = np.empty(d, dtype=np.intp)
-    label[dec.basis] = c  # eigenstate label of each basis state
-    rows, cols, sites, values = [], [], [], []
-    for site, axis in enumerate(config.axes, start=1):
-        bit = 1 << (config.n_sites - site)
-        flipped = label[c ^ bit]
-        keep = (label < flipped) & (axis != "z")
-        rows.append(label[keep])
-        cols.append(flipped[keep])
-        sites.append(np.full(rows[-1].size, site))
-        values.append(np.ones(rows[-1].size) if axis != "y" else np.where(c[keep] & bit, 1j, -1j))
-    rows, cols, sites, values = (np.concatenate(a) for a in (rows, cols, sites, values))
+    rows, cols, sites, down = _spin_flips(dec, config.n_sites)
+    axes = np.asarray(config.axes)[sites - 1]
+    values = np.ones(rows.size)  # the x element; the table stays real without a y axis
+    if "y" in config.axes:
+        values = np.where(axes == "y", np.where(down, 1j, -1j), values)
+    keep = axes != "z"
+    rows, cols, sites, values = rows[keep], cols[keep], sites[keep], values[keep]
     order = np.lexsort((cols, rows))
     return CouplingElements(
         rows=rows[order],

@@ -150,13 +150,33 @@ def spectral_decomposition(hamiltonian: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(energies=energies[order], basis=order)
 
 
+def _spin_flips(dec: SpectralDecomposition, n_sites: int):
+    """Every single-spin flip between eigenstates, as arrays (rows, cols, sites, down).
+
+    Site n flips bit 2^(N - n) of the basis index (site 1 is the most
+    significant bit).  Each flip is listed once, from eigenstate rows to the
+    higher label cols, site by site and then by the basis index of |rows>;
+    down is True where site n is down (bit 1) in |rows>.
+    """
+    state = np.arange(dec.dimension)
+    label = np.empty(dec.dimension, dtype=np.intp)
+    label[dec.basis] = state  # eigenstate label of each basis state
+    bits = 1 << (n_sites - np.arange(1, n_sites + 1))
+    partner = label[state ^ bits[:, None]]
+    site, state = np.nonzero(label < partner)
+    return label[state], partner[site, state], site + 1, (state & bits[site]) != 0
+
+
 @dataclass(frozen=True)
 class DegeneracyReport:
-    """Outcome of the nondegeneracy checks behind the secular rate construction.
+    """Outcome of the nondegeneracy check behind the secular rate construction.
 
-    spectrum_pairs lists (i, j, |E_i - E_j|) for offending level pairs;
-    gap_pairs lists ((i, j), (k, l), difference) for colliding transition
-    frequencies.  Indices are 0-based eigenstate labels.
+    spectrum_pairs lists (i, j, |E_i - E_j|) for level pairs closer than the
+    tolerance, which the secular construction cannot take.  gap_pairs lists
+    ((i, j), (k, l), difference) for two flips of the same site whose gaps
+    agree within the tolerance: the secular jump operator of that site and
+    frequency holds both, which is the exact secular form, so colliding gaps
+    are reported but harmless.  Indices are 0-based eigenstate labels.
     """
 
     spectrum_degenerate: bool
@@ -167,17 +187,19 @@ class DegeneracyReport:
 
     @property
     def nondegenerate(self) -> bool:
-        return not (self.spectrum_degenerate or self.gaps_degenerate)
+        """True when the spectrum is nondegenerate, all the rate construction needs."""
+        return not self.spectrum_degenerate
 
 
 def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) -> DegeneracyReport:
-    """Flag near-coincident eigenvalues and near-coincident transition gaps.
+    """Flag near-coincident eigenvalues and colliding gaps of same-site flips.
 
-    The spectrum is degenerate if any two eigenvalues lie within `tol`; the
-    gap table is degenerate if any gap is below `tol` or two gaps belonging
-    to distinct state pairs agree within `tol`, as neighbours in (omega, i, j)
-    order.  The report is computed once per (decomposition, tol) and kept on
-    the decomposition, whose read-only arrays keep it valid.
+    The spectrum is degenerate if two adjacent eigenvalues lie within `tol`.
+    Gaps collide if two flips of one site (whatever its bath axis) have gaps
+    within `tol`, as neighbours in that site's (omega, i, j) order.  A
+    dimension that is not a power of two has no spin flips.  The report is
+    computed once per (decomposition, tol) and kept on the decomposition,
+    whose read-only arrays keep it valid.
     """
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
@@ -188,29 +210,24 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
     steps = np.diff(e)
     spectrum_pairs = [(int(i), int(i) + 1, float(steps[i])) for i in np.flatnonzero(steps < tol)]
 
-    # triu_indices lists the pairs by (i, j), so a stable sort orders them by (omega, i, j)
-    rows, cols = np.triu_indices(dec.dimension, k=1)
+    d = dec.dimension
+    n_sites = d.bit_length() - 1 if d & (d - 1) == 0 else 0
+    rows, cols, sites, _ = _spin_flips(dec, n_sites)
     gaps = e[cols] - e[rows]
-    flagged = []
-    # Levels spaced by tol or more leave no gap below tol (the smallest gap is a
-    # step), and whether two gaps lie within tol depends on their values alone:
-    # an unstable sort settles that, and the (omega, i, j) order only names pairs.
-    if spectrum_pairs or np.any(np.diff(np.sort(gaps)) < tol):
-        order = np.argsort(gaps, kind="stable")
-        gaps, rows, cols = gaps[order], rows[order], cols[order]
-        diffs = np.diff(gaps)
-
-        def pair(k: int) -> tuple[int, int]:
-            return int(rows[k]), int(cols[k])
-
-        flagged = [(pair(k), pair(k), float(gaps[k])) for k in np.flatnonzero(gaps < tol)]
-        flagged += [(pair(k), pair(k + 1), float(diffs[k])) for k in np.flatnonzero(diffs < tol)]
+    order = np.lexsort((cols, rows, gaps, sites))
+    rows, cols, sites, gaps = rows[order], cols[order], sites[order], gaps[order]
+    diffs = np.diff(gaps)
+    hits = np.flatnonzero((diffs < tol) & (sites[1:] == sites[:-1]))
+    gap_pairs = [
+        ((int(rows[k]), int(cols[k])), (int(rows[k + 1]), int(cols[k + 1])), float(diffs[k]))
+        for k in hits
+    ]
 
     dec._reports[tol] = DegeneracyReport(
         spectrum_degenerate=bool(spectrum_pairs),
-        gaps_degenerate=bool(flagged),
+        gaps_degenerate=bool(gap_pairs),
         spectrum_pairs=tuple(spectrum_pairs),
-        gap_pairs=tuple(flagged),
+        gap_pairs=tuple(gap_pairs),
         tolerance=float(tol),
     )
     return dec._reports[tol]

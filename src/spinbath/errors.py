@@ -24,11 +24,11 @@ class CapacityError(SpinbathError):
 
 
 class DegenerateGapError(SpinbathError):
-    """The spectrum or the transition-frequency table is degenerate.
+    """The spectrum is degenerate: two levels lie within the tolerance.
 
-    The secular rate construction assumes a nondegenerate spectrum with
-    nondegenerate gaps; by default the builders refuse degenerate input
-    and name the offending pair in the message.
+    The secular rate construction needs a nondegenerate spectrum; the
+    builders refuse a degenerate one and name the offending level pair in
+    the message.  Equal transition gaps alone are admitted.
     """
 
 

@@ -9,11 +9,13 @@ Two routes are built from the same spectral data:
   on column-stacked density matrices, assembled from the secular jump
   operators.
 
-Both constructions assume a nondegenerate spectrum with nondegenerate gaps,
-checked at the fixed tolerance chain.DEGENERACY_TOL, and refuse degenerate
-input unless explicitly allowed.  Structural zeros of Lambda (entries
-that vanish for every T > 0 given the kappa and coupling-element patterns)
-are tracked by an exact mask, never by thresholding floats.
+Both constructions need a nondegenerate spectrum, checked at the fixed
+tolerance chain.DEGENERACY_TOL, and refuse a degenerate one.  Equal gaps are
+admitted: flips of one site at one frequency share a jump operator, and two
+flips of the same site never share an endpoint, so populations still evolve
+apart from coherences.  Structural zeros of Lambda (entries that vanish for
+every T > 0 given the kappa and coupling-element patterns) are tracked by an
+exact mask, never by thresholding floats.
 """
 
 from __future__ import annotations
@@ -31,20 +33,13 @@ RATE_MATRIX_TOL = 1e-12
 MAX_LINDBLAD_SITES = 5
 
 
-def _require_nondegenerate(dec: SpectralDecomposition, allow: bool) -> None:
+def _require_nondegenerate(dec: SpectralDecomposition) -> None:
     report = check_degeneracy(dec, DEGENERACY_TOL)
-    if allow or report.nondegenerate:
-        return
-    if report.spectrum_degenerate:
+    if not report.nondegenerate:
         i, j, diff = report.spectrum_pairs[0]
         raise DegenerateGapError(
             f"spectrum degenerate: |E_{i + 1} - E_{j + 1}| = {diff:.3e} < {DEGENERACY_TOL:.1e}"
         )
-    (i, j), (k, l), diff = report.gap_pairs[0]
-    raise DegenerateGapError(
-        f"gaps degenerate: omega({i + 1},{j + 1}) and omega({k + 1},{l + 1}) differ by "
-        f"{diff:.3e} < {DEGENERACY_TOL:.1e}"
-    )
 
 
 def _check_bath(dec: SpectralDecomposition, elems: CouplingElements, baths: BathConfig) -> None:
@@ -65,8 +60,9 @@ class JumpOperator:
     """Secular jump operator of one site at one positive transition frequency.
 
     In the energy basis it lowers |j> to |i> with amplitude values[k] for the
-    k-th stored (i, j) pair, and has no other entries; with nondegenerate
-    gaps there is exactly one pair.  `site` is the 1-based site label.
+    k-th stored (i, j) pair, and has no other entries; it holds one pair per
+    flip of the site at this frequency, usually one.  `site` is the 1-based
+    site label.
     """
 
     site: int
@@ -75,22 +71,15 @@ class JumpOperator:
     values: tuple[complex, ...]
 
 
-def build_jump_operators(
-    dec: SpectralDecomposition,
-    elems: CouplingElements,
-    *,
-    allow_degenerate_gaps: bool = False,
-) -> list[JumpOperator]:
+def build_jump_operators(dec: SpectralDecomposition, elems: CouplingElements) -> list[JumpOperator]:
     """One jump operator per (site, positive gap) with a nonzero coupling element.
 
     Each site's flips from the transition table are taken in (omega, i, j)
-    order, so sites without flips get no operator.  With the explicit
-    `allow_degenerate_gaps` override, elements whose gaps agree within
-    DEGENERACY_TOL are grouped into a single operator (the sum over
-    equal-frequency terms); the override is outside the assumptions the
-    acceptance suite covers.
+    order, so sites without flips get no operator.  Flips whose gaps agree
+    within DEGENERACY_TOL with the first of a group join that operator (the
+    sum over equal-frequency terms of the secular form).
     """
-    _require_nondegenerate(dec, allow_degenerate_gaps)
+    _require_nondegenerate(dec)
     ops: list[JumpOperator] = []
     for n in range(1, elems.n_sites + 1):
         flips = elems.sites == n
@@ -98,7 +87,7 @@ def build_jump_operators(
         omega = dec.energies[cols] - dec.energies[rows]
         groups: list[list[int]] = []
         for k in np.lexsort((cols, rows, omega)).tolist():
-            if allow_degenerate_gaps and groups and omega[k] - omega[groups[-1][0]] < DEGENERACY_TOL:
+            if groups and omega[k] - omega[groups[-1][0]] < DEGENERACY_TOL:
                 groups[-1].append(k)
             else:
                 groups.append([k])
@@ -149,8 +138,6 @@ def build_rate_matrix(
     dec: SpectralDecomposition,
     elems: CouplingElements,
     baths: BathConfig,
-    *,
-    allow_degenerate_gaps: bool = False,
 ) -> RateMatrix:
     """Assemble the golden-rule rate matrix for the configured baths.
 
@@ -165,7 +152,7 @@ def build_rate_matrix(
     ground and top states reduces to pure gain and pure damping.  A pair is
     structurally nonzero when its site has kappa^(n) > 0.
     """
-    _require_nondegenerate(dec, allow_degenerate_gaps)
+    _require_nondegenerate(dec)
     _check_bath(dec, elems, baths)
     d = dec.dimension
     rows, cols, sites = elems.rows, elems.cols, elems.sites
@@ -261,8 +248,6 @@ def build_lindblad_superoperator(
     dec: SpectralDecomposition,
     elems: CouplingElements,
     baths: BathConfig,
-    *,
-    allow_degenerate_gaps: bool = False,
 ) -> LindbladSuperoperator:
     """Assemble -i[H, .] plus the dissipator from the secular jump operators.
 
@@ -277,7 +262,7 @@ def build_lindblad_superoperator(
         raise CapacityError(
             f"Lindblad superoperator limited to N <= {MAX_LINDBLAD_SITES}, got N = {baths.n_sites}"
         )
-    ops = build_jump_operators(dec, elems, allow_degenerate_gaps=allow_degenerate_gaps)
+    ops = build_jump_operators(dec, elems)
     d = dec.dimension
     eye = np.eye(d)
     h = np.diag(dec.energies)

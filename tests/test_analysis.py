@@ -97,31 +97,31 @@ class TestZeroCounts:
 class TestDetailedBalanceAudit:
     def test_built_matrix_passes(self, paper_dec, paper_model):
         _, _, rates = paper_model(kappas=(1.0, 1.0), temperature=1.0)
-        assert detailed_balance_audit(rates, paper_dec, 1.0) < 1e-10
+        assert detailed_balance_audit(rates) < 1e-10
 
     def test_corrupted_rate_detected(self, paper_dec, paper_model):
         _, _, rates = paper_model(kappas=(1.0, 1.0), temperature=1.0)
         corrupted = rates.matrix.copy()
         corrupted[0, 2] *= 1.01
         broken = replace(rates, matrix=corrupted)
-        deviation = detailed_balance_audit(broken, paper_dec, 1.0)
+        deviation = detailed_balance_audit(broken)
         assert deviation == pytest.approx(1 - 1 / 1.01, rel=1e-6)
 
     def test_high_temperature_expansion_regime(self, paper_dec, paper_model):
         _, _, rates = paper_model(kappas=(1.0, 1.0), temperature=1e6)
-        assert detailed_balance_audit(rates, paper_dec, 1e6) < 1e-10
+        assert detailed_balance_audit(rates) < 1e-10
 
     def test_requires_positive_temperature(self, paper_dec, paper_model):
         _, _, rates = paper_model()
         with pytest.raises(ValidationError):
-            detailed_balance_audit(rates, paper_dec, 0.0)
+            detailed_balance_audit(replace(rates, temperature=0.0))
 
 
 class TestRestrictedGibbsPrediction:
     def test_blocked_from_third_state(self, paper_dec, paper_model):
         _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
         blocks = connectivity_blocks(rates)
-        pred = restricted_gibbs_prediction(blocks, PopulationState.basis(4, 2), paper_dec, 1.0)
+        pred = restricted_gibbs_prediction(blocks, PopulationState.basis(4, 2))
         p3 = 1.0 / (1.0 + math.exp(-1 / 3))
         assert pred.p == pytest.approx([0.0, 0.0, p3, 1 - p3], abs=1e-12)
         assert p3 == pytest.approx(0.5826, abs=1e-4)
@@ -131,13 +131,13 @@ class TestRestrictedGibbsPrediction:
         blocks = connectivity_blocks(rates)
         from spinbath import gibbs_state
 
-        pred = restricted_gibbs_prediction(blocks, PopulationState.uniform(4), paper_dec, 0.7)
+        pred = restricted_gibbs_prediction(blocks, PopulationState.uniform(4))
         assert np.max(np.abs(pred.p - gibbs_state(paper_dec, 0.7).p)) < 1e-12
 
     def test_ground_start_two_level_form(self, paper_dec, paper_model):
         _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=10.0)
         blocks = connectivity_blocks(rates)
-        pred = restricted_gibbs_prediction(blocks, PopulationState.basis(4, 0), paper_dec, 10.0)
+        pred = restricted_gibbs_prediction(blocks, PopulationState.basis(4, 0))
         nbar = 1.0 / math.expm1((5 / 3) / 10.0)
         assert pred.p[1] == pytest.approx(nbar / (2 * nbar + 1), rel=1e-12)
         assert pred.p[2] == pred.p[3] == 0.0
@@ -148,7 +148,7 @@ class TestRestrictedGibbsPrediction:
         blocks = connectivity_blocks(rates)
         for _ in range(10):
             p0 = PopulationState(rng.dirichlet(np.ones(4)))
-            pred = restricted_gibbs_prediction(blocks, p0, paper_dec, 2.0)
+            pred = restricted_gibbs_prediction(blocks, p0)
             for block in blocks.blocks:
                 idx = np.asarray(block)
                 assert pred.p[idx].sum() == pytest.approx(p0.p[idx].sum(), abs=1e-12)

@@ -8,7 +8,14 @@ import json
 import numpy as np
 import pytest
 
-from spinbath import ConfigError, builtin_config_path, cli, parse_config
+from spinbath import (
+    ConfigError,
+    build_hamiltonian,
+    builtin_config_path,
+    cli,
+    parse_config,
+    spectral_decomposition,
+)
 from spinbath.cli import main
 from spinbath.export import read_csv_columns, read_json_body
 
@@ -24,6 +31,28 @@ kappas = 0, 1.0
 
 [run]
 command = blocks
+"""
+
+# An open nearest-neighbour chain with the paper config's bath and run settings:
+# its end-spin flips collide in gap, while its levels lie 0.004 or more apart.
+NEAREST_NEIGHBOUR_6 = """
+[chain]
+n = 6
+fields = 0.592, 0.774, 0.952, 0.918, 1.043, 1.369
+couplings = 1-2: 0.131, 2-3: 0.154, 3-4: 0.092, 4-5: -0.289, 5-6: -0.05
+
+[bath]
+temperature = 10.0
+kappas = 1e-5, 1.0, 1.0, 1.0, 1.0, 1.0
+axes = x, x, x, x, x, x
+
+[run]
+initial_state = ground
+times = 0:10:11
+t_star = 10
+temperature_grid = 0.1:10:5:log
+kappa_grid = 1e-3:1:5:log
+kappa_site = 1
 """
 
 
@@ -247,6 +276,24 @@ class TestCli:
         code = main(["rates", "--config", str(path), "--out", str(tmp_path / "d")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DegenerateGapError"
+
+    def test_nearest_neighbour_chain_runs_with_colliding_gaps(self, tmp_path):
+        path = tmp_path / "nn6.cfg"
+        path.write_text(NEAREST_NEIGHBOUR_6)
+        out = tmp_path / "out"
+        assert main(["fig2", "--config", str(path), "--out", str(out)]) == 0
+        for name in ("fig2c.csv", "fig2d.csv", "fig2e.csv", "fig2f.csv"):
+            assert all(np.all(np.isfinite(c)) for c in read_csv_columns(out / name).values())
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+        report = read_json_body(out / "degeneracy.json")
+        assert report["spectrum_degenerate"] is False and report["gaps_degenerate"] is True
+        cfg = parse_config(path)
+        basis = spectral_decomposition(build_hamiltonian(cfg.chain)).basis
+        site_bits = {1 << n for n in range(6)}
+        for (i, j), (k, l), diff in report["gap_pairs"]:
+            flipped = basis[i - 1] ^ basis[j - 1]
+            assert flipped in site_bits and basis[k - 1] ^ basis[l - 1] == flipped
+            assert 0.0 <= diff < report["tolerance"]
 
     def test_command_from_config_and_env_outdir(self, blocked_cfg, tmp_path, monkeypatch):
         monkeypatch.setenv("SPINBATH_OUT", str(tmp_path / "envout"))

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinbath import (
     BathConfig,
@@ -17,6 +20,7 @@ from spinbath import (
     build_jump_operators,
     build_lindblad_superoperator,
     build_rate_matrix,
+    check_degeneracy,
     coupling_matrix_elements,
     gibbs_state,
     random_nondegenerate_chain,
@@ -57,16 +61,18 @@ class TestJumpOperators:
         assert build_jump_operators(paper_dec, elems) == []
 
     def test_degenerate_gaps_refused_with_pair_names(self):
-        dec = spectral_decomposition(build_hamiltonian(ChainSpec(2, (1.0, 0.5))))
+        # equal fields make equal levels, which no secular form takes
+        dec = spectral_decomposition(build_hamiltonian(ChainSpec(2, (1.0, 1.0))))
         _, elems = _elems(dec, (1.0, 1.0))
-        with pytest.raises(DegenerateGapError, match="omega"):
+        with pytest.raises(DegenerateGapError, match=r"spectrum degenerate: \|E_2 - E_3\|"):
             build_jump_operators(dec, elems)
 
     def test_degenerate_override_groups_equal_frequencies(self):
-        # uncoupled chain: both site-1 transitions share the gap 2 h_1
+        # uncoupled chain: both site-1 transitions share the gap 2 h_1, and
+        # equal frequencies of one site are grouped without any override
         dec = spectral_decomposition(build_hamiltonian(ChainSpec(2, (1.0, 0.5))))
         _, elems = _elems(dec, (1.0, 1.0))
-        ops = build_jump_operators(dec, elems, allow_degenerate_gaps=True)
+        ops = build_jump_operators(dec, elems)
         site1 = [op for op in ops if op.site == 1]
         assert len(site1) == 1
         assert site1[0].omega == pytest.approx(2.0)
@@ -242,3 +248,51 @@ class TestLindbladSuperoperator:
                 cfg, elems = _elems(dec, (1.0,) * n)
                 rates = build_rate_matrix(dec, elems, cfg)
                 assert count_structural_zeros(rates) == predicted_zero_count(n)
+
+
+def _assert_oracle_populations_equal_rates(dec, axes, kappas, temperature):
+    assert check_degeneracy(dec).gaps_degenerate
+    cfg, elems = _elems(dec, kappas, temperature, axes)
+    rates = build_rate_matrix(dec, elems, cfg)
+    superop = build_lindblad_superoperator(dec, elems, cfg)
+    pop = superop.population_indices
+    coh = np.setdiff1d(np.arange(dec.dimension**2), pop)
+    assert np.max(np.abs(superop.population_block() - rates.matrix)) <= 1e-12 * np.max(np.abs(rates.matrix))
+    assert np.count_nonzero(superop.matrix[np.ix_(pop, coh)]) == 0
+    assert np.count_nonzero(superop.matrix[np.ix_(coh, pop)]) == 0
+
+
+@st.composite
+def _colliding_chains(draw):
+    """Nearest-neighbour chains, or all-pairs chains in which one site couples
+    equally to two others; either way some flips of one site share a gap."""
+    n = draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fields = tuple(rng.uniform(0.5, 1.5, size=n))
+    if draw(st.booleans()):
+        couplings = [(a, a + 1, float(rng.uniform(-0.5, 0.5))) for a in range(1, n)]
+    else:
+        delta = {pair: float(rng.uniform(-0.5, 0.5)) for pair in combinations(range(1, n + 1), 2)}
+        a, b, c = draw(st.permutations(range(1, n + 1)))[:3]
+        delta[min(a, c), max(a, c)] = delta[min(a, b), max(a, b)]
+        couplings = [(i, j, value) for (i, j), value in delta.items()]
+    axes = tuple(draw(st.sampled_from("xy")) for _ in range(n))
+    kappas = tuple(draw(st.sampled_from((1e-5, 0.3, 1.0))) for _ in range(n))
+    temperature = draw(st.sampled_from((0.05, 1.0, 10.0)))
+    return ChainSpec(n, fields, tuple(couplings)), axes, kappas, temperature
+
+
+@settings(max_examples=40, deadline=None)
+@given(_colliding_chains())
+def test_oracle_populations_equal_rates_when_gaps_collide(case):
+    spec, axes, kappas, temperature = case
+    dec = spectral_decomposition(build_hamiltonian(spec))
+    assume(check_degeneracy(dec).nondegenerate)
+    _assert_oracle_populations_equal_rates(dec, axes, kappas, temperature)
+
+
+def test_oracle_populations_equal_rates_on_a_five_site_open_chain():
+    couplings = ((1, 2, 0.131), (2, 3, 0.154), (3, 4, 0.092), (4, 5, -0.289))
+    dec = spectral_decomposition(build_hamiltonian(ChainSpec(5, (0.592, 0.774, 0.952, 0.918, 1.043), couplings)))
+    assert check_degeneracy(dec).nondegenerate
+    _assert_oracle_populations_equal_rates(dec, ("x", "y", "x", "y", "x"), (1e-5, 1.0, 0.3, 1.0, 0.3), 1.0)

@@ -1,9 +1,10 @@
 """The transition-table fast paths against the dense code they replaced.
 
 The reference implementations below are the package's original dense
-rotation of Kronecker-product coupling operators, tuple-sort degeneracy
-check, pair-loop rate assembly, pair-loop jump operators and per-entry CSV
-rendering, kept verbatim in arithmetic so the fast paths can be held to them.
+rotation of Kronecker-product coupling operators, pair-loop rate assembly,
+pair-loop jump operators and per-entry CSV rendering, kept verbatim in
+arithmetic so the fast paths can be held to them, and a pair loop for the
+degeneracy check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from spinbath import (
     BathConfig,
     ChainSpec,
     DegenerateGapError,
-    DomainError,
     JumpOperator,
     SpectralDecomposition,
     build_hamiltonian,
@@ -71,34 +71,42 @@ def reference_table(matrices) -> tuple[np.ndarray, ...]:
 
 
 def reference_degeneracy(dec: SpectralDecomposition, tol: float) -> DegeneracyReport:
-    """Sort all gaps as (omega, i, j) tuples and compare neighbours."""
+    """Compare neighbouring levels, then each site's flips as sorted (omega, i, j) tuples.
+
+    A flip of site n is a level pair whose basis states differ in bit
+    2^(N - n) alone, found by a loop over all level pairs.
+    """
     e = dec.energies
     d = dec.dimension
     spectrum_pairs = [
         (i, i + 1, float(e[i + 1] - e[i])) for i in range(d - 1) if e[i + 1] - e[i] < tol
     ]
-    gaps = [(float(e[j] - e[i]), i, j) for i in range(d) for j in range(i + 1, d)]
-    gaps.sort()
+    n_sites = int(np.log2(d)) if 2 ** int(np.log2(d)) == d else 0
     gap_pairs = []
-    for k in range(len(gaps) - 1):
-        w0, i0, j0 = gaps[k]
-        w1, i1, j1 = gaps[k + 1]
-        if w1 - w0 < tol:
-            gap_pairs.append(((i0, j0), (i1, j1), float(w1 - w0)))
-    tiny = [((i, j), (i, j), w) for w, i, j in gaps if w < tol]
+    for n in range(1, n_sites + 1):
+        bit = 1 << (n_sites - n)
+        flips = sorted(
+            (float(e[j] - e[i]), i, j)
+            for i in range(d)
+            for j in range(i + 1, d)
+            if dec.basis[i] ^ dec.basis[j] == bit
+        )
+        for (w0, i0, j0), (w1, i1, j1) in zip(flips, flips[1:]):
+            if w1 - w0 < tol:
+                gap_pairs.append(((i0, j0), (i1, j1), float(w1 - w0)))
     return DegeneracyReport(
         spectrum_degenerate=bool(spectrum_pairs),
-        gaps_degenerate=bool(gap_pairs or tiny),
+        gaps_degenerate=bool(gap_pairs),
         spectrum_pairs=tuple(spectrum_pairs),
-        gap_pairs=tuple(tiny + gap_pairs),
+        gap_pairs=tuple(gap_pairs),
         tolerance=float(tol),
     )
 
 
-def reference_rates(dec, matrices, baths, *, tol=1e-9, allow_degenerate_gaps=False):
+def reference_rates(dec, matrices, baths, *, tol=1e-9):
     """Pair-loop golden-rule assembly: (Lambda, structural mask)."""
-    if not (allow_degenerate_gaps or reference_degeneracy(dec, tol).nondegenerate):
-        raise DegenerateGapError("degenerate spectrum or gaps")
+    if reference_degeneracy(dec, tol).spectrum_degenerate:
+        raise DegenerateGapError("degenerate spectrum")
     d = dec.dimension
     abs2 = np.stack([np.abs(s) ** 2 for s in matrices])
     matrix = np.zeros((d, d))
@@ -122,10 +130,11 @@ def reference_rates(dec, matrices, baths, *, tol=1e-9, allow_degenerate_gaps=Fal
     return matrix, structural | np.diag(structural.any(axis=0))
 
 
-def reference_jump_operators(dec, matrices, *, tol=1e-9, allow_degenerate_gaps=False):
-    """Pair loop over every level pair of every site's dense coupling matrix."""
-    if not (allow_degenerate_gaps or reference_degeneracy(dec, tol).nondegenerate):
-        raise DegenerateGapError("degenerate spectrum or gaps")
+def reference_jump_operators(dec, matrices, *, tol=1e-9):
+    """Pair loop over every level pair of every site's dense coupling matrix,
+    grouping a site's entries whose gaps lie within tol of a group's first."""
+    if reference_degeneracy(dec, tol).spectrum_degenerate:
+        raise DegenerateGapError("degenerate spectrum")
     d = dec.dimension
     ops = []
     for n, s in enumerate(matrices, start=1):
@@ -138,7 +147,7 @@ def reference_jump_operators(dec, matrices, *, tol=1e-9, allow_degenerate_gaps=F
         entries.sort()
         groups = []
         for entry in entries:
-            if allow_degenerate_gaps and groups and entry[0] - groups[-1][0][0] < tol:
+            if groups and entry[0] - groups[-1][0][0] < tol:
                 groups[-1].append(entry)
             else:
                 groups.append([entry])
@@ -156,16 +165,16 @@ def _random_chain(rng, n_sites: int, pairs) -> ChainSpec:
 
 
 def _cases():
-    """(label, spec, allow_degenerate_gaps): all-pairs chains and nearest-neighbour ones."""
+    """(label, spec): all-pairs chains, and nearest-neighbour ones whose end-spin flips collide."""
     rng = np.random.default_rng(20191110)
     cases = []
     for n in range(2, 7):
         for draw in range(2):
             spec = _random_chain(rng, n, combinations(range(1, n + 1), 2))
-            cases.append((f"all-pairs-N{n}-{draw}", spec, False))
+            cases.append((f"all-pairs-N{n}-{draw}", spec))
     for n in range(3, 6):
         spec = _random_chain(rng, n, [(a, a + 1) for a in range(1, n)])
-        cases.append((f"nearest-neighbour-N{n}", spec, True))
+        cases.append((f"nearest-neighbour-N{n}", spec))
     return cases
 
 
@@ -184,38 +193,36 @@ def _assert_same_jump_operators(got, expected):
         assert (a.site, a.omega, a.pairs, a.values) == (b.site, b.omega, b.pairs, b.values)
 
 
-def _assert_same_rates(dec, baths, allow):
+def _assert_same_rates(dec, baths):
     elems = coupling_matrix_elements(baths, dec)
     reference = reference_coupling_matrices(baths, dec)
     _assert_same_table(elems, reference)
     try:
-        expected, expected_mask = reference_rates(
-            dec, reference, baths, allow_degenerate_gaps=allow
-        )
-        expected_ops = reference_jump_operators(dec, reference, allow_degenerate_gaps=allow)
+        expected, expected_mask = reference_rates(dec, reference, baths)
+        expected_ops = reference_jump_operators(dec, reference)
     except Exception as exc:
         with pytest.raises(type(exc)):
-            build_rate_matrix(dec, elems, baths, allow_degenerate_gaps=allow)
+            build_rate_matrix(dec, elems, baths)
         return None
-    rates = build_rate_matrix(dec, elems, baths, allow_degenerate_gaps=allow)
+    rates = build_rate_matrix(dec, elems, baths)
     assert np.array_equal(rates.nonzero_mask, expected_mask)
     off = ~np.eye(dec.dimension, dtype=bool)
     assert np.array_equal(rates.matrix[off], expected[off])
     scale = np.max(np.abs(expected))  # the pair loop sums each column in another order
     assert np.max(np.abs(rates.matrix - expected)) <= 1e-15 * scale
-    ops = build_jump_operators(dec, elems, allow_degenerate_gaps=allow)
+    ops = build_jump_operators(dec, elems)
     _assert_same_jump_operators(ops, expected_ops)
     if dec.dimension <= 8:
-        superop = build_lindblad_superoperator(dec, elems, baths, allow_degenerate_gaps=allow)
+        superop = build_lindblad_superoperator(dec, elems, baths)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(generator, "build_jump_operators", lambda *args, **kwargs: expected_ops)
-            oracle = build_lindblad_superoperator(dec, elems, baths, allow_degenerate_gaps=allow)
+            oracle = build_lindblad_superoperator(dec, elems, baths)
         assert np.array_equal(superop.matrix, oracle.matrix)
     return rates
 
 
-@pytest.mark.parametrize("label, spec, allow", CASES, ids=[c[0] for c in CASES])
-def test_rates_match_the_pair_loop(label, spec, allow):
+@pytest.mark.parametrize("label, spec", CASES, ids=[c[0] for c in CASES])
+def test_rates_match_the_pair_loop(label, spec):
     rng = np.random.default_rng(len(label) * spec.n_sites)
     dec = spectral_decomposition(build_hamiltonian(spec))
     built = 0
@@ -223,40 +230,42 @@ def test_rates_match_the_pair_loop(label, spec, allow):
         axes = tuple(rng.choice(["x", "y", "z"], size=spec.n_sites))
         kappas = tuple(rng.choice(KAPPAS, size=spec.n_sites))
         baths = BathConfig(temperature=temperature, kappas=kappas, axes=axes)
-        built += _assert_same_rates(dec, baths, allow) is not None
+        built += _assert_same_rates(dec, baths) is not None
     assert built > 0
 
 
-@pytest.mark.parametrize("label, spec, allow", CASES, ids=[c[0] for c in CASES])
-def test_degeneracy_report_matches_the_tuple_sort(label, spec, allow):
+@pytest.mark.parametrize("label, spec", CASES, ids=[c[0] for c in CASES])
+def test_degeneracy_report_matches_the_tuple_sort(label, spec):
     dec = spectral_decomposition(build_hamiltonian(spec))
     for tol in TOLERANCES:
         report = check_degeneracy(dec, tol)
         expected = reference_degeneracy(dec, tol)
         assert report == expected
         assert repr(report) == repr(expected)  # Python ints and floats, not numpy scalars
-    if allow:
-        assert not check_degeneracy(dec, 1e-9).nondegenerate
+    report = check_degeneracy(dec, 1e-9)
+    assert report.nondegenerate
+    assert report.gaps_degenerate == label.startswith("nearest-neighbour")
 
 
-def test_degenerate_chain_refused_by_both():
+def test_degenerate_gaps_admitted_by_both():
     spec = _random_chain(np.random.default_rng(5), 4, [(1, 2), (2, 3), (3, 4)])
     dec = spectral_decomposition(build_hamiltonian(spec))
+    assert check_degeneracy(dec, 1e-9).gaps_degenerate
     baths = BathConfig(temperature=1.0, kappas=(1.0,) * 4)
+    expected, expected_mask = reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
+    rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+    assert np.array_equal(rates.nonzero_mask, expected_mask)
+    assert np.max(np.abs(rates.matrix - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def test_zero_gap_transition_raises_like_the_pair_loop():
+    # a field-free second spin: flipping it costs nothing, so two levels coincide
+    dec = spectral_decomposition(build_hamiltonian(ChainSpec(n_sites=2, fields=(1.0, 0.0))))
+    baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
     with pytest.raises(DegenerateGapError):
         reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
     with pytest.raises(DegenerateGapError):
         build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
-
-
-def test_zero_gap_transition_raises_like_the_pair_loop():
-    # a field-free second spin: flipping it costs nothing, so omega = 0 is coupled
-    dec = spectral_decomposition(build_hamiltonian(ChainSpec(n_sites=2, fields=(1.0, 0.0))))
-    baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
-    with pytest.raises(DomainError):
-        reference_rates(dec, reference_coupling_matrices(baths, dec), baths, allow_degenerate_gaps=True)
-    with pytest.raises(DomainError):
-        build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths, allow_degenerate_gaps=True)
 
 
 def test_transition_table_has_one_pair_per_spin_flip():
@@ -298,10 +307,9 @@ def test_table_equals_the_dense_rotation_on_random_chains(case):
     _assert_same_table(elems, reference_coupling_matrices(baths, dec))
 
     # with every site coupled through x, the zeros law holds whatever the gaps
+    assume(not check_degeneracy(dec).spectrum_degenerate)
     coupled = BathConfig(temperature=1.0, kappas=tuple(k or 0.5 for k in kappas))
-    elems = coupling_matrix_elements(coupled, dec)
-    assume(np.all(dec.energies[elems.cols] > dec.energies[elems.rows]))  # a zero-cost flip has no rate
-    rates = build_rate_matrix(dec, elems, coupled, allow_degenerate_gaps=True)
+    rates = build_rate_matrix(dec, coupling_matrix_elements(coupled, dec), coupled)
     assert count_structural_zeros(rates) == predicted_zero_count(spec.n_sites)
 
 
@@ -388,18 +396,13 @@ DEGENERACY_EDGES = {
 
 
 @pytest.mark.parametrize("label", DEGENERACY_EDGES)
-def test_degeneracy_fast_path_on_edge_spectra(label, monkeypatch):
-    stable_sorts = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **k: stable_sorts.append(1) or argsort(*a, **k))
+def test_degeneracy_fast_path_on_edge_spectra(label):
     for tol in TOLERANCES:
         dec = _decomposition(DEGENERACY_EDGES[label])
         report = check_degeneracy(dec, tol)
         expected = reference_degeneracy(dec, tol)
         assert report == expected and repr(report) == repr(expected)
         assert check_degeneracy(dec, tol) is report
-    if label in ("d=1", "d=2", "spaced"):
-        assert not stable_sorts  # nondegenerate input never orders the pairs
 
 
 def _all_pairs_config(spec: ChainSpec) -> str:
