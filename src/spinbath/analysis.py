@@ -1,9 +1,11 @@
 """Structural and statistical analysis of the rate dynamics.
 
-Covers block/connectivity detection on the structural mask, restricted-Gibbs
-predictions for the late-time state, the zeros scaling law, a detailed-balance
-audit, parameter sweeps of the excitation probability, and the slope locator
-for the thermal transition temperature.
+Covers block/connectivity detection on the structural mask, the late-time
+state predicted from block weights and the restricted Gibbs vectors (the same
+vectors, from the same partition, that dynamics.steady_states returns), the
+zeros scaling law, a detailed-balance audit, parameter sweeps of the
+excitation probability, and the slope locator for the thermal transition
+temperature.
 
 Blocks are always computed from the structural mask (the kappa and
 coupling-element pattern), not from float thresholds: a kappa of 1e-5 is
@@ -27,7 +29,7 @@ from .chain import (
     check_degeneracy,
     spectral_decomposition,
 )
-from .dynamics import PopulationState, _as_population, _thermal_weights
+from .dynamics import PopulationState, _as_population, _block_gibbs
 from .errors import SpinbathError, ValidationError
 from .generator import RateMatrix, build_rate_matrix, structural_blocks
 
@@ -52,17 +54,10 @@ class BlockPartition:
         return len(self.blocks)
 
 
-def _block_gibbs(energies: np.ndarray, block: tuple[int, ...], temperature: float) -> np.ndarray:
-    full = np.zeros(energies.size)
-    idx = np.asarray(block)
-    full[idx] = _thermal_weights(energies[idx], temperature)
-    return full
-
-
 def connectivity_blocks(rates: RateMatrix) -> BlockPartition:
     """Partition the states into the connected components of the structural graph."""
     blocks = structural_blocks(rates)
-    gibbs = tuple(_block_gibbs(rates.energies, b, rates.temperature) for b in blocks)
+    gibbs = _block_gibbs(rates, blocks)
     return BlockPartition(blocks=blocks, restricted_gibbs=gibbs, temperature=rates.temperature)
 
 

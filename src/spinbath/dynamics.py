@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, null_space
+from scipy.linalg import expm
 
 from .chain import SpectralDecomposition
 from .errors import NumericalIntegrityError, ValidationError
@@ -175,41 +175,6 @@ def propagate_density(superop: LindbladSuperoperator, rho0: np.ndarray, times) -
     )
 
 
-def steady_states(rates: RateMatrix) -> list[PopulationState]:
-    """One stationary population vector per decoupled structural block.
-
-    Each block's restricted generator is solved for its kernel independently;
-    a kernel dimension other than one per block is reported as a numerical
-    integrity failure (this includes the T = 0 limit, where a block may hold
-    several absorbing local minima).
-    """
-    blocks = structural_blocks(rates)
-    d = rates.dimension
-    states = []
-    for block in blocks:
-        full = np.zeros(d)
-        if len(block) == 1:
-            full[block[0]] = 1.0
-        else:
-            idx = np.asarray(block)
-            sub = rates.matrix[np.ix_(idx, idx)]
-            kernel = null_space(sub, rcond=1e-12)
-            if kernel.shape[1] != 1:
-                raise NumericalIntegrityError(
-                    f"block {tuple(i + 1 for i in block)} has kernel dimension "
-                    f"{kernel.shape[1]}, expected 1"
-                )
-            v = kernel[:, 0]
-            v = v / v.sum()
-            if v.min() < -1e-12:
-                raise NumericalIntegrityError(
-                    f"kernel vector of block {tuple(i + 1 for i in block)} has negative weight"
-                )
-            full[idx] = v
-        states.append(PopulationState(full))
-    return states
-
-
 def _thermal_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     """exp(-E_i/T)/Z over the given levels, shifted by their minimum so it
     cannot overflow; at T = 0 all weight sits on the first lowest level."""
@@ -219,6 +184,43 @@ def _thermal_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
         return w
     w = np.exp(-(energies - energies.min()) / temperature)
     return w / w.sum()
+
+
+def _block_gibbs(rates: RateMatrix, blocks: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
+    """The restricted Gibbs vector of each block, embedded in the full dimension."""
+    vectors = []
+    for block in blocks:
+        full = np.zeros(rates.dimension)
+        idx = np.asarray(block)
+        full[idx] = _thermal_weights(rates.energies[idx], rates.temperature)
+        vectors.append(full)
+    return tuple(vectors)
+
+
+def steady_states(rates: RateMatrix) -> list[PopulationState]:
+    """One stationary population vector per decoupled structural block.
+
+    Each block of `structural_blocks(rates)` relaxes to its restricted Gibbs
+    vector.  Lambda obeys detailed balance and a block is connected, so that
+    vector is the block's exact and only kernel vector (Schnakenberg, Rev.
+    Mod. Phys. 48, 571 (1976)); no linear algebra is needed.
+
+    At T = 0 no rate leads uphill, and a state is absorbing exactly when its
+    total outflow -Lambda[j, j] is 0.0, i.e. when it has no downhill flip on a
+    site with kappa > 0.  The block's lowest level is always absorbing, and a
+    block holding several absorbing local minima has a kernel of that
+    dimension and no unique steady state: NumericalIntegrityError.
+    """
+    blocks = structural_blocks(rates)
+    if rates.temperature == 0.0:
+        absorbing = np.diagonal(rates.matrix) == 0.0
+        for block in blocks:
+            k = np.count_nonzero(absorbing[list(block)])
+            if k > 1:
+                raise NumericalIntegrityError(
+                    f"block {tuple(i + 1 for i in block)} has kernel dimension {k}, expected 1"
+                )
+    return [PopulationState(v) for v in _block_gibbs(rates, blocks)]
 
 
 def gibbs_state(dec: SpectralDecomposition, temperature: float) -> PopulationState:

@@ -181,26 +181,19 @@ def build_rate_matrix(
     )
 
 
-def connected_blocks_from_adjacency(adjacency: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Connected components of an undirected adjacency matrix, ordered by smallest member."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    off = np.asarray(adjacency, dtype=bool).copy()
-    np.fill_diagonal(off, False)
-    n_comp, labels = connected_components(csr_matrix(off), directed=False)
-    blocks = [tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)]
-    blocks.sort(key=lambda b: b[0])
-    return tuple(blocks)
-
-
 def structural_blocks(rates: RateMatrix) -> tuple[tuple[int, ...], ...]:
     """Connected components of the structural transition graph.
 
     Edges are undirected: (i, j) is linked iff either rate between the two
     states is structurally nonzero.  Blocks are ordered by smallest member.
     """
-    return connected_blocks_from_adjacency(rates.nonzero_mask)
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_comp, labels = connected_components(csr_matrix(rates.nonzero_mask), directed=False)
+    blocks = [tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)]
+    blocks.sort(key=lambda b: b[0])
+    return tuple(blocks)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:

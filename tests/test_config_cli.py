@@ -230,6 +230,20 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "NumericalIntegrityError"
 
+    def test_glassy_chain_steady_at_low_temperature(self, tmp_path):
+        # the same landscape at T = 0.02: one block and one restricted Gibbs state
+        path = tmp_path / "glassy.cfg"
+        path.write_text(
+            "[chain]\nn = 3\nfields = 0.251, 0.252, 0.179\n"
+            "couplings = 1-2: -1.229, 2-3: -1.368, 1-3: -1.17\n"
+            "[bath]\ntemperature = 0.02\nkappas = 1, 1, 1\n"
+        )
+        out = tmp_path / "g"
+        assert main(["steady", "--config", str(path), "--out", str(out)]) == 0
+        cols = read_csv_columns(out / "steady.csv")
+        assert cols["block"].tolist() == [1.0]
+        assert sum(cols[f"p_{i}"][0] for i in range(1, 9)) == pytest.approx(1.0, abs=1e-12)
+
     def test_fig2_curves_and_sweeps_build_the_same_baths(self, tmp_path):
         out = tmp_path / "fig2"
         assert main(["fig2", "--config", "ising2_paper", "--out", str(out)]) == 0

@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from spinbath import (
     BathConfig,
@@ -17,16 +20,22 @@ from spinbath import (
     ValidationError,
     build_hamiltonian,
     build_rate_matrix,
+    connectivity_blocks,
     coupling_matrix_elements,
     excitation_probability,
     gibbs_state,
     propagate_density,
     propagate_populations,
+    random_nondegenerate_chain,
     spectral_decomposition,
     steady_states,
+    structural_blocks,
 )
 
 from conftest import random_density, two_spin_energies
+
+
+EPS = np.finfo(np.float64).eps
 
 
 def gibbs_oracle(temperature: float) -> np.ndarray:
@@ -229,6 +238,62 @@ class TestSteadyStates:
         rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
         with pytest.raises(NumericalIntegrityError, match="kernel"):
             steady_states(rates)
+
+    @pytest.mark.parametrize("temperature", [0.03, 0.02, 0.01])
+    def test_glassy_chain_at_low_temperature_is_its_gibbs_state(self, temperature):
+        # the T = 0 case above has two absorbing minima; any T > 0 connects them
+        spec = ChainSpec(
+            3, (0.251, 0.252, 0.179), ((1, 2, -1.229), (2, 3, -1.368), (1, 3, -1.17))
+        )
+        baths = BathConfig(temperature=temperature, kappas=(1.0, 1.0, 1.0))
+        dec = spectral_decomposition(build_hamiltonian(spec))
+        rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+        states = steady_states(rates)
+        assert len(states) == 1
+        assert np.array_equal(states[0].p, connectivity_blocks(rates).restricted_gibbs[0])
+        residual = np.max(np.abs(rates.matrix @ states[0].p))
+        assert residual <= 8 * EPS * np.max(np.abs(rates.matrix))
+
+
+@st.composite
+def _random_rates(draw):
+    n = draw(st.integers(1, 6))
+    spec = random_nondegenerate_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    baths = BathConfig(
+        temperature=draw(st.sampled_from((0.0, 0.3, 1.0, 10.0))),
+        kappas=tuple(draw(st.sampled_from((0.0, 1e-5, 0.3, 1.0))) for _ in range(n)),
+        axes=tuple(draw(st.sampled_from("xyz")) for _ in range(n)),
+    )
+    dec = spectral_decomposition(build_hamiltonian(spec))
+    return build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_rates())
+def test_steady_states_match_the_null_space_oracle(rates):
+    """Each block's steady state is its normalised SVD kernel vector; at T = 0
+    the call raises exactly when some block's kernel is more than 1-D.
+
+    At T = 0 a kappa = 1e-5 flip across a small gap leaves a total outflow near
+    1e-7, and the SVD vector is then ~1e-9 off the exact basis vector; there the
+    1-D oracle kernel and the residual bound pin the state instead.
+    """
+    blocks = structural_blocks(rates)
+    kernels = [null_space(rates.matrix[np.ix_(b, b)], rcond=1e-12) for b in blocks]
+    if any(k.shape[1] > 1 for k in kernels):
+        assert rates.temperature == 0.0
+        with pytest.raises(NumericalIntegrityError, match="kernel"):
+            steady_states(rates)
+        return
+    states = steady_states(rates)
+    assert len(states) == len(blocks)
+    scale = np.max(np.abs(rates.matrix))
+    for block, kernel, state in zip(blocks, kernels, states):
+        if rates.temperature > 0:
+            oracle = np.zeros(rates.dimension)
+            oracle[list(block)] = kernel[:, 0] / kernel[:, 0].sum()
+            assert np.max(np.abs(state.p - oracle)) <= 1e-9
+        assert np.max(np.abs(rates.matrix @ state.p)) <= 8 * EPS * scale
 
 
 class TestGibbsState:
