@@ -38,6 +38,7 @@ from .chain import (
     build_hamiltonian,
     check_degeneracy,
     check_frustration,
+    decompose_chain,
     diagonal_energies,
     spectral_decomposition,
 )

@@ -21,17 +21,11 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import expm
 
-from .bath import BathConfig, coupling_matrix_elements
-from .chain import (
-    ChainSpec,
-    SpectralDecomposition,
-    build_hamiltonian,
-    check_degeneracy,
-    spectral_decomposition,
-)
+from .bath import BathConfig, CouplingElements, coupling_matrix_elements
+from .chain import ChainSpec, SpectralDecomposition, check_degeneracy, decompose_chain
 from .dynamics import PopulationState, _as_population, _block_gibbs
-from .errors import SpinbathError, ValidationError
-from .generator import RateMatrix, build_rate_matrix, structural_blocks
+from .errors import NumericalIntegrityError, SpinbathError, ValidationError
+from .generator import RateMatrix, _structural_pattern, build_rate_matrix, structural_blocks
 
 MAX_CHAIN_DRAWS = 1000
 
@@ -74,6 +68,14 @@ def count_structural_zeros(rates: RateMatrix) -> int:
     """Structurally zero entries of the full d x d generator (diagonal included)."""
     d = rates.dimension
     return int(d * d - np.count_nonzero(rates.nonzero_mask))
+
+
+def _table_zero_count(elems: CouplingElements, kappas) -> int:
+    """count_structural_zeros of the rate matrix built from `elems` and `kappas`,
+    without building it: d^2 minus two entries per coupled flip and one diagonal
+    entry per state a coupled flip touches (the pattern of the rate-matrix mask)."""
+    rows, _, touched = _structural_pattern(elems, kappas)
+    return elems.dimension**2 - 2 * rows.size - int(np.count_nonzero(touched))
 
 
 def detailed_balance_audit(rates: RateMatrix) -> float:
@@ -153,10 +155,10 @@ def _sweep(spec, baths, axis, grid, t_star, initial_state, metadata, site=None) 
     """P_exc(t*) = 1 - p_1(t*) with the rates rebuilt at every grid point.
 
     The decomposition, the transition table and the initial vector are built
-    once; a point whose rates fail is recorded under its grid index and the
-    sweep continues.
+    once; a point whose rates fail, or whose P_exc is not finite, is recorded
+    under its grid index and the sweep continues.
     """
-    dec = spectral_decomposition(build_hamiltonian(spec))
+    dec = decompose_chain(spec)
     elems = coupling_matrix_elements(baths, dec)
     p0 = _as_population(PopulationState.basis(dec.dimension, 0) if initial_state is None else initial_state)
     if p0.size != dec.dimension:
@@ -170,6 +172,8 @@ def _sweep(spec, baths, axis, grid, t_star, initial_state, metadata, site=None) 
         try:
             rates = build_rate_matrix(dec, elems, bath_at(baths, axis, value, site))
             values[k] = 1.0 - float((expm(rates.matrix * t_star) @ p0)[0])
+            if not np.isfinite(values[k]):
+                raise NumericalIntegrityError(f"P_exc(t*) = {values[k]} is not finite")
         except SpinbathError as exc:
             values[k] = np.nan
             errors[k] = f"{type(exc).__name__}: {exc}"
@@ -250,7 +254,7 @@ def _draw_nondegenerate(n_sites: int, rng: np.random.Generator) -> tuple[ChainSp
             for a, b in combinations(range(1, n_sites + 1), 2)
         )
         spec = ChainSpec(n_sites=n_sites, fields=fields, couplings=couplings)
-        dec = spectral_decomposition(build_hamiltonian(spec))
+        dec = decompose_chain(spec)
         if check_degeneracy(dec).nondegenerate:
             return spec, dec
     raise SpinbathError(
@@ -269,7 +273,8 @@ def zeros_scaling(
 
     Returns (N, counted, predicted) rows for N = min_n .. max_n, with every
     site coupled through its x axis at unit strength; all draws for a given N
-    must agree on the count.
+    must agree on the count.  Each count comes from the draw's transition
+    table; no rate matrix is built.
     """
     if not 1 <= min_n <= max_n:
         raise ValidationError(f"need 1 <= min_n <= max_n, got {min_n}..{max_n}")
@@ -279,9 +284,7 @@ def zeros_scaling(
         for _ in range(draws):
             _, dec = _draw_nondegenerate(n, rng)
             baths = BathConfig(temperature=1.0, kappas=(1.0,) * n)
-            elems = coupling_matrix_elements(baths, dec)
-            rates = build_rate_matrix(dec, elems, baths)
-            counts.add(count_structural_zeros(rates))
+            counts.add(_table_zero_count(coupling_matrix_elements(baths, dec), baths.kappas))
         if len(counts) != 1:
             raise SpinbathError(f"structural zero count varies across draws for N = {n}: {counts}")
         rows.append((n, counts.pop(), predicted_zero_count(n)))

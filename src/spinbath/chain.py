@@ -145,7 +145,24 @@ def spectral_decomposition(hamiltonian: np.ndarray) -> SpectralDecomposition:
         raise ValidationError("expected a diagonal matrix; only z-type chains are supported")
     if np.max(np.abs(diag.imag), initial=0.0) > HERMITICITY_TOL:
         raise ValidationError("matrix is not Hermitian within 1e-12")
-    energies = diag.real.astype(np.float64)
+    return _sorted(diag.real.astype(np.float64))
+
+
+def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
+    """The SpectralDecomposition of `spec`, sorted straight from its 2^N energies.
+
+    Equal to spectral_decomposition(build_hamiltonian(spec)) without the
+    d x d matrix, and refused beyond MAX_DENSE_SITES in the same way, since
+    every command built on it holds d x d objects.
+    """
+    if spec.n_sites > MAX_DENSE_SITES:
+        raise CapacityError(
+            f"dense d x d objects limited to N <= {MAX_DENSE_SITES}, got N = {spec.n_sites}"
+        )
+    return _sorted(diagonal_energies(spec))
+
+
+def _sorted(energies: np.ndarray) -> SpectralDecomposition:
     order = np.argsort(energies, kind="stable")
     return SpectralDecomposition(energies=energies[order], basis=order)
 

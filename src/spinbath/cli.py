@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, export
 from .bath import coupling_matrix_elements
-from .chain import build_hamiltonian, check_degeneracy, spectral_decomposition
+from .chain import check_degeneracy, decompose_chain
 from .config import COMMANDS, RunConfig, builtin_config_path, parse_config, resolve_initial_state, with_overrides
 from .dynamics import propagate_populations, steady_states
 from .errors import ConfigError, NumericalIntegrityError, SpinbathError
@@ -59,29 +59,21 @@ def _header(cfg: RunConfig, command: str) -> list[str]:
 
 
 def _build_all(cfg: RunConfig):
-    dec = spectral_decomposition(build_hamiltonian(cfg.chain))
+    dec = decompose_chain(cfg.chain)
     elems = coupling_matrix_elements(cfg.bath, dec)
     rates = build_rate_matrix(dec, elems, cfg.bath)
     return dec, elems, rates
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
-    dec = spectral_decomposition(build_hamiltonian(cfg.chain))
+    dec = decompose_chain(cfg.chain)
     report = check_degeneracy(dec)
     header = _header(cfg, "spectrum")
-    files = []
-    body = ["state,energy"] + [
-        f"{i + 1},{export.fmt(e)}" for i, e in enumerate(dec.energies)
+    states = np.arange(1, dec.dimension + 1)[:, None]
+    files = [
+        export.write_csv(out / "spectrum.csv", [*header, "state,energy"], states, dec.energies[:, None]),
+        export.write_gaps_csv(out / "gaps.csv", dec.energies, header),
     ]
-    files.append(export.write_lines(out / "spectrum.csv", header, body))
-    e = dec.energies.tolist()
-    label = [f"{k}," for k in range(1, dec.dimension + 1)]
-    gaps = ["i,j,omega"] + [
-        f"{label[i]}{label[j]}{e[j] - e[i]:.12g}"  # export.fmt of a Python float, inlined
-        for i in range(dec.dimension)
-        for j in range(i + 1, dec.dimension)
-    ]
-    files.append(export.write_lines(out / "gaps.csv", header, gaps))
     payload = {
         "tolerance": report.tolerance,
         "spectrum_degenerate": report.spectrum_degenerate,
@@ -115,12 +107,10 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> list[Path]:
 
 def _cmd_steady(cfg: RunConfig, out: Path) -> list[Path]:
     _, _, rates = _build_all(cfg)
-    states = steady_states(rates)
-    d = rates.dimension
-    body = ["block," + ",".join(f"p_{i + 1}" for i in range(d))]
-    for k, state in enumerate(states, start=1):
-        body.append(f"{k}," + ",".join(export.fmt(x) for x in state.p))
-    return [export.write_lines(out / "steady.csv", _header(cfg, "steady"), body)]
+    states = [state.p for state in steady_states(rates)]
+    names = "block," + ",".join(f"p_{i + 1}" for i in range(rates.dimension))
+    labels = np.arange(1, len(states) + 1)[:, None]
+    return [export.write_csv(out / "steady.csv", [*_header(cfg, "steady"), names], labels, np.array(states))]
 
 
 def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
@@ -169,10 +159,8 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
         for value in points:
             rates = build_rate_matrix(dec, elems, analysis.bath_at(cfg.bath, axis, value, site))
             columns.append(1.0 - propagate_populations(rates, p0, times).populations[:, 0])
-        body = ["t," + ",".join(f"{label}={export.fmt(v)}" for v in points)] + [
-            ",".join([export.fmt(t), *(export.fmt(c[k]) for c in columns)]) for k, t in enumerate(times)
-        ]
-        return export.write_lines(path, header, body)
+        names = "t," + ",".join(f"{label}={export.fmt(v)}" for v in points)
+        return export.write_csv(path, [*header, names], np.column_stack((times, *columns)))
 
     files = [
         curves(out / "fig2c.csv", "T", "temperature", cfg.fig2_temperatures),

@@ -35,6 +35,8 @@ class PopulationState:
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 1:
             raise ValidationError(f"population vector must be 1-D, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("population entries must be finite")
         if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
             raise ValidationError("population entries must lie in [0, 1]")
         if abs(p.sum() - 1.0) > STATE_TOL:
@@ -86,11 +88,14 @@ class Trajectory:
             raise ValidationError("population snapshots do not match the time grid")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "populations", p)
-        drift = np.abs(p.sum(axis=1) - 1.0)
+        finite = np.isfinite(p).all(axis=1)
+        drift = np.abs(p.sum(axis=1, where=finite[:, None]) - 1.0)  # non-finite rows are caught first
         low = p.min(axis=1)
-        bad = np.flatnonzero((drift > DRIFT_TOL) | (low < -DRIFT_TOL))
-        if bad.size:  # report the earliest bad snapshot, its drift before its negativity
+        bad = np.flatnonzero(~finite | (drift > DRIFT_TOL) | (low < -DRIFT_TOL))
+        if bad.size:  # report the earliest bad snapshot: non-finite, then drift, then negativity
             k = bad[0]
+            if not finite[k]:
+                raise NumericalIntegrityError(f"non-finite population at t = {t[k]:g}")
             if drift[k] > DRIFT_TOL:
                 raise NumericalIntegrityError(f"normalisation drift {drift[k]:.3e} at t = {t[k]:g}")
             raise NumericalIntegrityError(f"negative population {low[k]:.3e} at t = {t[k]:g}")
@@ -138,6 +143,8 @@ class DensityTrajectory:
 
 
 def _check_density(rho: np.ndarray, t: float, tol: float) -> None:
+    if not np.all(np.isfinite(rho)):
+        raise NumericalIntegrityError(f"non-finite density matrix at t = {t:g}")
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         raise NumericalIntegrityError(f"density matrix lost Hermiticity at t = {t:g}")
     drift = abs(float(np.trace(rho).real) - 1.0)

@@ -1,15 +1,27 @@
 """Deterministic result emission: CSV and JSON files with provenance headers.
 
-All floats are written with 12 significant digits and every file starts with
-'#'-prefixed provenance lines (command, config hash, parameter echo), so
-identical configurations produce byte-identical artifacts.  JSON bodies
-follow the same header lines; `read_json_body` strips them again.
+All floats are written with 12 significant digits, exactly as fmt renders
+them (format(v, ".12g"), the correctly rounded decimal), and every file
+starts with '#'-prefixed provenance lines (command, config hash, parameter
+echo), so identical configurations produce byte-identical artifacts.  JSON
+bodies follow the same header lines; `read_json_body` strips them again.
 
-A real matrix is mostly exact zeros (the rate matrix has d(N+1) nonzeros of
-d^2), so `write_matrix_csv` writes every +0.0 entry as the literal "0", which
-is what the 12-digit format gives it, and formats only the other entries
-(-0.0 stays "-0"; NaN and +-inf are formatted as "nan", "inf", "-inf").
-Masks are 0/1 grids rendered as one byte buffer.
+CSV bodies are rendered as byte arrays, a bounded chunk of rows at a time,
+and each chunk is written to the file before the next is rendered, so the
+working set does not grow with the file.  A float v goes through exact
+binary64 arithmetic: k = floor(log10|v|) and m = rint(|v| 10^(11-k)), one
+multiplication or division by an exactly representable power 10^0..10^22,
+so m is the rounding of the exact product unless that product lies within
+two spacings of a tie.  The 12 digits of m are split at the decimal point
+and turned into ASCII eight at a time in uint64 lanes, and each value's text
+is a window of a 32-byte row aligned at the decimal point: fixed or
+scientific notation, trailing zeros dropped, '-' for a set sign bit (so -0.0
+prints "-0").  Any value this cannot settle exactly (m outside
+[10^11, 10^12), 10^(11-k) not exact, a near tie, NaN or +-inf) is rendered
+by format() itself: about 0.06% of the gaps of an 8-site spectrum.  Integer
+columns (row labels) print as integers.  A table that is mostly +0.0, like
+a rate matrix, renders only its other entries and splices "0" in for the
+rest.  Masks are 0/1 grids rendered as one byte buffer.
 """
 
 from __future__ import annotations
@@ -54,27 +66,223 @@ def write_lines(path: Path, header: list[str], body: list[str]) -> Path:
 def write_matrix_csv(path, matrix, header: list[str], labels: list[str] | None = None) -> Path:
     """Row-major matrix dump; complex entries become re+imi pairs."""
     m = np.asarray(matrix)
-    body = [",".join(labels)] if labels is not None else []
+    lines = [*header, ",".join(labels)] if labels is not None else list(header)
     if np.iscomplexobj(m):
-        body.extend(",".join(fmt_complex(x) for x in row) for row in m)
-    else:
-        body.extend(_real_rows(np.asarray(m, dtype=np.float64)))
-    return write_lines(path, header, body)
+        return write_lines(path, lines, [",".join(fmt_complex(x) for x in row) for row in m])
+    return write_csv(path, lines, np.asarray(m, dtype=np.float64))
 
 
-def _real_rows(m: np.ndarray) -> list[str]:
-    """fmt of every entry, one line per row, with a format call only where it can differ from "0"."""
-    rows, cols = np.nonzero((m != 0) | np.signbit(m))  # NaN != 0 holds, -0.0 has its sign bit
-    text = [format(x, ".12g") for x in m[rows, cols].tolist()]
-    starts = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
-    cols = cols.tolist()
-    lines = []
-    for r in range(m.shape[0]):
-        cells = ["0"] * m.shape[1]
-        for k in range(starts[r], starts[r + 1]):
-            cells[cols[k]] = text[k]
-        lines.append(",".join(cells))
-    return lines
+def write_csv(path, lines: list[str], *blocks) -> Path:
+    """`lines` (header and column names), then one CSV line per row of the 2-D
+    `blocks` placed side by side: integer blocks (0 <= n < 10^8) print as
+    integers, every other entry as fmt prints it."""
+    blocks = [b if b.dtype.kind in "iu" else b.astype(np.float64, copy=False) for b in map(np.asarray, blocks)]
+    n_rows = blocks[0].shape[0] if blocks else 0
+    floats = sum(b.size for b in blocks if b.dtype.kind == "f")
+    if len(blocks) == 1 and floats:  # a lone float table renders only its entries other than +0.0
+        floats = max(np.count_nonzero((blocks[0] != 0) | np.signbit(blocks[0])), floats // _SPARSE_LIMIT)
+    step = _CHUNK * n_rows // floats if floats else _CHUNK
+    return _write_rows(path, lines, n_rows, step, lambda a, b: [blk[a:b] for blk in blocks])
+
+
+def write_gaps_csv(path, energies, header: list[str]) -> Path:
+    """Columns i, j, omega = E_j - E_i for every level pair i < j (1-based), row-major."""
+    e = np.asarray(energies, dtype=np.float64)
+    d = e.size
+    counts = np.arange(d - 1, -1, -1)  # level i pairs with j = i + 1 .. d - 1
+    ends = np.cumsum(counts)  # one past the last pair of each level
+
+    def pairs(a: int, b: int) -> list[np.ndarray]:
+        levels = np.arange(*np.searchsorted(ends, [a, b - 1], side="right") + [0, 1])
+        i = np.repeat(levels, np.minimum(ends[levels], b) - np.maximum(ends[levels] - counts[levels], a))
+        j = np.arange(a, b) - ends[i] + d
+        return [np.column_stack((i + 1, j + 1)), (e[j] - e[i])[:, None]]
+
+    return _write_rows(path, [*header, "i,j,omega"], d * (d - 1) // 2, _CHUNK, pairs)
+
+
+# Rendering.  A float's text lives in a 32-byte row of four uint64 words:
+# integer digits right-aligned in bytes 0..14, '.' at 15, 15 fraction digits
+# from 16, so the text is the window row[start:end], and byte `end` takes the
+# separator (after a scientific suffix 'e+XX', written at `end` first).
+# An integer's text is right-aligned in bytes 0..7 of a 16-byte row.
+_CHUNK = 2048  # float entries rendered per step
+_SPARSE_LIMIT = 8  # entries per step of a mostly +0.0 table, at most this many times _CHUNK
+_FLOAT_WIDTH, _INT_WIDTH = 32, 16
+_INT_MAX = 10**8
+_POW10 = np.array([10.0**k for k in range(23)])  # exact in binary64
+_MULTIPLY = np.concatenate([np.ones(22), _POW10])  # 10^s at s + 22 for s = -22..22, else 1
+_DIVIDE = np.concatenate([_POW10[:0:-1], np.ones(23)])  # 10^-s at s + 22 for s < 0, else 1
+_TIE = 2.0**-12  # two spacings of binary64 below 2^40
+_EXPONENTS = np.frombuffer(b"".join(f"e{k:+03d}".encode() for k in range(-11, 34)), dtype=np.uint8).reshape(-1, 4)
+_DIGIT_LIMITS = 10 ** np.arange(1, 8)
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_DOT = np.uint64((ord("0") ^ ord(".")) << 56)  # turns byte 7 of word 1 from '0' into '.'
+
+
+def _windows(width: int) -> np.ndarray:
+    """Row start * width + end keeps columns start..end (the text and its separator)."""
+    cols = np.arange(width)
+    keep = (cols >= cols[:, None, None]) & (cols <= cols[None, :, None])
+    return keep.reshape(width * width, width)
+
+
+_FLOAT_WINDOWS, _INT_WINDOWS = _windows(_FLOAT_WIDTH), _windows(_INT_WIDTH)
+
+
+def _ascii_digits(words: np.ndarray) -> None:
+    """In place: each uint64 below 10^8 becomes its 8 ASCII digits, most significant
+    in the lowest byte, by splitting into 32-, 16- and 8-bit lanes (x // 100 is
+    x * 5243 >> 19 below 10^4, x // 10 is x * 103 >> 10 below 100)."""
+    high = words // 10000
+    words -= high * 10000
+    words <<= 32
+    words |= high
+    for mul, shift, mask, base, lane in ((5243, 19, 0x0000007F0000007F, 100, 16),
+                                         (103, 10, 0x000F000F000F000F, 10, 8)):
+        np.multiply(words, mul, out=high)
+        high >>= shift
+        high &= mask
+        words -= high * base
+        words <<= lane
+        words |= high
+    words |= _ASCII_ZEROS
+
+
+def _float_cells(v: np.ndarray):
+    """(rows, start, end) with the text of v[i] in rows[i, start[i]:end[i]]."""
+    n = v.size
+    a = np.abs(v)
+    finite = a < np.inf
+    usable = finite & (a > 0)
+    x = np.where(usable, a, 1.0)
+    s = np.floor(np.log10(x)).astype(np.intp)  # k = floor(log10 |v|)
+    np.subtract(11, s, out=s)
+    np.clip(s, -22, 22, out=s)  # the scale 10^s is exact; k = 11 - s from here on
+    y = x * _MULTIPLY[s + 22] / _DIVIDE[s + 22]
+    m = np.rint(y)
+    exact = (y >= 1e11) & (m < 1e12) & (np.abs(np.abs(y - m) - 0.5) > _TIE)
+    m *= exact & usable  # zero, and any value left to format(), print as "0" here
+    scientific = (s > 15) | (s < 0)  # k < -4 or k >= 12
+    point = np.where(scientific, 11, np.minimum(s, 12))  # digits right of the decimal point
+    scale = _POW10[point]
+    whole = np.floor(m / scale)
+    frac = (m - whole * scale) * _POW10[np.where(scientific, 4, 15 - s)]  # 15 digits
+    words = np.empty((n, 4), dtype=np.uint64)
+    for col, part in ((0, whole), (2, frac)):  # 15 digits as 7 + 8, the 8th a pad
+        high = np.floor(part / 1e7)
+        words[:, col] = high
+        words[:, col + 1] = (part - high * 1e7) * 10
+    _ascii_digits(words)
+    words[:, 1] ^= _DOT
+    tail = words[:, 3] ^ _ASCII_ZEROS  # nonzero bytes are nonzero digits
+    last = np.where(tail != 0, tail, words[:, 2] ^ _ASCII_ZEROS)
+    # the highest nonzero byte holds a digit of at most 9, so float conversion keeps it
+    digits = np.floor(np.log2(np.maximum(last, 1).astype(np.float64))).astype(np.intp) >> 3
+    digits += np.where(tail != 0, 9, 1)
+    end = np.where(frac != 0, 16 + digits, 15)
+    start = 15 - np.where(scientific | (s > 11), 1, 12 - s)
+    rows = words.view(np.uint8)
+    flat = rows.reshape(-1)
+    at = np.arange(0, n * _FLOAT_WIDTH, _FLOAT_WIDTH)
+    flat[at + start - 1] = ord("-")  # outside the text unless the sign bit is set
+    start -= np.signbit(v)
+    sci = np.flatnonzero(scientific & exact)
+    if sci.size:
+        flat[(at[sci] + end[sci])[:, None] + np.arange(4)] = _EXPONENTS[22 - s[sci]]
+        end[sci] += 4
+    slow = np.flatnonzero(~(exact & finite))
+    if slow.size:  # format() itself, from column 0
+        texts = [format(value, ".12g") for value in v[slow].tolist()]
+        rows[slow] = np.frombuffer("".join(t.ljust(_FLOAT_WIDTH) for t in texts).encode(),
+                                   dtype=np.uint8).reshape(-1, _FLOAT_WIDTH)
+        start[slow] = 0
+        end[slow] = [len(t) for t in texts]
+    return rows, start, end
+
+
+def _int_cells(v: np.ndarray):
+    """(rows, start, end) with the decimal text of v[i] in rows[i, start[i]:end[i]]."""
+    if v.size and (v.min() < 0 or v.max() >= _INT_MAX):
+        raise ValidationError(f"integer column entries must lie in [0, {_INT_MAX})")
+    digits = v.astype(np.uint64)
+    _ascii_digits(digits)
+    words = np.zeros((v.size, 2), dtype=np.uint64)
+    words[:, 0] = digits
+    start = 7 - np.searchsorted(_DIGIT_LIMITS, v, side="right")
+    return words.view(np.uint8), start, np.full(v.size, 8)
+
+
+def _texts(values: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, keep): row i holds values[i]'s text and then seps[i] in its kept columns."""
+    integer = values.dtype.kind in "iu"
+    rows, start, end = (_int_cells if integer else _float_cells)(values)
+    width = rows.shape[1]
+    rows.reshape(-1)[np.arange(0, values.size * width, width) + end] = seps
+    keep = (_INT_WINDOWS if integer else _FLOAT_WINDOWS).take(start * width + end, axis=0)
+    lo, hi = int(start.min()), int(end.max()) + 1  # the columns any text here uses
+    return rows[:, lo:hi], keep[:, lo:hi]
+
+
+def _render(blocks: list[np.ndarray]) -> np.ndarray:
+    """The CSV lines of row-aligned 2-D blocks, as one uint8 array."""
+    seps = [np.full(block.shape, ord(","), dtype=np.uint8) for block in blocks]
+    seps[-1][:, -1] = ord("\n")
+    if len(blocks) == 1 and blocks[0].dtype.kind == "f":
+        return _render_sparse(blocks[0].reshape(-1), seps[0].reshape(-1))
+    n = blocks[0].shape[0]
+    parts = [_texts(block.reshape(-1), sep.reshape(-1)) for block, sep in zip(blocks, seps)]
+    widths = [block.shape[1] * rows.shape[1] for block, (rows, _) in zip(blocks, parts)]
+    text = np.empty((n, sum(widths)), dtype=np.uint8)
+    keep = np.empty((n, sum(widths)), dtype=bool)
+    at = 0
+    for block, width, (rows, kept) in zip(blocks, widths, parts):  # lay the blocks side by side
+        cells = (n, block.shape[1], rows.shape[1])  # splitting axes keeps every reshape a view
+        text[:, at : at + width].reshape(cells)[...] = rows.reshape(cells)
+        keep[:, at : at + width].reshape(cells)[...] = kept.reshape(cells)
+        at += width
+    return text[keep]
+
+
+def _render_sparse(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """Each value's text and separator, rendering only the entries other than +0.0
+    (a rate matrix is mostly exact zeros) and splicing "0" in for the rest."""
+    text = np.flatnonzero((v != 0) | np.signbit(v))  # NaN != 0 holds
+    if text.size == v.size:
+        rows, keep = _texts(v, seps)
+        return rows[keep]
+    width = np.full(v.size, 2, dtype=np.int32)  # "0" and its separator
+    if text.size:
+        rows, keep = _texts(v[text], seps[text])
+        stream = rows[keep]
+        width[text] = keep.sum(axis=1)
+    at = np.cumsum(width, dtype=np.int32) - width  # where each entry starts
+    out = np.empty(int(at[-1]) + int(width[-1]), dtype=np.uint8)
+    out[at] = ord("0")  # every entry as "0" and its separator; the texts then overwrite theirs
+    out[at + 1] = seps
+    if text.size:
+        w = width[text]
+        out[np.repeat(at[text] - (np.cumsum(w) - w), w) + np.arange(stream.size)] = stream
+    return out
+
+
+def _write_rows(path, lines: list[str], n_rows: int, step: int, blocks_of) -> Path:
+    """Write `lines`, then the rows of blocks_of(a, b) (row-aligned 2-D blocks of
+    rows a..b-1), `step` rows at a time."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("wb") as f:
+        f.write("".join(f"{line}\n" for line in lines).encode())
+        if not n_rows:
+            return path
+        first = blocks_of(0, 1)
+        if not sum(b.shape[1] for b in first):  # rows without entries are empty lines
+            f.write(b"\n" * n_rows)
+            return path
+        step = max(1, step)
+        for a in range(0, n_rows, step):
+            f.write(_render(blocks_of(a, min(a + step, n_rows))))
+    return path
 
 
 def write_mask_csv(path, mask, header: list[str]) -> Path:
@@ -93,11 +301,9 @@ def write_mask_csv(path, mask, header: list[str]) -> Path:
 def write_trajectory_csv(path, trajectory, header: list[str]) -> Path:
     """Columns t, p_1..p_d, P_exc."""
     pops = np.asarray(trajectory.populations)
-    d = pops.shape[1]
-    body = ["t," + ",".join(f"p_{i + 1}" for i in range(d)) + ",P_exc"]
-    for t, row in zip(trajectory.times, pops):
-        body.append(",".join([fmt(t), *(fmt(x) for x in row), fmt(1.0 - row[0])]))
-    return write_lines(path, header, body)
+    names = "t," + ",".join(f"p_{i + 1}" for i in range(pops.shape[1])) + ",P_exc"
+    table = np.column_stack((trajectory.times, pops, 1.0 - pops[:, 0]))
+    return write_csv(path, [*header, names], table)
 
 
 def write_sweep_csv(path, sweep, header: list[str]) -> Path:
@@ -109,10 +315,7 @@ def write_sweep_csv(path, sweep, header: list[str]) -> Path:
         extra.append(f"# {key}: {sweep.metadata[key]}")
     for k in sorted(sweep.errors):
         extra.append(f"# failed_point: index={k} grid_value={fmt(sweep.grid[k])} {sweep.errors[k]}")
-    body = ["grid_value,P_exc"]
-    for g, v in zip(sweep.grid, sweep.values):
-        body.append(f"{fmt(g)},{fmt(v) if not np.isnan(v) else 'nan'}")
-    return write_lines(path, header + extra, body)
+    return write_csv(path, [*header, *extra, "grid_value,P_exc"], np.column_stack((sweep.grid, sweep.values)))
 
 
 def write_json(path, payload, header: list[str]) -> Path:

@@ -168,9 +168,9 @@ def build_rate_matrix(
     matrix[cols, rows] = coupled * nbar
     np.fill_diagonal(matrix, -matrix.sum(axis=0))
 
-    mask = np.zeros((d, d), dtype=bool)
-    mask[rows, cols] = mask[cols, rows] = np.asarray(baths.kappas)[sites - 1] > 0
-    np.fill_diagonal(mask, mask.any(axis=0))
+    on_rows, on_cols, touched = _structural_pattern(elems, baths.kappas)
+    mask = np.diag(touched)
+    mask[on_rows, on_cols] = mask[on_cols, on_rows] = True
     return RateMatrix(
         matrix=matrix,
         nonzero_mask=mask,
@@ -179,6 +179,21 @@ def build_rate_matrix(
         kappas=baths.kappas,
         axes=baths.axes,
     )
+
+
+def _structural_pattern(elems: CouplingElements, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The structurally nonzero entries of Lambda, read off the transition table.
+
+    A flip is coupled when its site has kappa > 0; each coupled flip (i, j)
+    gives the two entries (i, j) and (j, i), and a state touched by any
+    coupled flip has a nonzero diagonal entry.  Returns the coupled flips'
+    rows and cols and the touched-state flags.
+    """
+    coupled = np.asarray(kappas)[elems.sites - 1] > 0
+    rows, cols = elems.rows[coupled], elems.cols[coupled]
+    touched = np.zeros(elems.dimension, dtype=bool)
+    touched[rows] = touched[cols] = True
+    return rows, cols, touched
 
 
 def structural_blocks(rates: RateMatrix) -> tuple[tuple[int, ...], ...]:

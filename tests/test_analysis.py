@@ -7,9 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbath import (
     BathConfig,
+    build_rate_matrix,
+    coupling_matrix_elements,
+    decompose_chain,
     PopulationState,
     SweepResult,
     ValidationError,
@@ -78,9 +83,9 @@ class TestZeroCounts:
 
     def test_scaling_reuses_the_accepted_decompositions(self, monkeypatch):
         built = []
-        decompose = analysis.spectral_decomposition
+        decompose = analysis.decompose_chain
         monkeypatch.setattr(
-            analysis, "spectral_decomposition", lambda h: built.append(decompose(h)) or built[-1]
+            analysis, "decompose_chain", lambda spec: built.append(decompose(spec)) or built[-1]
         )
         drawing, scaling = np.random.default_rng(12), np.random.default_rng(12)
         specs = [random_nondegenerate_chain(n, drawing) for n in (2, 3, 4) for _ in range(3)]
@@ -92,6 +97,25 @@ class TestZeroCounts:
         assert drawing.random() == scaling.random()
         accepted = [dec for dec in built if check_degeneracy(dec).nondegenerate]
         assert [dec.dimension for dec in accepted] == [spec.dimension for spec in specs]
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 6))
+    spec = random_nondegenerate_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    kappas = tuple(draw(st.lists(st.sampled_from([0.0, 1e-5, 1.0]), min_size=n, max_size=n)))
+    axes = tuple(draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n)))
+    return spec, BathConfig(temperature=draw(st.sampled_from([0.0, 0.05, 1.0])), kappas=kappas, axes=axes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tables())
+def test_table_zero_count_matches_the_built_rate_matrix(table):
+    spec, baths = table
+    dec = decompose_chain(spec)
+    elems = coupling_matrix_elements(baths, dec)
+    rates = build_rate_matrix(dec, elems, baths)
+    assert analysis._table_zero_count(elems, baths.kappas) == count_structural_zeros(rates)
 
 
 class TestDetailedBalanceAudit:
@@ -178,6 +202,13 @@ class TestSweeps:
         sweep = sweep_coupling(paper_spec, baths, 1, np.array([-1.0, 0.1]), 10.0)
         assert 0 in sweep.errors and "ValidationError" in sweep.errors[0]
         assert np.isnan(sweep.values[0]) and not np.isnan(sweep.values[1])
+
+    def test_non_finite_excitation_is_a_failed_point(self, paper_spec):
+        baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # rates of order 1e200 overflow expm
+            sweep = sweep_coupling(paper_spec, baths, 1, np.array([1.0, 1e200]), 1.0)
+        assert list(sweep.errors) == [1] and "NumericalIntegrityError" in sweep.errors[1]
+        assert np.isnan(sweep.values[1]) and np.isfinite(sweep.values[0])
 
     def test_bath_at_sets_one_axis(self):
         baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y"))

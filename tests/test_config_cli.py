@@ -10,6 +10,7 @@ import pytest
 
 from spinbath import (
     ConfigError,
+    Trajectory,
     build_hamiltonian,
     builtin_config_path,
     cli,
@@ -52,6 +53,23 @@ times = 0:10:11
 t_star = 10
 temperature_grid = 0.1:10:5:log
 kappa_grid = 1e-3:1:5:log
+kappa_site = 1
+"""
+
+
+# Thirteen sites, one past chain.MAX_DENSE_SITES: every command refuses it before
+# building anything of size d x d.
+THIRTEEN_SITES = """
+[chain]
+n = 13
+fields = 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7
+
+[bath]
+temperature = 1.0
+kappas = 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1
+
+[run]
+seed = 1
 kappa_site = 1
 """
 
@@ -205,6 +223,31 @@ class TestCli:
         assert cols["counted"].tolist() == [4.0, 32.0, 176.0]
         assert cols["predicted"].tolist() == [4.0, 32.0, 176.0]
         assert filecmp.cmp(out1 / "zeros_scaling.csv", out2 / "zeros_scaling.csv", shallow=False)
+
+    @pytest.mark.parametrize("command", ["spectrum", "rates", "evolve", "steady", "blocks",
+                                         "sweep-T", "sweep-kappa", "fig2", "zeros-scaling"])
+    def test_every_command_refuses_more_than_twelve_sites(self, command, tmp_path, capsys):
+        path = tmp_path / "n13.cfg"
+        path.write_text(THIRTEEN_SITES)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "zeros-scaling":
+            argv += ["--max-n", "13", "--draws", "1"]
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "CapacityError" and "N <= 12, got N = 13" in record["message"]
+        assert not any((tmp_path / "out").glob("*.csv"))
+
+    def test_non_finite_trajectory_exits_3(self, blocked_cfg, tmp_path, capsys, monkeypatch):
+        def nan_propagation(rates, p0, times):
+            pops = np.full((len(times), rates.dimension), 1.0 / rates.dimension)
+            pops[-1, 0] = np.nan
+            return Trajectory(times=times, populations=pops)
+
+        monkeypatch.setattr(cli, "propagate_populations", nan_propagation)
+        assert main(["evolve", "--config", str(blocked_cfg), "--out", str(tmp_path)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "NumericalIntegrityError" and "non-finite" in record["message"]
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_zeros_scaling_requires_seed(self, blocked_cfg, tmp_path, capsys):
         code = main(["zeros-scaling", "--config", str(blocked_cfg), "--out", str(tmp_path / "z")])

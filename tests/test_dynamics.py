@@ -54,6 +54,11 @@ class TestPopulationState:
         with pytest.raises(ValidationError):
             PopulationState(np.array([1.1, -0.1]))
 
+    def test_rejects_non_finite(self):
+        for p in ([math.nan, 1.0], [math.inf, 0.0], [0.5, 0.5, -math.inf]):
+            with pytest.raises(ValidationError, match="finite"):
+                PopulationState(np.array(p))
+
     def test_basis_and_uniform(self):
         assert PopulationState.basis(4, 2).p[2] == 1.0
         assert np.allclose(PopulationState.uniform(5).p, 0.2)
@@ -126,6 +131,15 @@ class TestPropagatePopulations:
             Trajectory(times=[0.0, 1.0, 2.0], populations=[good, [-0.4, 1.5], negative])
         assert Trajectory(times=[0.0, 1.0], populations=[good, good]).dimension == 2
 
+    def test_earliest_bad_snapshot_reported_non_finite_first(self):
+        good, drifted = [0.5, 0.5], [0.5, 0.6]
+        with pytest.raises(NumericalIntegrityError, match=r"non-finite population at t = 1$"):
+            Trajectory(times=[0.0, 1.0, 2.0], populations=[good, [math.nan, 1.0], drifted])
+        with pytest.raises(NumericalIntegrityError, match=r"non-finite population at t = 1$"):
+            Trajectory(times=[0.0, 1.0], populations=[good, [math.inf, -math.inf]])
+        with pytest.raises(NumericalIntegrityError, match=r"drift 1\.000e-01 at t = 1$"):
+            Trajectory(times=[0.0, 1.0, 2.0], populations=[good, drifted, [math.nan, 1.0]])
+
     def test_time_grid_validation(self, paper_model):
         _, _, rates = paper_model()
         p0 = PopulationState.uniform(4)
@@ -181,6 +195,10 @@ class TestPropagateDensity:
         not_psd = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValidationError):
             propagate_density(superop, not_psd, [1.0])
+        not_finite = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        not_finite[0, 1] = not_finite[1, 0] = math.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            propagate_density(superop, not_finite, [1.0])
 
 
 class TestSteadyStates:
