@@ -19,11 +19,10 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bath import BathConfig, CouplingElements, coupling_matrix_elements
 from .chain import ChainSpec, SpectralDecomposition, check_degeneracy, decompose_chain
-from .dynamics import PopulationState, _as_population, _block_gibbs
+from .dynamics import PopulationState, _as_population, _block_gibbs, expm
 from .errors import NumericalIntegrityError, SpinbathError, ValidationError
 from .generator import RateMatrix, _structural_pattern, build_rate_matrix, structural_blocks
 

@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 configuration/model error, 3 numerical error (a
 numerical-integrity check or a failed linear-algebra routine), 4 output/IO
 error (any OSError, such as an output path that is a file), 5 out of memory.
 Failures print a machine-readable JSON record to stderr.
+
+`spectrum`, `rates`, `steady`, `blocks` and `zeros-scaling` run on numpy
+alone and never import scipy.  `evolve`, `sweep-T`, `sweep-kappa` and `fig2`
+import scipy.linalg on their first matrix exponential (dynamics.expm).
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ stiff when couplings span several decades (kappa = 1e-5 against 1), and the
 exponential route keeps acceptance tests free of integrator tolerances.
 Normalisation and positivity are asserted at every snapshot (once, when the
 Trajectory is built), never silently repaired.
+
+scipy is loaded only by the first call of `expm`, i.e. on the first
+propagation (`evolve`, `fig2`, the sweeps, the Lindblad oracle).  Steady
+states need no linear algebra, so `steady`, like every other structure
+command, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,16 +18,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
-from .chain import SpectralDecomposition
-from .errors import NumericalIntegrityError, ValidationError
+from .chain import MAX_DENSE_SITES, SpectralDecomposition
+from .errors import CapacityError, NumericalIntegrityError, ValidationError
 from .generator import LindbladSuperoperator, RateMatrix, structural_blocks, unvectorize, vectorize
 
 # Construction-time tolerance for a population vector, and the looser drift
 # budget allowed to the matrix exponential during propagation.
 STATE_TOL = 1e-10
 DRIFT_TOL = 1e-8
+
+_scipy_expm = None
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on the first call.
+
+    Importing scipy.linalg costs more than half of a cold start of the CLI,
+    which commands that never propagate should not pay.
+    """
+    global _scipy_expm
+    if _scipy_expm is None:
+        from scipy.linalg import expm as _scipy_expm
+    return _scipy_expm(a)
 
 
 @dataclass(frozen=True)
@@ -106,7 +124,14 @@ class Trajectory:
 
 
 def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
-    """Evolve a population vector through exp(Lambda t) on the given grid."""
+    """Evolve a population vector through exp(Lambda t) on the given grid.
+
+    Refused beyond 2^MAX_DENSE_SITES states before anything is allocated.
+    """
+    if rates.dimension > 2**MAX_DENSE_SITES:
+        raise CapacityError(
+            f"dense propagation limited to d <= 2^{MAX_DENSE_SITES}, got d = {rates.dimension}"
+        )
     p = _as_population(p0)
     if p.size != rates.dimension:
         raise ValidationError("initial state dimension does not match the rate matrix")

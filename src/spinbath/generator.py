@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import BathConfig, CouplingElements, bose_einstein, spectral_density
-from .chain import DEGENERACY_TOL, SpectralDecomposition, check_degeneracy
-from .errors import CapacityError, DegenerateGapError, ValidationError
+from .chain import DEGENERACY_TOL, MAX_DENSE_SITES, SpectralDecomposition, check_degeneracy
+from .errors import CapacityError, DegenerateGapError, NumericalIntegrityError, ValidationError
 
 RATE_MATRIX_TOL = 1e-12
 # The oracle is a dense d^4 complex matrix: 16.8 MB at N = 5, 268 MB at N = 6.
@@ -151,22 +151,36 @@ def build_rate_matrix(
     diagonal is minus each column's sum, the total outflow, which for the
     ground and top states reduces to pure gain and pure damping.  A pair is
     structurally nonzero when its site has kappa^(n) > 0.
+
+    Refused beyond 2^MAX_DENSE_SITES states before anything is allocated,
+    and refused with NumericalIntegrityError when a rate or a total outflow
+    is not finite (kappa * omega beyond double range).
     """
+    d = dec.dimension
+    if d > 2**MAX_DENSE_SITES:
+        raise CapacityError(f"dense rate matrix limited to d <= 2^{MAX_DENSE_SITES}, got d = {d}")
     _require_nondegenerate(dec)
     _check_bath(dec, elems, baths)
-    d = dec.dimension
     rows, cols, sites = elems.rows, elems.cols, elems.sites
     omega = dec.energies[cols] - dec.energies[rows]
     nbar = np.array([bose_einstein(w, baths.temperature) for w in omega.tolist()])
     coupled = np.empty(omega.size)
-    for n in range(1, baths.n_sites + 1):
-        flips = sites == n
-        coupled[flips] = spectral_density(baths, n, omega[flips])
-
     matrix = np.zeros((d, d))
-    matrix[rows, cols] = coupled * (1.0 + nbar)
-    matrix[cols, rows] = coupled * nbar
-    np.fill_diagonal(matrix, -matrix.sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        for n in range(1, baths.n_sites + 1):
+            flips = sites == n
+            coupled[flips] = spectral_density(baths, n, omega[flips])
+        matrix[rows, cols] = coupled * (1.0 + nbar)
+        matrix[cols, rows] = coupled * nbar
+        outflow = matrix.sum(axis=0)
+    # rates are nonnegative, so a column sum is finite iff every rate in it is
+    bad = np.flatnonzero(~np.isfinite(outflow))
+    if bad.size:
+        j = bad[0]
+        raise NumericalIntegrityError(
+            f"non-finite rates: total outflow of level {j + 1} is {float(outflow[j])}"
+        )
+    np.fill_diagonal(matrix, -outflow)
 
     on_rows, on_cols, touched = _structural_pattern(elems, baths.kappas)
     mask = np.diag(touched)
@@ -201,14 +215,27 @@ def structural_blocks(rates: RateMatrix) -> tuple[tuple[int, ...], ...]:
 
     Edges are undirected: (i, j) is linked iff either rate between the two
     states is structurally nonzero.  Blocks are ordered by smallest member.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
 
-    n_comp, labels = connected_components(csr_matrix(rates.nonzero_mask), directed=False)
-    blocks = [tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)]
-    blocks.sort(key=lambda b: b[0])
-    return tuple(blocks)
+    Found with numpy alone, so `steady` and `blocks` load no scipy.  From
+    the nonzeros of the dense mask, every state repeatedly takes the
+    smallest label among itself and its neighbours, then its label's label
+    (pointer jumping).  A label is always a state of the same component no
+    larger than the state itself, so at the fixed point every state is
+    labelled with the smallest member of its block.
+    """
+    rows, cols = np.nonzero(rates.nonzero_mask)
+    labels = np.arange(rates.dimension)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, rows, labels[cols])
+        np.minimum.at(hooked, cols, labels[rows])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return tuple(tuple(block.tolist()) for block in np.split(order, cuts))
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from spinbath import (
     BathConfig,
@@ -77,3 +79,10 @@ def random_density(rng: np.random.Generator, dimension: int) -> np.ndarray:
     g = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def csgraph_blocks(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Oracle for structural_blocks: scipy's connected components of the
+    undirected mask graph, ordered by smallest member."""
+    n_comp, labels = connected_components(csr_matrix(mask), directed=False)
+    return tuple(sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)))

@@ -33,6 +33,8 @@ from spinbath import (
 )
 from spinbath import analysis
 
+from conftest import csgraph_blocks
+
 
 class TestConnectivityBlocks:
     def test_connected(self, paper_model):
@@ -116,6 +118,15 @@ def test_table_zero_count_matches_the_built_rate_matrix(table):
     elems = coupling_matrix_elements(baths, dec)
     rates = build_rate_matrix(dec, elems, baths)
     assert analysis._table_zero_count(elems, baths.kappas) == count_structural_zeros(rates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tables())
+def test_blocks_equal_csgraph_on_random_chains(table):
+    spec, baths = table
+    dec = decompose_chain(spec)
+    rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+    assert connectivity_blocks(rates).blocks == csgraph_blocks(rates.nonzero_mask)
 
 
 class TestDetailedBalanceAudit:
@@ -208,6 +219,14 @@ class TestSweeps:
         with np.errstate(over="ignore", invalid="ignore"):  # rates of order 1e200 overflow expm
             sweep = sweep_coupling(paper_spec, baths, 1, np.array([1.0, 1e200]), 1.0)
         assert list(sweep.errors) == [1] and "NumericalIntegrityError" in sweep.errors[1]
+        assert np.isnan(sweep.values[1]) and np.isfinite(sweep.values[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_rates_are_a_failed_point(self, paper_spec):
+        baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
+        sweep = sweep_coupling(paper_spec, baths, 1, np.array([1.0, 1e308]), 1.0)
+        assert list(sweep.errors) == [1]
+        assert sweep.errors[1].startswith("NumericalIntegrityError: non-finite rates")
         assert np.isnan(sweep.values[1]) and np.isfinite(sweep.values[0])
 
     def test_bath_at_sets_one_axis(self):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,23 @@ kappas = 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1
 [run]
 seed = 1
 kappa_site = 1
+"""
+
+
+# Runs the given commands in order in one fresh interpreter and prints last, as JSON,
+# the scipy modules loaded after each.
+COLD_START = """
+import json, sys
+from spinbath import cli
+loaded = {}
+for command in sys.argv[2:]:
+    argv = [command, "--config", "ising2_paper", "--out", sys.argv[1]]
+    if command == "zeros-scaling":
+        argv += ["--max-n", "4", "--draws", "1", "--seed", "1"]
+    if cli.main(argv) != 0:
+        sys.exit(f"{command} failed")
+    loaded[command] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps(loaded))
 """
 
 
@@ -248,6 +269,35 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "NumericalIntegrityError" and "non-finite" in record["message"]
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_rates_exit_3_and_fail_a_sweep_point(self, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        huge = BLOCKED.replace("kappas = 0, 1.0", "kappas = 1e308, 1.0")
+        path.write_text(huge + "kappa_grid = 1:1e308:2:log\n")
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(path), "--out", str(out)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "NumericalIntegrityError" and record["exit_code"] == 3
+        assert record["message"].startswith("non-finite rates")
+        assert not (out / "rates.csv").exists()
+        assert main(["sweep-kappa", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "sweep_kappa.csv").read_text().splitlines()
+        failed = [line for line in lines if "failed_point" in line]
+        assert len(failed) == 1
+        assert "index=1" in failed[0] and "NumericalIntegrityError: non-finite rates" in failed[0]
+
+    def test_structure_commands_never_load_scipy(self, tmp_path):
+        structure = ["spectrum", "rates", "steady", "blocks", "zeros-scaling"]
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path), *structure, "evolve"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout.splitlines()[-1])  # after the paths cli.main prints
+        assert {command: loaded[command] for command in structure} == {command: [] for command in structure}
+        assert "scipy.linalg" in loaded["evolve"]
 
     def test_zeros_scaling_requires_seed(self, blocked_cfg, tmp_path, capsys):
         code = main(["zeros-scaling", "--config", str(blocked_cfg), "--out", str(tmp_path / "z")])

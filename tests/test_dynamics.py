@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,11 @@ from scipy.linalg import null_space
 
 from spinbath import (
     BathConfig,
+    CapacityError,
     NumericalIntegrityError,
     PopulationState,
     ChainSpec,
+    RateMatrix,
     Trajectory,
     ValidationError,
     build_hamiltonian,
@@ -87,6 +90,22 @@ class TestPropagatePopulations:
         analytic = fixed_point * -math.expm1(-(5 / 3) * (2 * nbar + 1) * 10.0)
         assert excitation_probability(traj)[0] == pytest.approx(analytic, abs=1e-3)
         assert excitation_probability(traj)[0] == pytest.approx(0.458, abs=1e-2)
+
+    def test_capacity_guard_before_allocation(self):
+        # a synthetic 2^13-level generator, a zero-stride view: nothing of size d x d exists
+        d = 2**13
+        rates = RateMatrix(matrix=np.broadcast_to(0.0, (d, d)), nonzero_mask=np.broadcast_to(False, (d, d)),
+                           energies=np.arange(d, dtype=float), temperature=1.0,
+                           kappas=(1.0,) * 13, axes=("x",) * 13)
+        p0 = PopulationState.basis(d, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"d <= 2\^12, got d = 8192"):
+                propagate_populations(rates, p0, np.linspace(0.0, 1.0, 201))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(41)
@@ -312,6 +331,17 @@ def test_steady_states_match_the_null_space_oracle(rates):
             oracle[list(block)] = kernel[:, 0] / kernel[:, 0].sum()
             assert np.max(np.abs(state.p - oracle)) <= 1e-9
         assert np.max(np.abs(rates.matrix @ state.p)) <= 8 * EPS * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_rates(), st.integers(0, 2**32 - 1))
+def test_block_weights_are_conserved_by_propagation(rates, seed):
+    """No rate crosses a structural block, so each block keeps its initial weight."""
+    p0 = np.random.default_rng(seed).dirichlet(np.ones(rates.dimension))
+    traj = propagate_populations(rates, p0, [0.0, 0.1, 1.0, 10.0, 100.0])
+    for block in structural_blocks(rates):
+        weights = traj.populations[:, list(block)].sum(axis=1)
+        assert np.max(np.abs(weights - p0[list(block)].sum())) <= 1e-12
 
 
 class TestGibbsState:

@@ -16,12 +16,16 @@ from spinbath import (
     CapacityError,
     ChainSpec,
     DegenerateGapError,
+    NumericalIntegrityError,
+    RateMatrix,
+    SpectralDecomposition,
     build_hamiltonian,
     build_jump_operators,
     build_lindblad_superoperator,
     build_rate_matrix,
     check_degeneracy,
     coupling_matrix_elements,
+    decompose_chain,
     gibbs_state,
     random_nondegenerate_chain,
     spectral_decomposition,
@@ -30,7 +34,7 @@ from spinbath import (
     vectorize,
 )
 
-from conftest import random_density
+from conftest import csgraph_blocks, random_density
 
 
 def _elems(dec, kappas, temperature=1.0, axes=()):
@@ -163,6 +167,58 @@ class TestRateMatrix:
         _, _, hot = paper_model(kappas=(1e-5, 1.0), temperature=100.0)
         assert np.array_equal(cold.nonzero_mask, hot.nonzero_mask)
         assert np.all(cold.nonzero_mask.sum(axis=1) == 3)  # 1e-5 still structurally couples
+
+
+class TestRateMatrixRefusals:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    @pytest.mark.parametrize("kappa", [1e308, math.inf, math.nan])
+    def test_non_finite_rates_refused_without_warnings(self, paper_dec, kappa, temperature):
+        # kappa * omega overflows at 1e308; inf * 0 occupation is NaN at T = 0
+        cfg, elems = _elems(paper_dec, (kappa, 1.0), temperature)
+        with pytest.raises(NumericalIntegrityError, match="non-finite rates: total outflow of level 1"):
+            build_rate_matrix(paper_dec, elems, cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_rates_whose_outflow_overflows_refused(self):
+        # uncoupled fields: the top level decays by gaps 2, 1.8 and 1.6, each rate
+        # below the double range at kappa = 4e307, their sum 2.16e308 beyond it
+        dec = decompose_chain(ChainSpec(3, (1.0, 0.9, 0.8)))
+        cfg, elems = _elems(dec, (4e307,) * 3, 0.0)
+        with pytest.raises(NumericalIntegrityError, match="level 8 is inf"):
+            build_rate_matrix(dec, elems, cfg)
+
+    def test_capacity_guard_before_allocation(self):
+        # a synthetic 2^13-level spectrum: the 512 MiB matrix must never be allocated
+        d = 2**13
+        dec = SpectralDecomposition(energies=np.arange(d) * 1e-3, basis=np.arange(d))
+        cfg, elems = _elems(dec, (1.0,) * 13)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"d <= 2\^12, got d = 8192"):
+                build_rate_matrix(dec, elems, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+@st.composite
+def _symmetric_masks(draw):
+    d = draw(st.integers(1, 40))
+    mask = np.zeros((d, d), dtype=bool)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), max_size=2 * d)):
+        mask[i, j] = mask[j, i] = True
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_masks())
+def test_blocks_equal_csgraph_on_random_masks(mask):
+    d = mask.shape[0]
+    rates = RateMatrix(matrix=np.zeros((d, d)), nonzero_mask=mask, energies=np.arange(d, dtype=float),
+                       temperature=1.0, kappas=(1.0,), axes=("x",))
+    assert structural_blocks(rates) == csgraph_blocks(mask)
 
 
 class TestLindbladSuperoperator:
