@@ -1,16 +1,18 @@
 """Structural and statistical analysis of the rate dynamics.
 
-Covers block/connectivity detection on the structural mask, the late-time
+Covers block/connectivity detection on the transition table, the late-time
 state predicted from block weights and the restricted Gibbs vectors (the same
 vectors, from the same partition, that dynamics.steady_states returns), the
 zeros scaling law, a detailed-balance audit, parameter sweeps of the
 excitation probability, and the slope locator for the thermal transition
 temperature.
 
-Blocks are always computed from the structural mask (the kappa and
-coupling-element pattern), not from float thresholds: a kappa of 1e-5 is
-structurally connected but dynamically slow, and that distinction is exactly
-what the blocking phenomenology exploits.
+Blocks are always computed from the transition table (the coupled flips,
+those of sites with kappa > 0), never from rate values or float thresholds: a
+kappa of 1e-5 is structurally connected but dynamically slow, and that
+distinction is exactly what the blocking phenomenology exploits.  The table's
+coupled flips are the off-diagonal pattern of the rate-matrix mask, so blocks
+and steady states need no rate matrix.
 """
 
 from __future__ import annotations
@@ -24,18 +26,18 @@ from .bath import BathConfig, CouplingElements, coupling_matrix_elements
 from .chain import ChainSpec, SpectralDecomposition, check_degeneracy, decompose_chain
 from .dynamics import PopulationState, _as_population, _block_gibbs, expm
 from .errors import NumericalIntegrityError, SpinbathError, ValidationError
-from .generator import RateMatrix, _structural_pattern, build_rate_matrix, structural_blocks
+from .generator import RateMatrix, _structural_pattern, build_rate_matrix
 
 MAX_CHAIN_DRAWS = 1000
 
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Decoupled energy subspaces of a rate matrix.
+    """Decoupled energy subspaces of the structural transition graph.
 
     blocks are disjoint 0-based index tuples covering all states, ordered by
     smallest member; restricted_gibbs[b] is the thermal vector of block b at
-    the build temperature, embedded in the full dimension.
+    the bath temperature, embedded in the full dimension.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -47,11 +49,13 @@ class BlockPartition:
         return len(self.blocks)
 
 
-def connectivity_blocks(rates: RateMatrix) -> BlockPartition:
-    """Partition the states into the connected components of the structural graph."""
-    blocks = structural_blocks(rates)
-    gibbs = _block_gibbs(rates, blocks)
-    return BlockPartition(blocks=blocks, restricted_gibbs=gibbs, temperature=rates.temperature)
+def connectivity_blocks(dec: SpectralDecomposition, elems: CouplingElements,
+                        baths: BathConfig) -> BlockPartition:
+    """Partition the states into the connected components of the structural
+    graph of the transition table, each with its restricted Gibbs vector at
+    the bath temperature; no rate matrix is built."""
+    blocks, gibbs = _block_gibbs(dec, elems, baths)
+    return BlockPartition(blocks=blocks, restricted_gibbs=gibbs, temperature=baths.temperature)
 
 
 def predicted_zero_count(n_sites: int) -> int:

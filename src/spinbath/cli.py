@@ -5,6 +5,12 @@ numerical-integrity check or a failed linear-algebra routine), 4 output/IO
 error (any OSError, such as an output path that is a file), 5 out of memory.
 Failures print a machine-readable JSON record to stderr.
 
+`steady` and `blocks` read only the transition table: which sites have
+kappa > 0, and at T = 0 which downhill J(omega) are 0.0.  Their results do not
+depend on rate magnitudes, so a kappa whose rates overflow (kappa = 1e308 on a
+gap above 1.8) makes `rates`, `evolve` and `fig2` exit 3 but `steady` and
+`blocks` exit 0 with the output of any other positive kappa.
+
 `spectrum`, `rates`, `steady`, `blocks` and `zeros-scaling` run on numpy
 alone and never import scipy.  `evolve`, `sweep-T`, `sweep-kappa` and `fig2`
 import scipy.linalg on their first matrix exponential (dynamics.expm).
@@ -62,11 +68,14 @@ def _header(cfg: RunConfig, command: str) -> list[str]:
     return export.provenance_lines(command, cfg.source_hash, _echo(cfg, command))
 
 
-def _build_all(cfg: RunConfig):
+def _table(cfg: RunConfig):
     dec = decompose_chain(cfg.chain)
-    elems = coupling_matrix_elements(cfg.bath, dec)
-    rates = build_rate_matrix(dec, elems, cfg.bath)
-    return dec, elems, rates
+    return dec, coupling_matrix_elements(cfg.bath, dec)
+
+
+def _build_all(cfg: RunConfig):
+    dec, elems = _table(cfg)
+    return dec, elems, build_rate_matrix(dec, elems, cfg.bath)
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
@@ -110,16 +119,15 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _cmd_steady(cfg: RunConfig, out: Path) -> list[Path]:
-    _, _, rates = _build_all(cfg)
-    states = [state.p for state in steady_states(rates)]
-    names = "block," + ",".join(f"p_{i + 1}" for i in range(rates.dimension))
+    dec, elems = _table(cfg)
+    states = [state.p for state in steady_states(dec, elems, cfg.bath)]
+    names = "block," + ",".join(f"p_{i + 1}" for i in range(dec.dimension))
     labels = np.arange(1, len(states) + 1)[:, None]
     return [export.write_csv(out / "steady.csv", [*_header(cfg, "steady"), names], labels, np.array(states))]
 
 
 def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
-    _, _, rates = _build_all(cfg)
-    partition = analysis.connectivity_blocks(rates)
+    partition = analysis.connectivity_blocks(*_table(cfg), cfg.bath)
     payload = [[i + 1 for i in block] for block in partition.blocks]
     return [export.write_json(out / "blocks.json", payload, _header(cfg, "blocks"))]
 

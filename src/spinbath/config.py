@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -181,9 +182,12 @@ class _Sections:
                 self._fail(section, key, "a number", "key is required")
             return default
         try:
-            return float(raw if not isinstance(raw, str) else raw.strip())
+            value = float(raw if not isinstance(raw, str) else raw.strip())
         except (TypeError, ValueError):
             self._fail(section, key, "a number", f"got {raw!r}")
+        if not math.isfinite(value):
+            self._fail(section, key, "a finite number", f"got {raw!r}")
+        return value
 
     def get_str(self, section, key, default=None, required=False):
         raw = self.raw(section, key)
@@ -201,9 +205,12 @@ class _Sections:
             return default
         items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
         try:
-            return tuple(float(x) for x in items)
+            values = tuple(float(x) for x in items)
         except (TypeError, ValueError):
             self._fail(section, key, "a comma-separated list of numbers", f"got {raw!r}")
+        if not all(math.isfinite(v) for v in values):
+            self._fail(section, key, "a comma-separated list of finite numbers", f"got {raw!r}")
+        return values
 
     def get_grid(self, section, key, default: str):
         raw = self.raw(section, key, default)
@@ -224,6 +231,8 @@ class _Sections:
             self._fail(section, key, "a start:stop:count[:linear|log] grid", f"got {raw!r}")
         except ConfigError as exc:
             self._fail(section, key, "a valid grid", str(exc))
+        if not (math.isfinite(grid.start) and math.isfinite(grid.stop)):
+            self._fail(section, key, "a grid with finite bounds", f"got {raw!r}")
         return grid
 
 
@@ -263,6 +272,8 @@ def _parse_couplings(sections: _Sections) -> tuple[tuple[int, int, float], ...]:
             couplings.append((int(m.group(1)), int(m.group(2)), float(m.group(3))))
         except ValueError:
             sections._fail("chain", "couplings", "a numeric coupling strength", f"got {item!r}")
+        if not math.isfinite(couplings[-1][2]):
+            sections._fail("chain", "couplings", "a finite coupling strength", f"got {item!r}")
     return tuple(couplings)
 
 

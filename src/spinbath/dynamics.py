@@ -9,8 +9,8 @@ Trajectory is built), never silently repaired.
 
 scipy is loaded only by the first call of `expm`, i.e. on the first
 propagation (`evolve`, `fig2`, the sweeps, the Lindblad oracle).  Steady
-states need no linear algebra, so `steady`, like every other structure
-command, runs on numpy alone.
+states need neither linear algebra nor a rate matrix, only the transition
+table, so `steady`, like every other structure command, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -19,9 +19,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bath import BathConfig, CouplingElements
 from .chain import MAX_DENSE_SITES, SpectralDecomposition
 from .errors import CapacityError, NumericalIntegrityError, ValidationError
-from .generator import LindbladSuperoperator, RateMatrix, structural_blocks, unvectorize, vectorize
+from .generator import (
+    LindbladSuperoperator,
+    RateMatrix,
+    _check_bath,
+    _flip_densities,
+    _require_nondegenerate,
+    structural_blocks,
+    unvectorize,
+    vectorize,
+)
 
 # Construction-time tolerance for a population vector, and the looser drift
 # budget allowed to the matrix exponential during propagation.
@@ -218,41 +228,56 @@ def _thermal_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _block_gibbs(rates: RateMatrix, blocks: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
-    """The restricted Gibbs vector of each block, embedded in the full dimension."""
+def _block_gibbs(dec: SpectralDecomposition, elems: CouplingElements,
+                 baths: BathConfig) -> tuple[tuple[tuple[int, ...], ...], tuple[np.ndarray, ...]]:
+    """The structural blocks of the table and the restricted Gibbs vector of
+    each, embedded in the full dimension.  Refuses a degenerate spectrum and
+    a bath that does not match the table, as `build_rate_matrix` does, and a
+    NaN kappa, which the rates refuse as non-finite but which would leave its
+    site silently decoupled here (NaN > 0 is false)."""
+    _require_nondegenerate(dec)
+    _check_bath(dec, elems, baths)
+    if np.isnan(baths.kappas).any():
+        raise NumericalIntegrityError(f"kappa is NaN: {baths.kappas}")
+    blocks = structural_blocks(elems, baths.kappas)
     vectors = []
     for block in blocks:
-        full = np.zeros(rates.dimension)
+        full = np.zeros(dec.dimension)
         idx = np.asarray(block)
-        full[idx] = _thermal_weights(rates.energies[idx], rates.temperature)
+        full[idx] = _thermal_weights(dec.energies[idx], baths.temperature)
         vectors.append(full)
-    return tuple(vectors)
+    return blocks, tuple(vectors)
 
 
-def steady_states(rates: RateMatrix) -> list[PopulationState]:
+def steady_states(dec: SpectralDecomposition, elems: CouplingElements,
+                  baths: BathConfig) -> list[PopulationState]:
     """One stationary population vector per decoupled structural block.
 
-    Each block of `structural_blocks(rates)` relaxes to its restricted Gibbs
-    vector.  Lambda obeys detailed balance and a block is connected, so that
-    vector is the block's exact and only kernel vector (Schnakenberg, Rev.
-    Mod. Phys. 48, 571 (1976)); no linear algebra is needed.
+    Each block of `structural_blocks(elems, baths.kappas)` relaxes to its
+    restricted Gibbs vector.  Lambda obeys detailed balance and a block is
+    connected, so that vector is the block's exact and only kernel vector
+    (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)).  Neither the blocks nor
+    the vectors depend on rate magnitudes, so no rate matrix is built.
 
     At T = 0 no rate leads uphill, and a state is absorbing exactly when its
-    total outflow -Lambda[j, j] is 0.0, i.e. when it has no downhill flip on a
-    site with kappa > 0.  The block's lowest level is always absorbing, and a
-    block holding several absorbing local minima has a kernel of that
-    dimension and no unique steady state: NumericalIntegrityError.
+    summed downhill J(omega) over the table is 0.0, i.e. when it has no
+    downhill flip on a site with kappa * omega > 0 (bit for bit the test
+    -Lambda[j, j] == 0.0 on the built matrix).  The block's lowest level is
+    always absorbing, and a block holding several absorbing local minima has
+    a kernel of that dimension and no unique steady state:
+    NumericalIntegrityError.
     """
-    blocks = structural_blocks(rates)
-    if rates.temperature == 0.0:
-        absorbing = np.diagonal(rates.matrix) == 0.0
+    blocks, vectors = _block_gibbs(dec, elems, baths)
+    if baths.temperature == 0.0:
+        _, density = _flip_densities(dec, elems, baths)
+        absorbing = np.bincount(elems.cols, weights=density, minlength=dec.dimension) == 0.0
         for block in blocks:
             k = np.count_nonzero(absorbing[list(block)])
             if k > 1:
                 raise NumericalIntegrityError(
                     f"block {tuple(i + 1 for i in block)} has kernel dimension {k}, expected 1"
                 )
-    return [PopulationState(v) for v in _block_gibbs(rates, blocks)]
+    return [PopulationState(v) for v in vectors]
 
 
 def gibbs_state(dec: SpectralDecomposition, temperature: float) -> PopulationState:

@@ -161,15 +161,11 @@ def build_rate_matrix(
         raise CapacityError(f"dense rate matrix limited to d <= 2^{MAX_DENSE_SITES}, got d = {d}")
     _require_nondegenerate(dec)
     _check_bath(dec, elems, baths)
-    rows, cols, sites = elems.rows, elems.cols, elems.sites
-    omega = dec.energies[cols] - dec.energies[rows]
+    rows, cols = elems.rows, elems.cols
+    omega, coupled = _flip_densities(dec, elems, baths)
     nbar = np.array([bose_einstein(w, baths.temperature) for w in omega.tolist()])
-    coupled = np.empty(omega.size)
     matrix = np.zeros((d, d))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        for n in range(1, baths.n_sites + 1):
-            flips = sites == n
-            coupled[flips] = spectral_density(baths, n, omega[flips])
         matrix[rows, cols] = coupled * (1.0 + nbar)
         matrix[cols, rows] = coupled * nbar
         outflow = matrix.sum(axis=0)
@@ -195,6 +191,20 @@ def build_rate_matrix(
     )
 
 
+def _flip_densities(dec: SpectralDecomposition, elems: CouplingElements,
+                    baths: BathConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The gap omega and the spectral density J^(n)(omega) of every row of the
+    transition table.  J overflows to inf when kappa * omega is beyond double
+    range; callers decide whether that matters."""
+    omega = dec.energies[elems.cols] - dec.energies[elems.rows]
+    density = np.empty(omega.size)
+    with np.errstate(over="ignore"):
+        for n in range(1, baths.n_sites + 1):
+            flips = elems.sites == n
+            density[flips] = spectral_density(baths, n, omega[flips])
+    return omega, density
+
+
 def _structural_pattern(elems: CouplingElements, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The structurally nonzero entries of Lambda, read off the transition table.
 
@@ -210,21 +220,22 @@ def _structural_pattern(elems: CouplingElements, kappas) -> tuple[np.ndarray, np
     return rows, cols, touched
 
 
-def structural_blocks(rates: RateMatrix) -> tuple[tuple[int, ...], ...]:
+def structural_blocks(elems: CouplingElements, kappas) -> tuple[tuple[int, ...], ...]:
     """Connected components of the structural transition graph.
 
-    Edges are undirected: (i, j) is linked iff either rate between the two
-    states is structurally nonzero.  Blocks are ordered by smallest member.
+    The edges are the coupled flips of the transition table (those of sites
+    with kappa > 0, `_structural_pattern`), taken undirected; they are the
+    off-diagonal pattern of the rate-matrix mask, so no rate matrix is
+    needed.  Blocks are ordered by smallest member.
 
-    Found with numpy alone, so `steady` and `blocks` load no scipy.  From
-    the nonzeros of the dense mask, every state repeatedly takes the
-    smallest label among itself and its neighbours, then its label's label
-    (pointer jumping).  A label is always a state of the same component no
-    larger than the state itself, so at the fixed point every state is
-    labelled with the smallest member of its block.
+    Found with numpy alone, so `steady` and `blocks` load no scipy.  Every
+    state repeatedly takes the smallest label among itself and its
+    neighbours, then its label's label (pointer jumping).  A label is always
+    a state of the same component no larger than the state itself, so at the
+    fixed point every state is labelled with the smallest member of its block.
     """
-    rows, cols = np.nonzero(rates.nonzero_mask)
-    labels = np.arange(rates.dimension)
+    rows, cols, _ = _structural_pattern(elems, kappas)
+    labels = np.arange(elems.dimension)
     while True:
         hooked = labels.copy()
         np.minimum.at(hooked, rows, labels[cols])

@@ -16,6 +16,7 @@ from spinbath import (
     coupling_matrix_elements,
     spectral_decomposition,
 )
+from spinbath.dynamics import _thermal_weights
 
 H2 = 0.5
 DELTA = 1.0 / 3.0
@@ -53,14 +54,24 @@ def paper_dec(paper_spec):
 
 
 @pytest.fixture
-def paper_model(paper_dec):
-    """Factory building (dec, elems, rates) for chosen couplings and temperature."""
+def paper_table(paper_dec):
+    """Factory building (dec, elems, baths), what steady_states and
+    connectivity_blocks take, for chosen couplings and temperature."""
 
     def build(kappas=(1.0, 1.0), temperature=1.0):
         baths = BathConfig(temperature=temperature, kappas=kappas)
-        elems = coupling_matrix_elements(baths, paper_dec)
-        rates = build_rate_matrix(paper_dec, elems, baths)
-        return paper_dec, elems, rates
+        return paper_dec, coupling_matrix_elements(baths, paper_dec), baths
+
+    return build
+
+
+@pytest.fixture
+def paper_model(paper_table):
+    """Factory building (dec, elems, rates) for chosen couplings and temperature."""
+
+    def build(kappas=(1.0, 1.0), temperature=1.0):
+        dec, elems, baths = paper_table(kappas, temperature)
+        return dec, elems, build_rate_matrix(dec, elems, baths)
 
     return build
 
@@ -86,3 +97,21 @@ def csgraph_blocks(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
     undirected mask graph, ordered by smallest member."""
     n_comp, labels = connected_components(csr_matrix(mask), directed=False)
     return tuple(sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)))
+
+
+def dense_steady_vectors(rates) -> list[np.ndarray] | None:
+    """Oracle for steady_states: the dense path it replaced.  Blocks are the
+    csgraph components of the built mask, each with its restricted Gibbs
+    vector; at T = 0 a state is absorbing when -Lambda[j, j] == 0.0, and None
+    stands for a refusal, a block with two absorbing states."""
+    blocks = csgraph_blocks(rates.nonzero_mask)
+    if rates.temperature == 0.0:
+        absorbing = np.diagonal(rates.matrix) == 0.0
+        if any(np.count_nonzero(absorbing[list(block)]) > 1 for block in blocks):
+            return None
+    vectors = []
+    for block in blocks:
+        vector = np.zeros(rates.dimension)
+        vector[list(block)] = _thermal_weights(rates.energies[list(block)], rates.temperature)
+        vectors.append(vector)
+    return vectors

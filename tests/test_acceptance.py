@@ -96,10 +96,11 @@ def test_criterion_3_blocking_both_extremes(paper_dec):
         times = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 30)])
         p0 = PopulationState.basis(4, 2)
         for temperature in (0.01, 100.0):
-            _, rates = build(paper_dec, (0.0, 1.0), temperature)
+            elems, rates = build(paper_dec, (0.0, 1.0), temperature)
             traj = propagate_populations(rates, p0, times)
             assert np.max(np.abs(traj.populations[:, :2])) < 1e-12
-            prediction = restricted_gibbs_prediction(connectivity_blocks(rates), p0)
+            baths = BathConfig(temperature=temperature, kappas=(0.0, 1.0))
+            prediction = restricted_gibbs_prediction(connectivity_blocks(paper_dec, elems, baths), p0)
             assert np.max(np.abs(traj.populations[-1] - prediction.p)) < 1e-6
 
 

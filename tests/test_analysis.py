@@ -7,11 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinbath import (
     BathConfig,
+    ChainSpec,
+    NumericalIntegrityError,
     build_rate_matrix,
     coupling_matrix_elements,
     decompose_chain,
@@ -27,31 +29,28 @@ from spinbath import (
     predicted_zero_count,
     random_nondegenerate_chain,
     restricted_gibbs_prediction,
+    steady_states,
     sweep_coupling,
     sweep_temperature,
     zeros_scaling,
 )
 from spinbath import analysis
 
-from conftest import csgraph_blocks
+from conftest import csgraph_blocks, dense_steady_vectors
 
 
 class TestConnectivityBlocks:
-    def test_connected(self, paper_model):
-        _, _, rates = paper_model(kappas=(1.0, 1.0))
-        assert connectivity_blocks(rates).blocks == ((0, 1, 2, 3),)
+    def test_connected(self, paper_table):
+        assert connectivity_blocks(*paper_table(kappas=(1.0, 1.0))).blocks == ((0, 1, 2, 3),)
 
-    def test_decoupled_pairs(self, paper_model):
-        _, _, rates = paper_model(kappas=(0.0, 1.0))
-        assert connectivity_blocks(rates).blocks == ((0, 1), (2, 3))
+    def test_decoupled_pairs(self, paper_table):
+        assert connectivity_blocks(*paper_table(kappas=(0.0, 1.0))).blocks == ((0, 1), (2, 3))
 
-    def test_fully_decoupled(self, paper_model):
-        _, _, rates = paper_model(kappas=(0.0, 0.0))
-        assert connectivity_blocks(rates).blocks == ((0,), (1,), (2,), (3,))
+    def test_fully_decoupled(self, paper_table):
+        assert connectivity_blocks(*paper_table(kappas=(0.0, 0.0))).blocks == ((0,), (1,), (2,), (3,))
 
-    def test_restricted_gibbs_vectors(self, paper_model):
-        _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
-        partition = connectivity_blocks(rates)
+    def test_restricted_gibbs_vectors(self, paper_table):
+        partition = connectivity_blocks(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
         low = 1.0 / (1.0 + math.exp(-5 / 3))
         assert partition.restricted_gibbs[0] == pytest.approx([low, 1 - low, 0, 0], abs=1e-12)
 
@@ -105,9 +104,13 @@ class TestZeroCounts:
 def _tables(draw):
     n = draw(st.integers(1, 6))
     spec = random_nondegenerate_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    # five times stronger couplings make glassy landscapes with several local minima
+    scale = draw(st.sampled_from([1.0, 5.0]))
+    spec = replace(spec, couplings=tuple((a, b, scale * delta) for a, b, delta in spec.couplings))
+    assume(check_degeneracy(decompose_chain(spec)).nondegenerate)
     kappas = tuple(draw(st.lists(st.sampled_from([0.0, 1e-5, 1.0]), min_size=n, max_size=n)))
     axes = tuple(draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n)))
-    return spec, BathConfig(temperature=draw(st.sampled_from([0.0, 0.05, 1.0])), kappas=kappas, axes=axes)
+    return spec, BathConfig(temperature=draw(st.sampled_from([0.0, 0.05, 1.0, 10.0])), kappas=kappas, axes=axes)
 
 
 @settings(max_examples=80, deadline=None)
@@ -125,8 +128,36 @@ def test_table_zero_count_matches_the_built_rate_matrix(table):
 def test_blocks_equal_csgraph_on_random_chains(table):
     spec, baths = table
     dec = decompose_chain(spec)
-    rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
-    assert connectivity_blocks(rates).blocks == csgraph_blocks(rates.nonzero_mask)
+    elems = coupling_matrix_elements(baths, dec)
+    rates = build_rate_matrix(dec, elems, baths)
+    assert connectivity_blocks(dec, elems, baths).blocks == csgraph_blocks(rates.nonzero_mask)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_tables())
+# at T = 0 one local minimum and two local maxima, then the converse: a rule that
+# counted uphill flips in place of downhill ones would swap the two verdicts
+@example((ChainSpec(3, (0.61, 1.13, 0.88), ((1, 2, 1.13), (1, 3, 0.77), (2, 3, -0.34))),
+          BathConfig(temperature=0.0, kappas=(1.0, 1.0, 1.0))))
+@example((ChainSpec(3, (1.2, 0.63, 0.88), ((1, 2, -0.4), (1, 3, 0.82), (2, 3, -0.22))),
+          BathConfig(temperature=0.0, kappas=(1.0, 1.0, 1.0))))
+def test_table_steady_states_equal_the_dense_path(table):
+    """Steady vectors from the transition table equal, bit for bit, those of the
+    dense path on the built rate matrix, and at T = 0 both refuse or both accept."""
+    spec, baths = table
+    dec = decompose_chain(spec)
+    elems = coupling_matrix_elements(baths, dec)
+    expected = dense_steady_vectors(build_rate_matrix(dec, elems, baths))
+    if expected is None:
+        with pytest.raises(NumericalIntegrityError, match="kernel dimension"):
+            steady_states(dec, elems, baths)
+        return
+    states = steady_states(dec, elems, baths)
+    gibbs = connectivity_blocks(dec, elems, baths).restricted_gibbs
+    assert len(states) == len(gibbs) == len(expected)
+    for state, vector, oracle in zip(states, gibbs, expected):
+        assert np.array_equal(state.p, oracle)
+        assert np.array_equal(vector, oracle)
 
 
 class TestDetailedBalanceAudit:
@@ -153,34 +184,30 @@ class TestDetailedBalanceAudit:
 
 
 class TestRestrictedGibbsPrediction:
-    def test_blocked_from_third_state(self, paper_dec, paper_model):
-        _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
-        blocks = connectivity_blocks(rates)
+    def test_blocked_from_third_state(self, paper_table):
+        blocks = connectivity_blocks(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
         pred = restricted_gibbs_prediction(blocks, PopulationState.basis(4, 2))
         p3 = 1.0 / (1.0 + math.exp(-1 / 3))
         assert pred.p == pytest.approx([0.0, 0.0, p3, 1 - p3], abs=1e-12)
         assert p3 == pytest.approx(0.5826, abs=1e-4)
 
-    def test_connected_gives_global_gibbs(self, paper_dec, paper_model):
-        _, _, rates = paper_model(kappas=(1.0, 1.0), temperature=0.7)
-        blocks = connectivity_blocks(rates)
+    def test_connected_gives_global_gibbs(self, paper_dec, paper_table):
+        blocks = connectivity_blocks(*paper_table(kappas=(1.0, 1.0), temperature=0.7))
         from spinbath import gibbs_state
 
         pred = restricted_gibbs_prediction(blocks, PopulationState.uniform(4))
         assert np.max(np.abs(pred.p - gibbs_state(paper_dec, 0.7).p)) < 1e-12
 
-    def test_ground_start_two_level_form(self, paper_dec, paper_model):
-        _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=10.0)
-        blocks = connectivity_blocks(rates)
+    def test_ground_start_two_level_form(self, paper_table):
+        blocks = connectivity_blocks(*paper_table(kappas=(0.0, 1.0), temperature=10.0))
         pred = restricted_gibbs_prediction(blocks, PopulationState.basis(4, 0))
         nbar = 1.0 / math.expm1((5 / 3) / 10.0)
         assert pred.p[1] == pytest.approx(nbar / (2 * nbar + 1), rel=1e-12)
         assert pred.p[2] == pred.p[3] == 0.0
 
-    def test_block_weights_conserved(self, paper_dec, paper_model):
+    def test_block_weights_conserved(self, paper_table):
         rng = np.random.default_rng(52)
-        _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=2.0)
-        blocks = connectivity_blocks(rates)
+        blocks = connectivity_blocks(*paper_table(kappas=(0.0, 1.0), temperature=2.0))
         for _ in range(10):
             p0 = PopulationState(rng.dirichlet(np.ones(4)))
             pred = restricted_gibbs_prediction(blocks, p0)

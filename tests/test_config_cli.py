@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from spinbath import (
     builtin_config_path,
     cli,
     parse_config,
+    random_nondegenerate_chain,
     spectral_decomposition,
 )
 from spinbath.cli import main
@@ -92,6 +94,27 @@ for command in sys.argv[2:]:
         sys.exit(f"{command} failed")
     loaded[command] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps(loaded))
+"""
+
+
+# Every numeric key set; a test swaps one value for a non-finite one.
+EVERY_NUMBER = """
+[chain]
+n = 2
+fields = 1.0, 0.5
+couplings = 1-2: 0.25
+
+[bath]
+temperature = 1.0
+kappas = 1.0, 1.0
+
+[run]
+times = 0:10:11
+t_star = 10
+temperature_grid = 0.1:10:5:log
+kappa_grid = 1e-3:1:5:log
+fig2_temperatures = 0.1, 1.0
+fig2_kappas = 0.01, 1.0
 """
 
 
@@ -188,6 +211,32 @@ class TestParseConfig:
         path.write_text(base + "initial_state = 0.5, 0.25, 0.25\n")
         with pytest.raises(ConfigError, match="probabilities"):
             parse_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key, line", [
+        ("fields", "fields = 1.0, {}"),
+        ("couplings", "couplings = 1-2: {}"),
+        ("temperature", "temperature = {}"),
+        ("kappas", "kappas = {}, 1.0"),
+        ("times", "times = 0:{}:11"),
+        ("t_star", "t_star = {}"),
+        ("temperature_grid", "temperature_grid = 0.1:{}:5:log"),
+        ("kappa_grid", "kappa_grid = {}:1:5:log"),
+        ("fig2_temperatures", "fig2_temperatures = 0.1, {}"),
+        ("fig2_kappas", "fig2_kappas = {}"),
+    ])
+    def test_non_finite_number_names_key_and_line(self, key, line, value, tmp_path, capsys):
+        lines = EVERY_NUMBER.splitlines()
+        lineno = next(k for k, text in enumerate(lines, start=1) if text.startswith(f"{key} ="))
+        lines[lineno - 1] = line.format(value)
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert key in record["message"] and f"line {lineno}" in record["message"]
+        assert not out.exists()
 
     def test_kappa_count_must_match_sites(self, tmp_path):
         path = tmp_path / "count.cfg"
@@ -286,6 +335,61 @@ class TestCli:
         failed = [line for line in lines if "failed_point" in line]
         assert len(failed) == 1
         assert "index=1" in failed[0] and "NumericalIntegrityError: non-finite rates" in failed[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("temperature", ["1.0", "0.0"])
+    def test_steady_and_blocks_do_not_depend_on_rate_magnitudes(self, temperature, tmp_path, capsys):
+        # kappa = 1e308 overflows the site-1 rates, which `rates` refuses; blocks and
+        # steady states read only the table and equal those at kappa = 1
+        bodies = {}
+        for kappa in ("1e308", "1.0"):
+            path = tmp_path / f"kappa-{kappa}.cfg"
+            path.write_text(BLOCKED.replace("kappas = 0, 1.0", f"kappas = {kappa}, 1.0")
+                            .replace("temperature = 1.0", f"temperature = {temperature}"))
+            out = tmp_path / kappa
+            for command in ("steady", "blocks"):
+                assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            bodies[kappa] = [
+                [line for line in (out / name).read_text().splitlines() if not line.startswith("#")]
+                for name in ("steady.csv", "blocks.json")
+            ]
+            assert main(["rates", "--config", str(path), "--out", str(out)]) == (3 if kappa == "1e308" else 0)
+        assert bodies["1e308"] == bodies["1.0"]
+        assert json.loads("\n".join(bodies["1.0"][1])) == [[1, 2, 3, 4]]
+
+    def test_steady_and_blocks_at_twelve_sites_evaluate_no_rate(self, tmp_path, monkeypatch):
+        # d = 4096: a dense rate matrix and its mask alone would take 144 MiB
+        spec = random_nondegenerate_chain(12, np.random.default_rng(12))
+        path = tmp_path / "n12.cfg"
+        path.write_text(
+            "[chain]\nn = 12\nfields = " + ", ".join(map(repr, spec.fields)) + "\n"
+            + "couplings = " + ", ".join(f"{a}-{b}: {d!r}" for a, b, d in spec.couplings) + "\n"
+            + "[bath]\ntemperature = 1.0\nkappas = 0, 1e-5" + ", 1.0" * 10 + "\n"
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("steady and blocks evaluate no rate")
+
+        for name, module in list(sys.modules.items()):
+            if name == "spinbath" or name.startswith("spinbath."):
+                for attr in ("build_rate_matrix", "bose_einstein"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        out = tmp_path / "out"
+        for command in ("steady", "blocks"):
+            tracemalloc.start()
+            try:
+                assert main([command, "--config", str(path), "--out", str(out)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, f"{command} peaked at {peak / 2**20:.1f} MiB"
+        blocks = read_json_body(out / "blocks.json")
+        assert len(blocks) == 2  # site 1 is decoupled, kappa = 1e-5 still couples
+        assert sorted(i for block in blocks for i in block) == list(range(1, 4097))
+        steady = read_csv_columns(out / "steady.csv")
+        total = sum(steady[f"p_{i}"] for i in range(1, 4097))
+        assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_structure_commands_never_load_scipy(self, tmp_path):
         structure = ["spectrum", "rates", "steady", "blocks", "zeros-scaling"]

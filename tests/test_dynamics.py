@@ -127,12 +127,12 @@ class TestPropagatePopulations:
             p_t_s = propagate_populations(rates, PopulationState(p_t), [s]).populations[-1]
             assert np.max(np.abs(p_ts - p_t_s)) < 1e-9
 
-    def test_two_level_block_monotone_relaxation(self, paper_model):
+    def test_two_level_block_monotone_relaxation(self, paper_model, paper_table):
         _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
         traj = propagate_populations(
             rates, PopulationState.basis(4, 2), np.linspace(0.0, 20.0, 41)
         )
-        equilibrium = steady_states(rates)[1].p
+        equilibrium = steady_states(*paper_table(kappas=(0.0, 1.0), temperature=1.0))[1].p
         distances = np.abs(traj.populations - equilibrium).max(axis=1)
         assert np.all(np.diff(distances) <= 1e-15)
 
@@ -221,9 +221,8 @@ class TestPropagateDensity:
 
 
 class TestSteadyStates:
-    def test_connected_model_reaches_gibbs(self, paper_dec, paper_model):
-        _, _, rates = paper_model(kappas=(1.0, 1.0), temperature=1.0)
-        states = steady_states(rates)
+    def test_connected_model_reaches_gibbs(self, paper_dec, paper_table):
+        states = steady_states(*paper_table(kappas=(1.0, 1.0), temperature=1.0))
         assert len(states) == 1
         oracle = gibbs_oracle(1.0)
         assert np.max(np.abs(states[0].p - oracle)) < 1e-10
@@ -231,9 +230,8 @@ class TestSteadyStates:
         frozen = np.array([0.764441, 0.144384, 0.053116, 0.038059])
         assert np.max(np.abs(states[0].p - frozen)) < 1e-6
 
-    def test_blocked_model_two_restricted_gibbs(self, paper_model):
-        _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
-        states = steady_states(rates)
+    def test_blocked_model_two_restricted_gibbs(self, paper_table):
+        states = steady_states(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
         assert len(states) == 2
         # two-level Gibbs oracles with gaps 5/3 and 1/3
         low = 1.0 / (1.0 + math.exp(-5 / 3))
@@ -241,9 +239,8 @@ class TestSteadyStates:
         assert states[0].p == pytest.approx([low, 1 - low, 0.0, 0.0], abs=1e-10)
         assert states[1].p == pytest.approx([0.0, 0.0, high, 1 - high], abs=1e-10)
 
-    def test_fully_decoupled_gives_basis_states(self, paper_model):
-        _, _, rates = paper_model(kappas=(0.0, 0.0), temperature=1.0)
-        states = steady_states(rates)
+    def test_fully_decoupled_gives_basis_states(self, paper_table):
+        states = steady_states(*paper_table(kappas=(0.0, 0.0), temperature=1.0))
         assert len(states) == 4
         for k, state in enumerate(states):
             assert state.p[k] == 1.0
@@ -260,8 +257,7 @@ class TestSteadyStates:
                 temperature=temperature, kappas=tuple(rng.uniform(0.2, 2.0, size=n))
             )
             dec = spectral_decomposition(build_hamiltonian(spec))
-            rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
-            states = steady_states(rates)
+            states = steady_states(dec, coupling_matrix_elements(baths, dec), baths)
             assert len(states) == 1
             assert np.max(np.abs(states[0].p - gibbs_state(dec, temperature).p)) < 1e-9
 
@@ -272,9 +268,15 @@ class TestSteadyStates:
         )
         baths = BathConfig(temperature=0.0, kappas=(1.0, 1.0, 1.0))
         dec = spectral_decomposition(build_hamiltonian(spec))
-        rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
         with pytest.raises(NumericalIntegrityError, match="kernel"):
-            steady_states(rates)
+            steady_states(dec, coupling_matrix_elements(baths, dec), baths)
+
+    def test_nan_kappa_is_refused_like_the_rates(self, paper_table):
+        # NaN > 0 is false: without the check the site would count as decoupled
+        table = paper_table(kappas=(math.nan, 1.0))
+        for build in (steady_states, connectivity_blocks):
+            with pytest.raises(NumericalIntegrityError, match="kappa is NaN"):
+                build(*table)
 
     @pytest.mark.parametrize("temperature", [0.03, 0.02, 0.01])
     def test_glassy_chain_at_low_temperature_is_its_gibbs_state(self, temperature):
@@ -284,16 +286,17 @@ class TestSteadyStates:
         )
         baths = BathConfig(temperature=temperature, kappas=(1.0, 1.0, 1.0))
         dec = spectral_decomposition(build_hamiltonian(spec))
-        rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
-        states = steady_states(rates)
+        elems = coupling_matrix_elements(baths, dec)
+        rates = build_rate_matrix(dec, elems, baths)
+        states = steady_states(dec, elems, baths)
         assert len(states) == 1
-        assert np.array_equal(states[0].p, connectivity_blocks(rates).restricted_gibbs[0])
+        assert np.array_equal(states[0].p, connectivity_blocks(dec, elems, baths).restricted_gibbs[0])
         residual = np.max(np.abs(rates.matrix @ states[0].p))
         assert residual <= 8 * EPS * np.max(np.abs(rates.matrix))
 
 
 @st.composite
-def _random_rates(draw):
+def _random_models(draw):
     n = draw(st.integers(1, 6))
     spec = random_nondegenerate_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     baths = BathConfig(
@@ -302,12 +305,13 @@ def _random_rates(draw):
         axes=tuple(draw(st.sampled_from("xyz")) for _ in range(n)),
     )
     dec = spectral_decomposition(build_hamiltonian(spec))
-    return build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+    elems = coupling_matrix_elements(baths, dec)
+    return dec, elems, baths, build_rate_matrix(dec, elems, baths)
 
 
 @settings(max_examples=80, deadline=None)
-@given(_random_rates())
-def test_steady_states_match_the_null_space_oracle(rates):
+@given(_random_models())
+def test_steady_states_match_the_null_space_oracle(model):
     """Each block's steady state is its normalised SVD kernel vector; at T = 0
     the call raises exactly when some block's kernel is more than 1-D.
 
@@ -315,14 +319,15 @@ def test_steady_states_match_the_null_space_oracle(rates):
     1e-7, and the SVD vector is then ~1e-9 off the exact basis vector; there the
     1-D oracle kernel and the residual bound pin the state instead.
     """
-    blocks = structural_blocks(rates)
+    dec, elems, baths, rates = model
+    blocks = structural_blocks(elems, baths.kappas)
     kernels = [null_space(rates.matrix[np.ix_(b, b)], rcond=1e-12) for b in blocks]
     if any(k.shape[1] > 1 for k in kernels):
         assert rates.temperature == 0.0
         with pytest.raises(NumericalIntegrityError, match="kernel"):
-            steady_states(rates)
+            steady_states(dec, elems, baths)
         return
-    states = steady_states(rates)
+    states = steady_states(dec, elems, baths)
     assert len(states) == len(blocks)
     scale = np.max(np.abs(rates.matrix))
     for block, kernel, state in zip(blocks, kernels, states):
@@ -334,12 +339,13 @@ def test_steady_states_match_the_null_space_oracle(rates):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_random_rates(), st.integers(0, 2**32 - 1))
-def test_block_weights_are_conserved_by_propagation(rates, seed):
+@given(_random_models(), st.integers(0, 2**32 - 1))
+def test_block_weights_are_conserved_by_propagation(model, seed):
     """No rate crosses a structural block, so each block keeps its initial weight."""
+    _, elems, baths, rates = model
     p0 = np.random.default_rng(seed).dirichlet(np.ones(rates.dimension))
     traj = propagate_populations(rates, p0, [0.0, 0.1, 1.0, 10.0, 100.0])
-    for block in structural_blocks(rates):
+    for block in structural_blocks(elems, baths.kappas):
         weights = traj.populations[:, list(block)].sum(axis=1)
         assert np.max(np.abs(weights - p0[list(block)].sum())) <= 1e-12
 

@@ -15,9 +15,9 @@ from spinbath import (
     BathConfig,
     CapacityError,
     ChainSpec,
+    CouplingElements,
     DegenerateGapError,
     NumericalIntegrityError,
-    RateMatrix,
     SpectralDecomposition,
     build_hamiltonian,
     build_jump_operators,
@@ -99,13 +99,13 @@ class TestJumpOperators:
 
 class TestRateMatrix:
     def test_blocked_structure_is_exact(self, paper_model):
-        _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=3.0)
+        _, elems, rates = paper_model(kappas=(0.0, 1.0), temperature=3.0)
         block_a, block_b = (0, 1), (2, 3)
         for i in block_a:
             for j in block_b:
                 assert rates.matrix[i, j] == 0.0
                 assert rates.matrix[j, i] == 0.0
-        assert structural_blocks(rates) == (block_a, block_b)
+        assert structural_blocks(elems, rates.kappas) == (block_a, block_b)
 
     def test_zero_temperature_pure_damping(self, paper_model):
         _, _, rates = paper_model(kappas=(1.0, 1.0), temperature=0.0)
@@ -215,10 +215,12 @@ def _symmetric_masks(draw):
 @settings(max_examples=200, deadline=None)
 @given(_symmetric_masks())
 def test_blocks_equal_csgraph_on_random_masks(mask):
-    d = mask.shape[0]
-    rates = RateMatrix(matrix=np.zeros((d, d)), nonzero_mask=mask, energies=np.arange(d, dtype=float),
-                       temperature=1.0, kappas=(1.0,), axes=("x",))
-    assert structural_blocks(rates) == csgraph_blocks(mask)
+    # any graph as a one-site table: each edge of the mask is a coupled flip
+    rows, cols = np.nonzero(np.triu(mask))
+    ones = np.ones(rows.size, dtype=np.intp)
+    elems = CouplingElements(rows=rows, cols=cols, sites=ones, values=ones.astype(float),
+                             axes=("x",), dimension=mask.shape[0])
+    assert structural_blocks(elems, (1.0,)) == csgraph_blocks(mask)
 
 
 class TestLindbladSuperoperator:
