@@ -11,8 +11,8 @@ Blocks are always computed from the transition table (the coupled flips,
 those of sites with kappa > 0), never from rate values or float thresholds: a
 kappa of 1e-5 is structurally connected but dynamically slow, and that
 distinction is exactly what the blocking phenomenology exploits.  The table's
-coupled flips are the off-diagonal pattern of the rate-matrix mask, so blocks
-and steady states need no rate matrix.
+coupled flips are the structural off-diagonal entries of Lambda, so blocks and
+steady states need no rate matrix.
 """
 
 from __future__ import annotations
@@ -68,15 +68,15 @@ def predicted_zero_count(n_sites: int) -> int:
 
 
 def count_structural_zeros(rates: RateMatrix) -> int:
-    """Structurally zero entries of the full d x d generator (diagonal included)."""
-    d = rates.dimension
-    return int(d * d - np.count_nonzero(rates.nonzero_mask))
+    """Structurally zero entries of the full d x d generator (diagonal included),
+    counted on the table it was built from (`_table_zero_count`)."""
+    return _table_zero_count(rates.elems, rates.kappas)
 
 
 def _table_zero_count(elems: CouplingElements, kappas) -> int:
-    """count_structural_zeros of the rate matrix built from `elems` and `kappas`,
-    without building it: d^2 minus two entries per coupled flip and one diagonal
-    entry per state a coupled flip touches (the pattern of the rate-matrix mask)."""
+    """Structural zeros of the rate matrix built from `elems` and `kappas`, without
+    building it: d^2 minus two entries per coupled flip and one diagonal entry per
+    state a coupled flip touches (`_structural_pattern`)."""
     rows, _, touched = _structural_pattern(elems, kappas)
     return elems.dimension**2 - 2 * rows.size - int(np.count_nonzero(touched))
 
@@ -84,17 +84,16 @@ def _table_zero_count(elems: CouplingElements, kappas) -> int:
 def detailed_balance_audit(rates: RateMatrix) -> float:
     """Worst relative deviation of gain/damping ratios from exp(-omega/T).
 
-    Scans every structurally nonzero pair at the build temperature; passes
-    when the result is below 1e-10.  Division by a structurally zero damping
-    rate cannot occur because structural nonzeros have strictly positive
-    damping entries.
+    Scans every coupled flip (i, j) of the table, i < j in row-major order,
+    at the build temperature; passes when the result is below 1e-10.
+    Division by a structurally zero damping rate cannot occur because every
+    coupled flip has a strictly positive damping entry.
     """
     e, temperature = rates.energies, rates.temperature
     if temperature <= 0:
         raise ValidationError(f"detailed-balance audit requires T > 0, got {temperature}")
-    rows, cols = np.nonzero(np.triu(rates.nonzero_mask, 1))
-    damping = rates.matrix[rows, cols]
-    gain = rates.matrix[cols, rows]
+    rows, cols, _ = _structural_pattern(rates.elems, rates.kappas)
+    damping, gain = rates.matrix[rows, cols], rates.matrix[cols, rows]
     expected = np.exp(-(e[cols] - e[rows]) / temperature)
     with np.errstate(divide="ignore", invalid="ignore"):
         deviation = np.abs(gain / damping - expected) / expected

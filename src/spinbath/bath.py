@@ -26,6 +26,7 @@ class BathConfig:
     """One bath per site, all at temperature T (units h1/k_B).
 
     T = 0 is admitted as a documented limit (zero occupation, pure damping).
+    T and every kappa are finite: a NaN kappa would silently decouple its site.
     """
 
     temperature: float
@@ -35,13 +36,13 @@ class BathConfig:
     def __post_init__(self):
         object.__setattr__(self, "temperature", float(self.temperature))
         object.__setattr__(self, "kappas", tuple(float(k) for k in self.kappas))
-        if self.temperature < 0:
-            raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:  # NaN fails every comparison
+            raise ValidationError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not self.kappas:
             raise ValidationError("at least one bath is required")
         for n, kappa in enumerate(self.kappas, start=1):
-            if kappa < 0:
-                raise ValidationError(f"kappa for site {n} must be >= 0, got {kappa}")
+            if not 0 <= kappa < math.inf:
+                raise ValidationError(f"kappa for site {n} must be finite and >= 0, got {kappa}")
         axes = tuple(self.axes) if self.axes else ("x",) * len(self.kappas)
         if len(axes) != len(self.kappas):
             raise ValidationError(

@@ -32,7 +32,7 @@ from .chain import check_degeneracy, decompose_chain
 from .config import COMMANDS, RunConfig, builtin_config_path, parse_config, resolve_initial_state, with_overrides
 from .dynamics import propagate_populations, steady_states
 from .errors import ConfigError, NumericalIntegrityError, SpinbathError
-from .generator import build_rate_matrix
+from .generator import _checked_blocks, _structural_pattern, build_rate_matrix
 
 OUT_DIR_ENV = "SPINBATH_OUT"
 
@@ -107,7 +107,7 @@ def _cmd_rates(cfg: RunConfig, out: Path) -> list[Path]:
     labels = [f"E={export.fmt(e)}" for e in rates.energies]
     return [
         export.write_matrix_csv(out / "rates.csv", rates.matrix, header, labels=labels),
-        export.write_mask_csv(out / "rates_mask.csv", rates.nonzero_mask, header),
+        export.write_mask_csv(out / "rates_mask.csv", _structural_pattern(rates.elems, rates.kappas), header),
     ]
 
 
@@ -127,8 +127,7 @@ def _cmd_steady(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
-    partition = analysis.connectivity_blocks(*_table(cfg), cfg.bath)
-    payload = [[i + 1 for i in block] for block in partition.blocks]
+    payload = [[i + 1 for i in block] for block in _checked_blocks(*_table(cfg), cfg.bath)]
     return [export.write_json(out / "blocks.json", payload, _header(cfg, "blocks"))]
 
 

@@ -22,16 +22,7 @@ import numpy as np
 from .bath import BathConfig, CouplingElements
 from .chain import MAX_DENSE_SITES, SpectralDecomposition
 from .errors import CapacityError, NumericalIntegrityError, ValidationError
-from .generator import (
-    LindbladSuperoperator,
-    RateMatrix,
-    _check_bath,
-    _flip_densities,
-    _require_nondegenerate,
-    structural_blocks,
-    unvectorize,
-    vectorize,
-)
+from .generator import LindbladSuperoperator, RateMatrix, _checked_blocks, _flip_densities, unvectorize, vectorize
 
 # Construction-time tolerance for a population vector, and the looser drift
 # budget allowed to the matrix exponential during propagation.
@@ -230,16 +221,9 @@ def _thermal_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
 
 def _block_gibbs(dec: SpectralDecomposition, elems: CouplingElements,
                  baths: BathConfig) -> tuple[tuple[tuple[int, ...], ...], tuple[np.ndarray, ...]]:
-    """The structural blocks of the table and the restricted Gibbs vector of
-    each, embedded in the full dimension.  Refuses a degenerate spectrum and
-    a bath that does not match the table, as `build_rate_matrix` does, and a
-    NaN kappa, which the rates refuse as non-finite but which would leave its
-    site silently decoupled here (NaN > 0 is false)."""
-    _require_nondegenerate(dec)
-    _check_bath(dec, elems, baths)
-    if np.isnan(baths.kappas).any():
-        raise NumericalIntegrityError(f"kappa is NaN: {baths.kappas}")
-    blocks = structural_blocks(elems, baths.kappas)
+    """The checked structural blocks of the table (`_checked_blocks`) and the
+    restricted Gibbs vector of each, embedded in the full dimension."""
+    blocks = _checked_blocks(dec, elems, baths)
     vectors = []
     for block in blocks:
         full = np.zeros(dec.dimension)

@@ -21,7 +21,9 @@ prints "-0").  Any value this cannot settle exactly (m outside
 by format() itself: about 0.06% of the gaps of an 8-site spectrum.  Integer
 columns (row labels) print as integers.  A table that is mostly +0.0, like
 a rate matrix, renders only its other entries and splices "0" in for the
-rest.  Masks are 0/1 grids rendered as one byte buffer.
+rest.  A structural mask is rendered from its pattern (the coupled flips and
+the states they touch) as a 0/1 grid, straight to bytes, a bounded chunk of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ def write_csv(path, lines: list[str], *blocks) -> Path:
     if len(blocks) == 1 and floats:  # a lone float table renders only its entries other than +0.0
         floats = max(np.count_nonzero((blocks[0] != 0) | np.signbit(blocks[0])), floats // _SPARSE_LIMIT)
     step = _CHUNK * n_rows // floats if floats else _CHUNK
-    return _write_rows(path, lines, n_rows, step, lambda a, b: [blk[a:b] for blk in blocks])
+    if not sum(b.shape[1] for b in blocks):  # rows without entries are empty lines
+        return _write_rows(path, lines, n_rows, step, lambda a, b: b"\n" * (b - a))
+    return _write_rows(path, lines, n_rows, step, lambda a, b: _render([blk[a:b] for blk in blocks]))
 
 
 def write_gaps_csv(path, energies, header: list[str]) -> Path:
@@ -92,11 +96,11 @@ def write_gaps_csv(path, energies, header: list[str]) -> Path:
     counts = np.arange(d - 1, -1, -1)  # level i pairs with j = i + 1 .. d - 1
     ends = np.cumsum(counts)  # one past the last pair of each level
 
-    def pairs(a: int, b: int) -> list[np.ndarray]:
+    def pairs(a: int, b: int) -> np.ndarray:
         levels = np.arange(*np.searchsorted(ends, [a, b - 1], side="right") + [0, 1])
         i = np.repeat(levels, np.minimum(ends[levels], b) - np.maximum(ends[levels] - counts[levels], a))
         j = np.arange(a, b) - ends[i] + d
-        return [np.column_stack((i + 1, j + 1)), (e[j] - e[i])[:, None]]
+        return _render([np.column_stack((i + 1, j + 1)), (e[j] - e[i])[:, None]])
 
     return _write_rows(path, [*header, "i,j,omega"], d * (d - 1) // 2, _CHUNK, pairs)
 
@@ -108,6 +112,7 @@ def write_gaps_csv(path, energies, header: list[str]) -> Path:
 # An integer's text is right-aligned in bytes 0..7 of a 16-byte row.
 _CHUNK = 2048  # float entries rendered per step
 _SPARSE_LIMIT = 8  # entries per step of a mostly +0.0 table, at most this many times _CHUNK
+_MASK_BYTES = 2**18  # mask text rendered per step
 _FLOAT_WIDTH, _INT_WIDTH = 32, 16
 _INT_MAX = 10**8
 _POW10 = np.array([10.0**k for k in range(23)])  # exact in binary64
@@ -266,36 +271,35 @@ def _render_sparse(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_rows(path, lines: list[str], n_rows: int, step: int, blocks_of) -> Path:
-    """Write `lines`, then the rows of blocks_of(a, b) (row-aligned 2-D blocks of
-    rows a..b-1), `step` rows at a time."""
+def _write_rows(path, lines: list[str], n_rows: int, step: int, render) -> Path:
+    """Write `lines`, then render(a, b), the bytes of rows a..b-1, `step` rows at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    step = max(1, step)
     with path.open("wb") as f:
         f.write("".join(f"{line}\n" for line in lines).encode())
-        if not n_rows:
-            return path
-        first = blocks_of(0, 1)
-        if not sum(b.shape[1] for b in first):  # rows without entries are empty lines
-            f.write(b"\n" * n_rows)
-            return path
-        step = max(1, step)
         for a in range(0, n_rows, step):
-            f.write(_render(blocks_of(a, min(a + step, n_rows))))
+            f.write(render(a, min(a + step, n_rows)))
     return path
 
 
-def write_mask_csv(path, mask, header: list[str]) -> Path:
-    """0/1 grid, one row per line; any other entry is refused."""
-    grid = np.asarray(mask)
-    if np.any((grid != 0) & (grid != 1)):
-        raise ValidationError("mask entries must be 0 or 1")
-    n, m = grid.shape
-    buf = np.full((n, max(2 * m, 1)), ord(","), dtype=np.uint8)  # digit, comma, ..., digit, newline
-    buf[:, 0 : 2 * m : 2] = grid + ord("0")
-    buf[:, -1] = ord("\n")
-    text = buf.tobytes().decode("ascii")
-    return write_lines(path, header, [text[:-1]] if n else [])
+def write_mask_csv(path, pattern, header: list[str]) -> Path:
+    """The 0/1 grid of a structural pattern (rows, cols, touched), one row per
+    line: 1 at (rows[k], cols[k]), at (cols[k], rows[k]) and at (i, i) for every
+    touched[i], 0 elsewhere."""
+    rows, cols, touched = pattern
+    d = touched.size
+    ones = np.sort(np.concatenate((rows * d + cols, cols * d + rows, np.flatnonzero(touched) * (d + 1))))
+    line = np.full(2 * d, ord(","), dtype=np.uint8)  # digit, comma, ..., digit, newline
+    line[::2], line[-1] = ord("0"), ord("\n")
+
+    def render(a: int, b: int) -> np.ndarray:
+        chunk = np.tile(line, b - a)
+        lo, hi = np.searchsorted(ones, (a * d, b * d))
+        chunk[2 * (ones[lo:hi] - a * d)] = ord("1")
+        return chunk
+
+    return _write_rows(path, header, d, _MASK_BYTES // line.size, render)
 
 
 def write_trajectory_csv(path, trajectory, header: list[str]) -> Path:

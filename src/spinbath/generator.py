@@ -14,8 +14,8 @@ tolerance chain.DEGENERACY_TOL, and refuse a degenerate one.  Equal gaps are
 admitted: flips of one site at one frequency share a jump operator, and two
 flips of the same site never share an endpoint, so populations still evolve
 apart from coherences.  Structural zeros of Lambda (entries that vanish for
-every T > 0 given the kappa and coupling-element patterns) are tracked by an
-exact mask, never by thresholding floats.
+every T > 0 given the kappa and coupling-element patterns) are read off the
+transition table, never by thresholding floats.
 """
 
 from __future__ import annotations
@@ -105,12 +105,12 @@ class RateMatrix:
     matrix[i, j] for i < j is the damping rate from |j> down into |i>;
     matrix[i, j] for i > j is the gain rate from |j> up into |i>; the
     diagonal holds the negative total outflow, so columns sum to zero.
-    nonzero_mask marks the structurally nonzero entries (nonzero for every
-    T > 0 given kappa and the coupling elements).
+    elems is the transition table it was built from; `_structural_pattern(elems,
+    kappas)` gives the structurally nonzero entries (nonzero for every T > 0).
     """
 
     matrix: np.ndarray
-    nonzero_mask: np.ndarray
+    elems: CouplingElements
     energies: np.ndarray
     temperature: float
     kappas: tuple[float, ...]
@@ -121,17 +121,20 @@ class RateMatrix:
         return self.matrix.shape[0]
 
     def validate(self, tol: float = RATE_MATRIX_TOL) -> None:
-        """Check conservation, sign structure, and mask consistency."""
+        """Check conservation, sign structure, and that every nonzero rate lies
+        on the structural pattern of the table (by counting nonzeros)."""
         m = self.matrix
         if np.max(np.abs(m.sum(axis=0))) >= tol:
             raise ValidationError("rate-matrix columns do not sum to zero within tolerance")
-        off = ~np.eye(self.dimension, dtype=bool)
-        if np.any(m[off] < 0):
+        rows, cols, touched = _structural_pattern(self.elems, self.kappas)
+        damping, gain, diagonal = m[rows, cols], m[cols, rows], np.diagonal(m)
+        if np.any(damping < 0) or np.any(gain < 0):
             raise ValidationError("negative off-diagonal rate")
-        if np.any(np.diagonal(m) > 0):
+        if np.any(diagonal > 0):
             raise ValidationError("positive diagonal entry")
-        if np.any((m != 0) & ~self.nonzero_mask):
-            raise ValidationError("nonzero rate outside the structural mask")
+        on_pattern = sum(map(np.count_nonzero, (damping, gain, diagonal[touched])))
+        if np.count_nonzero(m) != on_pattern:
+            raise ValidationError("nonzero rate outside the structural pattern")
 
 
 def build_rate_matrix(
@@ -154,7 +157,7 @@ def build_rate_matrix(
 
     Refused beyond 2^MAX_DENSE_SITES states before anything is allocated,
     and refused with NumericalIntegrityError when a rate or a total outflow
-    is not finite (kappa * omega beyond double range).
+    overflows (kappa * omega beyond double range).
     """
     d = dec.dimension
     if d > 2**MAX_DENSE_SITES:
@@ -177,13 +180,9 @@ def build_rate_matrix(
             f"non-finite rates: total outflow of level {j + 1} is {float(outflow[j])}"
         )
     np.fill_diagonal(matrix, -outflow)
-
-    on_rows, on_cols, touched = _structural_pattern(elems, baths.kappas)
-    mask = np.diag(touched)
-    mask[on_rows, on_cols] = mask[on_cols, on_rows] = True
     return RateMatrix(
         matrix=matrix,
-        nonzero_mask=mask,
+        elems=elems,
         energies=dec.energies.copy(),
         temperature=baths.temperature,
         kappas=baths.kappas,
@@ -225,7 +224,7 @@ def structural_blocks(elems: CouplingElements, kappas) -> tuple[tuple[int, ...],
 
     The edges are the coupled flips of the transition table (those of sites
     with kappa > 0, `_structural_pattern`), taken undirected; they are the
-    off-diagonal pattern of the rate-matrix mask, so no rate matrix is
+    structurally nonzero off-diagonal entries of Lambda, so no rate matrix is
     needed.  Blocks are ordered by smallest member.
 
     Found with numpy alone, so `steady` and `blocks` load no scipy.  Every
@@ -247,6 +246,15 @@ def structural_blocks(elems: CouplingElements, kappas) -> tuple[tuple[int, ...],
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     return tuple(tuple(block.tolist()) for block in np.split(order, cuts))
+
+
+def _checked_blocks(dec: SpectralDecomposition, elems: CouplingElements,
+                    baths: BathConfig) -> tuple[tuple[int, ...], ...]:
+    """`structural_blocks` of the table, refusing a degenerate spectrum and a
+    bath that does not match the table, as `build_rate_matrix` does."""
+    _require_nondegenerate(dec)
+    _check_bath(dec, elems, baths)
+    return structural_blocks(elems, baths.kappas)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from spinbath import (
     spectral_decomposition,
 )
 from spinbath.dynamics import _thermal_weights
+from spinbath.generator import _structural_pattern
 
 H2 = 0.5
 DELTA = 1.0 / 3.0
@@ -99,12 +100,30 @@ def csgraph_blocks(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)))
 
 
+def table_mask(rates) -> np.ndarray:
+    """The structural pattern of a built rate matrix as a dense d x d mask, for
+    comparison with an independent reference."""
+    rows, cols, touched = _structural_pattern(rates.elems, rates.kappas)
+    mask = np.diag(touched)
+    mask[rows, cols] = mask[cols, rows] = True
+    return mask
+
+
+def value_edges(rates) -> np.ndarray:
+    """The pairs joined by a nonzero rate in either direction.  Every coupled flip
+    has a damping rate J(omega)(1 + nbar) > 0 at any T >= 0, so these are the
+    structural edges, read off the values rather than the table."""
+    m = rates.matrix
+    return (m != 0) | (m.T != 0)
+
+
 def dense_steady_vectors(rates) -> list[np.ndarray] | None:
     """Oracle for steady_states: the dense path it replaced.  Blocks are the
-    csgraph components of the built mask, each with its restricted Gibbs
-    vector; at T = 0 a state is absorbing when -Lambda[j, j] == 0.0, and None
-    stands for a refusal, a block with two absorbing states."""
-    blocks = csgraph_blocks(rates.nonzero_mask)
+    csgraph components of the built matrix's nonzero rates (`value_edges`),
+    each with its restricted Gibbs vector; at T = 0 a state is absorbing when
+    -Lambda[j, j] == 0.0, and None stands for a refusal, a block with two
+    absorbing states."""
+    blocks = csgraph_blocks(value_edges(rates))
     if rates.temperature == 0.0:
         absorbing = np.diagonal(rates.matrix) == 0.0
         if any(np.count_nonzero(absorbing[list(block)]) > 1 for block in blocks):

@@ -36,7 +36,7 @@ from spinbath import (
 )
 from spinbath import analysis
 
-from conftest import csgraph_blocks, dense_steady_vectors
+from conftest import csgraph_blocks, dense_steady_vectors, table_mask, value_edges
 
 
 class TestConnectivityBlocks:
@@ -48,6 +48,11 @@ class TestConnectivityBlocks:
 
     def test_fully_decoupled(self, paper_table):
         assert connectivity_blocks(*paper_table(kappas=(0.0, 0.0))).blocks == ((0,), (1,), (2,), (3,))
+
+    def test_refuses_a_bath_that_does_not_match_the_table(self, paper_table):
+        dec, elems, _ = paper_table()
+        with pytest.raises(ValidationError, match="bath has 3 sites but coupling elements cover 2"):
+            connectivity_blocks(dec, elems, BathConfig(temperature=1.0, kappas=(1.0,) * 3))
 
     def test_restricted_gibbs_vectors(self, paper_table):
         partition = connectivity_blocks(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
@@ -75,7 +80,7 @@ class TestZeroCounts:
         for i, j in ((0, 1), (2, 3)):
             expected[i, j] = expected[j, i] = True
         expected |= np.diag(expected.any(axis=0))
-        assert np.array_equal(rates.nonzero_mask, expected)
+        assert np.array_equal(table_mask(rates), expected)
 
     def test_random_three_site_count(self):
         rng = np.random.default_rng(51)
@@ -116,11 +121,15 @@ def _tables(draw):
 @settings(max_examples=80, deadline=None)
 @given(_tables())
 def test_table_zero_count_matches_the_built_rate_matrix(table):
+    # the zeros of the values, at a temperature where no occupation underflows: the
+    # structure does not depend on T, while at T = 0 a state with no downhill flip
+    # has a zero diagonal entry
     spec, baths = table
     dec = decompose_chain(spec)
     elems = coupling_matrix_elements(baths, dec)
     rates = build_rate_matrix(dec, elems, baths)
-    assert analysis._table_zero_count(elems, baths.kappas) == count_structural_zeros(rates)
+    hot = build_rate_matrix(dec, elems, replace(baths, temperature=10.0))
+    assert count_structural_zeros(rates) == hot.matrix.size - np.count_nonzero(hot.matrix)
 
 
 @settings(max_examples=80, deadline=None)
@@ -130,7 +139,7 @@ def test_blocks_equal_csgraph_on_random_chains(table):
     dec = decompose_chain(spec)
     elems = coupling_matrix_elements(baths, dec)
     rates = build_rate_matrix(dec, elems, baths)
-    assert connectivity_blocks(dec, elems, baths).blocks == csgraph_blocks(rates.nonzero_mask)
+    assert connectivity_blocks(dec, elems, baths).blocks == csgraph_blocks(value_edges(rates))
 
 
 @settings(max_examples=120, deadline=None)
@@ -158,6 +167,65 @@ def test_table_steady_states_equal_the_dense_path(table):
     for state, vector, oracle in zip(states, gibbs, expected):
         assert np.array_equal(state.p, oracle)
         assert np.array_equal(vector, oracle)
+
+
+@st.composite
+def _relabelled_tables(draw):
+    """(spec, baths, perm): a table of the detailed-balance and relabelling
+    properties, and a relabelling that moves site n to site perm[n - 1] + 1."""
+    n = draw(st.integers(1, 6))
+    spec = random_nondegenerate_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    kappas = tuple(draw(st.lists(st.sampled_from([0.0, 1e-5, 1.0]), min_size=n, max_size=n)))
+    axes = tuple(draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n)))
+    baths = BathConfig(temperature=draw(st.sampled_from([0.05, 1.0, 10.0])), kappas=kappas, axes=axes)
+    return spec, baths, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabelled_tables())
+def test_built_rates_obey_detailed_balance(case):
+    spec, baths, _ = case
+    dec = decompose_chain(spec)
+    assert detailed_balance_audit(build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)) < 1e-10
+
+
+def _relabelled(spec: ChainSpec, baths: BathConfig, perm) -> tuple[ChainSpec, BathConfig]:
+    """The same chain and baths with site n renamed perm[n - 1] + 1."""
+    source = np.argsort(perm)  # the old index of each new site
+
+    def moved(values):
+        return tuple(values[i] for i in source)
+
+    couplings = tuple((*sorted((perm[a - 1] + 1, perm[b - 1] + 1)), delta) for a, b, delta in spec.couplings)
+    return (ChainSpec(spec.n_sites, moved(spec.fields), couplings),
+            BathConfig(temperature=baths.temperature, kappas=moved(baths.kappas), axes=moved(baths.axes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabelled_tables())
+def test_site_relabelling_permutes_the_states(case):
+    """Renaming the sites permutes the basis states and changes nothing else: the
+    spectrum, the zero count, the block sizes, and Lambda up to that permutation."""
+    spec, baths, perm = case
+    n = spec.n_sites
+    models = []
+    for chain, bath in (case[:2], _relabelled(spec, baths, perm)):
+        dec = decompose_chain(chain)
+        elems = coupling_matrix_elements(bath, dec)
+        models.append((dec, build_rate_matrix(dec, elems, bath), connectivity_blocks(dec, elems, bath)))
+    (dec, rates, blocks), (moved_dec, moved_rates, moved_blocks) = models
+    # level k is basis state dec.basis[k]; site m's bit (2^(N - m)) moves to site perm[m - 1] + 1
+    bits = [(dec.basis >> (n - m)) & 1 for m in range(1, n + 1)]
+    state = sum(bit << (n - 1 - perm[m]) for m, bit in enumerate(bits))
+    level = np.argsort(moved_dec.basis)[state]
+    assert sorted(level.tolist()) == list(range(dec.dimension))
+    scale = np.max(np.abs(dec.energies))
+    assert np.max(np.abs(moved_dec.energies - dec.energies)) <= 1e-12 * scale
+    assert np.max(np.abs(moved_dec.energies[level] - dec.energies)) <= 1e-12 * scale
+    assert count_structural_zeros(moved_rates) == count_structural_zeros(rates)
+    assert sorted(map(len, moved_blocks.blocks)) == sorted(map(len, blocks.blocks))
+    moved_matrix = moved_rates.matrix[np.ix_(level, level)]
+    assert np.max(np.abs(moved_matrix - rates.matrix)) <= 1e-12 * np.max(np.abs(rates.matrix), initial=0.0)
 
 
 class TestDetailedBalanceAudit:

@@ -113,6 +113,14 @@ class TestBathConfig:
         with pytest.raises(ValidationError):
             BathConfig(temperature=-1.0, kappas=(1.0,))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        # NaN > 0 is false: an unrefused NaN kappa would leave its site silently decoupled
+        with pytest.raises(ValidationError, match="kappa for site 2 must be finite and >= 0"):
+            BathConfig(temperature=1.0, kappas=(1.0, value))
+        with pytest.raises(ValidationError, match="temperature must be finite and >= 0"):
+            BathConfig(temperature=value, kappas=(1.0,))
+
     def test_axes_validated(self):
         with pytest.raises(ValidationError):
             BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("x",))

@@ -391,6 +391,27 @@ class TestCli:
         total = sum(steady[f"p_{i}"] for i in range(1, 4097))
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
+    def test_blocks_of_a_decoupled_ten_site_chain_build_no_vectors(self, tmp_path):
+        # every kappa = 0 gives 1,024 singleton blocks; one restricted Gibbs vector
+        # of 1,024 entries per block would take 8 MiB
+        spec = random_nondegenerate_chain(10, np.random.default_rng(10))
+        path = tmp_path / "n10.cfg"
+        path.write_text(
+            "[chain]\nn = 10\nfields = " + ", ".join(map(repr, spec.fields)) + "\n"
+            + "couplings = " + ", ".join(f"{a}-{b}: {d!r}" for a, b, d in spec.couplings) + "\n"
+            + "[bath]\ntemperature = 1.0\nkappas = 0" + ", 0" * 9 + "\n"
+        )
+        argv = ["blocks", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0  # first-call caches are not the command's working set
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"blocks peaked at {peak / 2**20:.2f} MiB"
+        assert read_json_body(tmp_path / "out" / "blocks.json") == [[i] for i in range(1, 1025)]
+
     def test_structure_commands_never_load_scipy(self, tmp_path):
         structure = ["spectrum", "rates", "steady", "blocks", "zeros-scaling"]
         package_root = str(Path(cli.__file__).resolve().parents[1])
@@ -484,9 +505,10 @@ class TestCli:
         path.write_text(
             "[chain]\nn = 2\nfields = 1, 1\n[bath]\ntemperature = 1\nkappas = 1, 1\n"
         )
-        code = main(["rates", "--config", str(path), "--out", str(tmp_path / "d")])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "DegenerateGapError"
+        for command in ("rates", "steady", "blocks"):
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "d")])
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "DegenerateGapError"
 
     def test_nearest_neighbour_chain_runs_with_colliding_gaps(self, tmp_path):
         path = tmp_path / "nn6.cfg"

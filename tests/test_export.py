@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from spinbath import export
 from spinbath.errors import ValidationError
-from spinbath.export import fmt, write_csv, write_gaps_csv, write_matrix_csv
+from spinbath.export import fmt, write_csv, write_gaps_csv, write_mask_csv, write_matrix_csv
 
 
 def rendered(values) -> list[str]:
@@ -102,3 +102,19 @@ def test_gaps_csv_memory_stays_bounded(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "gaps.csv").stat().st_size > 10 * 2**20
     assert peak < 4 * 2**20
+
+
+def test_mask_csv_memory_stays_bounded(tmp_path):
+    # the single-spin-flip pattern of an N = 10 chain with every site coupled
+    d, states = 2**10, np.arange(2**10)
+    flips = [(states[states & bit == 0], states[states & bit == 0] + bit) for bit in 1 << np.arange(10)]
+    rows, cols = (np.concatenate(side) for side in zip(*flips))
+    tracemalloc.start()
+    try:
+        write_mask_csv(tmp_path / "mask.csv", (rows, cols, np.ones(d, dtype=bool)), ["# h"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    body = (tmp_path / "mask.csv").read_bytes().split(b"\n", 1)[1]
+    assert len(body) == 2 * d * d and body.count(b"1") == d * 11
+    assert peak < 2**20  # the text alone is 2 MiB

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -31,10 +32,11 @@ from spinbath import (
     spectral_decomposition,
     structural_blocks,
     unvectorize,
+    ValidationError,
     vectorize,
 )
 
-from conftest import csgraph_blocks, random_density
+from conftest import csgraph_blocks, random_density, table_mask
 
 
 def _elems(dec, kappas, temperature=1.0, axes=()):
@@ -133,8 +135,34 @@ class TestRateMatrix:
         off = ~np.eye(4, dtype=bool)
         assert np.all(m[off] >= 0)
         assert np.all(np.diagonal(m) <= 0)
-        # every row holds N + 1 = 3 structural nonzeros when all sites couple
-        assert np.all(rates.nonzero_mask.sum(axis=1) == 3)
+        # every row holds N + 1 = 3 structural nonzeros when all sites couple, and at
+        # T > 0 each of them is a nonzero rate
+        assert np.all(table_mask(rates).sum(axis=1) == 3)
+        assert np.array_equal(table_mask(rates), m != 0)
+
+    def test_validate_refuses_each_corruption(self, paper_model):
+        _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
+        rates.validate()
+        # each keeps the column sums: a rate on a decoupled site-1 flip, and a negative one
+        outside, negative = rates.matrix.copy(), rates.matrix.copy()
+        outside[0, 2], outside[2, 2] = 0.1, outside[2, 2] - 0.1
+        negative[0, 1], negative[1, 1] = -0.1, negative[1, 1] + negative[0, 1] + 0.1
+        for matrix, message in ((outside, "outside the structural pattern"), (negative, "negative off-diagonal")):
+            with pytest.raises(ValidationError, match=message):
+                replace(rates, matrix=matrix).validate()
+
+    def test_rate_matrix_is_the_only_dense_object(self):
+        # N = 10: the 8 MiB matrix; the structure stays in the table the matrix keeps
+        dec = decompose_chain(random_nondegenerate_chain(10, np.random.default_rng(10)))
+        cfg, elems = _elems(dec, (1e-5,) + (1.0,) * 9)
+        tracemalloc.start()
+        try:
+            rates = build_rate_matrix(dec, elems, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rates.elems is elems
+        assert peak < 8.5 * 2**20, f"peaked at {peak / 2**20:.2f} MiB"
 
     def test_boundary_diagonal_entries(self, paper_model):
         # ground state loses only upward (gain), top state only downward (damping)
@@ -154,9 +182,10 @@ class TestRateMatrix:
             dec = spectral_decomposition(build_hamiltonian(spec))
             cfg, elems = _elems(dec, tuple(rng.uniform(0.1, 2.0, size=n)), temperature)
             rates = build_rate_matrix(dec, elems, cfg)
+            mask = table_mask(rates)
             for i in range(dec.dimension):
                 for j in range(i + 1, dec.dimension):
-                    if not rates.nonzero_mask[i, j]:
+                    if not mask[i, j]:
                         continue
                     ratio = rates.matrix[j, i] / rates.matrix[i, j]
                     expected = math.exp(-float(dec.energies[j] - dec.energies[i]) / temperature)
@@ -165,8 +194,10 @@ class TestRateMatrix:
     def test_mask_is_temperature_independent(self, paper_model):
         _, _, cold = paper_model(kappas=(1e-5, 1.0), temperature=0.01)
         _, _, hot = paper_model(kappas=(1e-5, 1.0), temperature=100.0)
-        assert np.array_equal(cold.nonzero_mask, hot.nonzero_mask)
-        assert np.all(cold.nonzero_mask.sum(axis=1) == 3)  # 1e-5 still structurally couples
+        # the pattern is read off the table; the rates at either temperature agree with it
+        for rates in (cold, hot):
+            assert np.array_equal(table_mask(rates), rates.matrix != 0)
+        assert np.all(table_mask(cold).sum(axis=1) == 3)  # 1e-5 still structurally couples
 
 
 class TestRateMatrixRefusals:
@@ -174,7 +205,12 @@ class TestRateMatrixRefusals:
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     @pytest.mark.parametrize("kappa", [1e308, math.inf, math.nan])
     def test_non_finite_rates_refused_without_warnings(self, paper_dec, kappa, temperature):
-        # kappa * omega overflows at 1e308; inf * 0 occupation is NaN at T = 0
+        # the bath refuses a non-finite kappa itself; a finite kappa = 1e308 reaches the
+        # builder, where kappa * omega overflows, and inf * 0 occupation is NaN at T = 0
+        if not math.isfinite(kappa):
+            with pytest.raises(ValidationError, match="kappa for site 1 must be finite and >= 0"):
+                _elems(paper_dec, (kappa, 1.0), temperature)
+            return
         cfg, elems = _elems(paper_dec, (kappa, 1.0), temperature)
         with pytest.raises(NumericalIntegrityError, match="non-finite rates: total outflow of level 1"):
             build_rate_matrix(paper_dec, elems, cfg)

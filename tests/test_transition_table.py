@@ -34,13 +34,13 @@ from spinbath import (
     random_nondegenerate_chain,
     spectral_decomposition,
 )
-from spinbath import cli, generator
+from spinbath import cli, export, generator
 from spinbath.bath import bose_einstein, spectral_density
 from spinbath.chain import DegeneracyReport
 from spinbath.errors import ValidationError
 from spinbath.export import fmt, fmt_complex, write_matrix_csv, write_mask_csv
 
-from conftest import site_operator
+from conftest import site_operator, table_mask
 
 TEMPERATURES = (0.0, 0.05, 1.0, 10.0)
 KAPPAS = (0.0, 1e-5, 0.3, 1.0)
@@ -205,7 +205,7 @@ def _assert_same_rates(dec, baths):
             build_rate_matrix(dec, elems, baths)
         return None
     rates = build_rate_matrix(dec, elems, baths)
-    assert np.array_equal(rates.nonzero_mask, expected_mask)
+    assert np.array_equal(table_mask(rates), expected_mask)
     off = ~np.eye(dec.dimension, dtype=bool)
     assert np.array_equal(rates.matrix[off], expected[off])
     scale = np.max(np.abs(expected))  # the pair loop sums each column in another order
@@ -254,7 +254,7 @@ def test_degenerate_gaps_admitted_by_both():
     baths = BathConfig(temperature=1.0, kappas=(1.0,) * 4)
     expected, expected_mask = reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
     rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
-    assert np.array_equal(rates.nonzero_mask, expected_mask)
+    assert np.array_equal(table_mask(rates), expected_mask)
     assert np.max(np.abs(rates.matrix - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
@@ -367,16 +367,20 @@ def test_matrix_csv_matches_the_per_entry_rendering(tmp_path):
             assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
-def test_mask_csv_matches_the_per_entry_rendering(tmp_path):
+@pytest.mark.parametrize("mask_bytes", [1, 100, export._MASK_BYTES])
+def test_mask_csv_matches_the_per_entry_rendering(tmp_path, monkeypatch, mask_bytes):
+    # random patterns: pairs i < j in row-major order, and touched states drawn apart
+    monkeypatch.setattr(export, "_MASK_BYTES", mask_bytes)
     rng = np.random.default_rng(4)
     path = tmp_path / "mask.csv"
-    for shape in ((1, 1), (2, 2), (5, 3), (0, 2), (3, 0), (256, 256)):
-        mask = rng.random(shape) < 0.3
-        for grid in (mask, mask.astype(int), mask.astype(np.uint8)):
-            write_mask_csv(path, grid, ["# h"])
+    for d in (1, 2, 3, 5, 64, 300):
+        for density in (0.0, 0.05, 0.3, 1.0):
+            rows, cols = np.nonzero(np.triu(rng.random((d, d)) < density, 1))
+            touched = rng.random(d) < density
+            grid = np.diag(touched)
+            grid[rows, cols] = grid[cols, rows] = True
+            write_mask_csv(path, (rows, cols, touched), ["# h"])
             assert path.read_bytes() == ("\n".join(["# h", *reference_mask_rows(grid)]) + "\n").encode()
-    with pytest.raises(ValidationError):
-        write_mask_csv(path, np.array([[0, 2]]), ["# h"])
 
 
 def _decomposition(energies) -> SpectralDecomposition:
@@ -428,13 +432,14 @@ def test_cli_files_match_the_per_entry_rendering(tmp_path):
     cfg = parse_config(path)
     dec = spectral_decomposition(build_hamiltonian(cfg.chain))
     rates = build_rate_matrix(dec, coupling_matrix_elements(cfg.bath, dec), cfg.bath)
+    _, expected_mask = reference_rates(dec, reference_coupling_matrices(cfg.bath, dec), cfg.bath)
     e, d = dec.energies, dec.dimension
     expected = {
         "gaps.csv": ["i,j,omega"] + [
             f"{i + 1},{j + 1},{fmt(e[j] - e[i])}" for i in range(d) for j in range(i + 1, d)
         ],
         "rates.csv": [",".join(f"E={fmt(x)}" for x in e), *reference_render_rows(rates.matrix)],
-        "rates_mask.csv": reference_mask_rows(rates.nonzero_mask),
+        "rates_mask.csv": reference_mask_rows(expected_mask),
     }
     for name, body in expected.items():
         text = (tmp_path / name).read_text()
