@@ -1,11 +1,9 @@
 """Structural and statistical analysis of the rate dynamics.
 
-Covers block/connectivity detection on the transition table, the late-time
-state predicted from block weights and the restricted Gibbs vectors (the same
-vectors, from the same partition, that dynamics.steady_states returns), the
-zeros scaling law, a detailed-balance audit, parameter sweeps of the
-excitation probability, and the slope locator for the thermal transition
-temperature.
+Covers the block partition of the transition table and the late-time state
+predicted from block weights, the zeros scaling law, a detailed-balance
+audit, parameter sweeps of the excitation probability, and the slope locator
+for the thermal transition temperature.
 
 Blocks are always computed from the transition table (the coupled flips,
 those of sites with kappa > 0), never from rate values or float thresholds: a
@@ -13,6 +11,12 @@ kappa of 1e-5 is structurally connected but dynamically slow, and that
 distinction is exactly what the blocking phenomenology exploits.  The table's
 coupled flips are the structural off-diagonal entries of Lambda, so blocks and
 steady states need no rate matrix.
+
+`connectivity_blocks` and `BlockPartition` are dynamics', re-exported here.
+At T = 0 they refuse a block with several absorbing minima, whose late-time
+state depends on where in the block the weight starts, so the predictions
+refuse it too; the bare block structure (`generator.structural_blocks`, the
+`blocks` command) does not.
 """
 
 from __future__ import annotations
@@ -24,38 +28,11 @@ import numpy as np
 
 from .bath import BathConfig, CouplingElements, coupling_matrix_elements
 from .chain import ChainSpec, SpectralDecomposition, check_degeneracy, decompose_chain
-from .dynamics import PopulationState, _as_population, _block_gibbs, expm
+from .dynamics import BlockPartition, PopulationState, _as_population, connectivity_blocks, expm
 from .errors import NumericalIntegrityError, SpinbathError, ValidationError
 from .generator import RateMatrix, _structural_pattern, build_rate_matrix
 
 MAX_CHAIN_DRAWS = 1000
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Decoupled energy subspaces of the structural transition graph.
-
-    blocks are disjoint 0-based index tuples covering all states, ordered by
-    smallest member; restricted_gibbs[b] is the thermal vector of block b at
-    the bath temperature, embedded in the full dimension.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    restricted_gibbs: tuple[np.ndarray, ...]
-    temperature: float
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-
-def connectivity_blocks(dec: SpectralDecomposition, elems: CouplingElements,
-                        baths: BathConfig) -> BlockPartition:
-    """Partition the states into the connected components of the structural
-    graph of the transition table, each with its restricted Gibbs vector at
-    the bath temperature; no rate matrix is built."""
-    blocks, gibbs = _block_gibbs(dec, elems, baths)
-    return BlockPartition(blocks=blocks, restricted_gibbs=gibbs, temperature=baths.temperature)
 
 
 def predicted_zero_count(n_sites: int) -> int:
@@ -105,11 +82,12 @@ def restricted_gibbs_prediction(blocks: BlockPartition, p0) -> PopulationState:
     """Late-time state implied by block weights: each block keeps its initial
     weight and thermalises internally to the restricted Gibbs distribution."""
     p = _as_population(p0)
-    out = np.zeros(blocks.restricted_gibbs[0].size)
-    if p.size != out.size:
+    if p.size != blocks.dimension:
         raise ValidationError("initial state dimension does not match the blocks")
-    for block, gibbs in zip(blocks.blocks, blocks.restricted_gibbs):
-        out += float(p[np.asarray(block)].sum()) * gibbs
+    out = np.zeros(p.size)
+    for block, w in zip(blocks.blocks, blocks.weights):
+        idx = list(block)
+        out[idx] = p[idx].sum() * w
     return PopulationState(out)
 
 

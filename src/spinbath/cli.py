@@ -9,7 +9,13 @@ Failures print a machine-readable JSON record to stderr.
 kappa > 0, and at T = 0 which downhill J(omega) are 0.0.  Their results do not
 depend on rate magnitudes, so a kappa whose rates overflow (kappa = 1e308 on a
 gap above 1.8) makes `rates`, `evolve` and `fig2` exit 3 but `steady` and
-`blocks` exit 0 with the output of any other positive kappa.
+`blocks` exit 0 with the output of any other positive kappa.  At T = 0 a
+block holding several absorbing minima has no unique steady state: `steady`
+refuses it (exit 3), as `steady_states` and the late-time predictions do,
+while `blocks` still writes the block structure (exit 0).
+
+Command-line overrides pass the config file's checks, so a bad --seed,
+--max-n or --draws exits 2 naming the key.
 
 `spectrum`, `rates`, `steady`, `blocks` and `zeros-scaling` run on numpy
 alone and never import scipy.  `evolve`, `sweep-T`, `sweep-kappa` and `fig2`
@@ -30,7 +36,7 @@ from . import analysis, export
 from .bath import coupling_matrix_elements
 from .chain import check_degeneracy, decompose_chain
 from .config import COMMANDS, RunConfig, builtin_config_path, parse_config, resolve_initial_state, with_overrides
-from .dynamics import propagate_populations, steady_states
+from .dynamics import connectivity_blocks, propagate_populations
 from .errors import ConfigError, NumericalIntegrityError, SpinbathError
 from .generator import _checked_blocks, _structural_pattern, build_rate_matrix
 
@@ -119,11 +125,8 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _cmd_steady(cfg: RunConfig, out: Path) -> list[Path]:
-    dec, elems = _table(cfg)
-    states = [state.p for state in steady_states(dec, elems, cfg.bath)]
-    names = "block," + ",".join(f"p_{i + 1}" for i in range(dec.dimension))
-    labels = np.arange(1, len(states) + 1)[:, None]
-    return [export.write_csv(out / "steady.csv", [*_header(cfg, "steady"), names], labels, np.array(states))]
+    partition = connectivity_blocks(*_table(cfg), cfg.bath)
+    return [export.write_steady_csv(out / "steady.csv", partition, _header(cfg, "steady"))]
 
 
 def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:

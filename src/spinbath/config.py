@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .bath import BathConfig
-from .chain import ChainSpec, SpectralDecomposition
+from .chain import MAX_DENSE_SITES, ChainSpec, SpectralDecomposition
 from .dynamics import PopulationState, gibbs_state
-from .errors import ConfigError, SpinbathError
+from .errors import CapacityError, ConfigError, SpinbathError
 
 COMMANDS = (
     "spectrum",
@@ -237,7 +237,10 @@ class _Sections:
 
 
 def _load_sections(path: Path) -> tuple[_Sections, str]:
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from None
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
@@ -323,9 +326,6 @@ def parse_config(path) -> RunConfig:
     t_star = sections.get_float("run", "t_star", default=10.0)
     if t_star <= 0:
         raise ConfigError(f"[run] t_star: expected a positive time, got {t_star}")
-    seed = sections.get_int("run", "seed", default=None)
-    if seed is not None and seed < 0:
-        raise ConfigError(f"[run] seed: expected a nonnegative integer, got {seed}")
 
     initial_state = sections.get_str("run", "initial_state", default="ground")
     _validate_initial_state(initial_state, chain.dimension)
@@ -341,7 +341,7 @@ def parse_config(path) -> RunConfig:
         kappa_grid=sections.get_grid("run", "kappa_grid", default="1e-3:1:25:log"),
         kappa_site=kappa_site,
         out=sections.get_str("run", "out"),
-        seed=seed,
+        seed=sections.get_int("run", "seed", default=None),
         max_n=sections.get_int("run", "max_n", default=4),
         draws=sections.get_int("run", "draws", default=100),
         fig2_temperatures=sections.get_floats(
@@ -351,8 +351,21 @@ def parse_config(path) -> RunConfig:
         source_hash=hashlib.sha256(text.encode()).hexdigest(),
         source_path=str(path),
     )
-    if cfg.max_n < 1:
-        raise ConfigError(f"[run] max_n: expected a positive integer, got {cfg.max_n}")
+    return _check_run_numbers(cfg)
+
+
+def _check_run_numbers(cfg: RunConfig) -> RunConfig:
+    """The checks on seed, max_n and draws, whether the value comes from the
+    file or from the command line.  zeros-scaling starts at N = 2, and a
+    max_n past MAX_DENSE_SITES is refused here, before any chain is drawn."""
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"[run] seed: expected a nonnegative integer, got {cfg.seed}")
+    if cfg.max_n < 2:
+        raise ConfigError(f"[run] max_n: expected an integer >= 2, got {cfg.max_n}")
+    if cfg.max_n > MAX_DENSE_SITES:
+        raise CapacityError(
+            f"[run] max_n: dense d x d objects limited to N <= {MAX_DENSE_SITES}, got N = {cfg.max_n}"
+        )
     if cfg.draws < 1:
         raise ConfigError(f"[run] draws: expected a positive integer, got {cfg.draws}")
     return cfg
@@ -401,7 +414,8 @@ def resolve_initial_state(cfg: RunConfig, dec: SpectralDecomposition) -> Populat
 
 def with_overrides(cfg: RunConfig, *, command=None, out=None, seed=None, max_n=None,
                    draws=None) -> RunConfig:
-    """Apply command-line overrides on top of a parsed configuration."""
+    """Apply command-line overrides on top of a parsed configuration, checked
+    as the file's values are."""
     updates = {}
     if command is not None:
         updates["command"] = command
@@ -413,4 +427,4 @@ def with_overrides(cfg: RunConfig, *, command=None, out=None, seed=None, max_n=N
         updates["max_n"] = int(max_n)
     if draws is not None:
         updates["draws"] = int(draws)
-    return replace(cfg, **updates) if updates else cfg
+    return _check_run_numbers(replace(cfg, **updates))

@@ -11,11 +11,18 @@ scipy is loaded only by the first call of `expm`, i.e. on the first
 propagation (`evolve`, `fig2`, the sweeps, the Lindblad oracle).  Steady
 states need neither linear algebra nor a rate matrix, only the transition
 table, so `steady`, like every other structure command, runs on numpy alone.
+
+`connectivity_blocks` is the one place where the transition table becomes a
+checked partition, with d restricted Gibbs weights in all.  `steady_states`,
+the late-time predictions and the `steady` command read it, so at T = 0 all
+refuse a block with several absorbing minima; the bare block structure
+(`generator.structural_blocks`, the `blocks` command) does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -219,39 +226,59 @@ def _thermal_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _block_gibbs(dec: SpectralDecomposition, elems: CouplingElements,
-                 baths: BathConfig) -> tuple[tuple[tuple[int, ...], ...], tuple[np.ndarray, ...]]:
-    """The checked structural blocks of the table (`_checked_blocks`) and the
-    restricted Gibbs vector of each, embedded in the full dimension."""
-    blocks = _checked_blocks(dec, elems, baths)
-    vectors = []
-    for block in blocks:
-        full = np.zeros(dec.dimension)
-        idx = np.asarray(block)
-        full[idx] = _thermal_weights(dec.energies[idx], baths.temperature)
-        vectors.append(full)
-    return blocks, tuple(vectors)
+@dataclass(frozen=True)
+class BlockPartition:
+    """Decoupled energy subspaces of the structural transition graph.
 
-
-def steady_states(dec: SpectralDecomposition, elems: CouplingElements,
-                  baths: BathConfig) -> list[PopulationState]:
-    """One stationary population vector per decoupled structural block.
-
-    Each block of `structural_blocks(elems, baths.kappas)` relaxes to its
-    restricted Gibbs vector.  Lambda obeys detailed balance and a block is
-    connected, so that vector is the block's exact and only kernel vector
-    (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)).  Neither the blocks nor
-    the vectors depend on rate magnitudes, so no rate matrix is built.
-
-    At T = 0 no rate leads uphill, and a state is absorbing exactly when its
-    summed downhill J(omega) over the table is 0.0, i.e. when it has no
-    downhill flip on a site with kappa * omega > 0 (bit for bit the test
-    -Lambda[j, j] == 0.0 on the built matrix).  The block's lowest level is
-    always absorbing, and a block holding several absorbing local minima has
-    a kernel of that dimension and no unique steady state:
-    NumericalIntegrityError.
+    blocks are disjoint 0-based index tuples covering all states, ordered by
+    smallest member; weights[b] is the restricted Gibbs distribution of block
+    b at the bath temperature over its own levels, in the order of blocks[b]
+    (d floats in total, however many blocks there are).
     """
-    blocks, vectors = _block_gibbs(dec, elems, baths)
+
+    blocks: tuple[tuple[int, ...], ...]
+    weights: tuple[np.ndarray, ...]
+    temperature: float
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.blocks)
+
+    @cached_property
+    def dimension(self) -> int:
+        return sum(map(len, self.blocks))
+
+    def embedded(self, start: int, stop: int) -> np.ndarray:
+        """The restricted Gibbs vectors of blocks start..stop-1 embedded in the
+        full dimension, one per row."""
+        rows = np.zeros((stop - start, self.dimension))
+        for row, block, w in zip(rows, self.blocks[start:stop], self.weights[start:stop]):
+            row[list(block)] = w
+        return rows
+
+
+def connectivity_blocks(dec: SpectralDecomposition, elems: CouplingElements,
+                        baths: BathConfig) -> BlockPartition:
+    """The checked block partition of the transition table, the one source of
+    steady states and late-time predictions; no rate matrix is built.
+
+    In order: the refusals of `_checked_blocks` (a degenerate spectrum, a bath
+    that does not match the table); the connected components of the
+    structural graph (`structural_blocks`); each block's restricted Gibbs
+    weights over its own levels; and at T = 0 the absorbing-state check.
+
+    Lambda obeys detailed balance and a block is connected, so for T > 0 the
+    restricted Gibbs vector is the block's exact and only kernel vector
+    (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)).  At T = 0 no rate leads
+    uphill, and a state is absorbing exactly when its summed downhill
+    J(omega) over the table is 0.0, i.e. when it has no downhill flip on a
+    site with kappa * omega > 0 (bit for bit the test -Lambda[j, j] == 0.0 on
+    the built matrix).  The block's lowest level is always absorbing, and a
+    block holding several absorbing local minima has a kernel of that
+    dimension and no unique steady state: NumericalIntegrityError.
+    """
+    blocks = _checked_blocks(dec, elems, baths)
+    weights = tuple(_thermal_weights(dec.energies[list(block)], baths.temperature) for block in blocks)
     if baths.temperature == 0.0:
         _, density = _flip_densities(dec, elems, baths)
         absorbing = np.bincount(elems.cols, weights=density, minlength=dec.dimension) == 0.0
@@ -261,7 +288,19 @@ def steady_states(dec: SpectralDecomposition, elems: CouplingElements,
                 raise NumericalIntegrityError(
                     f"block {tuple(i + 1 for i in block)} has kernel dimension {k}, expected 1"
                 )
-    return [PopulationState(v) for v in vectors]
+    return BlockPartition(blocks=blocks, weights=weights, temperature=baths.temperature)
+
+
+def steady_states(dec: SpectralDecomposition, elems: CouplingElements,
+                  baths: BathConfig) -> list[PopulationState]:
+    """One stationary population vector per decoupled structural block: the
+    restricted Gibbs vectors of `connectivity_blocks`, embedded in the full
+    dimension.  Neither the blocks nor the vectors depend on rate magnitudes,
+    so no rate matrix is built; at T = 0 a block with several absorbing
+    minima is refused with NumericalIntegrityError.
+    """
+    partition = connectivity_blocks(dec, elems, baths)
+    return [PopulationState(row) for row in partition.embedded(0, partition.n_blocks)]
 
 
 def gibbs_state(dec: SpectralDecomposition, temperature: float) -> PopulationState:

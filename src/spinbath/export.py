@@ -23,7 +23,8 @@ columns (row labels) print as integers.  A table that is mostly +0.0, like
 a rate matrix, renders only its other entries and splices "0" in for the
 rest.  A structural mask is rendered from its pattern (the coupled flips and
 the states they touch) as a 0/1 grid, straight to bytes, a bounded chunk of
-rows at a time.
+rows at a time, and steady states from their block partition, a bounded
+chunk of embedded rows at a time.
 """
 
 from __future__ import annotations
@@ -308,6 +309,19 @@ def write_trajectory_csv(path, trajectory, header: list[str]) -> Path:
     names = "t," + ",".join(f"p_{i + 1}" for i in range(pops.shape[1])) + ",P_exc"
     table = np.column_stack((trajectory.times, pops, 1.0 - pops[:, 0]))
     return write_csv(path, [*header, names], table)
+
+
+def write_steady_csv(path, partition, header: list[str]) -> Path:
+    """Columns block, p_1..p_d: one row per block of a BlockPartition, its
+    restricted Gibbs vector embedded in the full dimension, rendered as
+    write_csv renders it, a bounded chunk of rows at a time."""
+    d = partition.dimension
+    names = "block," + ",".join(f"p_{i + 1}" for i in range(d))
+
+    def render(a: int, b: int) -> np.ndarray:
+        return _render([np.arange(a + 1, b + 1)[:, None], partition.embedded(a, b)])
+
+    return _write_rows(path, [*header, names], partition.n_blocks, _CHUNK // d, render)
 
 
 def write_sweep_csv(path, sweep, header: list[str]) -> Path:

@@ -27,9 +27,11 @@ from spinbath import (
     detailed_balance_audit,
     locate_t_theta,
     predicted_zero_count,
+    propagate_populations,
     random_nondegenerate_chain,
     restricted_gibbs_prediction,
     steady_states,
+    structural_blocks,
     sweep_coupling,
     sweep_temperature,
     zeros_scaling,
@@ -57,7 +59,8 @@ class TestConnectivityBlocks:
     def test_restricted_gibbs_vectors(self, paper_table):
         partition = connectivity_blocks(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
         low = 1.0 / (1.0 + math.exp(-5 / 3))
-        assert partition.restricted_gibbs[0] == pytest.approx([low, 1 - low, 0, 0], abs=1e-12)
+        assert partition.weights[0] == pytest.approx([low, 1 - low], abs=1e-12)
+        assert partition.embedded(0, 1)[0] == pytest.approx([low, 1 - low, 0, 0], abs=1e-12)
 
 
 class TestZeroCounts:
@@ -139,7 +142,8 @@ def test_blocks_equal_csgraph_on_random_chains(table):
     dec = decompose_chain(spec)
     elems = coupling_matrix_elements(baths, dec)
     rates = build_rate_matrix(dec, elems, baths)
-    assert connectivity_blocks(dec, elems, baths).blocks == csgraph_blocks(value_edges(rates))
+    # the bare structure: at T = 0 connectivity_blocks refuses a glassy block, this does not
+    assert structural_blocks(elems, baths.kappas) == csgraph_blocks(value_edges(rates))
 
 
 @settings(max_examples=120, deadline=None)
@@ -160,13 +164,15 @@ def test_table_steady_states_equal_the_dense_path(table):
     if expected is None:
         with pytest.raises(NumericalIntegrityError, match="kernel dimension"):
             steady_states(dec, elems, baths)
+        with pytest.raises(NumericalIntegrityError, match="kernel dimension"):
+            connectivity_blocks(dec, elems, baths)
         return
     states = steady_states(dec, elems, baths)
-    gibbs = connectivity_blocks(dec, elems, baths).restricted_gibbs
-    assert len(states) == len(gibbs) == len(expected)
-    for state, vector, oracle in zip(states, gibbs, expected):
+    partition = connectivity_blocks(dec, elems, baths)
+    assert len(states) == partition.n_blocks == len(expected)
+    for state, block, weights, oracle in zip(states, partition.blocks, partition.weights, expected):
         assert np.array_equal(state.p, oracle)
-        assert np.array_equal(vector, oracle)
+        assert np.array_equal(weights, oracle[list(block)])
 
 
 @st.composite
@@ -272,6 +278,20 @@ class TestRestrictedGibbsPrediction:
         nbar = 1.0 / math.expm1((5 / 3) / 10.0)
         assert pred.p[1] == pytest.approx(nbar / (2 * nbar + 1), rel=1e-12)
         assert pred.p[2] == pred.p[3] == 0.0
+
+    @pytest.mark.parametrize("start, late", [(2, [0.0, 1.0]), (5, [0.267139, 0.732861])])
+    def test_glassy_chain_at_zero_temperature_is_refused(self, start, late):
+        # one block with two absorbing minima at T = 0: where the weight ends up
+        # depends on the start, not only on the block's weight, so no prediction
+        spec = ChainSpec(3, (0.251, 0.252, 0.179), ((1, 2, -1.229), (2, 3, -1.368), (1, 3, -1.17)))
+        baths = BathConfig(temperature=0.0, kappas=(1.0, 1.0, 1.0))
+        dec = decompose_chain(spec)
+        elems = coupling_matrix_elements(baths, dec)
+        p0 = PopulationState.basis(8, start - 1)
+        trajectory = propagate_populations(build_rate_matrix(dec, elems, baths), p0, [0.0, 1e3])
+        assert trajectory.populations[-1] == pytest.approx(late + [0.0] * 6, abs=1e-6)
+        with pytest.raises(NumericalIntegrityError, match="kernel dimension 2"):
+            restricted_gibbs_prediction(connectivity_blocks(dec, elems, baths), p0)
 
     def test_block_weights_conserved(self, paper_table):
         rng = np.random.default_rng(52)

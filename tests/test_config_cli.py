@@ -16,6 +16,7 @@ import pytest
 from spinbath import (
     ConfigError,
     Trajectory,
+    analysis,
     build_hamiltonian,
     builtin_config_path,
     cli,
@@ -116,6 +117,17 @@ kappa_grid = 1e-3:1:5:log
 fig2_temperatures = 0.1, 1.0
 fig2_kappas = 0.01, 1.0
 """
+
+
+def _random_chain_cfg(path: Path, n_sites: int, kappas: str) -> Path:
+    """A config at T = 1 for the chain random_nondegenerate_chain draws from seed n_sites."""
+    spec = random_nondegenerate_chain(n_sites, np.random.default_rng(n_sites))
+    path.write_text(
+        f"[chain]\nn = {n_sites}\nfields = " + ", ".join(map(repr, spec.fields)) + "\n"
+        + "couplings = " + ", ".join(f"{a}-{b}: {d!r}" for a, b, d in spec.couplings) + "\n"
+        + f"[bath]\ntemperature = 1.0\nkappas = {kappas}\n"
+    )
+    return path
 
 
 @pytest.fixture
@@ -359,13 +371,7 @@ class TestCli:
 
     def test_steady_and_blocks_at_twelve_sites_evaluate_no_rate(self, tmp_path, monkeypatch):
         # d = 4096: a dense rate matrix and its mask alone would take 144 MiB
-        spec = random_nondegenerate_chain(12, np.random.default_rng(12))
-        path = tmp_path / "n12.cfg"
-        path.write_text(
-            "[chain]\nn = 12\nfields = " + ", ".join(map(repr, spec.fields)) + "\n"
-            + "couplings = " + ", ".join(f"{a}-{b}: {d!r}" for a, b, d in spec.couplings) + "\n"
-            + "[bath]\ntemperature = 1.0\nkappas = 0, 1e-5" + ", 1.0" * 10 + "\n"
-        )
+        path = _random_chain_cfg(tmp_path / "n12.cfg", 12, "0, 1e-5" + ", 1.0" * 10)
 
         def refuse(*args, **kwargs):
             raise AssertionError("steady and blocks evaluate no rate")
@@ -394,13 +400,7 @@ class TestCli:
     def test_blocks_of_a_decoupled_ten_site_chain_build_no_vectors(self, tmp_path):
         # every kappa = 0 gives 1,024 singleton blocks; one restricted Gibbs vector
         # of 1,024 entries per block would take 8 MiB
-        spec = random_nondegenerate_chain(10, np.random.default_rng(10))
-        path = tmp_path / "n10.cfg"
-        path.write_text(
-            "[chain]\nn = 10\nfields = " + ", ".join(map(repr, spec.fields)) + "\n"
-            + "couplings = " + ", ".join(f"{a}-{b}: {d!r}" for a, b, d in spec.couplings) + "\n"
-            + "[bath]\ntemperature = 1.0\nkappas = 0" + ", 0" * 9 + "\n"
-        )
+        path = _random_chain_cfg(tmp_path / "n10.cfg", 10, "0" + ", 0" * 9)
         argv = ["blocks", "--config", str(path), "--out", str(tmp_path / "out")]
         assert main(argv) == 0  # first-call caches are not the command's working set
         tracemalloc.start()
@@ -411,6 +411,24 @@ class TestCli:
             tracemalloc.stop()
         assert peak < 2**20, f"blocks peaked at {peak / 2**20:.2f} MiB"
         assert read_json_body(tmp_path / "out" / "blocks.json") == [[i] for i in range(1, 1025)]
+
+    def test_steady_of_a_decoupled_eleven_site_chain_holds_no_dense_rows(self, tmp_path):
+        # every kappa = 0 gives 2,048 singleton blocks; one embedded vector of 2,048
+        # entries per block would take 32 MiB, twice over with the array written out
+        path = _random_chain_cfg(tmp_path / "n11.cfg", 11, "0" + ", 0" * 10)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["steady", "--config", str(path), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"steady peaked at {peak / 2**20:.1f} MiB"
+        lines = [line for line in (out / "steady.csv").read_text().splitlines() if not line.startswith("#")]
+        assert lines[0] == "block," + ",".join(f"p_{i}" for i in range(1, 2049))
+        assert len(lines) == 2049
+        for k, line in enumerate(lines[1:], start=1):  # level k alone, as a 1 among "0" entries
+            assert line == f"{k}," + "0," * (k - 1) + "1" + ",0" * (2048 - k)
 
     def test_structure_commands_never_load_scipy(self, tmp_path):
         structure = ["spectrum", "rates", "steady", "blocks", "zeros-scaling"]
@@ -430,6 +448,34 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError" and "seed" in record["message"]
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--seed", "-1", "ConfigError"),
+        ("--draws", "0", "ConfigError"),
+        ("--max-n", "0", "ConfigError"),
+        ("--max-n", "1", "ConfigError"),
+        ("--max-n", "13", "CapacityError"),
+    ])
+    def test_overrides_are_checked_as_file_values(self, flag, value, error, blocked_cfg, tmp_path,
+                                                  capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a refused override draws no chain")
+
+        monkeypatch.setattr(analysis, "_draw_nondegenerate", refuse)
+        overrides = {"--seed": "1", "--max-n": "4", "--draws": "1", flag: value}
+        argv = ["zeros-scaling", "--config", str(blocked_cfg), "--out", str(tmp_path)]
+        assert main(argv + [item for pair in overrides.items() for item in pair]) == 2
+        record = json.loads(capsys.readouterr().err)
+        key = flag[2:].replace("-", "_")
+        assert record["error"] == error and record["message"].startswith(f"[run] {key}: ")
+
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(BLOCKED.replace("fields = 1.0, 0.5", "fields = 1.0, 0.5\xff").encode("latin-1"))
+        assert main(["blocks", "--config", str(path), "--out", str(tmp_path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"config file {path} is not valid UTF-8")
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
@@ -447,6 +493,11 @@ class TestCli:
         assert code == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "NumericalIntegrityError"
+        assert "kernel dimension 2" in record["message"]
+        # the block structure itself is well defined: one block of all eight levels
+        assert main(["blocks", "--config", str(path), "--out", str(tmp_path / "g")]) == 0
+        assert read_json_body(tmp_path / "g" / "blocks.json") == [list(range(1, 9))]
+        assert not (tmp_path / "g" / "steady.csv").exists()
 
     def test_glassy_chain_steady_at_low_temperature(self, tmp_path):
         # the same landscape at T = 0.02: one block and one restricted Gibbs state

@@ -288,7 +288,9 @@ class TestSteadyStates:
         rates = build_rate_matrix(dec, elems, baths)
         states = steady_states(dec, elems, baths)
         assert len(states) == 1
-        assert np.array_equal(states[0].p, connectivity_blocks(dec, elems, baths).restricted_gibbs[0])
+        partition = connectivity_blocks(dec, elems, baths)
+        assert partition.blocks == (tuple(range(8)),)
+        assert np.array_equal(states[0].p, partition.weights[0])
         residual = np.max(np.abs(rates.matrix @ states[0].p))
         assert residual <= 8 * EPS * np.max(np.abs(rates.matrix))
 
