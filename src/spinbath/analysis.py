@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .bath import BathConfig, CouplingElements, coupling_matrix_elements
-from .chain import ChainSpec, SpectralDecomposition, check_degeneracy, decompose_chain
+from .chain import DEGENERACY_TOL, ChainSpec, SpectralDecomposition, _close_levels, decompose_chain
 from .dynamics import BlockPartition, PopulationState, _as_population, connectivity_blocks, expm
 from .errors import NumericalIntegrityError, SpinbathError, ValidationError
 from .generator import RateMatrix, _structural_pattern, build_rate_matrix
@@ -219,14 +219,16 @@ def random_nondegenerate_chain(n_sites: int, rng: np.random.Generator) -> ChainS
 
     Fields are drawn from U(0.5, 1.5) and a coupling from U(-0.5, 0.5) for
     every site pair, at most MAX_CHAIN_DRAWS times, and a draw is accepted
-    when `check_degeneracy` passes at DEGENERACY_TOL.
+    when no two adjacent levels lie within DEGENERACY_TOL, i.e. when
+    `check_degeneracy` would call it nondegenerate.
     """
     return _draw_nondegenerate(n_sites, rng)[0]
 
 
 def _draw_nondegenerate(n_sites: int, rng: np.random.Generator) -> tuple[ChainSpec, SpectralDecomposition]:
     """The draw behind `random_nondegenerate_chain`, also returning the accepted
-    decomposition, which keeps its degeneracy report."""
+    decomposition.  Only the spacing check runs; the same-site gap scan of
+    `check_degeneracy` is left to the `spectrum` command."""
     for _ in range(MAX_CHAIN_DRAWS):
         fields = tuple(rng.uniform(0.5, 1.5, size=n_sites))
         couplings = tuple(
@@ -235,7 +237,7 @@ def _draw_nondegenerate(n_sites: int, rng: np.random.Generator) -> tuple[ChainSp
         )
         spec = ChainSpec(n_sites=n_sites, fields=fields, couplings=couplings)
         dec = decompose_chain(spec)
-        if check_degeneracy(dec).nondegenerate:
+        if not _close_levels(dec.energies, DEGENERACY_TOL).size:
             return spec, dec
     raise SpinbathError(
         f"failed to draw a nondegenerate {n_sites}-site chain in {MAX_CHAIN_DRAWS} attempts"

@@ -223,9 +223,7 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
     if tol in dec._reports:
         return dec._reports[tol]
     e = dec.energies
-
-    steps = np.diff(e)
-    spectrum_pairs = [(int(i), int(i) + 1, float(steps[i])) for i in np.flatnonzero(steps < tol)]
+    spectrum_pairs = [(int(i), int(i) + 1, float(e[i + 1] - e[i])) for i in _close_levels(e, tol)]
 
     d = dec.dimension
     n_sites = d.bit_length() - 1 if d & (d - 1) == 0 else 0
@@ -248,6 +246,12 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
         tolerance=float(tol),
     )
     return dec._reports[tol]
+
+
+def _close_levels(energies: np.ndarray, tol: float) -> np.ndarray:
+    """The 0-based i with E_(i+1) - E_i < tol in an ascending spectrum: the
+    spacing check alone, all that admitting a spectrum needs."""
+    return np.flatnonzero(np.diff(energies) < tol)
 
 
 def check_frustration(spec: ChainSpec) -> bool:

@@ -252,8 +252,9 @@ def _load_sections(path: Path) -> tuple[_Sections, str]:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"invalid config file: {exc}") from None
+    except configparser.Error as exc:  # a missing header or a duplicate key carries its line
+        where = f" (line {exc.lineno})" if getattr(exc, "lineno", None) else ""
+        raise ConfigError(f"invalid config file{where}: {exc}") from None
     data = {section: dict(parser.items(section)) for section in parser.sections()}
     return _Sections(data, text), text
 
@@ -288,11 +289,15 @@ def parse_config(path) -> RunConfig:
     sections, text = _load_sections(path)
 
     n = sections.get_int("chain", "n", required=True)
+    if n < 1:
+        sections._fail("chain", "n", "a positive number of sites", f"got {n}")
     fields = sections.get_floats("chain", "fields", required=True)
+    if len(fields) != n:
+        sections._fail("chain", "fields", f"one field per site ({n})", f"got {len(fields)}")
     try:
         chain = ChainSpec(n_sites=n, fields=fields, couplings=_parse_couplings(sections))
-    except SpinbathError as exc:
-        raise ConfigError(f"[chain]: {exc}") from None
+    except SpinbathError as exc:  # the sites and fields are checked above
+        raise ConfigError(f"[chain] couplings: {exc} ({_line_of(text, 'chain', 'couplings')})") from None
 
     temperature = sections.get_float("bath", "temperature", required=True)
     kappas = sections.get_floats("bath", "kappas", required=True)
@@ -305,14 +310,15 @@ def parse_config(path) -> RunConfig:
         text_axes = str(axes_raw).strip()
         parts = [a.strip() for a in text_axes.split(",")] if "," in text_axes else [text_axes] * len(kappas)
         axes = tuple(parts)
-    try:
-        bath = BathConfig(temperature=temperature, kappas=kappas, axes=axes)
-    except SpinbathError as exc:
-        raise ConfigError(f"[bath]: {exc}") from None
-    if bath.n_sites != chain.n_sites:
-        raise ConfigError(
-            f"[bath] kappas: expected one bath per site ({chain.n_sites}), got {bath.n_sites}"
-        )
+    for key, bad, expected in (  # every refusal of BathConfig, with its line
+        ("temperature", temperature < 0, "a temperature >= 0"),
+        ("kappas", len(kappas) != n or min(kappas) < 0, f"one bath per site ({n}), each kappa >= 0"),
+        ("axes", axes and (len(axes) != n or not set(axes) <= {"x", "y", "z"}),
+         f"one axis per site ({n}), each x, y or z"),
+    ):
+        if bad:
+            sections._fail("bath", key, expected, f"got {sections.raw('bath', key)!r}")
+    bath = BathConfig(temperature=temperature, kappas=kappas, axes=axes)
 
     command = sections.get_str("run", "command")
     if command is not None and command not in COMMANDS:
@@ -322,13 +328,16 @@ def parse_config(path) -> RunConfig:
         )
     kappa_site = sections.get_int("run", "kappa_site", default=1)
     if not 1 <= kappa_site <= chain.n_sites:
-        raise ConfigError(f"[run] kappa_site: site {kappa_site} out of range 1..{chain.n_sites}")
+        sections._fail("run", "kappa_site", f"a site in 1..{chain.n_sites}", f"got {kappa_site}")
     t_star = sections.get_float("run", "t_star", default=10.0)
     if t_star <= 0:
-        raise ConfigError(f"[run] t_star: expected a positive time, got {t_star}")
+        sections._fail("run", "t_star", "a positive time", f"got {t_star}")
 
     initial_state = sections.get_str("run", "initial_state", default="ground")
-    _validate_initial_state(initial_state, chain.dimension)
+    try:
+        _validate_initial_state(initial_state, chain.dimension)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} ({_line_of(text, 'run', 'initial_state')})") from None
 
     cfg = RunConfig(
         chain=chain,

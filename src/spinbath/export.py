@@ -23,8 +23,9 @@ columns (row labels) print as integers.  A table that is mostly +0.0, like
 a rate matrix, renders only its other entries and splices "0" in for the
 rest.  A structural mask is rendered from its pattern (the coupled flips and
 the states they touch) as a 0/1 grid, straight to bytes, a bounded chunk of
-rows at a time, and steady states from their block partition, a bounded
-chunk of embedded rows at a time.
+rows at a time, and steady states from their block partition: only the
+block labels and the d restricted Gibbs weights are rendered, and "0" is
+spliced in for the rest.
 """
 
 from __future__ import annotations
@@ -257,9 +258,15 @@ def _render_sparse(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
     if text.size == v.size:
         rows, keep = _texts(v, seps)
         return rows[keep]
-    width = np.full(v.size, 2, dtype=np.int32)  # "0" and its separator
+    return _splice(seps, text, v[text])
+
+
+def _splice(seps: np.ndarray, text: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One entry per separator, each followed by it: the text of values[k] at
+    entry text[k] (distinct entries, in any order) and "0" at every other."""
+    width = np.full(seps.size, 2, dtype=np.int32)  # "0" and its separator
     if text.size:
-        rows, keep = _texts(v[text], seps[text])
+        rows, keep = _texts(values, seps[text])
         stream = rows[keep]
         width[text] = keep.sum(axis=1)
     at = np.cumsum(width, dtype=np.int32) - width  # where each entry starts
@@ -313,15 +320,30 @@ def write_trajectory_csv(path, trajectory, header: list[str]) -> Path:
 
 def write_steady_csv(path, partition, header: list[str]) -> Path:
     """Columns block, p_1..p_d: one row per block of a BlockPartition, its
-    restricted Gibbs vector embedded in the full dimension, rendered as
-    write_csv renders it, a bounded chunk of rows at a time."""
-    d = partition.dimension
+    restricted Gibbs vector embedded in the full dimension, with the bytes
+    write_csv would give the embedded rows.  Only the block labels and the d
+    weights are rendered; every other entry is an embedded +0.0 and is spliced
+    in as "0", a bounded chunk of rows at a time."""
+    d, n_blocks = partition.dimension, partition.n_blocks
     names = "block," + ",".join(f"p_{i + 1}" for i in range(d))
+    sizes = np.array([len(block) for block in partition.blocks])
+    bounds = np.concatenate(([0], np.cumsum(sizes)))  # block b is members[bounds[b]:bounds[b + 1]]
+    members = np.array([i for block in partition.blocks for i in block], dtype=np.intp)
+    weights = np.concatenate(partition.weights)
+    cells = d + 1  # per line: the label, then p_1..p_d
+    line = np.full(cells, ord(","), dtype=np.uint8)
+    line[-1] = ord("\n")
 
     def render(a: int, b: int) -> np.ndarray:
-        return _render([np.arange(a + 1, b + 1)[:, None], partition.embedded(a, b)])
+        lo, hi = bounds[a], bounds[b]
+        row_of = np.repeat(np.arange(b - a), sizes[a:b])
+        text = np.concatenate((np.arange(b - a) * cells, row_of * cells + 1 + members[lo:hi]))
+        # a label below 10^12 renders as a float exactly as an integer does
+        values = np.concatenate((np.arange(a + 1, b + 1, dtype=np.float64), weights[lo:hi]))
+        return _splice(np.tile(line, b - a), text, values)
 
-    return _write_rows(path, [*header, names], partition.n_blocks, _CHUNK // d, render)
+    rendered = max(n_blocks + d, n_blocks * cells // _SPARSE_LIMIT)  # as write_csv steps a mostly +0.0 table
+    return _write_rows(path, [*header, names], n_blocks, _CHUNK * n_blocks // rendered, render)
 
 
 def write_sweep_csv(path, sweep, header: list[str]) -> Path:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import BathConfig, CouplingElements, bose_einstein, spectral_density
-from .chain import DEGENERACY_TOL, MAX_DENSE_SITES, SpectralDecomposition, check_degeneracy
+from .chain import DEGENERACY_TOL, MAX_DENSE_SITES, SpectralDecomposition, _close_levels, check_degeneracy
 from .errors import CapacityError, DegenerateGapError, NumericalIntegrityError, ValidationError
 
 RATE_MATRIX_TOL = 1e-12
@@ -34,9 +34,11 @@ MAX_LINDBLAD_SITES = 5
 
 
 def _require_nondegenerate(dec: SpectralDecomposition) -> None:
-    report = check_degeneracy(dec, DEGENERACY_TOL)
-    if not report.nondegenerate:
-        i, j, diff = report.spectrum_pairs[0]
+    """Refuse a degenerate spectrum.  Only adjacent levels are compared; the
+    full report, whose same-site gap scan nothing here needs, is built only
+    to name the pair of a refused spectrum."""
+    if _close_levels(dec.energies, DEGENERACY_TOL).size:
+        i, j, diff = check_degeneracy(dec, DEGENERACY_TOL).spectrum_pairs[0]
         raise DegenerateGapError(
             f"spectrum degenerate: |E_{i + 1} - E_{j + 1}| = {diff:.3e} < {DEGENERACY_TOL:.1e}"
         )

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbath import (
     ConfigError,
@@ -255,6 +261,116 @@ class TestParseConfig:
         path.write_text("[chain]\nn = 2\nfields = 1, 0.5\n[bath]\ntemperature = 1\nkappas = 1\n")
         with pytest.raises(ConfigError, match="one bath per site"):
             parse_config(path)
+
+
+# Every key set, each header followed by a key; the property below breaks it one
+# way at a time.
+VALID = """# three sites
+[chain]
+n = 3
+fields = 1.0, 0.5, 0.8
+couplings = 1-2: 0.25, 2-3: -0.1
+[bath]
+temperature = 1.0
+kappas = 1e-5, 1.0, 1.0
+axes = x, y, x
+[run]
+command = spectrum
+initial_state = ground
+times = 0:10:11
+t_star = 10
+temperature_grid = 0.1:10:5:log
+kappa_grid = 1e-3:1:5:log
+kappa_site = 1
+seed = 3
+max_n = 4
+draws = 2
+fig2_temperatures = 0.1, 1.0
+fig2_kappas = 0.01, 1.0
+"""
+_LINES = VALID.splitlines()
+_KEY_LINES = {line.split(" = ")[0]: k for k, line in enumerate(_LINES) if " = " in line}
+_NUMERIC = ("n", "fields", "couplings", "temperature", "kappas", "times", "t_star", "temperature_grid",
+            "kappa_grid", "kappa_site", "seed", "max_n", "draws", "fig2_temperatures", "fig2_kappas")
+_PER_SITE = ("fields", "kappas", "axes")
+_GRIDS = ("times", "temperature_grid", "kappa_grid")
+_NOT_NUMBERS = ("abc", "1.0.0", "one", "0x1A", "1e", "--1", "e5", "true")
+_BAD_GRIDS = ("0:10", "0:10:11:log:x", "10:0:11", "0:10:1", "0:10:11:cubic", "0:10:11:log", "-1:1:5:log", "1:1:5")
+_OUT_OF_RANGE = {
+    "n": ("0", "-2"),
+    "couplings": ("1-4: 0.25", "2-1: 0.25", "1-2: 0.1, 1-2: 0.2"),
+    "temperature": ("-1",),
+    "kappas": ("1e-5, -1, 1.0",),
+    "axes": ("x, w, x",),
+    "kappa_site": ("0", "4"),
+    "t_star": ("0", "-1"),
+    "initial_state": ("basis:9", "0.5, 0.5", "warm"),
+}
+
+
+@st.composite
+def _broken_configs(draw):
+    """(text, line): VALID with one mistake, and the 1-based line that must be named."""
+    lines = list(_LINES)
+    kind = draw(st.sampled_from(["header", "duplicate", "unknown", "not-a-number", "length", "grid", "range"]))
+    if kind == "header":  # the key below the header moves up into its line
+        k = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("[")]))
+        del lines[k]
+        return "\n".join(lines) + "\n", k + 1
+    if kind == "unknown":
+        k = draw(st.integers(0, len(lines)))
+        lines.insert(k, draw(st.sampled_from(["flux", "threads", "degeneracy_tol", "kappa"])) + " = 1")
+        return "\n".join(lines) + "\n", k + 1
+    key = draw(st.sampled_from({"duplicate": list(_KEY_LINES), "not-a-number": _NUMERIC,
+                                "length": _PER_SITE, "grid": _GRIDS, "range": list(_OUT_OF_RANGE)}[kind]))
+    k = _KEY_LINES[key]
+    value = lines[k].split(" = ")[1]
+    if kind == "duplicate":
+        lines.insert(k + 1, lines[k])
+        return "\n".join(lines) + "\n", k + 2
+    if kind == "not-a-number":
+        items = value.split(", ")
+        bad = draw(st.sampled_from(_NOT_NUMBERS))
+        items[draw(st.integers(0, len(items) - 1))] = bad
+        value = draw(st.sampled_from([bad, ", ".join(items)]))
+    elif kind == "length":
+        items = value.split(", ")
+        value = ", ".join(items[:-1] if draw(st.booleans()) else items + items[:1])
+    elif kind == "grid":
+        value = draw(st.sampled_from(_BAD_GRIDS))
+    else:
+        value = draw(st.sampled_from(_OUT_OF_RANGE[key]))
+    lines[k] = f"{key} = {value}"
+    return "\n".join(lines) + "\n", k + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_broken_configs())
+def test_every_broken_config_names_its_line(case):
+    """A dropped header, a duplicate or unknown key, a non-numeric value, a
+    per-site list of the wrong length, a bad grid or a value out of range:
+    parse_config raises a ConfigError naming the line, and the CLI exits 2
+    with one JSON record."""
+    text, line = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "broken.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert re.search(rf"\bline {line}\b", str(info.value)), (str(info.value), text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["spectrum", "--config", str(path), "--out", str(Path(tmp) / "out")]) == 2
+        record = json.loads(err.getvalue())
+        assert record == {"error": "ConfigError", "message": str(info.value), "exit_code": 2}
+        assert not (Path(tmp) / "out").exists()
+
+
+def test_the_fuzzed_config_is_valid(tmp_path):
+    path = tmp_path / "valid.cfg"
+    path.write_text(VALID)
+    cfg = parse_config(path)
+    assert cfg.chain.n_sites == 3 and cfg.bath.axes == ("x", "y", "x") and cfg.draws == 2
 
 
 class TestCli:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 from scipy.linalg import null_space
 
 from spinbath import (
@@ -35,6 +39,8 @@ from spinbath import (
     steady_states,
     structural_blocks,
 )
+from spinbath import analysis, dynamics
+from spinbath.cli import main
 
 from conftest import random_density, two_spin_energies
 
@@ -385,3 +391,161 @@ class TestExcitationProbability:
         expected = 1.0 - gibbs_oracle(10.0)[0]
         assert excitation_probability(traj)[-1] == pytest.approx(expected, abs=1e-6)
         assert expected == pytest.approx(0.702, abs=1e-3)
+
+
+KERNEL = "scipy.linalg._matfuncs_expm"
+KINDS = ("generic", "rate", "upper", "lower", "diagonal", "zero", "complex", "nan")
+
+
+def _matrix(kind: str, d: int, norm: float, seed: int) -> np.ndarray:
+    """A d x d matrix of the given kind, scaled to 1-norm `norm` (zero stays zero)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(d, d))
+    elif kind == "rate":  # sparse nonnegative off-diagonal, zero column sums
+        a = np.abs(a) * (rng.random((d, d)) < 0.3)
+        np.fill_diagonal(a, 0.0)
+        a -= np.diag(a.sum(axis=0))
+    elif kind in ("upper", "lower"):
+        a = np.triu(a) if kind == "upper" else np.tril(a)
+    elif kind == "diagonal":
+        a = np.diag(np.diag(a))
+    elif kind == "zero":
+        a = np.zeros((d, d))
+    scale = np.abs(a).sum(axis=0).max()
+    a = a * (norm / scale) if scale else a
+    if kind == "nan":
+        a[rng.integers(d), rng.integers(d)] = np.nan
+    return a
+
+
+@pytest.fixture
+def reloaded(monkeypatch):
+    """The next dynamics.expm call loads scipy and probes the kernel again, under
+    whatever the test patches; monkeypatch puts the loaded state back after.
+    scipy.linalg itself is loaded by this module's imports, before a test hides
+    the kernel module."""
+    monkeypatch.setattr(dynamics, "_scipy_expm", None)
+    monkeypatch.setattr(dynamics, "_pade", None)
+    return monkeypatch
+
+
+def _kernel_module(pick_pade_structure, pade_UV_calc) -> types.ModuleType:
+    module = types.ModuleType(KERNEL)
+    module.pick_pade_structure, module.pade_UV_calc = pick_pade_structure, pade_UV_calc
+    return module
+
+
+class TestExpm:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        d=st.integers(1, 16) | st.integers(17, 256),
+        log_norm=st.floats(-9.0, math.log10(3e3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_scipy_bit_for_bit(self, kind, d, log_norm, seed):
+        a = _matrix(kind, d, 10.0**log_norm, seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # exp(3e3) on a diagonal
+            assert np.array_equal(dynamics.expm(a), scipy_expm(a), equal_nan=True)
+
+    def test_probe_needs_squaring_and_the_kernel_is_live(self):
+        import scipy.linalg._matfuncs
+        from scipy.linalg._matfuncs_expm import pick_pade_structure
+
+        work = np.empty((5, 3, 3))
+        work[0] = dynamics._PROBE
+        assert pick_pade_structure(work)[1] > 0
+        dynamics.expm(np.eye(2))
+        # where scipy.linalg.expm calls the kernel as dynamics does, dynamics uses it
+        if "pade_UV_calc(Am, m)" in inspect.getsource(scipy.linalg._matfuncs.expm):
+            assert dynamics._pade is not None
+
+    def test_inputs_outside_the_kernel_go_to_scipy(self, monkeypatch):
+        dynamics.expm(np.eye(2))  # loads scipy
+        seen = []
+        real = dynamics._scipy_expm
+        monkeypatch.setattr(dynamics, "_scipy_expm", lambda a: seen.append(a) or real(a))
+        generic = _matrix("generic", 4, 3.0, 1)
+        others = [
+            np.array([[2.0]]),
+            _matrix("diagonal", 4, 3.0, 1),
+            _matrix("upper", 4, 3.0, 1),
+            _matrix("lower", 20, 3.0, 1),
+            generic.astype(np.complex128),
+            generic.astype(np.float32),
+            generic.tolist(),
+            np.stack([generic, generic]),
+        ]
+        for a in others:
+            assert np.array_equal(dynamics.expm(a), scipy_expm(a))
+        assert len(seen) == len(others)
+        dynamics.expm(generic)
+        assert len(seen) == len(others) + (dynamics._pade is None)
+
+    @pytest.mark.parametrize("hide", ["import", "signature", "mismatch"])
+    def test_kernel_refused_unless_it_reproduces_scipy(self, reloaded, hide):
+        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+        if hide == "import":
+            reloaded.setitem(sys.modules, KERNEL, None)
+        elif hide == "signature":  # an older scipy's pade_UV_calc(Am, n, m)
+            reloaded.setitem(sys.modules, KERNEL, _kernel_module(
+                pick_pade_structure, lambda work, n, m: pade_UV_calc(work, m)))
+        else:  # one squaring too many
+            reloaded.setitem(sys.modules, KERNEL, _kernel_module(
+                lambda work: (lambda m, s: (m, s + 1))(*pick_pade_structure(work)), pade_UV_calc))
+        a = _matrix("rate", 4, 30.0, 2)
+        assert np.array_equal(dynamics.expm(a), scipy_expm(a))
+        assert dynamics._pade is None
+
+    def test_refused_matrices_go_to_scipy(self, monkeypatch):
+        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+        dynamics.expm(np.eye(2))  # loads scipy
+        a = _matrix("generic", 5, 3.0, 3)
+        for failing in [(lambda work: (-1, 0), pade_UV_calc), (pick_pade_structure, lambda work, m: -3)]:
+            monkeypatch.setattr(dynamics, "_pade", failing)
+            assert np.array_equal(dynamics.expm(a), scipy_expm(a))
+
+    def test_seven_site_snapshots(self):
+        """Snapshot generators of a seeded all-pairs 7-site chain in the paper's
+        asymmetric regime, every fifth point of `evolve`'s default grid."""
+        spec = random_nondegenerate_chain(7, np.random.default_rng(7))
+        baths = BathConfig(temperature=1.0, kappas=(1e-5,) + (1.0,) * 6)
+        dec = spectral_decomposition(build_hamiltonian(spec))
+        rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+        for t in np.linspace(0.0, 10.0, 201)[::5]:
+            a = rates.matrix * t
+            assert np.array_equal(dynamics.expm(a), scipy_expm(a))
+
+    def test_fig2_matrices(self, reloaded, tmp_path):
+        """Every snapshot and sweep matrix of fig2 but the nine t = 0 zeros has a
+        nonzero in both strict triangles, each gets scipy's bits, and the
+        artifacts are the same bytes with the kernel hidden."""
+        real = dynamics.expm
+
+        def run(label: str):
+            matrices = []
+
+            def recorded(a):
+                matrices.append(a)
+                return real(a)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(analysis, "expm", recorded)
+                patch.setattr(dynamics, "expm", recorded)
+                assert main(["fig2", "--config", "ising2_paper", "--out", str(tmp_path / label)]) == 0
+            return matrices, {p.name: p.read_bytes() for p in sorted((tmp_path / label).iterdir())}
+
+        matrices, with_kernel = run("kernel")
+        assert len(matrices) == 1809 + 50
+        assert [np.count_nonzero(a) for a in matrices if not dynamics._in_both_triangles(a)] == [0] * 9
+        assert all(np.array_equal(real(a), scipy_expm(a)) for a in matrices)
+
+        reloaded.setitem(sys.modules, KERNEL, None)
+        reloaded.setattr(dynamics, "_scipy_expm", None)
+        _, without_kernel = run("scipy")
+        assert dynamics._pade is None
+        assert len(with_kernel) == 4 and with_kernel == without_kernel
