@@ -19,7 +19,7 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class SpectralDecomposition:
 
     energies: np.ndarray
     basis: np.ndarray
-    _reports: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         e = np.array(self.energies, dtype=np.float64)
@@ -214,14 +213,10 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
     The spectrum is degenerate if two adjacent eigenvalues lie within `tol`.
     Gaps collide if two flips of one site (whatever its bath axis) have gaps
     within `tol`, as neighbours in that site's (omega, i, j) order.  A
-    dimension that is not a power of two has no spin flips.  The report is
-    computed once per (decomposition, tol) and kept on the decomposition,
-    whose read-only arrays keep it valid.
+    dimension that is not a power of two has no spin flips.
     """
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
-    if tol in dec._reports:
-        return dec._reports[tol]
     e = dec.energies
     spectrum_pairs = [(int(i), int(i) + 1, float(e[i + 1] - e[i])) for i in _close_levels(e, tol)]
 
@@ -238,14 +233,13 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
         for k in hits
     ]
 
-    dec._reports[tol] = DegeneracyReport(
+    return DegeneracyReport(
         spectrum_degenerate=bool(spectrum_pairs),
         gaps_degenerate=bool(gap_pairs),
         spectrum_pairs=tuple(spectrum_pairs),
         gap_pairs=tuple(gap_pairs),
         tolerance=float(tol),
     )
-    return dec._reports[tol]
 
 
 def _close_levels(energies: np.ndarray, tol: float) -> np.ndarray:

@@ -14,8 +14,10 @@ block holding several absorbing minima has no unique steady state: `steady`
 refuses it (exit 3), as `steady_states` and the late-time predictions do,
 while `blocks` still writes the block structure (exit 0).
 
-Command-line overrides pass the config file's checks, so a bad --seed,
---max-n or --draws exits 2 naming the key.
+A config file is INI text or JSON read as the same INI text (spinbath.config).
+--seed, --max-n and --draws pass the config file's reader and checks, so a
+bad value exits 2 naming the key and "(command line)" where a file value
+names its line.
 
 `spectrum`, `rates`, `steady`, `blocks` and `zeros-scaling` run on numpy
 alone and never import scipy.  `evolve`, `sweep-T`, `sweep-kappa` and `fig2`

@@ -2,8 +2,14 @@
 
 A run file has [chain], [bath] and optional [run] sections; unknown sections
 or keys are rejected with the offending line.  The same structure nested as
-JSON objects is accepted when the file is valid JSON.  Units follow the
-package convention hbar = k_B = h_1 = 1.
+JSON objects is accepted when the file is valid JSON, and read in the one INI
+grammar: each JSON value stands for the INI text of that key (a list for its
+items joined by ", ", a number for its repr, a string for itself, null for a
+key that is absent), so "n": 2.0 is refused as n = 2.0 is.  A refused value
+reads "[section] key: expected ... (line N): got ...".  Command-line values
+of seed, max_n and draws pass the same reader and checks, with (command line)
+in place of the line.  Units follow the package convention
+hbar = k_B = h_1 = 1.
 """
 
 from __future__ import annotations
@@ -136,107 +142,113 @@ def _line_of(text: str, section: str, key: str) -> str:
     return "line unknown"
 
 
-class _Sections:
-    """Raw section/key table plus typed accessors with schema errors."""
+def _ini_text(value) -> str | None:
+    """The INI text a JSON value stands for; None for anything else."""
+    items = value if isinstance(value, list) else [value]
+    if all(isinstance(x, (str, int, float)) for x in items):  # a bool is an int: true reads as 'True'
+        return ", ".join(x if isinstance(x, str) else repr(x) for x in items)
+    return None
 
-    def __init__(self, data: dict[str, dict[str, object]], text: str):
-        self.data = data
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _grid_fields(text: str) -> tuple[float, float, int, str]:
+    parts = [p.strip() for p in text.strip("()").replace(",", ":").split(":")]
+    if len(parts) not in (3, 4):
+        raise ValueError(text)
+    return _finite(parts[0]), _finite(parts[1]), int(parts[2]), parts[3] if len(parts) == 4 else "linear"
+
+
+_REQUIRED = object()
+# the lowest value of each run number and what a refusal expects; zeros-scaling starts at N = 2
+_RUN_NUMBERS = {
+    "seed": (0, "a nonnegative integer"),
+    "max_n": (2, "an integer >= 2"),
+    "draws": (1, "a positive integer"),
+}
+
+
+class _Sections:
+    """Section/key table of INI text plus typed readers with schema errors.
+
+    `text` is the file, which locates a key's line; None stands for the
+    command line.
+    """
+
+    def __init__(self, data: dict[str, dict[str, object]], text: str | None):
         self.text = text
+        self.data = {}
         for section, keys in data.items():
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown section [{section}] ({_line_of(text, section, section)})")
-            for key in keys:
+            self.data[section] = {}
+            for key, value in keys.items():
                 if key not in _SCHEMA[section]:
                     raise ConfigError(
                         f"unknown key {key!r} in section [{section}] ({_line_of(text, section, key)})"
                     )
+                if value is None:  # a JSON null: the key is absent
+                    continue
+                ini = _ini_text(value)
+                if ini is None:
+                    self._fail(section, key, "a number, a string or a list of them", f"got {value!r}")
+                self.data[section][key] = ini
 
-    def has(self, section: str, key: str) -> bool:
-        return key in self.data.get(section, {})
+    def _fail(self, section, key, expected, detail, error=ConfigError):
+        where = "command line" if self.text is None else _line_of(self.text, section, key)
+        raise error(f"[{section}] {key}: expected {expected} ({where}): {detail}")
 
-    def raw(self, section: str, key: str, default=None):
-        return self.data.get(section, {}).get(key, default)
-
-    def _fail(self, section, key, expected, detail=""):
-        where = _line_of(self.text, section, key)
-        suffix = f": {detail}" if detail else ""
-        raise ConfigError(f"[{section}] {key}: expected {expected} ({where}){suffix}")
-
-    def get_int(self, section, key, default=None, required=False):
-        raw = self.raw(section, key)
+    def _read(self, section, key, convert, expected, default):
+        raw = self.data.get(section, {}).get(key)
         if raw is None:
-            if required:
-                self._fail(section, key, "an integer", "key is required")
+            if default is _REQUIRED:
+                self._fail(section, key, expected, "key is required")
             return default
         try:
-            if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-                raise ValueError
-            return int(raw) if not isinstance(raw, str) else int(raw.strip())
+            return convert(raw.strip())
         except ValueError:
-            self._fail(section, key, "an integer", f"got {raw!r}")
+            self._fail(section, key, expected, f"got {raw!r}")
 
-    def get_float(self, section, key, default=None, required=False):
-        raw = self.raw(section, key)
-        if raw is None:
-            if required:
-                self._fail(section, key, "a number", "key is required")
-            return default
+    def get_int(self, section, key, default=None):
+        return self._read(section, key, int, "an integer", default)
+
+    def get_float(self, section, key, default=None):
+        return self._read(section, key, _finite, "a finite number", default)
+
+    def get_str(self, section, key, default=None):
+        return self._read(section, key, str, "a string", default)
+
+    def get_floats(self, section, key, default=None):
+        return self._read(section, key, lambda text: tuple(map(_finite, text.split(","))),
+                          "a comma-separated list of finite numbers", default)
+
+    def get_grid(self, section, key, default: tuple[float, float, int, str]) -> GridSpec:
+        fields = self._read(section, key, _grid_fields, "a start:stop:count[:linear|log] grid with finite bounds",
+                            default)
         try:
-            value = float(raw if not isinstance(raw, str) else raw.strip())
-        except (TypeError, ValueError):
-            self._fail(section, key, "a number", f"got {raw!r}")
-        if not math.isfinite(value):
-            self._fail(section, key, "a finite number", f"got {raw!r}")
-        return value
-
-    def get_str(self, section, key, default=None, required=False):
-        raw = self.raw(section, key)
-        if raw is None:
-            if required:
-                self._fail(section, key, "a string", "key is required")
-            return default
-        return str(raw).strip()
-
-    def get_floats(self, section, key, default=None, required=False):
-        raw = self.raw(section, key)
-        if raw is None:
-            if required:
-                self._fail(section, key, "a comma-separated list of numbers", "key is required")
-            return default
-        items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-        try:
-            values = tuple(float(x) for x in items)
-        except (TypeError, ValueError):
-            self._fail(section, key, "a comma-separated list of numbers", f"got {raw!r}")
-        if not all(math.isfinite(v) for v in values):
-            self._fail(section, key, "a comma-separated list of finite numbers", f"got {raw!r}")
-        return values
-
-    def get_grid(self, section, key, default: str):
-        raw = self.raw(section, key, default)
-        if isinstance(raw, (list, tuple)):
-            parts = [str(x).strip() for x in raw]
-        else:
-            parts = [p.strip() for p in str(raw).strip().strip("()").replace(",", ":").split(":")]
-        if len(parts) not in (3, 4):
-            self._fail(section, key, "a start:stop:count[:linear|log] grid", f"got {raw!r}")
-        try:
-            grid = GridSpec(
-                start=float(parts[0]),
-                stop=float(parts[1]),
-                count=int(parts[2]),
-                mode=parts[3] if len(parts) == 4 else "linear",
-            )
-        except ValueError:
-            self._fail(section, key, "a start:stop:count[:linear|log] grid", f"got {raw!r}")
+            return GridSpec(*fields)
         except ConfigError as exc:
             self._fail(section, key, "a valid grid", str(exc))
-        if not (math.isfinite(grid.start) and math.isfinite(grid.stop)):
-            self._fail(section, key, "a grid with finite bounds", f"got {raw!r}")
-        return grid
+
+    def get_run_number(self, key, default=None):
+        """seed, max_n or draws, at least its lowest value; max_n past
+        MAX_DENSE_SITES is refused here, before any chain is drawn."""
+        value = self.get_int("run", key, default)
+        lowest, expected = _RUN_NUMBERS[key]
+        if value is not None and value < lowest:
+            self._fail("run", key, expected, f"got {value}")
+        if key == "max_n" and value is not None and value > MAX_DENSE_SITES:
+            self._fail("run", key, "a chain size that dense d x d objects can hold",
+                       f"N <= {MAX_DENSE_SITES}, got N = {value}", CapacityError)
+        return value
 
 
-def _load_sections(path: Path) -> tuple[_Sections, str]:
+def _load_sections(path: Path) -> _Sections:
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -248,35 +260,25 @@ def _load_sections(path: Path) -> tuple[_Sections, str]:
             raise ConfigError(f"invalid JSON config: {exc}") from None
         if not isinstance(payload, dict) or not all(isinstance(v, dict) for v in payload.values()):
             raise ConfigError("JSON config must map section names to key/value objects")
-        return _Sections(payload, text), text
+        return _Sections(payload, text)
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:  # a missing header or a duplicate key carries its line
         where = f" (line {exc.lineno})" if getattr(exc, "lineno", None) else ""
         raise ConfigError(f"invalid config file{where}: {exc}") from None
-    data = {section: dict(parser.items(section)) for section in parser.sections()}
-    return _Sections(data, text), text
+    return _Sections({section: dict(parser.items(section)) for section in parser.sections()}, text)
 
 
 def _parse_couplings(sections: _Sections) -> tuple[tuple[int, int, float], ...]:
-    raw = sections.raw("chain", "couplings")
-    if raw in (None, ""):
-        return ()
-    if isinstance(raw, (list, tuple)):
-        items = [str(x) for x in raw]
-    else:
-        items = [x for x in str(raw).split(",") if x.strip()]
     couplings = []
-    for item in items:
-        m = re.fullmatch(r"\s*(\d+)\s*-\s*(\d+)\s*:\s*([^\s]+)\s*", item)
+    for item in filter(None, map(str.strip, sections.get_str("chain", "couplings", "").split(","))):
+        m = re.fullmatch(r"(\d+)\s*-\s*(\d+)\s*:\s*(\S+)", item)
         if not m:
             sections._fail("chain", "couplings", "items like '1-2: 0.333'", f"got {item!r}")
         try:
-            couplings.append((int(m.group(1)), int(m.group(2)), float(m.group(3))))
+            couplings.append((int(m.group(1)), int(m.group(2)), _finite(m.group(3))))
         except ValueError:
-            sections._fail("chain", "couplings", "a numeric coupling strength", f"got {item!r}")
-        if not math.isfinite(couplings[-1][2]):
             sections._fail("chain", "couplings", "a finite coupling strength", f"got {item!r}")
     return tuple(couplings)
 
@@ -286,154 +288,111 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    sections, text = _load_sections(path)
+    sections = _load_sections(path)
 
-    n = sections.get_int("chain", "n", required=True)
+    n = sections.get_int("chain", "n", _REQUIRED)
     if n < 1:
         sections._fail("chain", "n", "a positive number of sites", f"got {n}")
-    fields = sections.get_floats("chain", "fields", required=True)
+    fields = sections.get_floats("chain", "fields", _REQUIRED)
     if len(fields) != n:
         sections._fail("chain", "fields", f"one field per site ({n})", f"got {len(fields)}")
+    couplings = _parse_couplings(sections)
     try:
-        chain = ChainSpec(n_sites=n, fields=fields, couplings=_parse_couplings(sections))
+        chain = ChainSpec(n_sites=n, fields=fields, couplings=couplings)
     except SpinbathError as exc:  # the sites and fields are checked above
-        raise ConfigError(f"[chain] couplings: {exc} ({_line_of(text, 'chain', 'couplings')})") from None
+        sections._fail("chain", "couplings", f"pairs a-b with 1 <= a < b <= {n}, each once", str(exc))
 
-    temperature = sections.get_float("bath", "temperature", required=True)
-    kappas = sections.get_floats("bath", "kappas", required=True)
-    axes_raw = sections.raw("bath", "axes")
-    if axes_raw is None:
-        axes = ()
-    elif isinstance(axes_raw, (list, tuple)):
-        axes = tuple(str(a).strip() for a in axes_raw)
-    else:
-        text_axes = str(axes_raw).strip()
-        parts = [a.strip() for a in text_axes.split(",")] if "," in text_axes else [text_axes] * len(kappas)
-        axes = tuple(parts)
+    temperature = sections.get_float("bath", "temperature", _REQUIRED)
+    kappas = sections.get_floats("bath", "kappas", _REQUIRED)
+    axes = [a.strip() for a in sections.get_str("bath", "axes", "x").split(",")]
+    axes = tuple(axes * n if len(axes) == 1 else axes)  # one letter stands for every site
     for key, bad, expected in (  # every refusal of BathConfig, with its line
         ("temperature", temperature < 0, "a temperature >= 0"),
         ("kappas", len(kappas) != n or min(kappas) < 0, f"one bath per site ({n}), each kappa >= 0"),
-        ("axes", axes and (len(axes) != n or not set(axes) <= {"x", "y", "z"}),
-         f"one axis per site ({n}), each x, y or z"),
+        ("axes", len(axes) != n or not set(axes) <= {"x", "y", "z"}, f"one axis per site ({n}), each x, y or z"),
     ):
         if bad:
-            sections._fail("bath", key, expected, f"got {sections.raw('bath', key)!r}")
+            sections._fail("bath", key, expected, f"got {sections.data['bath'][key]!r}")
     bath = BathConfig(temperature=temperature, kappas=kappas, axes=axes)
 
     command = sections.get_str("run", "command")
     if command is not None and command not in COMMANDS:
-        raise ConfigError(
-            f"[run] command: expected one of {', '.join(COMMANDS)} "
-            f"({_line_of(text, 'run', 'command')}): got {command!r}"
-        )
-    kappa_site = sections.get_int("run", "kappa_site", default=1)
+        sections._fail("run", "command", f"one of {', '.join(COMMANDS)}", f"got {command!r}")
+    kappa_site = sections.get_int("run", "kappa_site", 1)
     if not 1 <= kappa_site <= chain.n_sites:
         sections._fail("run", "kappa_site", f"a site in 1..{chain.n_sites}", f"got {kappa_site}")
-    t_star = sections.get_float("run", "t_star", default=10.0)
+    t_star = sections.get_float("run", "t_star", 10.0)
     if t_star <= 0:
         sections._fail("run", "t_star", "a positive time", f"got {t_star}")
 
-    initial_state = sections.get_str("run", "initial_state", default="ground")
+    initial_state = sections.get_str("run", "initial_state", "ground")
     try:
-        _validate_initial_state(initial_state, chain.dimension)
-    except ConfigError as exc:
-        raise ConfigError(f"{exc} ({_line_of(text, 'run', 'initial_state')})") from None
+        _initial_state(initial_state, chain.dimension)
+    except ValueError as exc:
+        sections._fail("run", "initial_state", str(exc), f"got {initial_state!r}")
 
-    cfg = RunConfig(
+    return RunConfig(
         chain=chain,
         bath=bath,
         command=command,
         initial_state=initial_state,
-        times=sections.get_grid("run", "times", default="0:10:201"),
+        times=sections.get_grid("run", "times", (0.0, 10.0, 201, "linear")),
         t_star=t_star,
-        temperature_grid=sections.get_grid("run", "temperature_grid", default="0.1:10:25:log"),
-        kappa_grid=sections.get_grid("run", "kappa_grid", default="1e-3:1:25:log"),
+        temperature_grid=sections.get_grid("run", "temperature_grid", (0.1, 10.0, 25, "log")),
+        kappa_grid=sections.get_grid("run", "kappa_grid", (1e-3, 1.0, 25, "log")),
         kappa_site=kappa_site,
         out=sections.get_str("run", "out"),
-        seed=sections.get_int("run", "seed", default=None),
-        max_n=sections.get_int("run", "max_n", default=4),
-        draws=sections.get_int("run", "draws", default=100),
-        fig2_temperatures=sections.get_floats(
-            "run", "fig2_temperatures", default=(0.1, 0.3, 1.0, 3.0, 10.0)
-        ),
-        fig2_kappas=sections.get_floats("run", "fig2_kappas", default=(0.001, 0.01, 0.1, 1.0)),
-        source_hash=hashlib.sha256(text.encode()).hexdigest(),
+        seed=sections.get_run_number("seed"),
+        max_n=sections.get_run_number("max_n", 4),
+        draws=sections.get_run_number("draws", 100),
+        fig2_temperatures=sections.get_floats("run", "fig2_temperatures", (0.1, 0.3, 1.0, 3.0, 10.0)),
+        fig2_kappas=sections.get_floats("run", "fig2_kappas", (0.001, 0.01, 0.1, 1.0)),
+        source_hash=hashlib.sha256(sections.text.encode()).hexdigest(),
         source_path=str(path),
     )
-    return _check_run_numbers(cfg)
 
 
-def _check_run_numbers(cfg: RunConfig) -> RunConfig:
-    """The checks on seed, max_n and draws, whether the value comes from the
-    file or from the command line.  zeros-scaling starts at N = 2, and a
-    max_n past MAX_DENSE_SITES is refused here, before any chain is drawn."""
-    if cfg.seed is not None and cfg.seed < 0:
-        raise ConfigError(f"[run] seed: expected a nonnegative integer, got {cfg.seed}")
-    if cfg.max_n < 2:
-        raise ConfigError(f"[run] max_n: expected an integer >= 2, got {cfg.max_n}")
-    if cfg.max_n > MAX_DENSE_SITES:
-        raise CapacityError(
-            f"[run] max_n: dense d x d objects limited to N <= {MAX_DENSE_SITES}, got N = {cfg.max_n}"
-        )
-    if cfg.draws < 1:
-        raise ConfigError(f"[run] draws: expected a positive integer, got {cfg.draws}")
-    return cfg
-
-
-def _validate_initial_state(state: str, dimension: int) -> None:
-    if state in ("ground", "uniform", "gibbs"):
-        return
-    m = re.fullmatch(r"basis:(\d+)", state)
+def _initial_state(state: str, dimension: int) -> tuple[str, object]:
+    """The initial_state grammar, parsed for the file check and again for the
+    run: ('basis', k) for 'ground' (k = 0) and 'basis:K' (k = K - 1),
+    ('uniform', None), ('gibbs', None), or ('vector', PopulationState) for d
+    comma-separated probabilities.  A refusal is a ValueError saying what was
+    expected."""
+    if state in ("uniform", "gibbs"):
+        return state, None
+    m = re.fullmatch(r"ground|basis:(\d+)", state)
     if m:
-        index = int(m.group(1))
-        if not 1 <= index <= dimension:
-            raise ConfigError(f"[run] initial_state: basis index {index} out of range 1..{dimension}")
-        return
+        k = int(m.group(1) or 1)
+        if not 1 <= k <= dimension:
+            raise ValueError(f"a basis index in 1..{dimension}")
+        return "basis", k - 1
     try:
-        values = tuple(float(x) for x in state.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"[run] initial_state: expected ground|uniform|gibbs|basis:K or {dimension} "
-            f"probabilities, got {state!r}"
-        ) from None
-    if len(values) != dimension:
-        raise ConfigError(
-            f"[run] initial_state: expected {dimension} probabilities, got {len(values)}"
-        )
+        p = PopulationState(np.array([float(x) for x in state.split(",")]))
+    except ValueError:  # not numbers, or not a probability vector
+        p = None
+    if p is None or p.dimension != dimension:
+        raise ValueError(f"ground, uniform, gibbs, basis:K or {dimension} probabilities summing to 1")
+    return "vector", p
 
 
 def resolve_initial_state(cfg: RunConfig, dec: SpectralDecomposition) -> PopulationState:
     """Turn the configured initial-state tag into a population vector."""
-    d = dec.dimension
-    state = cfg.initial_state
-    if state == "ground":
-        return PopulationState.basis(d, 0)
-    if state == "uniform":
-        return PopulationState.uniform(d)
-    if state == "gibbs":
+    kind, value = _initial_state(cfg.initial_state, dec.dimension)
+    if kind == "basis":
+        return PopulationState.basis(dec.dimension, value)
+    if kind == "uniform":
+        return PopulationState.uniform(dec.dimension)
+    if kind == "gibbs":
         return gibbs_state(dec, cfg.bath.temperature)
-    m = re.fullmatch(r"basis:(\d+)", state)
-    if m:
-        return PopulationState.basis(d, int(m.group(1)) - 1)
-    try:
-        return PopulationState(np.array([float(x) for x in state.split(",")]))
-    except SpinbathError as exc:
-        raise ConfigError(f"[run] initial_state: {exc}") from None
+    return value
 
 
 def with_overrides(cfg: RunConfig, *, command=None, out=None, seed=None, max_n=None,
                    draws=None) -> RunConfig:
-    """Apply command-line overrides on top of a parsed configuration, checked
-    as the file's values are."""
-    updates = {}
-    if command is not None:
-        updates["command"] = command
-    if out is not None:
-        updates["out"] = str(out)
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if max_n is not None:
-        updates["max_n"] = int(max_n)
-    if draws is not None:
-        updates["draws"] = int(draws)
-    return _check_run_numbers(replace(cfg, **updates))
+    """Apply command-line overrides on top of a parsed configuration.  seed,
+    max_n and draws pass the file's reader and checks, and a refusal names
+    (command line) where a file value names its line."""
+    flags = _Sections({"run": {"seed": seed, "max_n": max_n, "draws": draws}}, None)
+    updates = {"command": command, "out": None if out is None else str(out)}
+    updates.update((key, flags.get_run_number(key)) for key in _RUN_NUMBERS)
+    return replace(cfg, **{key: value for key, value in updates.items() if value is not None})

@@ -34,7 +34,7 @@ refuse a block with several absorbing minima; the bare block structure
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -191,7 +191,6 @@ class Trajectory:
 
     times: np.ndarray
     populations: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = _check_times(self.times)
@@ -233,15 +232,7 @@ def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     snapshots = np.empty((t.size, p.size))
     for k, tk in enumerate(t):
         snapshots[k] = expm(rates.matrix * tk) @ p
-    return Trajectory(
-        times=t,
-        populations=snapshots,
-        provenance={
-            "engine": "pauli",
-            "temperature": rates.temperature,
-            "kappas": rates.kappas,
-        },
-    )
+    return Trajectory(times=t, populations=snapshots)
 
 
 @dataclass(frozen=True)
@@ -250,7 +241,6 @@ class DensityTrajectory:
 
     times: np.ndarray
     matrices: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
@@ -290,15 +280,7 @@ def propagate_density(superop: LindbladSuperoperator, rho0: np.ndarray, times) -
     for k, tk in enumerate(t):
         snapshots[k] = unvectorize(expm(superop.matrix * tk) @ v0, d)
         _check_density(snapshots[k], float(tk), DRIFT_TOL)
-    return DensityTrajectory(
-        times=t,
-        matrices=snapshots,
-        provenance={
-            "engine": "lindblad",
-            "temperature": superop.temperature,
-            "kappas": superop.kappas,
-        },
-    )
+    return DensityTrajectory(times=t, matrices=snapshots)
 
 
 def _thermal_weights(energies: np.ndarray, temperature: float) -> np.ndarray:

@@ -114,7 +114,7 @@ def write_gaps_csv(path, energies, header: list[str]) -> Path:
 # An integer's text is right-aligned in bytes 0..7 of a 16-byte row.
 _CHUNK = 2048  # float entries rendered per step
 _SPARSE_LIMIT = 8  # entries per step of a mostly +0.0 table, at most this many times _CHUNK
-_MASK_BYTES = 2**18  # mask text rendered per step
+_MASK_BYTES = 2**18  # mask and steady-state text rendered per step
 _FLOAT_WIDTH, _INT_WIDTH = 32, 16
 _INT_MAX = 10**8
 _POW10 = np.array([10.0**k for k in range(23)])  # exact in binary64
@@ -323,7 +323,7 @@ def write_steady_csv(path, partition, header: list[str]) -> Path:
     restricted Gibbs vector embedded in the full dimension, with the bytes
     write_csv would give the embedded rows.  Only the block labels and the d
     weights are rendered; every other entry is an embedded +0.0 and is spliced
-    in as "0", a bounded chunk of rows at a time."""
+    in as "0", a chunk of rows bounded by output bytes as in write_mask_csv."""
     d, n_blocks = partition.dimension, partition.n_blocks
     names = "block," + ",".join(f"p_{i + 1}" for i in range(d))
     sizes = np.array([len(block) for block in partition.blocks])
@@ -342,8 +342,8 @@ def write_steady_csv(path, partition, header: list[str]) -> Path:
         values = np.concatenate((np.arange(a + 1, b + 1, dtype=np.float64), weights[lo:hi]))
         return _splice(np.tile(line, b - a), text, values)
 
-    rendered = max(n_blocks + d, n_blocks * cells // _SPARSE_LIMIT)  # as write_csv steps a mostly +0.0 table
-    return _write_rows(path, [*header, names], n_blocks, _CHUNK * n_blocks // rendered, render)
+    # a line holds at least "0," per cell: a step is _MASK_BYTES of that, plus its blocks' weights
+    return _write_rows(path, [*header, names], n_blocks, _MASK_BYTES // (2 * cells), render)
 
 
 def write_sweep_csv(path, sweep, header: list[str]) -> Path:

@@ -116,7 +116,6 @@ class RateMatrix:
     energies: np.ndarray
     temperature: float
     kappas: tuple[float, ...]
-    axes: tuple[str, ...]
 
     @property
     def dimension(self) -> int:
@@ -188,7 +187,6 @@ def build_rate_matrix(
         energies=dec.energies.copy(),
         temperature=baths.temperature,
         kappas=baths.kappas,
-        axes=baths.axes,
     )
 
 
@@ -280,8 +278,6 @@ class LindbladSuperoperator:
 
     matrix: np.ndarray
     energies: np.ndarray
-    temperature: float
-    kappas: tuple[float, ...]
     population_indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -340,9 +336,4 @@ def build_lindblad_superoperator(
             np.kron(a.T, a_dag) - 0.5 * (np.kron(eye, up) + np.kron(up.T, eye))
         )
 
-    return LindbladSuperoperator(
-        matrix=super_matrix,
-        energies=dec.energies.copy(),
-        temperature=baths.temperature,
-        kappas=baths.kappas,
-    )
+    return LindbladSuperoperator(matrix=super_matrix, energies=dec.energies.copy())

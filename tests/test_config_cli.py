@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import filecmp
 import io
 import json
@@ -202,6 +203,35 @@ class TestParseConfig:
         assert cfg.command == "spectrum"
         assert cfg.temperature_grid.count == 25
 
+    def test_json_twin_of_the_paper_config(self):
+        # typed JSON values read as the INI text they stand for: the same run
+        twin = parse_config(Path(__file__).parent / "ising2_paper.json")
+        paper = parse_config(builtin_config_path("ising2_paper"))
+        assert dataclasses.replace(twin, source_hash=paper.source_hash, source_path=paper.source_path) == paper
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", {"a": 1}, "[chain] n: expected a number, a string or a list of them (line 3): got {'a': 1}"),
+        ("n", 2.0, "[chain] n: expected an integer (line 3): got '2.0'"),
+        ("fields", [[1.0], 0.5], "[chain] fields: expected a number, a string or a list of them (line 4): "
+                                 "got [[1.0], 0.5]"),
+        ("fields", [1.0, None], "[chain] fields: expected a number, a string or a list of them (line 4): "
+                                "got [1.0, None]"),
+    ])
+    def test_json_value_of_the_wrong_shape_names_its_line(self, key, value, message, tmp_path, capsys):
+        payload = {"chain": {"n": 2, "fields": [1.0, 0.5]}, "bath": {"temperature": 1.0, "kappas": [1.0, 1.0]}}
+        payload["chain"][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload, indent=1))
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message, "exit_code": 2}
+
+    def test_malformed_coupling_is_named_once(self, tmp_path):
+        path = tmp_path / "coupling.cfg"
+        path.write_text("[chain]\nn = 2\nfields = 1.0, 0.5\ncouplings = 1-2 0.3\n[bath]\ntemperature = 1\nkappas = 1, 1\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == "[chain] couplings: expected items like '1-2: 0.333' (line 4): got '1-2 0.3'"
+
     def test_bad_grid_rejected(self, tmp_path):
         path = tmp_path / "grid.cfg"
         path.write_text(
@@ -305,6 +335,9 @@ _OUT_OF_RANGE = {
     "kappa_site": ("0", "4"),
     "t_star": ("0", "-1"),
     "initial_state": ("basis:9", "0.5, 0.5", "warm"),
+    "seed": ("-1",),
+    "max_n": ("0", "1"),
+    "draws": ("0",),
 }
 
 

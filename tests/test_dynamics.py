@@ -107,7 +107,7 @@ class TestPropagatePopulations:
                                  axes=("x",) * 13, dimension=d)
         rates = RateMatrix(matrix=np.broadcast_to(0.0, (d, d)), elems=elems,
                            energies=np.arange(d, dtype=float), temperature=1.0,
-                           kappas=(1.0,) * 13, axes=("x",) * 13)
+                           kappas=(1.0,) * 13)
         p0 = PopulationState.basis(d, 0)
         tracemalloc.start()
         try:
