@@ -69,8 +69,9 @@ def detailed_balance_audit(rates: RateMatrix) -> float:
     e, temperature = rates.energies, rates.temperature
     if temperature <= 0:
         raise ValidationError(f"detailed-balance audit requires T > 0, got {temperature}")
-    rows, cols, _ = _structural_pattern(rates.elems, rates.kappas)
-    damping, gain = rates.matrix[rows, cols], rates.matrix[cols, rows]
+    coupled = np.asarray(rates.kappas)[rates.elems.sites - 1] > 0
+    rows, cols = rates.elems.rows[coupled], rates.elems.cols[coupled]
+    damping, gain = rates.damping[coupled], rates.gain[coupled]
     expected = np.exp(-(e[cols] - e[rows]) / temperature)
     with np.errstate(divide="ignore", invalid="ignore"):
         deviation = np.abs(gain / damping - expected) / expected

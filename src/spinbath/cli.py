@@ -112,9 +112,8 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
 def _cmd_rates(cfg: RunConfig, out: Path) -> list[Path]:
     _, _, rates = _build_all(cfg)
     header = _header(cfg, "rates")
-    labels = [f"E={export.fmt(e)}" for e in rates.energies]
     return [
-        export.write_matrix_csv(out / "rates.csv", rates.matrix, header, labels=labels),
+        export.write_rates_csv(out / "rates.csv", rates, header),
         export.write_mask_csv(out / "rates_mask.csv", _structural_pattern(rates.elems, rates.kappas), header),
     ]
 

@@ -128,8 +128,10 @@ def builtin_config_path(name: str) -> Path:
 
 
 def _line_of(text: str, section: str, key: str) -> str:
-    """Best-effort line locator for error messages."""
+    """Best-effort line locator for error messages: an INI key starts its
+    line, a JSON key is quoted anywhere in it (a one-line file is line 1)."""
     current = None
+    name = re.escape(key)
     for lineno, line in enumerate(text.splitlines(), start=1):
         m = re.match(r"\s*\[(\w+)\]", line)
         if m:
@@ -137,7 +139,8 @@ def _line_of(text: str, section: str, key: str) -> str:
             if key == section == current:
                 return f"line {lineno}"
             continue
-        if re.match(rf'\s*"?{re.escape(key)}"?\s*[=:]', line) and current in (section, None):
+        found = re.match(rf"\s*{name}\s*[=:]", line) or re.search(rf'"{name}"\s*:', line)
+        if found and current in (section, None):
             return f"line {lineno}"
     return "line unknown"
 
@@ -330,6 +333,9 @@ def parse_config(path) -> RunConfig:
         _initial_state(initial_state, chain.dimension)
     except ValueError as exc:
         sections._fail("run", "initial_state", str(exc), f"got {initial_state!r}")
+    if initial_state == "gibbs" and temperature == 0:
+        sections._fail("run", "initial_state", "a state other than gibbs at temperature = 0",
+                       f"got {initial_state!r}")
 
     return RunConfig(
         chain=chain,

@@ -19,13 +19,13 @@ scientific notation, trailing zeros dropped, '-' for a set sign bit (so -0.0
 prints "-0").  Any value this cannot settle exactly (m outside
 [10^11, 10^12), 10^(11-k) not exact, a near tie, NaN or +-inf) is rendered
 by format() itself: about 0.06% of the gaps of an 8-site spectrum.  Integer
-columns (row labels) print as integers.  A table that is mostly +0.0, like
-a rate matrix, renders only its other entries and splices "0" in for the
-rest.  A structural mask is rendered from its pattern (the coupled flips and
-the states they touch) as a 0/1 grid, straight to bytes, a bounded chunk of
-rows at a time, and steady states from their block partition: only the
-block labels and the d restricted Gibbs weights are rendered, and "0" is
-spliced in for the rest.
+columns (row labels) print as integers.  Tables that are mostly zeros are
+rendered from what they are built from, never from a dense array: a rate
+matrix from its transition table (each flip's damping and gain, and the
+outflow diagonal) and steady states from their block partition (the block
+labels and the d restricted Gibbs weights), with "0" spliced in for every
+other cell, and a structural mask from its pattern as a 0/1 grid, straight
+to bytes.  Each is written a bounded chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ from .errors import ValidationError
 def fmt(value) -> str:
     """Canonical 12-significant-digit rendering of a real number."""
     return format(float(value), ".12g")
-
-
-def fmt_complex(value) -> str:
-    """Render a complex entry as re+imi (e.g. '1.5-0.25i')."""
-    z = complex(value)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{fmt(z.real)}{sign}{fmt(abs(z.imag))}i"
 
 
 def provenance_lines(command: str, config_hash: str, params: dict) -> list[str]:
@@ -67,15 +60,6 @@ def write_lines(path: Path, header: list[str], body: list[str]) -> Path:
     return path
 
 
-def write_matrix_csv(path, matrix, header: list[str], labels: list[str] | None = None) -> Path:
-    """Row-major matrix dump; complex entries become re+imi pairs."""
-    m = np.asarray(matrix)
-    lines = [*header, ",".join(labels)] if labels is not None else list(header)
-    if np.iscomplexobj(m):
-        return write_lines(path, lines, [",".join(fmt_complex(x) for x in row) for row in m])
-    return write_csv(path, lines, np.asarray(m, dtype=np.float64))
-
-
 def write_csv(path, lines: list[str], *blocks) -> Path:
     """`lines` (header and column names), then one CSV line per row of the 2-D
     `blocks` placed side by side: integer blocks (0 <= n < 10^8) print as
@@ -83,12 +67,51 @@ def write_csv(path, lines: list[str], *blocks) -> Path:
     blocks = [b if b.dtype.kind in "iu" else b.astype(np.float64, copy=False) for b in map(np.asarray, blocks)]
     n_rows = blocks[0].shape[0] if blocks else 0
     floats = sum(b.size for b in blocks if b.dtype.kind == "f")
-    if len(blocks) == 1 and floats:  # a lone float table renders only its entries other than +0.0
-        floats = max(np.count_nonzero((blocks[0] != 0) | np.signbit(blocks[0])), floats // _SPARSE_LIMIT)
     step = _CHUNK * n_rows // floats if floats else _CHUNK
     if not sum(b.shape[1] for b in blocks):  # rows without entries are empty lines
         return _write_rows(path, lines, n_rows, step, lambda a, b: b"\n" * (b - a))
     return _write_rows(path, lines, n_rows, step, lambda a, b: _render([blk[a:b] for blk in blocks]))
+
+
+def _write_cells(path, lines: list[str], n_rows: int, n_cols: int, at: np.ndarray, values: np.ndarray) -> Path:
+    """Write `lines`, then n_rows CSV lines of n_cols >= 1 cells: the text of
+    values[k] in the flat cell at[k] (distinct cells, in any order) and "0" in
+    every other cell.  Only the values are rendered; a step takes _MASK_BYTES
+    of "0," cells and the values among them."""
+    order = np.argsort(at)
+    at, values = at[order], values[order]
+    line = np.full(n_cols, ord(","), dtype=np.uint8)
+    line[-1] = ord("\n")
+
+    def render(a: int, b: int) -> np.ndarray:
+        seps = np.tile(line, b - a)
+        lo, hi = np.searchsorted(at, (a * n_cols, b * n_cols))
+        cells = at[lo:hi] - a * n_cols
+        width = np.full(seps.size, 2, dtype=np.int32)  # "0" and its separator
+        if cells.size:
+            rows, keep = _texts(values[lo:hi], seps[cells])
+            width[cells] = keep.sum(axis=1)
+        start = np.cumsum(width, dtype=np.int32) - width
+        out = np.empty(int(start[-1]) + int(width[-1]), dtype=np.uint8)
+        out[start] = ord("0")  # every cell as "0" and its separator; the texts then overwrite theirs
+        out[start + 1] = seps
+        if cells.size:
+            w = width[cells]
+            out[np.repeat(start[cells] - (np.cumsum(w) - w), w) + np.arange(int(w.sum()))] = rows[keep]
+        return out
+
+    return _write_rows(path, lines, n_rows, _MASK_BYTES // (2 * n_cols), render)
+
+
+def write_rates_csv(path, rates, header: list[str]) -> Path:
+    """Lambda of a RateMatrix under the column labels E=<energy>, from its table:
+    each flip's damping at (i, j) and gain at (j, i), -outflow on the whole
+    diagonal (a state no coupled flip touches prints "-0"), "0" elsewhere."""
+    rows, cols, d = rates.elems.rows, rates.elems.cols, rates.dimension
+    at = np.concatenate((rows * d + cols, cols * d + rows, np.arange(d) * (d + 1)))
+    values = np.concatenate((rates.damping, rates.gain, -rates.outflow))
+    labels = ",".join(f"E={fmt(e)}" for e in rates.energies)
+    return _write_cells(path, [*header, labels], d, d, at, values)
 
 
 def write_gaps_csv(path, energies, header: list[str]) -> Path:
@@ -113,8 +136,7 @@ def write_gaps_csv(path, energies, header: list[str]) -> Path:
 # separator (after a scientific suffix 'e+XX', written at `end` first).
 # An integer's text is right-aligned in bytes 0..7 of a 16-byte row.
 _CHUNK = 2048  # float entries rendered per step
-_SPARSE_LIMIT = 8  # entries per step of a mostly +0.0 table, at most this many times _CHUNK
-_MASK_BYTES = 2**18  # mask and steady-state text rendered per step
+_MASK_BYTES = 2**18  # "0" cells of a mask, a rate matrix or steady states rendered per step
 _FLOAT_WIDTH, _INT_WIDTH = 32, 16
 _INT_MAX = 10**8
 _POW10 = np.array([10.0**k for k in range(23)])  # exact in binary64
@@ -235,8 +257,6 @@ def _render(blocks: list[np.ndarray]) -> np.ndarray:
     """The CSV lines of row-aligned 2-D blocks, as one uint8 array."""
     seps = [np.full(block.shape, ord(","), dtype=np.uint8) for block in blocks]
     seps[-1][:, -1] = ord("\n")
-    if len(blocks) == 1 and blocks[0].dtype.kind == "f":
-        return _render_sparse(blocks[0].reshape(-1), seps[0].reshape(-1))
     n = blocks[0].shape[0]
     parts = [_texts(block.reshape(-1), sep.reshape(-1)) for block, sep in zip(blocks, seps)]
     widths = [block.shape[1] * rows.shape[1] for block, (rows, _) in zip(blocks, parts)]
@@ -249,34 +269,6 @@ def _render(blocks: list[np.ndarray]) -> np.ndarray:
         keep[:, at : at + width].reshape(cells)[...] = kept.reshape(cells)
         at += width
     return text[keep]
-
-
-def _render_sparse(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
-    """Each value's text and separator, rendering only the entries other than +0.0
-    (a rate matrix is mostly exact zeros) and splicing "0" in for the rest."""
-    text = np.flatnonzero((v != 0) | np.signbit(v))  # NaN != 0 holds
-    if text.size == v.size:
-        rows, keep = _texts(v, seps)
-        return rows[keep]
-    return _splice(seps, text, v[text])
-
-
-def _splice(seps: np.ndarray, text: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """One entry per separator, each followed by it: the text of values[k] at
-    entry text[k] (distinct entries, in any order) and "0" at every other."""
-    width = np.full(seps.size, 2, dtype=np.int32)  # "0" and its separator
-    if text.size:
-        rows, keep = _texts(values, seps[text])
-        stream = rows[keep]
-        width[text] = keep.sum(axis=1)
-    at = np.cumsum(width, dtype=np.int32) - width  # where each entry starts
-    out = np.empty(int(at[-1]) + int(width[-1]), dtype=np.uint8)
-    out[at] = ord("0")  # every entry as "0" and its separator; the texts then overwrite theirs
-    out[at + 1] = seps
-    if text.size:
-        w = width[text]
-        out[np.repeat(at[text] - (np.cumsum(w) - w), w) + np.arange(stream.size)] = stream
-    return out
 
 
 def _write_rows(path, lines: list[str], n_rows: int, step: int, render) -> Path:
@@ -320,30 +312,17 @@ def write_trajectory_csv(path, trajectory, header: list[str]) -> Path:
 
 def write_steady_csv(path, partition, header: list[str]) -> Path:
     """Columns block, p_1..p_d: one row per block of a BlockPartition, its
-    restricted Gibbs vector embedded in the full dimension, with the bytes
-    write_csv would give the embedded rows.  Only the block labels and the d
-    weights are rendered; every other entry is an embedded +0.0 and is spliced
-    in as "0", a chunk of rows bounded by output bytes as in write_mask_csv."""
+    restricted Gibbs vector embedded in the full dimension.  Only the block
+    labels and the d weights are rendered; every other cell is "0"."""
     d, n_blocks = partition.dimension, partition.n_blocks
     names = "block," + ",".join(f"p_{i + 1}" for i in range(d))
-    sizes = np.array([len(block) for block in partition.blocks])
-    bounds = np.concatenate(([0], np.cumsum(sizes)))  # block b is members[bounds[b]:bounds[b + 1]]
+    sizes = [len(block) for block in partition.blocks]
     members = np.array([i for block in partition.blocks for i in block], dtype=np.intp)
-    weights = np.concatenate(partition.weights)
-    cells = d + 1  # per line: the label, then p_1..p_d
-    line = np.full(cells, ord(","), dtype=np.uint8)
-    line[-1] = ord("\n")
-
-    def render(a: int, b: int) -> np.ndarray:
-        lo, hi = bounds[a], bounds[b]
-        row_of = np.repeat(np.arange(b - a), sizes[a:b])
-        text = np.concatenate((np.arange(b - a) * cells, row_of * cells + 1 + members[lo:hi]))
-        # a label below 10^12 renders as a float exactly as an integer does
-        values = np.concatenate((np.arange(a + 1, b + 1, dtype=np.float64), weights[lo:hi]))
-        return _splice(np.tile(line, b - a), text, values)
-
-    # a line holds at least "0," per cell: a step is _MASK_BYTES of that, plus its blocks' weights
-    return _write_rows(path, [*header, names], n_blocks, _MASK_BYTES // (2 * cells), render)
+    labels = np.arange(n_blocks) * (d + 1)  # per line: the label, then p_1..p_d
+    at = np.concatenate((labels, np.repeat(labels, sizes) + 1 + members))
+    # a label below 10^12 renders as a float exactly as an integer does
+    values = np.concatenate((np.arange(1.0, n_blocks + 1), *partition.weights))
+    return _write_cells(path, [*header, names], n_blocks, d + 1, at, values)
 
 
 def write_sweep_csv(path, sweep, header: list[str]) -> Path:

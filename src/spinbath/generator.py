@@ -2,9 +2,9 @@
 
 Two routes are built from the same spectral data:
 
-* the Pauli rate matrix Lambda (primary engine), a d x d real generator whose
-  off-diagonal entries are golden-rule damping/gain rates between energy
-  eigenstates and whose columns sum to zero;
+* the Pauli rate matrix Lambda (primary engine), golden-rule damping/gain
+  rates between energy eigenstates with zero column sums, kept on the
+  transition table; the dense d x d Lambda is derived on first use;
 * the full Lindblad superoperator (oracle), a d^2 x d^2 complex matrix acting
   on column-stacked density matrices, assembled from the secular jump
   operators.
@@ -21,6 +21,7 @@ transition table, never by thresholding floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .bath import BathConfig, CouplingElements, bose_einstein, spectral_density
 from .chain import DEGENERACY_TOL, MAX_DENSE_SITES, SpectralDecomposition, _close_levels, check_degeneracy
 from .errors import CapacityError, DegenerateGapError, NumericalIntegrityError, ValidationError
 
-RATE_MATRIX_TOL = 1e-12
 # The oracle is a dense d^4 complex matrix: 16.8 MB at N = 5, 268 MB at N = 6.
 MAX_LINDBLAD_SITES = 5
 
@@ -102,40 +102,48 @@ def build_jump_operators(dec: SpectralDecomposition, elems: CouplingElements) ->
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Generator of the population dynamics in the energy-sorted basis.
+    """Generator of the population dynamics in the energy-sorted basis, kept
+    on the transition table `elems` it was built from.
 
-    matrix[i, j] for i < j is the damping rate from |j> down into |i>;
-    matrix[i, j] for i > j is the gain rate from |j> up into |i>; the
-    diagonal holds the negative total outflow, so columns sum to zero.
-    elems is the transition table it was built from; `_structural_pattern(elems,
-    kappas)` gives the structurally nonzero entries (nonzero for every T > 0).
+    For table row k, the flip (i, j) = (elems.rows[k], elems.cols[k]) with
+    i < j, damping[k] = Lambda[i, j] is the rate from |j> down into |i> and
+    gain[k] = Lambda[j, i] the rate from |i> up into |j>; both are 0.0 on the
+    flips of kappa = 0 sites.  outflow[j] = -Lambda[j, j] is the total rate
+    out of |j>, so columns sum to zero.  Every other entry of Lambda is 0.
+    `matrix`, the dense d x d Lambda, is built from these on first use.
     """
 
-    matrix: np.ndarray
     elems: CouplingElements
+    damping: np.ndarray
+    gain: np.ndarray
+    outflow: np.ndarray
     energies: np.ndarray
     temperature: float
     kappas: tuple[float, ...]
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.elems.dimension
 
-    def validate(self, tol: float = RATE_MATRIX_TOL) -> None:
-        """Check conservation, sign structure, and that every nonzero rate lies
-        on the structural pattern of the table (by counting nonzeros)."""
-        m = self.matrix
-        if np.max(np.abs(m.sum(axis=0))) >= tol:
-            raise ValidationError("rate-matrix columns do not sum to zero within tolerance")
-        rows, cols, touched = _structural_pattern(self.elems, self.kappas)
-        damping, gain, diagonal = m[rows, cols], m[cols, rows], np.diagonal(m)
-        if np.any(damping < 0) or np.any(gain < 0):
-            raise ValidationError("negative off-diagonal rate")
-        if np.any(diagonal > 0):
-            raise ValidationError("positive diagonal entry")
-        on_pattern = sum(map(np.count_nonzero, (damping, gain, diagonal[touched])))
-        if np.count_nonzero(m) != on_pattern:
-            raise ValidationError("nonzero rate outside the structural pattern")
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense Lambda (read-only), for the matrix exponential."""
+        rows, cols, d = self.elems.rows, self.elems.cols, self.dimension
+        matrix = np.zeros((d, d))
+        matrix[rows, cols] = self.damping
+        matrix[cols, rows] = self.gain
+        matrix.flat[:: d + 1] = -self.outflow
+        matrix.setflags(write=False)
+        return matrix
+
+    def validate(self) -> None:
+        """Check, on the table alone, that every rate and outflow is finite and
+        not negative.  Columns sum to zero by construction of the outflow."""
+        for name in ("damping", "gain", "outflow"):
+            rates = getattr(self, name)
+            bad = np.flatnonzero(~((rates >= 0) & (rates < np.inf)))
+            if bad.size:
+                raise ValidationError(f"{name}[{bad[0]}] = {rates[bad[0]]} is not a finite rate >= 0")
 
 
 def build_rate_matrix(
@@ -143,7 +151,7 @@ def build_rate_matrix(
     elems: CouplingElements,
     baths: BathConfig,
 ) -> RateMatrix:
-    """Assemble the golden-rule rate matrix for the configured baths.
+    """Assemble the golden-rule rates for the configured baths on the table.
 
     For every row (i, j, n) of the transition table `elems`, the flip of
     site n between levels i < j with gap omega = E_j - E_i:
@@ -152,27 +160,27 @@ def build_rate_matrix(
         gain     Lambda[j, i] = J^(n)(omega)      nbar_omega
 
     since |S_ij^(n)|^2 = 1.  Pairs outside the table have no rate.  The
-    diagonal is minus each column's sum, the total outflow, which for the
-    ground and top states reduces to pure gain and pure damping.  A pair is
-    structurally nonzero when its site has kappa^(n) > 0.
+    outflow of a state is its column's sum, which for the ground and top
+    states reduces to pure gain and pure damping.  A pair is structurally
+    nonzero when its site has kappa^(n) > 0.  No d x d array is allocated.
 
-    Refused beyond 2^MAX_DENSE_SITES states before anything is allocated,
-    and refused with NumericalIntegrityError when a rate or a total outflow
-    overflows (kappa * omega beyond double range).
+    Refused beyond 2^MAX_DENSE_SITES states, whose dense Lambda could not be
+    held, and refused with NumericalIntegrityError when a rate or a total
+    outflow overflows (kappa * omega beyond double range).
     """
     d = dec.dimension
     if d > 2**MAX_DENSE_SITES:
         raise CapacityError(f"dense rate matrix limited to d <= 2^{MAX_DENSE_SITES}, got d = {d}")
     _require_nondegenerate(dec)
     _check_bath(dec, elems, baths)
-    rows, cols = elems.rows, elems.cols
     omega, coupled = _flip_densities(dec, elems, baths)
     nbar = np.array([bose_einstein(w, baths.temperature) for w in omega.tolist()])
-    matrix = np.zeros((d, d))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        matrix[rows, cols] = coupled * (1.0 + nbar)
-        matrix[cols, rows] = coupled * nbar
-        outflow = matrix.sum(axis=0)
+        damping, gain = coupled * (1.0 + nbar), coupled * nbar
+        # each column summed in row order, as Lambda.sum(axis=0) sums it: the damping
+        # into rows i < j in table order, then the gain into rows above j
+        outflow = np.bincount(np.concatenate((elems.cols, elems.rows)), np.concatenate((damping, gain)),
+                              minlength=d).astype(np.float64)  # an empty table counts in integers
     # rates are nonnegative, so a column sum is finite iff every rate in it is
     bad = np.flatnonzero(~np.isfinite(outflow))
     if bad.size:
@@ -180,10 +188,11 @@ def build_rate_matrix(
         raise NumericalIntegrityError(
             f"non-finite rates: total outflow of level {j + 1} is {float(outflow[j])}"
         )
-    np.fill_diagonal(matrix, -outflow)
     return RateMatrix(
-        matrix=matrix,
         elems=elems,
+        damping=damping,
+        gain=gain,
+        outflow=outflow,
         energies=dec.energies.copy(),
         temperature=baths.temperature,
         kappas=baths.kappas,

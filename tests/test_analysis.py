@@ -241,9 +241,9 @@ class TestDetailedBalanceAudit:
 
     def test_corrupted_rate_detected(self, paper_dec, paper_model):
         _, _, rates = paper_model(kappas=(1.0, 1.0), temperature=1.0)
-        corrupted = rates.matrix.copy()
-        corrupted[0, 2] *= 1.01
-        broken = replace(rates, matrix=corrupted)
+        damping = rates.damping.copy()
+        damping[(rates.elems.rows == 0) & (rates.elems.cols == 2)] *= 1.01
+        broken = replace(rates, damping=damping)
         deviation = detailed_balance_audit(broken)
         assert deviation == pytest.approx(1 - 1 / 1.01, rel=1e-6)
 

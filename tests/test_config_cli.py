@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbath import (
@@ -225,6 +225,15 @@ class TestParseConfig:
         assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message, "exit_code": 2}
 
+    def test_one_line_json_names_line_1(self, tmp_path, capsys):
+        # the twin of the n = 2.0 case above, written on one line: the quoted key is found inside it
+        payload = {"chain": {"n": 2.0, "fields": [1.0, 0.5]}, "bath": {"temperature": 1.0, "kappas": [1.0, 1.0]}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        message = "[chain] n: expected an integer (line 1): got '2.0'"
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message, "exit_code": 2}
+
     def test_malformed_coupling_is_named_once(self, tmp_path):
         path = tmp_path / "coupling.cfg"
         path.write_text("[chain]\nn = 2\nfields = 1.0, 0.5\ncouplings = 1-2 0.3\n[bath]\ntemperature = 1\nkappas = 1, 1\n")
@@ -345,7 +354,10 @@ _OUT_OF_RANGE = {
 def _broken_configs(draw):
     """(text, line): VALID with one mistake, and the 1-based line that must be named."""
     lines = list(_LINES)
-    kind = draw(st.sampled_from(["header", "duplicate", "unknown", "not-a-number", "length", "grid", "range"]))
+    kind = draw(st.sampled_from(["header", "duplicate", "unknown", "not-a-number", "length", "grid", "range",
+                                 "gibbs-cold"]))
+    if kind == "gibbs-cold":  # a Gibbs start needs T > 0; the initial_state line is named
+        return _gibbs_at_zero_temperature()
     if kind == "header":  # the key below the header moves up into its line
         k = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("[")]))
         del lines[k]
@@ -377,12 +389,20 @@ def _broken_configs(draw):
     return "\n".join(lines) + "\n", k + 1
 
 
+def _gibbs_at_zero_temperature() -> tuple[str, int]:
+    lines = list(_LINES)
+    lines[_KEY_LINES["temperature"]] = "temperature = 0"
+    lines[_KEY_LINES["initial_state"]] = "initial_state = gibbs"
+    return "\n".join(lines) + "\n", _KEY_LINES["initial_state"] + 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(_broken_configs())
+@example(_gibbs_at_zero_temperature())
 def test_every_broken_config_names_its_line(case):
     """A dropped header, a duplicate or unknown key, a non-numeric value, a
-    per-site list of the wrong length, a bad grid or a value out of range:
-    parse_config raises a ConfigError naming the line, and the CLI exits 2
+    per-site list of the wrong length, a bad grid, a value out of range or a
+    Gibbs start at T = 0: parse_config raises a ConfigError naming the line, and the CLI exits 2
     with one JSON record."""
     text, line = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -579,6 +599,22 @@ class TestCli:
         for k, line in enumerate(lines[1:], start=1):  # level k alone, as a 1 among "0" entries
             assert line == f"{k}," + "0," * (k - 1) + "1" + ",0" * (2048 - k)
 
+    def test_rates_of_a_ten_site_chain_hold_no_dense_matrix(self, tmp_path):
+        # d = 1,024: a dense rate matrix alone would take 8 MiB; rates.csv is rendered
+        # from the table's d (N + 1) = 11,264 nonzero rates
+        path = _random_chain_cfg(tmp_path / "n10.cfg", 10, "1e-5" + ", 1.0" * 9)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["rates", "--config", str(path), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"rates peaked at {peak / 2**20:.1f} MiB"
+        lines = [line for line in (out / "rates.csv").read_text().splitlines() if not line.startswith("#")]
+        assert len(lines) == 1 + 1024
+        assert sum(cell != "0" for line in lines[1:] for cell in line.split(",")) == 11264
+
     def test_structure_commands_never_load_scipy(self, tmp_path):
         structure = ["spectrum", "rates", "steady", "blocks", "zeros-scaling"]
         package_root = str(Path(cli.__file__).resolve().parents[1])
@@ -745,12 +781,3 @@ class TestCli:
         assert lines[0] == "# spinbath blocks"
         assert lines[1].startswith("# config_sha256: ")
         assert "kappas=(0,1)" in lines[2]
-
-
-class TestComplexCsv:
-    def test_complex_entries_re_imi(self, tmp_path):
-        from spinbath.export import write_matrix_csv
-
-        m = np.array([[1.5 + 0.25j, -2.0 - 1.0j]])
-        path = write_matrix_csv(tmp_path / "m.csv", m, ["# test"])
-        assert path.read_text().splitlines()[1] == "1.5+0.25i,-2-1i"

@@ -99,14 +99,14 @@ class TestPropagatePopulations:
         assert excitation_probability(traj)[0] == pytest.approx(0.458, abs=1e-2)
 
     def test_capacity_guard_before_allocation(self):
-        # a synthetic 2^13-level generator, a zero-stride view with an empty table:
+        # a synthetic 2^13-level generator with an empty table and zero outflows:
         # nothing of size d x d exists
         d = 2**13
         empty = np.zeros(0, dtype=np.intp)
         elems = CouplingElements(rows=empty, cols=empty, sites=empty, values=empty.astype(float),
                                  axes=("x",) * 13, dimension=d)
-        rates = RateMatrix(matrix=np.broadcast_to(0.0, (d, d)), elems=elems,
-                           energies=np.arange(d, dtype=float), temperature=1.0,
+        rates = RateMatrix(elems=elems, damping=empty.astype(float), gain=empty.astype(float),
+                           outflow=np.zeros(d), energies=np.arange(d, dtype=float), temperature=1.0,
                            kappas=(1.0,) * 13)
         p0 = PopulationState.basis(d, 0)
         tracemalloc.start()
@@ -149,7 +149,7 @@ class TestPropagatePopulations:
 
     def test_normalization_drift_aborts(self, paper_model):
         _, _, rates = paper_model()
-        broken = replace(rates, matrix=rates.matrix + 0.05 * np.eye(4))
+        broken = replace(rates, outflow=rates.outflow - 0.05)  # each column gains 0.05
         with pytest.raises(NumericalIntegrityError, match="drift"):
             propagate_populations(broken, PopulationState.uniform(4), [0.0, 5.0])
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from spinbath import export
 from spinbath.errors import ValidationError
-from spinbath.export import fmt, write_csv, write_gaps_csv, write_mask_csv, write_matrix_csv
+from spinbath.export import fmt, write_csv, write_gaps_csv, write_mask_csv
 
 
 def rendered(values) -> list[str]:
@@ -81,7 +81,7 @@ def test_chunk_seams_do_not_change_the_files(tmp_path, monkeypatch, chunk):
     table = rng.standard_normal((13, 3)) * 10.0 ** rng.integers(-8, 8, (13, 3))
     monkeypatch.setattr(export, "_CHUNK", chunk)
     write_gaps_csv(tmp_path / "gaps.csv", energies, ["# h"])
-    write_matrix_csv(tmp_path / "m.csv", matrix, ["# h"], labels=["a"] * 11)
+    write_csv(tmp_path / "m.csv", ["# h", ",".join(["a"] * 11)], matrix)
     write_csv(tmp_path / "t.csv", ["# h", "k,x,y,z"], np.arange(13)[:, None], table)
     d = energies.size
     gaps = [f"{i + 1},{j + 1},{fmt(energies[j] - energies[i])}" for i in range(d) for j in range(i + 1, d)]

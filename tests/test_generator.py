@@ -143,16 +143,17 @@ class TestRateMatrix:
     def test_validate_refuses_each_corruption(self, paper_model):
         _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
         rates.validate()
-        # each keeps the column sums: a rate on a decoupled site-1 flip, and a negative one
-        outside, negative = rates.matrix.copy(), rates.matrix.copy()
-        outside[0, 2], outside[2, 2] = 0.1, outside[2, 2] - 0.1
-        negative[0, 1], negative[1, 1] = -0.1, negative[1, 1] + negative[0, 1] + 0.1
-        for matrix, message in ((outside, "outside the structural pattern"), (negative, "negative off-diagonal")):
-            with pytest.raises(ValidationError, match=message):
-                replace(rates, matrix=matrix).validate()
+        k = int(np.flatnonzero(rates.elems.sites == 2)[0])  # a coupled flip
+        for name in ("damping", "gain", "outflow"):
+            for value in (-0.1, np.inf, np.nan):
+                rate = getattr(rates, name).copy()
+                rate[k] = value
+                with pytest.raises(ValidationError, match=rf"^{name}\[{k}\] = {value} is not a finite rate"):
+                    replace(rates, **{name: rate}).validate()
 
-    def test_rate_matrix_is_the_only_dense_object(self):
-        # N = 10: the 8 MiB matrix; the structure stays in the table the matrix keeps
+    def test_build_allocates_no_dense_matrix(self):
+        # N = 10: a dense Lambda alone takes 8 MiB; the build keeps two rates per flip
+        # of the table and one outflow per state, and the dense Lambda waits for first use
         dec = decompose_chain(random_nondegenerate_chain(10, np.random.default_rng(10)))
         cfg, elems = _elems(dec, (1e-5,) + (1.0,) * 9)
         tracemalloc.start()
@@ -161,8 +162,11 @@ class TestRateMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 2**20, f"peaked at {peak / 2**20:.2f} MiB"
         assert rates.elems is elems
-        assert peak < 8.5 * 2**20, f"peaked at {peak / 2**20:.2f} MiB"
+        assert rates.damping.shape == rates.gain.shape == (5 * 2**10,)
+        assert "matrix" not in vars(rates)
+        assert rates.matrix is rates.matrix and rates.matrix.shape == (2**10, 2**10)
 
     def test_boundary_diagonal_entries(self, paper_model):
         # ground state loses only upward (gain), top state only downward (damping)

@@ -9,7 +9,9 @@ degeneracy check.
 
 from __future__ import annotations
 
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from spinbath import cli, export, generator
 from spinbath.bath import bose_einstein, spectral_density
 from spinbath.chain import DegeneracyReport
 from spinbath.errors import ValidationError
-from spinbath.export import fmt, fmt_complex, write_matrix_csv, write_mask_csv
+from spinbath.export import fmt, write_csv, write_mask_csv, write_rates_csv
 
 from conftest import site_operator, table_mask
 
@@ -331,29 +333,32 @@ def test_decomposition_arrays_are_private_and_read_only():
 
 def reference_render_rows(matrix) -> list[str]:
     """The per-entry CSV rendering the emission fast paths replaced."""
-    m = np.asarray(matrix)
-    render = fmt_complex if np.iscomplexobj(m) else fmt
-    return [",".join(render(x) for x in row) for row in m]
+    return [",".join(fmt(x) for x in row) for row in np.asarray(matrix)]
 
 
 def reference_mask_rows(mask) -> list[str]:
     return [",".join(str(int(x)) for x in row) for row in np.asarray(mask)]
 
 
-def test_matrix_csv_matches_the_per_entry_rendering(tmp_path):
+@pytest.mark.parametrize("mask_bytes", [1, 100, export._MASK_BYTES])
+def test_matrix_csv_matches_the_per_entry_rendering(tmp_path, monkeypatch, mask_bytes):
+    # write_csv renders every entry; the cell writer behind rates.csv and steady.csv
+    # renders only the cells it is given, in any order, and "0" for the rest
+    monkeypatch.setattr(export, "_MASK_BYTES", mask_bytes)
     rng = np.random.default_rng(3)
     special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, -2.5, 1 / 3])
     path = tmp_path / "m.csv"
     for shape in ((1, 1), (2, 2), (3, 7), (0, 4), (4, 0), (64, 64)):
         real = rng.choice(special, size=shape)
         real[rng.random(shape) < 0.5] = 0.0
-        cplx = real.astype(complex)
-        cplx.imag = rng.choice(special, size=shape)
-        for m in (real, real.astype(np.float32), real > 0, cplx):
-            labels = [f"c{k}" for k in range(shape[1])]
-            write_matrix_csv(path, m, ["# h"], labels=labels)
-            expected = ["# h", ",".join(labels), *reference_render_rows(m)]
-            assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        lines = ["# h", ",".join(f"c{k}" for k in range(shape[1]))]
+        for m in (real, real.astype(np.float32), real > 0):
+            write_csv(path, lines, m)
+            assert path.read_bytes() == ("\n".join([*lines, *reference_render_rows(m)]) + "\n").encode()
+        if shape[1]:
+            at = rng.permutation(np.flatnonzero((real != 0) | np.signbit(real)))  # NaN != 0 holds
+            export._write_cells(path, lines, *shape, at, real.reshape(-1)[at])
+            assert path.read_bytes() == ("\n".join([*lines, *reference_render_rows(real)]) + "\n").encode()
 
 
 @pytest.mark.parametrize("mask_bytes", [1, 100, export._MASK_BYTES])
@@ -370,6 +375,48 @@ def test_mask_csv_matches_the_per_entry_rendering(tmp_path, monkeypatch, mask_by
             grid[rows, cols] = grid[cols, rows] = True
             write_mask_csv(path, (rows, cols, touched), ["# h"])
             assert path.read_bytes() == ("\n".join(["# h", *reference_mask_rows(grid)]) + "\n").encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains_and_baths(), st.sampled_from(TEMPERATURES))
+def test_rates_on_the_table_equal_the_pair_loop(case, temperature):
+    """Lambda built from the per-flip rates, and rates.csv rendered from them,
+    against the pair loop: every entry the same bits, signed zeros included.
+    The pair loop sums each column in its own order, so the diagonal it is
+    held to is its off-diagonal part summed as Lambda.sum(axis=0) sums it."""
+    spec, axes, kappas = case
+    dec = spectral_decomposition(build_hamiltonian(spec))
+    baths = BathConfig(temperature=temperature, kappas=kappas, axes=axes)
+    elems = coupling_matrix_elements(baths, dec)
+    try:
+        expected, _ = reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
+    except DegenerateGapError:
+        with pytest.raises(DegenerateGapError):
+            build_rate_matrix(dec, elems, baths)
+        return
+    rates = build_rate_matrix(dec, elems, baths)
+    scale = np.max(np.abs(expected), initial=0.0)
+    paired = np.diagonal(expected).copy()
+    np.fill_diagonal(expected, 0.0)
+    np.fill_diagonal(expected, -expected.sum(axis=0))
+    assert np.max(np.abs(np.diagonal(expected) - paired), initial=0.0) <= 1e-15 * scale
+    assert np.array_equal(rates.matrix, expected)
+    assert np.array_equal(np.signbit(rates.matrix), np.signbit(expected))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_rates_csv(Path(tmp) / "rates.csv", rates, ["# h"])
+        labels = ",".join(f"E={fmt(x)}" for x in dec.energies)
+        assert path.read_bytes() == ("\n".join(["# h", labels, *reference_render_rows(expected)]) + "\n").encode()
+
+
+def test_decoupled_rates_csv_prints_minus_zero_on_the_diagonal(tmp_path):
+    # every kappa = 0: the table keeps its four flips at rate 0.0, and each state's
+    # outflow is 0.0, so the diagonal prints -0.0
+    path = tmp_path / "decoupled.cfg"
+    path.write_text("[chain]\nn = 2\nfields = 1.0, 0.5\ncouplings = 1-2: 0.25\n"
+                    "[bath]\ntemperature = 1.0\nkappas = 0, 0\n")
+    assert cli.main(["rates", "--config", str(path), "--out", str(tmp_path)]) == 0
+    body = [line for line in (tmp_path / "rates.csv").read_text().splitlines() if not line.startswith("#")]
+    assert body[1:] == ["-0,0,0,0", "0,-0,0,0", "0,0,-0,0", "0,0,0,-0"]
 
 
 def _decomposition(energies) -> SpectralDecomposition:
