@@ -172,7 +172,8 @@ def sweep_temperature(
     *,
     initial_state=None,
 ) -> SweepResult:
-    """P_exc(t*) from the ground state while the bath temperature is swept.
+    """P_exc(t*) while the bath temperature is swept, from `initial_state`
+    (the ground state by default).
 
     The generator is rebuilt at every grid point; per-point failures are
     recorded under the grid index and the sweep continues.
@@ -190,7 +191,8 @@ def sweep_coupling(
     *,
     initial_state=None,
 ) -> SweepResult:
-    """P_exc(t*) from the ground state while one site's coupling is swept (1-based site)."""
+    """P_exc(t*) while one site's coupling is swept (1-based site), from
+    `initial_state` (the ground state by default)."""
     if not 1 <= site <= spec.n_sites:
         raise ValidationError(f"site {site} out of range 1..{spec.n_sites}")
     meta = {"temperature": baths.temperature, "axes": baths.axes}
@@ -245,24 +247,16 @@ def _draw_nondegenerate(n_sites: int, rng: np.random.Generator) -> tuple[ChainSp
     )
 
 
-def zeros_scaling(
-    max_n: int,
-    draws: int,
-    rng: np.random.Generator,
-    *,
-    min_n: int = 2,
-) -> list[tuple[int, int, int]]:
+def zeros_scaling(max_n: int, draws: int, rng: np.random.Generator) -> list[tuple[int, int, int]]:
     """Count structural zeros on random nondegenerate chains against the scaling law.
 
-    Returns (N, counted, predicted) rows for N = min_n .. max_n, with every
-    site coupled through its x axis at unit strength; all draws for a given N
+    Returns (N, counted, predicted) rows for N = 2 .. max_n, with every site
+    coupled through its x axis at unit strength; all draws for a given N
     must agree on the count.  Each count comes from the draw's transition
     table; no rate matrix is built.
     """
-    if not 1 <= min_n <= max_n:
-        raise ValidationError(f"need 1 <= min_n <= max_n, got {min_n}..{max_n}")
     rows = []
-    for n in range(min_n, max_n + 1):
+    for n in range(2, max_n + 1):
         counts = set()
         for _ in range(draws):
             _, dec = _draw_nondegenerate(n, rng)

@@ -59,23 +59,26 @@ class BathConfig:
 
 
 def ohmic_spectral_density(kappa: float, omega):
-    """J(omega) = kappa * omega, evaluated only at positive gap frequencies (scalar or array)."""
+    """J(omega) = kappa * omega at positive gap frequencies (kappa, omega scalars or arrays)."""
     if np.any(np.less_equal(omega, 0)):
         raise DomainError(f"spectral density requires omega > 0, got {np.min(omega)}")
-    if kappa < 0:
-        raise ValidationError(f"kappa must be >= 0, got {kappa}")
+    if np.any(np.less(kappa, 0)):
+        raise ValidationError(f"kappa must be >= 0, got {np.min(kappa)}")
     return kappa * omega
 
 
-def spectral_density(config: BathConfig, site: int, omega):
-    """J^(n)(omega) of the ohmic bath attached to 1-based `site`.
+def spectral_density(config: BathConfig, site, omega):
+    """J^(n)(omega) of the ohmic bath attached to 1-based `site`, or, for an
+    array of sites such as the transition table's, of each entry's own site.
 
     No cutoff is modelled because rates only ever sample J at the finitely
     many gap frequencies, passed as a scalar or an array.
     """
-    if not 1 <= site <= config.n_sites:
-        raise ValidationError(f"site {site} out of range 1..{config.n_sites}")
-    return ohmic_spectral_density(config.kappas[site - 1], omega)
+    sites = np.asarray(site)
+    bad = (sites < 1) | (sites > config.n_sites)
+    if np.any(bad):
+        raise ValidationError(f"site {sites[bad][0]} out of range 1..{config.n_sites}")
+    return ohmic_spectral_density(np.asarray(config.kappas)[sites - 1], omega)
 
 
 def bose_einstein(omega: float, temperature: float) -> float:

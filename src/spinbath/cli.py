@@ -21,7 +21,10 @@ names its line.
 
 `spectrum`, `rates`, `steady`, `blocks` and `zeros-scaling` run on numpy
 alone and never import scipy.  `evolve`, `sweep-T`, `sweep-kappa` and `fig2`
-import scipy.linalg on their first matrix exponential (dynamics.expm).
+start from, and echo, [run] initial_state, and import scipy.linalg on their
+first matrix exponential (dynamics.expm).  Every command refuses more than
+chain.MAX_DENSE_SITES sites (exit 2, CapacityError); on the rate path only
+the dense Lambda of the exponential (RateMatrix.matrix) has a limit of its own.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ def _echo(cfg: RunConfig, command: str) -> dict:
     }
     if command in ("evolve", "fig2"):
         params["times"] = str(cfg.times)
+    if command in ("evolve", "sweep-T", "sweep-kappa", "fig2"):
         params["initial_state"] = cfg.initial_state
     if command in ("sweep-T", "fig2"):
         params["temperature_grid"] = str(cfg.temperature_grid)
@@ -135,15 +139,22 @@ def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
     return [export.write_json(out / "blocks.json", payload, _header(cfg, "blocks"))]
 
 
+def _sweep(cfg: RunConfig, axis: str, p0) -> analysis.SweepResult:
+    """The configured P_exc(t*) sweep along `axis` from p0, as sweep-T, sweep-kappa and fig2 run it."""
+    if axis == "temperature":
+        return analysis.sweep_temperature(cfg.chain, cfg.bath, cfg.temperature_grid.values(), cfg.t_star,
+                                          initial_state=p0)
+    return analysis.sweep_coupling(cfg.chain, cfg.bath, cfg.kappa_site, cfg.kappa_grid.values(), cfg.t_star,
+                                   initial_state=p0)
+
+
 def _cmd_sweep_t(cfg: RunConfig, out: Path) -> list[Path]:
-    sweep = analysis.sweep_temperature(cfg.chain, cfg.bath, cfg.temperature_grid.values(), cfg.t_star)
+    sweep = _sweep(cfg, "temperature", resolve_initial_state(cfg, decompose_chain(cfg.chain)))
     return [export.write_sweep_csv(out / "sweep_T.csv", sweep, _header(cfg, "sweep-T"))]
 
 
 def _cmd_sweep_kappa(cfg: RunConfig, out: Path) -> list[Path]:
-    sweep = analysis.sweep_coupling(
-        cfg.chain, cfg.bath, cfg.kappa_site, cfg.kappa_grid.values(), cfg.t_star
-    )
+    sweep = _sweep(cfg, "kappa", resolve_initial_state(cfg, decompose_chain(cfg.chain)))
     return [export.write_sweep_csv(out / "sweep_kappa.csv", sweep, _header(cfg, "sweep-kappa"))]
 
 
@@ -177,21 +188,12 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
         names = "t," + ",".join(f"{label}={export.fmt(v)}" for v in points)
         return export.write_csv(path, [*header, names], np.column_stack((times, *columns)))
 
-    files = [
+    return [
         curves(out / "fig2c.csv", "T", "temperature", cfg.fig2_temperatures),
         curves(out / "fig2d.csv", f"kappa{site}", "kappa", cfg.fig2_kappas),
+        export.write_sweep_csv(out / "fig2e.csv", _sweep(cfg, "temperature", p0), header),
+        export.write_sweep_csv(out / "fig2f.csv", _sweep(cfg, "kappa", p0), header),
     ]
-
-    sweep_t = analysis.sweep_temperature(
-        cfg.chain, cfg.bath, cfg.temperature_grid.values(), cfg.t_star, initial_state=p0
-    )
-    files.append(export.write_sweep_csv(out / "fig2e.csv", sweep_t, header))
-
-    sweep_k = analysis.sweep_coupling(
-        cfg.chain, cfg.bath, site, cfg.kappa_grid.values(), cfg.t_star, initial_state=p0
-    )
-    files.append(export.write_sweep_csv(out / "fig2f.csv", sweep_k, header))
-    return files
 
 
 _HANDLERS = {

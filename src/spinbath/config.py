@@ -111,7 +111,6 @@ class RunConfig:
     fig2_temperatures: tuple[float, ...]
     fig2_kappas: tuple[float, ...]
     source_hash: str
-    source_path: str
 
 
 def builtin_config_names() -> list[str]:
@@ -354,7 +353,6 @@ def parse_config(path) -> RunConfig:
         fig2_temperatures=sections.get_floats("run", "fig2_temperatures", (0.1, 0.3, 1.0, 3.0, 10.0)),
         fig2_kappas=sections.get_floats("run", "fig2_kappas", (0.001, 0.01, 0.1, 1.0)),
         source_hash=hashlib.sha256(sections.text.encode()).hexdigest(),
-        source_path=str(path),
     )
 
 

@@ -7,23 +7,23 @@ exponential route keeps acceptance tests free of integrator tolerances.
 Normalisation and positivity are asserted at every snapshot (once, when the
 Trajectory is built), never silently repaired.
 
-scipy is loaded only by the first call of `expm`, i.e. on the first
+scipy is loaded only by the first matrix exponential, i.e. on the first
 propagation (`evolve`, `fig2`, the sweeps, the Lindblad oracle).  Steady
 states need neither linear algebra nor a rate matrix, only the transition
 table, so `steady`, like every other structure command, runs on numpy alone.
 
-`expm` is always scipy's algorithm (Al-Mohy & Higham, SIAM J. Matrix Anal.
-Appl. 31(3):970-989, 2009) and `scipy.linalg.expm` stays its oracle.  A real
-float64 matrix with a nonzero in both strict triangles, such as Lambda t for
-t > 0 at T > 0 with any coupled flip, goes straight to the Pade kernel that
-scipy's own generic branch calls, which skips the input handling that costs
-about two thirds of a 4 x 4 call.  Everything else goes to `scipy.linalg.expm`: 1 x 1, diagonal
-and triangular input (a T = 0 rate matrix is upper triangular), which scipy
-treats with branches of its own; complex input, so the Lindblad oracle never
-runs the kernel; stacks; and any matrix the kernel reports it cannot do.
-The kernel is private to scipy, so it is used only if it imports, accepts
-these arguments and reproduces `scipy.linalg.expm` bit for bit on a probe
-that needs squaring, checked once, on the first call.
+`expm`, the rate path's exponential, is scipy's algorithm (Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 31(3):970-989, 2009), bit for bit
+`scipy.linalg.expm`.  A real float64 matrix with a nonzero in both strict
+triangles, such as Lambda t for t > 0 at T > 0 with any coupled flip, goes
+straight to the Pade kernel of scipy's generic branch, skipping the input
+handling that costs about two thirds of a 4 x 4 call.  1 x 1, diagonal and
+triangular input (a T = 0 rate matrix is upper triangular), stacks, and any
+matrix the kernel cannot do go to `scipy.linalg.expm`.  The kernel is private
+to scipy, so it is used only if it imports, accepts these arguments and
+reproduces `scipy.linalg.expm` bit for bit on a probe that needs squaring,
+checked once, on the first call.  The Lindblad oracle (`propagate_density`)
+runs `scipy.linalg.expm` itself, apart from this fast path.
 
 `connectivity_blocks` is the one place where the transition table becomes a
 checked partition, with d restricted Gibbs weights in all.  `steady_states`,
@@ -40,8 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .bath import BathConfig, CouplingElements
-from .chain import MAX_DENSE_SITES, SpectralDecomposition
-from .errors import CapacityError, NumericalIntegrityError, ValidationError
+from .chain import SpectralDecomposition
+from .errors import NumericalIntegrityError, ValidationError
 from .generator import LindbladSuperoperator, RateMatrix, _checked_blocks, _flip_densities, unvectorize, vectorize
 
 # Construction-time tolerance for a population vector, and the looser drift
@@ -73,8 +73,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     Importing scipy.linalg costs more than half of a cold start of the CLI,
     which commands that never propagate should not pay.  A real float64
     square matrix with a nonzero in both strict triangles runs scipy's Pade
-    kernel directly; any other input, or a matrix the kernel refuses, goes
-    to scipy.linalg.expm (see the module docstring).
+    kernel directly; a diagonal or triangular matrix, or one the kernel
+    refuses, goes to scipy.linalg.expm (see the module docstring).
     """
     if _scipy_expm is None:
         _load_scipy()
@@ -219,19 +219,17 @@ class Trajectory:
 def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     """Evolve a population vector through exp(Lambda t) on the given grid.
 
-    Refused beyond 2^MAX_DENSE_SITES states before anything is allocated.
+    The dense Lambda is read before the snapshots are allocated, so a chain
+    beyond its capacity (`RateMatrix.matrix`) is refused first.
     """
-    if rates.dimension > 2**MAX_DENSE_SITES:
-        raise CapacityError(
-            f"dense propagation limited to d <= 2^{MAX_DENSE_SITES}, got d = {rates.dimension}"
-        )
     p = _as_population(p0)
     if p.size != rates.dimension:
         raise ValidationError("initial state dimension does not match the rate matrix")
     t = _check_times(times)
+    matrix = rates.matrix
     snapshots = np.empty((t.size, p.size))
     for k, tk in enumerate(t):
-        snapshots[k] = expm(rates.matrix * tk) @ p
+        snapshots[k] = expm(matrix * tk) @ p
     return Trajectory(times=t, populations=snapshots)
 
 
@@ -265,7 +263,10 @@ def _check_density(rho: np.ndarray, t: float, tol: float) -> None:
 
 
 def propagate_density(superop: LindbladSuperoperator, rho0: np.ndarray, times) -> DensityTrajectory:
-    """Evolve a density matrix in the energy basis through the full generator."""
+    """Evolve a density matrix in the energy basis through the full generator,
+    with scipy.linalg.expm itself, independent of the rate path's `expm`."""
+    from scipy.linalg import expm as scipy_expm
+
     d = superop.dimension
     rho = np.asarray(rho0, dtype=np.complex128)
     if rho.shape != (d, d):
@@ -278,7 +279,7 @@ def propagate_density(superop: LindbladSuperoperator, rho0: np.ndarray, times) -
     v0 = vectorize(rho)
     snapshots = np.empty((t.size, d, d), dtype=np.complex128)
     for k, tk in enumerate(t):
-        snapshots[k] = unvectorize(expm(superop.matrix * tk) @ v0, d)
+        snapshots[k] = unvectorize(scipy_expm(superop.matrix * tk) @ v0, d)
         _check_density(snapshots[k], float(tk), DRIFT_TOL)
     return DensityTrajectory(times=t, matrices=snapshots)
 
@@ -306,7 +307,6 @@ class BlockPartition:
 
     blocks: tuple[tuple[int, ...], ...]
     weights: tuple[np.ndarray, ...]
-    temperature: float
 
     @property
     def n_blocks(self) -> int:
@@ -316,11 +316,11 @@ class BlockPartition:
     def dimension(self) -> int:
         return sum(map(len, self.blocks))
 
-    def embedded(self, start: int, stop: int) -> np.ndarray:
-        """The restricted Gibbs vectors of blocks start..stop-1 embedded in the
-        full dimension, one per row."""
-        rows = np.zeros((stop - start, self.dimension))
-        for row, block, w in zip(rows, self.blocks[start:stop], self.weights[start:stop]):
+    def embedded(self) -> np.ndarray:
+        """The restricted Gibbs vectors embedded in the full dimension, one row
+        per block."""
+        rows = np.zeros((self.n_blocks, self.dimension))
+        for row, block, w in zip(rows, self.blocks, self.weights):
             row[list(block)] = w
         return rows
 
@@ -356,7 +356,7 @@ def connectivity_blocks(dec: SpectralDecomposition, elems: CouplingElements,
                 raise NumericalIntegrityError(
                     f"block {tuple(i + 1 for i in block)} has kernel dimension {k}, expected 1"
                 )
-    return BlockPartition(blocks=blocks, weights=weights, temperature=baths.temperature)
+    return BlockPartition(blocks=blocks, weights=weights)
 
 
 def steady_states(dec: SpectralDecomposition, elems: CouplingElements,
@@ -368,7 +368,7 @@ def steady_states(dec: SpectralDecomposition, elems: CouplingElements,
     minima is refused with NumericalIntegrityError.
     """
     partition = connectivity_blocks(dec, elems, baths)
-    return [PopulationState(row) for row in partition.embedded(0, partition.n_blocks)]
+    return [PopulationState(row) for row in partition.embedded()]
 
 
 def gibbs_state(dec: SpectralDecomposition, temperature: float) -> PopulationState:

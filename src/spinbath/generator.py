@@ -110,7 +110,8 @@ class RateMatrix:
     gain[k] = Lambda[j, i] the rate from |i> up into |j>; both are 0.0 on the
     flips of kappa = 0 sites.  outflow[j] = -Lambda[j, j] is the total rate
     out of |j>, so columns sum to zero.  Every other entry of Lambda is 0.
-    `matrix`, the dense d x d Lambda, is built from these on first use.
+    `matrix`, the dense d x d Lambda, is built from these on first use; it is
+    the rate path's one d^2 array and its one capacity guard.
     """
 
     elems: CouplingElements
@@ -127,8 +128,12 @@ class RateMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense Lambda (read-only), for the matrix exponential."""
+        """The dense Lambda (read-only), for the matrix exponential.  Refused
+        with CapacityError beyond 2^MAX_DENSE_SITES states, before anything is
+        allocated."""
         rows, cols, d = self.elems.rows, self.elems.cols, self.dimension
+        if d > 2**MAX_DENSE_SITES:
+            raise CapacityError(f"dense rate matrix limited to d <= 2^{MAX_DENSE_SITES}, got d = {d}")
         matrix = np.zeros((d, d))
         matrix[rows, cols] = self.damping
         matrix[cols, rows] = self.gain
@@ -162,15 +167,13 @@ def build_rate_matrix(
     since |S_ij^(n)|^2 = 1.  Pairs outside the table have no rate.  The
     outflow of a state is its column's sum, which for the ground and top
     states reduces to pure gain and pure damping.  A pair is structurally
-    nonzero when its site has kappa^(n) > 0.  No d x d array is allocated.
+    nonzero when its site has kappa^(n) > 0.  No d x d array is allocated, so
+    only the dense `RateMatrix.matrix` has a capacity limit.
 
-    Refused beyond 2^MAX_DENSE_SITES states, whose dense Lambda could not be
-    held, and refused with NumericalIntegrityError when a rate or a total
-    outflow overflows (kappa * omega beyond double range).
+    Refused with NumericalIntegrityError when a rate or a total outflow
+    overflows (kappa * omega beyond double range).
     """
     d = dec.dimension
-    if d > 2**MAX_DENSE_SITES:
-        raise CapacityError(f"dense rate matrix limited to d <= 2^{MAX_DENSE_SITES}, got d = {d}")
     _require_nondegenerate(dec)
     _check_bath(dec, elems, baths)
     omega, coupled = _flip_densities(dec, elems, baths)
@@ -202,14 +205,12 @@ def build_rate_matrix(
 def _flip_densities(dec: SpectralDecomposition, elems: CouplingElements,
                     baths: BathConfig) -> tuple[np.ndarray, np.ndarray]:
     """The gap omega and the spectral density J^(n)(omega) of every row of the
-    transition table.  J overflows to inf when kappa * omega is beyond double
-    range; callers decide whether that matters."""
+    transition table, in one call over the rows' sites.  J overflows to inf
+    when kappa * omega is beyond double range; callers decide whether that
+    matters."""
     omega = dec.energies[elems.cols] - dec.energies[elems.rows]
-    density = np.empty(omega.size)
     with np.errstate(over="ignore"):
-        for n in range(1, baths.n_sites + 1):
-            flips = elems.sites == n
-            density[flips] = spectral_density(baths, n, omega[flips])
+        density = spectral_density(baths, elems.sites, omega)
     return omega, density
 
 

@@ -60,7 +60,7 @@ class TestConnectivityBlocks:
         partition = connectivity_blocks(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
         low = 1.0 / (1.0 + math.exp(-5 / 3))
         assert partition.weights[0] == pytest.approx([low, 1 - low], abs=1e-12)
-        assert partition.embedded(0, 1)[0] == pytest.approx([low, 1 - low, 0, 0], abs=1e-12)
+        assert partition.embedded()[0] == pytest.approx([low, 1 - low, 0, 0], abs=1e-12)
 
 
 class TestZeroCounts:
@@ -87,8 +87,8 @@ class TestZeroCounts:
 
     def test_random_three_site_count(self):
         rng = np.random.default_rng(51)
-        rows = zeros_scaling(3, 5, rng, min_n=3)
-        assert rows == [(3, 32, 32)]
+        rows = zeros_scaling(3, 5, rng)
+        assert rows == [(2, 4, 4), (3, 32, 32)]
 
     def test_scaling_reuses_the_accepted_decompositions(self, monkeypatch):
         built = []

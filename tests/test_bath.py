@@ -47,6 +47,12 @@ class TestOhmicSpectralDensity:
         with pytest.raises(ValidationError):
             spectral_density(cfg, 3, 2.0)
 
+    def test_one_site_per_frequency(self):
+        cfg = BathConfig(temperature=1.0, kappas=(0.25, 2.0))
+        assert spectral_density(cfg, np.array([2, 1, 2]), np.array([1.0, 2.0, 3.0])).tolist() == [2.0, 0.5, 6.0]
+        with pytest.raises(ValidationError, match="site 0 out of range 1..2"):
+            spectral_density(cfg, np.array([1, 0]), np.array([1.0, 2.0]))
+
 
 class TestBoseEinstein:
     def test_log_two(self):

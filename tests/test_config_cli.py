@@ -207,7 +207,7 @@ class TestParseConfig:
         # typed JSON values read as the INI text they stand for: the same run
         twin = parse_config(Path(__file__).parent / "ising2_paper.json")
         paper = parse_config(builtin_config_path("ising2_paper"))
-        assert dataclasses.replace(twin, source_hash=paper.source_hash, source_path=paper.source_path) == paper
+        assert dataclasses.replace(twin, source_hash=paper.source_hash) == paper
 
     @pytest.mark.parametrize("key, value, message", [
         ("n", {"a": 1}, "[chain] n: expected a number, a string or a list of them (line 3): got {'a': 1}"),
@@ -463,6 +463,25 @@ class TestCli:
         sweep = read_csv_columns(out / "sweep_T.csv")
         assert sweep["grid_value"].size == 25
         assert main(["sweep-kappa", "--config", str(blocked_cfg), "--out", str(out)]) == 0
+
+    def test_sweeps_start_from_the_configured_initial_state(self, tmp_path):
+        # from the top state, sweep-T and sweep-kappa are fig2e and fig2f
+        path = tmp_path / "top.cfg"
+        path.write_text(builtin_config_path("ising2_paper").read_text()
+                        .replace("initial_state = ground", "initial_state = basis:4"))
+        out = tmp_path / "out"
+        for command in ("fig2", "sweep-T", "sweep-kappa"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        lines = {name: (out / f"{name}.csv").read_text().splitlines()
+                 for name in ("fig2e", "fig2f", "sweep_T", "sweep_kappa")}
+
+        def body(name):
+            return [line for line in lines[name] if not line.startswith("#")]
+
+        assert body("sweep_T") == body("fig2e") and body("sweep_kappa") == body("fig2f")
+        for name in ("sweep_T", "sweep_kappa"):
+            params = next(line for line in lines[name] if line.startswith("# params:"))
+            assert " initial_state=basis:4 " in params
 
     def test_zeros_scaling_table_and_determinism(self, blocked_cfg, tmp_path):
         out1, out2 = tmp_path / "z1", tmp_path / "z2"

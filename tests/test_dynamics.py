@@ -230,6 +230,21 @@ class TestPropagateDensity:
         with pytest.raises(ValidationError, match="non-finite"):
             propagate_density(superop, not_finite, [1.0])
 
+    def test_oracle_runs_its_own_exponential(self, paper_superop, monkeypatch):
+        # the rate path's expm broken: the oracle propagates with scipy.linalg.expm alone
+        superop = paper_superop(kappas=(1e-5, 1.0), temperature=10.0)
+        rho0 = random_density(np.random.default_rng(7), 4)
+        times = np.linspace(0.0, 10.0, 11)
+
+        def refuse(a):
+            raise AssertionError("the Lindblad oracle called dynamics.expm")
+
+        monkeypatch.setattr(dynamics, "expm", refuse)
+        dens = propagate_density(superop, rho0, times)
+        v0 = rho0.flatten(order="F")
+        direct = [(scipy_expm(superop.matrix * t) @ v0).reshape((4, 4), order="F") for t in times]
+        assert np.array_equal(dens.matrices, np.array(direct))
+
 
 class TestSteadyStates:
     def test_connected_model_reaches_gibbs(self, paper_dec, paper_table):

@@ -228,15 +228,30 @@ class TestRateMatrixRefusals:
         with pytest.raises(NumericalIntegrityError, match="level 8 is inf"):
             build_rate_matrix(dec, elems, cfg)
 
-    def test_capacity_guard_before_allocation(self):
-        # a synthetic 2^13-level spectrum: the 512 MiB matrix must never be allocated
+    def test_build_beyond_the_dense_limit_stays_on_the_table(self):
+        # a synthetic 2^13-level spectrum: 53,248 flips, no d x d array (4.1 MiB peak)
         d = 2**13
         dec = SpectralDecomposition(energies=np.arange(d) * 1e-3, basis=np.arange(d))
         cfg, elems = _elems(dec, (1.0,) * 13)
         tracemalloc.start()
         try:
+            rates = build_rate_matrix(dec, elems, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert rates.damping.size == 13 * d // 2 and rates.outflow.size == d
+
+    def test_capacity_guard_before_allocation(self):
+        # the dense Lambda of the same spectrum is 512 MiB: refused before it is allocated
+        d = 2**13
+        dec = SpectralDecomposition(energies=np.arange(d) * 1e-3, basis=np.arange(d))
+        cfg, elems = _elems(dec, (1.0,) * 13)
+        rates = build_rate_matrix(dec, elems, cfg)
+        tracemalloc.start()
+        try:
             with pytest.raises(CapacityError, match=r"d <= 2\^12, got d = 8192"):
-                build_rate_matrix(dec, elems, cfg)
+                rates.matrix
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

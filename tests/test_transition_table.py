@@ -287,7 +287,7 @@ def test_transition_table_has_one_pair_per_spin_flip():
 
 
 @st.composite
-def _chains_and_baths(draw):
+def _chains_and_baths(draw, kappa_values=(0.0, 1e-5, 0.3, 1.0)):
     n = draw(st.integers(1, 6))
     value = st.floats(-2.0, 2.0, allow_nan=False)
     fields = tuple(draw(value) for _ in range(n))
@@ -295,7 +295,7 @@ def _chains_and_baths(draw):
         (a, b, draw(value)) for a, b in combinations(range(1, n + 1), 2) if draw(st.booleans())
     )
     axes = tuple(draw(st.sampled_from("xyz")) for _ in range(n))
-    kappas = tuple(draw(st.sampled_from((0.0, 1e-5, 0.3, 1.0))) for _ in range(n))
+    kappas = tuple(draw(st.sampled_from(kappa_values)) for _ in range(n))
     return ChainSpec(n, fields, couplings), axes, kappas
 
 
@@ -375,6 +375,26 @@ def test_mask_csv_matches_the_per_entry_rendering(tmp_path, monkeypatch, mask_by
             grid[rows, cols] = grid[cols, rows] = True
             write_mask_csv(path, (rows, cols, touched), ["# h"])
             assert path.read_bytes() == ("\n".join(["# h", *reference_mask_rows(grid)]) + "\n").encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains_and_baths(kappa_values=(0.0, 1e-5, 1.0)))
+def test_flip_densities_equal_the_per_site_law(case):
+    """One spectral_density call over the table's sites against one call per
+    site: the same bits on every row of the table."""
+    spec, axes, kappas = case
+    dec = spectral_decomposition(build_hamiltonian(spec))
+    baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    elems = coupling_matrix_elements(baths, dec)
+    omega = dec.energies[elems.cols] - dec.energies[elems.rows]
+    assume(np.all(omega > 0))  # a zero gap is refused before any density is taken
+    expected = np.empty(omega.size)
+    for n in range(1, baths.n_sites + 1):
+        flips = elems.sites == n
+        expected[flips] = spectral_density(baths, n, omega[flips])
+    gaps, density = generator._flip_densities(dec, elems, baths)
+    assert gaps.tobytes() == omega.tobytes()
+    assert density.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
