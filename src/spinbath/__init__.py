@@ -19,8 +19,7 @@ from .analysis import (
     predicted_zero_count,
     random_nondegenerate_chain,
     restricted_gibbs_prediction,
-    sweep_coupling,
-    sweep_temperature,
+    sweep,
     zeros_scaling,
 )
 from .bath import (

@@ -2,8 +2,9 @@
 
 Covers the block partition of the transition table and the late-time state
 predicted from block weights, the zeros scaling law, a detailed-balance
-audit, parameter sweeps of the excitation probability, and the slope locator
-for the thermal transition temperature.
+audit, the P_exc(t*) sweep along temperature or one site's kappa (run on the
+caller's transition table, each point checked like a trajectory snapshot),
+and the slope locator for the thermal transition temperature.
 
 Blocks are always computed from the transition table (the coupled flips,
 those of sites with kappa > 0), never from rate values or float thresholds: a
@@ -28,8 +29,8 @@ import numpy as np
 
 from .bath import BathConfig, CouplingElements, coupling_matrix_elements
 from .chain import DEGENERACY_TOL, ChainSpec, SpectralDecomposition, _close_levels, decompose_chain
-from .dynamics import BlockPartition, PopulationState, _as_population, connectivity_blocks, expm
-from .errors import NumericalIntegrityError, SpinbathError, ValidationError
+from .dynamics import BlockPartition, PopulationState, _as_population, _snapshot_faults, connectivity_blocks, expm
+from .errors import SpinbathError, ValidationError
 from .generator import RateMatrix, _structural_pattern, build_rate_matrix
 
 MAX_CHAIN_DRAWS = 1000
@@ -132,71 +133,48 @@ def bath_at(baths: BathConfig, axis: str, value: float, site: int | None = None)
     return replace(baths, kappas=tuple(kappas))
 
 
-def _sweep(spec, baths, axis, grid, t_star, initial_state, metadata, site=None) -> SweepResult:
-    """P_exc(t*) = 1 - p_1(t*) with the rates rebuilt at every grid point.
+def sweep(dec: SpectralDecomposition, elems: CouplingElements, baths: BathConfig, axis: str, grid,
+          t_star: float, p0, site: int | None = None) -> SweepResult:
+    """P_exc(t*) = 1 - p_1(t*) from p0, with the rates of `bath_at(baths, axis,
+    value, site)` built on the caller's transition table at every grid value.
 
-    The decomposition, the transition table and the initial vector are built
-    once; a point whose rates fail, or whose P_exc is not finite, is recorded
-    under its grid index and the sweep continues.
+    A bad axis, site, initial state or t_star is refused before the loop.  A
+    point whose rates fail, or whose state at t* fails the trajectory snapshot
+    check (`dynamics._snapshot_faults`), is recorded under its grid index and
+    the sweep continues.  The metadata are the bath settings the axis leaves
+    fixed.
     """
-    dec = decompose_chain(spec)
-    elems = coupling_matrix_elements(baths, dec)
-    p0 = _as_population(PopulationState.basis(dec.dimension, 0) if initial_state is None else initial_state)
+    p0 = _as_population(p0)
     if p0.size != dec.dimension:
         raise ValidationError("initial state dimension does not match the spectrum")
-    grid = np.asarray(grid, dtype=np.float64)
     if t_star <= 0:
         raise ValidationError(f"t_star must be positive, got {t_star}")
-    values = np.empty(grid.size)
+    if axis == "temperature":
+        if site is not None:
+            raise ValidationError("a temperature sweep takes no site")
+        metadata = {"kappas": baths.kappas, "axes": baths.axes}
+    else:
+        bath_at(baths, axis, 0.0, site)  # refuses an unknown axis or a bad site
+        metadata = {"temperature": baths.temperature, "axes": baths.axes}
+    grid = np.asarray(grid, dtype=np.float64)
+    snapshots = np.empty((grid.size, p0.size))
     errors = {}
-    for k, value in enumerate(grid):
-        try:
-            rates = build_rate_matrix(dec, elems, bath_at(baths, axis, value, site))
-            values[k] = 1.0 - float((expm(rates.matrix * t_star) @ p0)[0])
-            if not np.isfinite(values[k]):
-                raise NumericalIntegrityError(f"P_exc(t*) = {values[k]} is not finite")
-        except SpinbathError as exc:
-            values[k] = np.nan
-            errors[k] = f"{type(exc).__name__}: {exc}"
+    with np.errstate(over="ignore", invalid="ignore"):  # the snapshot check refuses what overflows
+        for k, value in enumerate(grid):
+            try:
+                rates = build_rate_matrix(dec, elems, bath_at(baths, axis, value, site))
+                snapshots[k] = expm(rates.matrix * t_star) @ p0
+            except SpinbathError as exc:
+                snapshots[k] = np.nan
+                errors[k] = f"{type(exc).__name__}: {exc}"
+    for k, reason in _snapshot_faults(np.full(grid.size, float(t_star)), snapshots).items():
+        errors.setdefault(k, f"NumericalIntegrityError: {reason}")
+    values = 1.0 - snapshots[:, 0]
+    values[list(errors)] = np.nan
     return SweepResult(
         axis=axis, grid=grid, values=values, t_star=float(t_star), site=site,
-        metadata=metadata, errors=errors,
+        metadata=metadata, errors=dict(sorted(errors.items())),
     )
-
-
-def sweep_temperature(
-    spec: ChainSpec,
-    baths: BathConfig,
-    temperatures,
-    t_star: float,
-    *,
-    initial_state=None,
-) -> SweepResult:
-    """P_exc(t*) while the bath temperature is swept, from `initial_state`
-    (the ground state by default).
-
-    The generator is rebuilt at every grid point; per-point failures are
-    recorded under the grid index and the sweep continues.
-    """
-    meta = {"kappas": baths.kappas, "axes": baths.axes}
-    return _sweep(spec, baths, "temperature", temperatures, t_star, initial_state, meta)
-
-
-def sweep_coupling(
-    spec: ChainSpec,
-    baths: BathConfig,
-    site: int,
-    kappas,
-    t_star: float,
-    *,
-    initial_state=None,
-) -> SweepResult:
-    """P_exc(t*) while one site's coupling is swept (1-based site), from
-    `initial_state` (the ground state by default)."""
-    if not 1 <= site <= spec.n_sites:
-        raise ValidationError(f"site {site} out of range 1..{spec.n_sites}")
-    meta = {"temperature": baths.temperature, "axes": baths.axes}
-    return _sweep(spec, baths, "kappa", kappas, t_star, initial_state, meta, site)
 
 
 def locate_t_theta(sweep: SweepResult) -> float:

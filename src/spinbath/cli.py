@@ -19,6 +19,11 @@ A config file is INI text or JSON read as the same INI text (spinbath.config).
 bad value exits 2 naming the key and "(command line)" where a file value
 names its line.
 
+`sweep-T`, `sweep-kappa` and `fig2` decompose the chain and build the
+transition table once and sweep on it (analysis.sweep).  A sweep point whose
+rates or state at t* fail their checks is a `# failed_point` header line with
+its reason and a nan P_exc; the command still exits 0.
+
 `spectrum`, `rates`, `steady`, `blocks` and `zeros-scaling` run on numpy
 alone and never import scipy.  `evolve`, `sweep-T`, `sweep-kappa` and `fig2`
 start from, and echo, [run] initial_state, and import scipy.linalg on their
@@ -139,22 +144,17 @@ def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
     return [export.write_json(out / "blocks.json", payload, _header(cfg, "blocks"))]
 
 
-def _sweep(cfg: RunConfig, axis: str, p0) -> analysis.SweepResult:
-    """The configured P_exc(t*) sweep along `axis` from p0, as sweep-T, sweep-kappa and fig2 run it."""
-    if axis == "temperature":
-        return analysis.sweep_temperature(cfg.chain, cfg.bath, cfg.temperature_grid.values(), cfg.t_star,
-                                          initial_state=p0)
-    return analysis.sweep_coupling(cfg.chain, cfg.bath, cfg.kappa_site, cfg.kappa_grid.values(), cfg.t_star,
-                                   initial_state=p0)
-
-
 def _cmd_sweep_t(cfg: RunConfig, out: Path) -> list[Path]:
-    sweep = _sweep(cfg, "temperature", resolve_initial_state(cfg, decompose_chain(cfg.chain)))
+    dec, elems = _table(cfg)
+    sweep = analysis.sweep(dec, elems, cfg.bath, "temperature", cfg.temperature_grid.values(), cfg.t_star,
+                           resolve_initial_state(cfg, dec))
     return [export.write_sweep_csv(out / "sweep_T.csv", sweep, _header(cfg, "sweep-T"))]
 
 
 def _cmd_sweep_kappa(cfg: RunConfig, out: Path) -> list[Path]:
-    sweep = _sweep(cfg, "kappa", resolve_initial_state(cfg, decompose_chain(cfg.chain)))
+    dec, elems = _table(cfg)
+    sweep = analysis.sweep(dec, elems, cfg.bath, "kappa", cfg.kappa_grid.values(), cfg.t_star,
+                           resolve_initial_state(cfg, dec), cfg.kappa_site)
     return [export.write_sweep_csv(out / "sweep_kappa.csv", sweep, _header(cfg, "sweep-kappa"))]
 
 
@@ -191,8 +191,10 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     return [
         curves(out / "fig2c.csv", "T", "temperature", cfg.fig2_temperatures),
         curves(out / "fig2d.csv", f"kappa{site}", "kappa", cfg.fig2_kappas),
-        export.write_sweep_csv(out / "fig2e.csv", _sweep(cfg, "temperature", p0), header),
-        export.write_sweep_csv(out / "fig2f.csv", _sweep(cfg, "kappa", p0), header),
+        export.write_sweep_csv(out / "fig2e.csv", analysis.sweep(
+            dec, elems, cfg.bath, "temperature", cfg.temperature_grid.values(), cfg.t_star, p0), header),
+        export.write_sweep_csv(out / "fig2f.csv", analysis.sweep(
+            dec, elems, cfg.bath, "kappa", cfg.kappa_grid.values(), cfg.t_star, p0, site), header),
     ]
 
 

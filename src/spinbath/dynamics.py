@@ -5,7 +5,9 @@ exp(generator * t) independently at every requested time.  The generator is
 stiff when couplings span several decades (kappa = 1e-5 against 1), and the
 exponential route keeps acceptance tests free of integrator tolerances.
 Normalisation and positivity are asserted at every snapshot (once, when the
-Trajectory is built), never silently repaired.
+Trajectory is built) and at every sweep point (`analysis.sweep`), by the one
+check `_snapshot_faults`, never silently repaired.  An exponential that
+overflows is refused by that check, not reported as a numpy warning.
 
 scipy is loaded only by the first matrix exponential, i.e. on the first
 propagation (`evolve`, `fig2`, the sweeps, the Lindblad oracle).  Steady
@@ -199,28 +201,39 @@ class Trajectory:
             raise ValidationError("population snapshots do not match the time grid")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "populations", p)
-        finite = np.isfinite(p).all(axis=1)
-        drift = np.abs(p.sum(axis=1, where=finite[:, None]) - 1.0)  # non-finite rows are caught first
-        low = p.min(axis=1)
-        bad = np.flatnonzero(~finite | (drift > DRIFT_TOL) | (low < -DRIFT_TOL))
-        if bad.size:  # report the earliest bad snapshot: non-finite, then drift, then negativity
-            k = bad[0]
-            if not finite[k]:
-                raise NumericalIntegrityError(f"non-finite population at t = {t[k]:g}")
-            if drift[k] > DRIFT_TOL:
-                raise NumericalIntegrityError(f"normalisation drift {drift[k]:.3e} at t = {t[k]:g}")
-            raise NumericalIntegrityError(f"negative population {low[k]:.3e} at t = {t[k]:g}")
+        faults = _snapshot_faults(t, p)
+        if faults:  # report the earliest bad snapshot
+            raise NumericalIntegrityError(next(iter(faults.values())))
 
     @property
     def dimension(self) -> int:
         return self.populations.shape[1]
 
 
+def _snapshot_faults(times: np.ndarray, populations: np.ndarray) -> dict[int, str]:
+    """Each bad snapshot row, in row order, with the first check it fails:
+    non-finite, normalisation drift above DRIFT_TOL, then a population below
+    -DRIFT_TOL.  The one check of every Trajectory and every sweep point."""
+    finite = np.isfinite(populations).all(axis=1)
+    drift = np.abs(populations.sum(axis=1, where=finite[:, None]) - 1.0)  # non-finite rows are caught first
+    low = populations.min(axis=1)
+    faults = {}
+    for k in np.flatnonzero(~finite | (drift > DRIFT_TOL) | (low < -DRIFT_TOL)).tolist():
+        if not finite[k]:
+            faults[k] = f"non-finite population at t = {times[k]:g}"
+        elif drift[k] > DRIFT_TOL:
+            faults[k] = f"normalisation drift {drift[k]:.3e} at t = {times[k]:g}"
+        else:
+            faults[k] = f"negative population {low[k]:.3e} at t = {times[k]:g}"
+    return faults
+
+
 def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     """Evolve a population vector through exp(Lambda t) on the given grid.
 
     The dense Lambda is read before the snapshots are allocated, so a chain
-    beyond its capacity (`RateMatrix.matrix`) is refused first.
+    beyond its capacity (`RateMatrix.matrix`) is refused first.  An exponential
+    that overflows raises no warning: the snapshot check refuses its result.
     """
     p = _as_population(p0)
     if p.size != rates.dimension:
@@ -228,8 +241,9 @@ def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     t = _check_times(times)
     matrix = rates.matrix
     snapshots = np.empty((t.size, p.size))
-    for k, tk in enumerate(t):
-        snapshots[k] = expm(matrix * tk) @ p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, tk in enumerate(t):
+            snapshots[k] = expm(matrix * tk) @ p
     return Trajectory(times=t, populations=snapshots)
 
 

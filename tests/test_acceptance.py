@@ -36,8 +36,7 @@ from spinbath import (
     random_nondegenerate_chain,
     restricted_gibbs_prediction,
     spectral_decomposition,
-    sweep_coupling,
-    sweep_temperature,
+    sweep,
     vectorize,
 )
 from spinbath.cli import main
@@ -104,42 +103,46 @@ def test_criterion_3_blocking_both_extremes(paper_dec):
             assert np.max(np.abs(traj.populations[-1] - prediction.p)) < 1e-6
 
 
-def _thermal_sweep(paper_spec):
-    baths = BathConfig(temperature=1.0, kappas=(1e-5, 1.0))
-    return sweep_temperature(paper_spec, baths, np.geomspace(0.1, 10.0, 25), 10.0)
+def _ground_state_sweep(paper_dec, temperature, axis, grid, site=None):
+    """P_exc(t* = 10) from the ground state with kappa = (1e-5, 1)."""
+    baths = BathConfig(temperature=temperature, kappas=(1e-5, 1.0))
+    elems = coupling_matrix_elements(baths, paper_dec)
+    return sweep(paper_dec, elems, baths, axis, grid, 10.0, PopulationState.basis(4, 0), site)
 
 
-def test_criterion_4_thermal_ceiling(paper_spec):
+def _thermal_sweep(paper_dec):
+    return _ground_state_sweep(paper_dec, 1.0, "temperature", np.geomspace(0.1, 10.0, 25))
+
+
+def test_criterion_4_thermal_ceiling(paper_dec):
     with criterion(4, "thermal ceiling"):
-        sweep = _thermal_sweep(paper_spec)
-        assert np.all(np.diff(sweep.values) > 0)  # monotone in T
-        peak = float(sweep.values.max())
+        result = _thermal_sweep(paper_dec)
+        assert np.all(np.diff(result.values) > 0)  # monotone in T
+        peak = float(result.values.max())
         assert 0.40 <= peak < 0.50
         # derived oracle: two-level fixed point at T = 10 with gap 5/3
         nbar = 1.0 / math.expm1((5 / 3) / 10.0)
         fixed_point = nbar / (2 * nbar + 1)
-        assert abs(float(sweep.values[-1]) - fixed_point) < 0.01
+        assert abs(float(result.values[-1]) - fixed_point) < 0.01
         assert fixed_point == pytest.approx(0.458, abs=1e-3)
 
 
-def test_criterion_5_chemical_crossing(paper_spec):
+def test_criterion_5_chemical_crossing(paper_dec):
     with criterion(5, "chemical-like crossing"):
-        baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0))
-        sweep = sweep_coupling(paper_spec, baths, 1, np.geomspace(1e-3, 1.0, 25), 10.0)
+        result = _ground_state_sweep(paper_dec, 10.0, "kappa", np.geomspace(1e-3, 1.0, 25), site=1)
         # monotone up to float resolution at the saturated plateau
-        assert np.all(np.diff(sweep.values) > -1e-12)
-        endpoint = float(sweep.values[-1])
+        assert np.all(np.diff(result.values) > -1e-12)
+        endpoint = float(result.values[-1])
         assert endpoint > 0.5
         # derived oracle: Gibbs excitation at T = 10
-        dec = spectral_decomposition(build_hamiltonian(paper_spec))
-        gibbs_value = 1.0 - gibbs_state(dec, 10.0).p[0]
+        gibbs_value = 1.0 - gibbs_state(paper_dec, 10.0).p[0]
         assert abs(endpoint - gibbs_value) < 0.01
         assert gibbs_value == pytest.approx(0.702, abs=1e-3)
 
 
-def test_criterion_6_t_theta_bracket(paper_spec):
+def test_criterion_6_t_theta_bracket(paper_dec):
     with criterion(6, "T_theta bracket"):
-        t_theta = locate_t_theta(_thermal_sweep(paper_spec))
+        t_theta = locate_t_theta(_thermal_sweep(paper_dec))
         assert 0.5 <= t_theta <= 2.0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from spinbath import (
     decompose_chain,
     PopulationState,
     SweepResult,
+    SpinbathError,
     ValidationError,
     bath_at,
     check_degeneracy,
@@ -32,8 +34,7 @@ from spinbath import (
     restricted_gibbs_prediction,
     steady_states,
     structural_blocks,
-    sweep_coupling,
-    sweep_temperature,
+    sweep,
     zeros_scaling,
 )
 from spinbath import analysis
@@ -304,45 +305,72 @@ class TestRestrictedGibbsPrediction:
                 assert pred.p[idx].sum() == pytest.approx(p0.p[idx].sum(), abs=1e-12)
 
 
+def _paper_sweep(paper_table, kappas, temperature, axis, grid, t_star, site=None, p0=None):
+    """A sweep of the paper chain from the ground state (or p0)."""
+    p0 = PopulationState.basis(4, 0) if p0 is None else p0
+    return sweep(*paper_table(kappas=kappas, temperature=temperature), axis, grid, t_star, p0, site)
+
+
 class TestSweeps:
-    def test_temperature_sweep_thermal_ceiling(self, paper_spec):
-        baths = BathConfig(temperature=1.0, kappas=(1e-5, 1.0))
-        sweep = sweep_temperature(paper_spec, baths, np.geomspace(0.1, 10, 25), 10.0)
-        assert sweep.axis == "temperature"
-        assert np.all(np.diff(sweep.values) > 0)
-        assert sweep.values.max() < 0.5
+    def test_temperature_sweep_thermal_ceiling(self, paper_table):
+        result = _paper_sweep(paper_table, (1e-5, 1.0), 1.0, "temperature", np.geomspace(0.1, 10, 25), 10.0)
+        assert result.axis == "temperature"
+        assert result.metadata == {"kappas": (1e-5, 1.0), "axes": ("x", "x")}
+        assert np.all(np.diff(result.values) > 0)
+        assert result.values.max() < 0.5
 
-    def test_coupling_sweep_crosses_half(self, paper_spec):
-        baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0))
-        sweep = sweep_coupling(paper_spec, baths, 1, np.geomspace(1e-3, 1, 25), 10.0)
-        assert sweep.values[-1] > 0.5
-        assert np.all(np.diff(sweep.values) > -1e-12)
+    def test_coupling_sweep_crosses_half(self, paper_table):
+        result = _paper_sweep(paper_table, (1e-5, 1.0), 10.0, "kappa", np.geomspace(1e-3, 1, 25), 10.0, site=1)
+        assert result.metadata == {"temperature": 10.0, "axes": ("x", "x")}
+        assert result.values[-1] > 0.5
+        assert np.all(np.diff(result.values) > -1e-12)
 
-    def test_symmetric_high_temperature_approaches_uniform(self, paper_spec):
-        baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
-        sweep = sweep_temperature(paper_spec, baths, np.geomspace(1, 1e4, 9), 10.0)
-        assert sweep.values[-1] == pytest.approx(0.75, abs=1e-3)
+    def test_symmetric_high_temperature_approaches_uniform(self, paper_table):
+        result = _paper_sweep(paper_table, (1.0, 1.0), 1.0, "temperature", np.geomspace(1, 1e4, 9), 10.0)
+        assert result.values[-1] == pytest.approx(0.75, abs=1e-3)
 
-    def test_per_point_failures_recorded(self, paper_spec):
-        baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0))
-        sweep = sweep_coupling(paper_spec, baths, 1, np.array([-1.0, 0.1]), 10.0)
-        assert 0 in sweep.errors and "ValidationError" in sweep.errors[0]
-        assert np.isnan(sweep.values[0]) and not np.isnan(sweep.values[1])
-
-    def test_non_finite_excitation_is_a_failed_point(self, paper_spec):
-        baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
-        with np.errstate(over="ignore", invalid="ignore"):  # rates of order 1e200 overflow expm
-            sweep = sweep_coupling(paper_spec, baths, 1, np.array([1.0, 1e200]), 1.0)
-        assert list(sweep.errors) == [1] and "NumericalIntegrityError" in sweep.errors[1]
-        assert np.isnan(sweep.values[1]) and np.isfinite(sweep.values[0])
+    def test_per_point_failures_recorded(self, paper_table):
+        result = _paper_sweep(paper_table, (1e-5, 1.0), 10.0, "kappa", np.array([-1.0, 0.1]), 10.0, site=1)
+        assert 0 in result.errors and "ValidationError" in result.errors[0]
+        assert np.isnan(result.values[0]) and not np.isnan(result.values[1])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_rates_are_a_failed_point(self, paper_spec):
-        baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
-        sweep = sweep_coupling(paper_spec, baths, 1, np.array([1.0, 1e308]), 1.0)
-        assert list(sweep.errors) == [1]
-        assert sweep.errors[1].startswith("NumericalIntegrityError: non-finite rates")
-        assert np.isnan(sweep.values[1]) and np.isfinite(sweep.values[0])
+    def test_non_finite_excitation_is_a_failed_point(self, paper_table):
+        # rates of order 1e200 overflow the exponential; the snapshot check refuses it without a warning
+        result = _paper_sweep(paper_table, (1.0, 1.0), 1.0, "kappa", np.array([1.0, 1e200]), 1.0, site=1)
+        assert list(result.errors) == [1] and "NumericalIntegrityError" in result.errors[1]
+        assert np.isnan(result.values[1]) and np.isfinite(result.values[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_rates_are_a_failed_point(self, paper_table):
+        result = _paper_sweep(paper_table, (1.0, 1.0), 1.0, "kappa", np.array([1.0, 1e308]), 1.0, site=1)
+        assert list(result.errors) == [1]
+        assert result.errors[1].startswith("NumericalIntegrityError: non-finite rates")
+        assert np.isnan(result.values[1]) and np.isfinite(result.values[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inaccurate_exponentials_are_failed_points(self, paper_table):
+        # from kappa_1 = 1e9 on, scaling and squaring drifts the norm of the state at t* past DRIFT_TOL
+        # (to -1.09 in P_exc at 1e15); each point fails the snapshot check with its reason
+        grid = np.geomspace(1e9, 1e17, 5)
+        result = _paper_sweep(paper_table, (1e-5, 1.0), 10.0, "kappa", grid, 10.0, site=1)
+        assert sorted(result.errors) == [0, 1, 2, 3, 4] and np.all(np.isnan(result.values))
+        assert all(result.errors[k].startswith("NumericalIntegrityError: normalisation drift") for k in range(4))
+        assert result.errors[4] == "NumericalIntegrityError: non-finite population at t = 10"
+
+    @pytest.mark.parametrize("axis, site, message", [
+        ("field", 1, "unknown sweep axis 'field'"),
+        ("kappa", None, "site None out of range 1..2"),
+        ("kappa", 3, "site 3 out of range 1..2"),
+        ("temperature", 1, "a temperature sweep takes no site"),
+    ])
+    def test_bad_axis_or_site_refused_before_the_loop(self, axis, site, message, paper_table, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no rates are built for a refused sweep")
+
+        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            _paper_sweep(paper_table, (1.0, 1.0), 1.0, axis, [0.5, 1.0], 10.0, site=site)
 
     def test_bath_at_sets_one_axis(self):
         baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y"))
@@ -352,22 +380,66 @@ class TestSweeps:
             with pytest.raises(ValidationError):
                 bath_at(baths, axis, 0.5, site)
 
-    def test_invalid_t_star(self, paper_spec):
-        baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
+    def test_invalid_t_star(self, paper_table):
         with pytest.raises(ValidationError):
-            sweep_temperature(paper_spec, baths, np.geomspace(0.1, 1, 5), 0.0)
+            _paper_sweep(paper_table, (1.0, 1.0), 1.0, "temperature", np.geomspace(0.1, 1, 5), 0.0)
 
-    def test_initial_state_must_match_the_spectrum(self, paper_spec):
-        baths = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
+    def test_initial_state_must_match_the_spectrum(self, paper_table):
         with pytest.raises(ValidationError, match="dimension"):
-            sweep_temperature(paper_spec, baths, [0.5, 1.0], 10.0, initial_state=[0.5, 0.5] + [0.0] * 6)
+            _paper_sweep(paper_table, (1.0, 1.0), 1.0, "temperature", [0.5, 1.0], 10.0,
+                         p0=[0.5, 0.5] + [0.0] * 6)
+
+
+SWEEP_TEMPERATURES = (0.0, 0.05, 1.0, 10.0)
+SWEEP_KAPPAS = (0.0, 1e-5, 1.0, 1e9, 1e13, 1e17)
+
+
+@st.composite
+def _sweeps(draw):
+    """(dec, elems, baths, axis, grid, t_star, p0, site): a sweep of a random chain
+    of up to four sites, where kappa up to 1e17 drives the exponential into overflow."""
+    n = draw(st.integers(1, 4))
+    spec = random_nondegenerate_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    baths = BathConfig(
+        temperature=draw(st.sampled_from(SWEEP_TEMPERATURES)),
+        kappas=tuple(draw(st.lists(st.sampled_from(SWEEP_KAPPAS), min_size=n, max_size=n))),
+        axes=tuple(draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n))),
+    )
+    dec = decompose_chain(spec)
+    axis = draw(st.sampled_from(["temperature", "kappa"]))
+    site = None if axis == "temperature" else draw(st.integers(1, n))
+    values = SWEEP_TEMPERATURES if axis == "temperature" else SWEEP_KAPPAS
+    grid = sorted(draw(st.sets(st.sampled_from(values), min_size=1)))
+    p0 = PopulationState.basis(dec.dimension, draw(st.integers(0, dec.dimension - 1)))
+    t_star = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    return dec, coupling_matrix_elements(baths, dec), baths, axis, grid, t_star, p0, site
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(_sweeps())
+def test_sweep_points_equal_one_snapshot_trajectories(case):
+    """Every sweep point is, bit for bit, the one-snapshot trajectory at t* of
+    its bath, and it fails exactly when that trajectory is refused, with the
+    same message."""
+    dec, elems, baths, axis, grid, t_star, p0, site = case
+    result = sweep(dec, elems, baths, axis, grid, t_star, p0, site)
+    for k, value in enumerate(grid):
+        try:
+            traj = propagate_populations(build_rate_matrix(dec, elems, bath_at(baths, axis, value, site)),
+                                         p0, [t_star])
+        except SpinbathError as exc:
+            assert result.errors[k] == f"{type(exc).__name__}: {exc}"
+            assert np.isnan(result.values[k])
+        else:
+            assert k not in result.errors
+            assert result.values[k] == 1 - traj.populations[0, 0]
 
 
 class TestLocateTTheta:
-    def test_paper_regime_bracket(self, paper_spec):
-        baths = BathConfig(temperature=1.0, kappas=(1e-5, 1.0))
-        sweep = sweep_temperature(paper_spec, baths, np.geomspace(0.1, 10, 25), 10.0)
-        assert 0.5 <= locate_t_theta(sweep) <= 2.0
+    def test_paper_regime_bracket(self, paper_table):
+        result = _paper_sweep(paper_table, (1e-5, 1.0), 1.0, "temperature", np.geomspace(0.1, 10, 25), 10.0)
+        assert 0.5 <= locate_t_theta(result) <= 2.0
 
     def test_matches_closed_form_two_level_curve(self):
         # analytic P_exc(t*) of the isolated {|1>,|2>} pair, gap 5/3

@@ -537,6 +537,49 @@ class TestCli:
         assert "index=1" in failed[0] and "NumericalIntegrityError: non-finite rates" in failed[0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_exponential_exits_3_and_fails_every_sweep_point(self, tmp_path, capsys):
+        # kappa_1 >= 1e9 drives scaling and squaring past DRIFT_TOL, then into overflow: evolve
+        # refuses the bath, and sweep-kappa records each point with its reason and no warning
+        paper = builtin_config_path("ising2_paper").read_text()
+        path = tmp_path / "overflow.cfg"
+        path.write_text(paper.replace("kappas = 1e-5, 1.0", "kappas = 1e17, 1.0")
+                        .replace("kappa_grid = 1e-3:1:25:log", "kappa_grid = 1e9:1e17:5:log"))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "NumericalIntegrityError" and record["exit_code"] == 3
+        assert not (out / "trajectory.csv").exists()
+        assert main(["sweep-kappa", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (out / "sweep_kappa.csv").read_text().splitlines()
+        failed = [line for line in lines if line.startswith("# failed_point:")]
+        assert [line.split()[2] for line in failed] == [f"index={k}" for k in range(5)]
+        assert all("NumericalIntegrityError: " in line for line in failed)
+        assert np.all(np.isnan(read_csv_columns(out / "sweep_kappa.csv")["P_exc"]))
+
+    @pytest.mark.parametrize("command", ["fig2", "sweep-T", "sweep-kappa"])
+    def test_one_transition_table_per_command(self, command, tmp_path, monkeypatch):
+        # the sweeps run on the command's own decomposition and table
+        from spinbath.bath import coupling_matrix_elements
+        from spinbath.chain import decompose_chain
+
+        calls = {}
+        for original in (decompose_chain, coupling_matrix_elements):
+            def counted(*args, _original=original, **kwargs):
+                calls[_original.__name__] += 1
+                return _original(*args, **kwargs)
+
+            calls[original.__name__] = 0
+            for module in [m for name, m in sys.modules.items() if name.startswith("spinbath")]:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        assert main([command, "--config", "ising2_paper", "--out", str(tmp_path)]) == 0
+        assert calls == {"decompose_chain": 1, "coupling_matrix_elements": 1}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("temperature", ["1.0", "0.0"])
     def test_steady_and_blocks_do_not_depend_on_rate_magnitudes(self, temperature, tmp_path, capsys):
         # kappa = 1e308 overflows the site-1 rates, which `rates` refuses; blocks and
