@@ -48,7 +48,7 @@ def predicted_zero_count(n_sites: int) -> int:
 def count_structural_zeros(rates: RateMatrix) -> int:
     """Structurally zero entries of the full d x d generator (diagonal included),
     counted on the table it was built from (`_table_zero_count`)."""
-    return _table_zero_count(rates.elems, rates.kappas)
+    return _table_zero_count(rates.elems, rates.baths.kappas)
 
 
 def _table_zero_count(elems: CouplingElements, kappas) -> int:
@@ -67,10 +67,10 @@ def detailed_balance_audit(rates: RateMatrix) -> float:
     Division by a structurally zero damping rate cannot occur because every
     coupled flip has a strictly positive damping entry.
     """
-    e, temperature = rates.energies, rates.temperature
+    e, temperature = rates.elems.spectrum.energies, rates.baths.temperature
     if temperature <= 0:
         raise ValidationError(f"detailed-balance audit requires T > 0, got {temperature}")
-    coupled = np.asarray(rates.kappas)[rates.elems.sites - 1] > 0
+    coupled = np.asarray(rates.baths.kappas)[rates.elems.sites - 1] > 0
     rows, cols = rates.elems.rows[coupled], rates.elems.cols[coupled]
     damping, gain = rates.damping[coupled], rates.gain[coupled]
     expected = np.exp(-(e[cols] - e[rows]) / temperature)
@@ -133,19 +133,21 @@ def bath_at(baths: BathConfig, axis: str, value: float, site: int | None = None)
     return replace(baths, kappas=tuple(kappas))
 
 
-def sweep(dec: SpectralDecomposition, elems: CouplingElements, baths: BathConfig, axis: str, grid,
-          t_star: float, p0, site: int | None = None) -> SweepResult:
+def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: float, p0,
+          site: int | None = None) -> SweepResult:
     """P_exc(t*) = 1 - p_1(t*) from p0, with the rates of `bath_at(baths, axis,
     value, site)` built on the caller's transition table at every grid value.
 
-    A bad axis, site, initial state or t_star is refused before the loop.  A
-    point whose rates fail, or whose state at t* fails the trajectory snapshot
-    check (`dynamics._snapshot_faults`), is recorded under its grid index and
-    the sweep continues.  The metadata are the bath settings the axis leaves
+    The table's spectrum was admitted (nondegenerate) when it was built, so a
+    degenerate chain never reaches the loop.  A bad axis, site, initial state
+    or t_star is refused before the loop.  A point whose rates fail, or whose
+    state at t* fails the trajectory snapshot check
+    (`dynamics._snapshot_faults`), is recorded under its grid index and the
+    sweep continues.  The metadata are the bath settings the axis leaves
     fixed.
     """
     p0 = _as_population(p0)
-    if p0.size != dec.dimension:
+    if p0.size != elems.dimension:
         raise ValidationError("initial state dimension does not match the spectrum")
     if t_star <= 0:
         raise ValidationError(f"t_star must be positive, got {t_star}")
@@ -162,7 +164,7 @@ def sweep(dec: SpectralDecomposition, elems: CouplingElements, baths: BathConfig
     with np.errstate(over="ignore", invalid="ignore"):  # the snapshot check refuses what overflows
         for k, value in enumerate(grid):
             try:
-                rates = build_rate_matrix(dec, elems, bath_at(baths, axis, value, site))
+                rates = build_rate_matrix(elems, bath_at(baths, axis, value, site))
                 snapshots[k] = expm(rates.matrix * t_star) @ p0
             except SpinbathError as exc:
                 snapshots[k] = np.nan

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import SpectralDecomposition, _spin_flips
+from .chain import SpectralDecomposition, _require_nondegenerate, _spin_flips
 from .errors import DomainError, ValidationError
 
 _LOG_DBL_MAX = 709.782712893384  # log of the largest double; np.expm1 overflows above it
@@ -99,14 +99,19 @@ def bose_einstein(omega: float, temperature: float) -> float:
 
 @dataclass(frozen=True)
 class CouplingElements:
-    """The transition table: every nonzero <i|S^(n)|j> with i < j in the energy basis.
+    """The transition table: every nonzero <i|S^(n)|j> with i < j in the
+    energy basis of `spectrum`, the decomposition its rows index.
 
     Each bath flips one spin, so the rows are the single-spin flips of the
     sites with an x or y axis, d/2 per such site: read-only arrays rows,
     cols, sites (1-based) and values = <rows|S^(sites)|cols>, in row-major
     (i, j) order.  Values are exact (1 for x, -1j or +1j for y), so
     |S_ij|^2 = 1 on every row, which the structural-zero bookkeeping
-    downstream relies on.  The lower triangle is the conjugate.
+    downstream relies on.  The lower triangle is the conjugate.  A table
+    admits only a nondegenerate spectrum (no two adjacent levels within
+    chain.DEGENERACY_TOL, which the secular rate construction cannot take;
+    DegenerateGapError names the pair), so nothing derived from it checks
+    the spectrum again.
     """
 
     rows: np.ndarray
@@ -114,13 +119,18 @@ class CouplingElements:
     sites: np.ndarray
     values: np.ndarray
     axes: tuple[str, ...]
-    dimension: int
+    spectrum: SpectralDecomposition
 
     def __post_init__(self):
         for name in ("rows", "cols", "sites", "values"):
             a = np.array(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        _require_nondegenerate(self.spectrum)
+
+    @property
+    def dimension(self) -> int:
+        return self.spectrum.dimension
 
     @property
     def n_sites(self) -> int:
@@ -130,8 +140,10 @@ class CouplingElements:
 def coupling_matrix_elements(config: BathConfig, dec: SpectralDecomposition) -> CouplingElements:
     """Build the transition table from the spin flips of the eigenbasis.
 
-    A z axis commutes with the chain and contributes no rows.  For y the
-    element is -1j when site n is up (bit 0) in |i>, else +1j.
+    A bath whose site count does not match the dimension is refused with
+    ValidationError, and a degenerate spectrum by the table itself.  A z
+    axis commutes with the chain and contributes no rows.  For y the element
+    is -1j when site n is up (bit 0) in |i>, else +1j.
     """
     d = dec.dimension
     if 2 ** config.n_sites != d:
@@ -152,5 +164,5 @@ def coupling_matrix_elements(config: BathConfig, dec: SpectralDecomposition) -> 
         sites=sites[order],
         values=values[order],
         axes=config.axes,
-        dimension=d,
+        spectrum=dec,
     )

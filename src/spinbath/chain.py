@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, SpecificationError, ValidationError
+from .errors import CapacityError, DegenerateGapError, SpecificationError, ValidationError
 
 # Dense-matrix scale limits.  Frustration checks only need the 2^N energy
 # vector and go further than the d x d matrix builders.
@@ -246,6 +246,18 @@ def _close_levels(energies: np.ndarray, tol: float) -> np.ndarray:
     """The 0-based i with E_(i+1) - E_i < tol in an ascending spectrum: the
     spacing check alone, all that admitting a spectrum needs."""
     return np.flatnonzero(np.diff(energies) < tol)
+
+
+def _require_nondegenerate(dec: SpectralDecomposition) -> None:
+    """Refuse a degenerate spectrum, naming its lowest close pair of adjacent
+    levels (1-based), as `check_degeneracy` lists it first in spectrum_pairs."""
+    close = _close_levels(dec.energies, DEGENERACY_TOL)
+    if close.size:
+        i = int(close[0])
+        diff = float(dec.energies[i + 1] - dec.energies[i])
+        raise DegenerateGapError(
+            f"spectrum degenerate: |E_{i + 1} - E_{i + 2}| = {diff:.3e} < {DEGENERACY_TOL:.1e}"
+        )
 
 
 def check_frustration(spec: ChainSpec) -> bool:

@@ -19,10 +19,15 @@ A config file is INI text or JSON read as the same INI text (spinbath.config).
 bad value exits 2 naming the key and "(command line)" where a file value
 names its line.
 
-`sweep-T`, `sweep-kappa` and `fig2` decompose the chain and build the
-transition table once and sweep on it (analysis.sweep).  A sweep point whose
-rates or state at t* fail their checks is a `# failed_point` header line with
-its reason and a nan P_exc; the command still exits 0.
+Every command but `spectrum` and `zeros-scaling` decomposes the chain and
+builds the transition table once, which admits the spectrum: a degenerate
+one (two adjacent levels within chain.DEGENERACY_TOL) exits 2 with a
+DegenerateGapError naming the pair, before any artifact is written.
+`spectrum` reports it instead ("spectrum_degenerate" in degeneracy.json) and
+exits 0.  `sweep-T`, `sweep-kappa` and `fig2` sweep on that one table
+(analysis.sweep).  A sweep point whose rates or state at t* fail their checks
+is a `# failed_point` header line with its reason and a nan P_exc; the
+command still exits 0.
 
 `spectrum`, `rates`, `steady`, `blocks` and `zeros-scaling` run on numpy
 alone and never import scipy.  `evolve`, `sweep-T`, `sweep-kappa` and `fig2`
@@ -48,7 +53,7 @@ from .chain import check_degeneracy, decompose_chain
 from .config import COMMANDS, RunConfig, builtin_config_path, parse_config, resolve_initial_state, with_overrides
 from .dynamics import connectivity_blocks, propagate_populations
 from .errors import ConfigError, NumericalIntegrityError, SpinbathError
-from .generator import _checked_blocks, _structural_pattern, build_rate_matrix
+from .generator import _structural_pattern, build_rate_matrix, structural_blocks
 
 OUT_DIR_ENV = "SPINBATH_OUT"
 
@@ -86,13 +91,7 @@ def _header(cfg: RunConfig, command: str) -> list[str]:
 
 
 def _table(cfg: RunConfig):
-    dec = decompose_chain(cfg.chain)
-    return dec, coupling_matrix_elements(cfg.bath, dec)
-
-
-def _build_all(cfg: RunConfig):
-    dec, elems = _table(cfg)
-    return dec, elems, build_rate_matrix(dec, elems, cfg.bath)
+    return coupling_matrix_elements(cfg.bath, decompose_chain(cfg.chain))
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
@@ -119,42 +118,42 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _cmd_rates(cfg: RunConfig, out: Path) -> list[Path]:
-    _, _, rates = _build_all(cfg)
+    rates = build_rate_matrix(_table(cfg), cfg.bath)
     header = _header(cfg, "rates")
     return [
         export.write_rates_csv(out / "rates.csv", rates, header),
-        export.write_mask_csv(out / "rates_mask.csv", _structural_pattern(rates.elems, rates.kappas), header),
+        export.write_mask_csv(out / "rates_mask.csv", _structural_pattern(rates.elems, cfg.bath.kappas), header),
     ]
 
 
 def _cmd_evolve(cfg: RunConfig, out: Path) -> list[Path]:
-    dec, _, rates = _build_all(cfg)
-    p0 = resolve_initial_state(cfg, dec)
-    traj = propagate_populations(rates, p0, cfg.times.values())
+    elems = _table(cfg)
+    rates = build_rate_matrix(elems, cfg.bath)
+    traj = propagate_populations(rates, resolve_initial_state(cfg, elems.spectrum), cfg.times.values())
     return [export.write_trajectory_csv(out / "trajectory.csv", traj, _header(cfg, "evolve"))]
 
 
 def _cmd_steady(cfg: RunConfig, out: Path) -> list[Path]:
-    partition = connectivity_blocks(*_table(cfg), cfg.bath)
+    partition = connectivity_blocks(_table(cfg), cfg.bath)
     return [export.write_steady_csv(out / "steady.csv", partition, _header(cfg, "steady"))]
 
 
 def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
-    payload = [[i + 1 for i in block] for block in _checked_blocks(*_table(cfg), cfg.bath)]
+    payload = [[i + 1 for i in block] for block in structural_blocks(_table(cfg), cfg.bath.kappas)]
     return [export.write_json(out / "blocks.json", payload, _header(cfg, "blocks"))]
 
 
 def _cmd_sweep_t(cfg: RunConfig, out: Path) -> list[Path]:
-    dec, elems = _table(cfg)
-    sweep = analysis.sweep(dec, elems, cfg.bath, "temperature", cfg.temperature_grid.values(), cfg.t_star,
-                           resolve_initial_state(cfg, dec))
+    elems = _table(cfg)
+    sweep = analysis.sweep(elems, cfg.bath, "temperature", cfg.temperature_grid.values(), cfg.t_star,
+                           resolve_initial_state(cfg, elems.spectrum))
     return [export.write_sweep_csv(out / "sweep_T.csv", sweep, _header(cfg, "sweep-T"))]
 
 
 def _cmd_sweep_kappa(cfg: RunConfig, out: Path) -> list[Path]:
-    dec, elems = _table(cfg)
-    sweep = analysis.sweep(dec, elems, cfg.bath, "kappa", cfg.kappa_grid.values(), cfg.t_star,
-                           resolve_initial_state(cfg, dec), cfg.kappa_site)
+    elems = _table(cfg)
+    sweep = analysis.sweep(elems, cfg.bath, "kappa", cfg.kappa_grid.values(), cfg.t_star,
+                           resolve_initial_state(cfg, elems.spectrum), cfg.kappa_site)
     return [export.write_sweep_csv(out / "sweep_kappa.csv", sweep, _header(cfg, "sweep-kappa"))]
 
 
@@ -174,8 +173,11 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     couplings; fig2d: P_exc(t) at several kappa values for the swept site at
     the configured temperature; fig2e/f: the corresponding P_exc(t*) sweeps.
     """
-    dec, elems, _ = _build_all(cfg)
-    p0 = resolve_initial_state(cfg, dec)
+    elems = _table(cfg)
+    # the configured-bath rates are built only to refuse overflowing rates up
+    # front; the benchmark's pinned bose_einstein count (240) includes their 4 calls
+    build_rate_matrix(elems, cfg.bath)
+    p0 = resolve_initial_state(cfg, elems.spectrum)
     times = cfg.times.values()
     header = _header(cfg, "fig2")
     site = cfg.kappa_site
@@ -183,7 +185,7 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     def curves(path: Path, label: str, axis: str, points) -> Path:
         columns = []  # P_exc(t) for each bath variant, built by the sweeps' own rule
         for value in points:
-            rates = build_rate_matrix(dec, elems, analysis.bath_at(cfg.bath, axis, value, site))
+            rates = build_rate_matrix(elems, analysis.bath_at(cfg.bath, axis, value, site))
             columns.append(1.0 - propagate_populations(rates, p0, times).populations[:, 0])
         names = "t," + ",".join(f"{label}={export.fmt(v)}" for v in points)
         return export.write_csv(path, [*header, names], np.column_stack((times, *columns)))
@@ -192,9 +194,9 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
         curves(out / "fig2c.csv", "T", "temperature", cfg.fig2_temperatures),
         curves(out / "fig2d.csv", f"kappa{site}", "kappa", cfg.fig2_kappas),
         export.write_sweep_csv(out / "fig2e.csv", analysis.sweep(
-            dec, elems, cfg.bath, "temperature", cfg.temperature_grid.values(), cfg.t_star, p0), header),
+            elems, cfg.bath, "temperature", cfg.temperature_grid.values(), cfg.t_star, p0), header),
         export.write_sweep_csv(out / "fig2f.csv", analysis.sweep(
-            dec, elems, cfg.bath, "kappa", cfg.kappa_grid.values(), cfg.t_star, p0, site), header),
+            elems, cfg.bath, "kappa", cfg.kappa_grid.values(), cfg.t_star, p0, site), header),
     ]
 
 

@@ -65,7 +65,8 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A (start, stop, count, linear|log) sweep grid."""
+    """A (start, stop, count, linear|log) grid of times, temperatures or
+    kappas, none of which may be negative."""
 
     start: float
     stop: float
@@ -79,8 +80,8 @@ class GridSpec:
             raise ConfigError(f"grid must increase: start={self.start}, stop={self.stop}")
         if self.mode not in ("linear", "log"):
             raise ConfigError(f"grid mode must be linear or log, got {self.mode!r}")
-        if self.mode == "log" and self.start <= 0:
-            raise ConfigError("log grid requires a positive start")
+        if self.start < 0 or (self.mode == "log" and self.start == 0):
+            raise ConfigError(f"grid must start at >= 0 (> 0 for a log grid), got start={self.start}")
 
     def values(self) -> np.ndarray:
         if self.mode == "log":
@@ -327,6 +328,12 @@ def parse_config(path) -> RunConfig:
     if t_star <= 0:
         sections._fail("run", "t_star", "a positive time", f"got {t_star}")
 
+    fig2_temperatures = sections.get_floats("run", "fig2_temperatures", (0.1, 0.3, 1.0, 3.0, 10.0))
+    fig2_kappas = sections.get_floats("run", "fig2_kappas", (0.001, 0.01, 0.1, 1.0))
+    for key, values in (("fig2_temperatures", fig2_temperatures), ("fig2_kappas", fig2_kappas)):
+        if min(values) < 0:  # a bath variant BathConfig would refuse, refused with its line
+            sections._fail("run", key, "values >= 0", f"got {sections.data['run'][key]!r}")
+
     initial_state = sections.get_str("run", "initial_state", "ground")
     try:
         _initial_state(initial_state, chain.dimension)
@@ -350,8 +357,8 @@ def parse_config(path) -> RunConfig:
         seed=sections.get_run_number("seed"),
         max_n=sections.get_run_number("max_n", 4),
         draws=sections.get_run_number("draws", 100),
-        fig2_temperatures=sections.get_floats("run", "fig2_temperatures", (0.1, 0.3, 1.0, 3.0, 10.0)),
-        fig2_kappas=sections.get_floats("run", "fig2_kappas", (0.001, 0.01, 0.1, 1.0)),
+        fig2_temperatures=fig2_temperatures,
+        fig2_kappas=fig2_kappas,
         source_hash=hashlib.sha256(sections.text.encode()).hexdigest(),
     )
 

@@ -44,7 +44,8 @@ import numpy as np
 from .bath import BathConfig, CouplingElements
 from .chain import SpectralDecomposition
 from .errors import NumericalIntegrityError, ValidationError
-from .generator import LindbladSuperoperator, RateMatrix, _checked_blocks, _flip_densities, unvectorize, vectorize
+from .generator import (LindbladSuperoperator, RateMatrix, _check_bath, _flip_densities, structural_blocks,
+                        unvectorize, vectorize)
 
 # Construction-time tolerance for a population vector, and the looser drift
 # budget allowed to the matrix exponential during propagation.
@@ -339,15 +340,15 @@ class BlockPartition:
         return rows
 
 
-def connectivity_blocks(dec: SpectralDecomposition, elems: CouplingElements,
-                        baths: BathConfig) -> BlockPartition:
+def connectivity_blocks(elems: CouplingElements, baths: BathConfig) -> BlockPartition:
     """The checked block partition of the transition table, the one source of
     steady states and late-time predictions; no rate matrix is built.
 
-    In order: the refusals of `_checked_blocks` (a degenerate spectrum, a bath
-    that does not match the table); the connected components of the
-    structural graph (`structural_blocks`); each block's restricted Gibbs
-    weights over its own levels; and at T = 0 the absorbing-state check.
+    In order: the refusal of a bath that does not match the table's sites and
+    axes (the table's spectrum was admitted when it was built); the connected
+    components of the structural graph (`structural_blocks`); each block's
+    restricted Gibbs weights over its own levels, from the table's spectrum;
+    and at T = 0 the absorbing-state check.
 
     Lambda obeys detailed balance and a block is connected, so for T > 0 the
     restricted Gibbs vector is the block's exact and only kernel vector
@@ -359,11 +360,12 @@ def connectivity_blocks(dec: SpectralDecomposition, elems: CouplingElements,
     block holding several absorbing local minima has a kernel of that
     dimension and no unique steady state: NumericalIntegrityError.
     """
-    blocks = _checked_blocks(dec, elems, baths)
-    weights = tuple(_thermal_weights(dec.energies[list(block)], baths.temperature) for block in blocks)
+    _check_bath(elems, baths)
+    blocks = structural_blocks(elems, baths.kappas)
+    weights = tuple(_thermal_weights(elems.spectrum.energies[list(block)], baths.temperature) for block in blocks)
     if baths.temperature == 0.0:
-        _, density = _flip_densities(dec, elems, baths)
-        absorbing = np.bincount(elems.cols, weights=density, minlength=dec.dimension) == 0.0
+        _, density = _flip_densities(elems, baths)
+        absorbing = np.bincount(elems.cols, weights=density, minlength=elems.dimension) == 0.0
         for block in blocks:
             k = np.count_nonzero(absorbing[list(block)])
             if k > 1:
@@ -373,15 +375,14 @@ def connectivity_blocks(dec: SpectralDecomposition, elems: CouplingElements,
     return BlockPartition(blocks=blocks, weights=weights)
 
 
-def steady_states(dec: SpectralDecomposition, elems: CouplingElements,
-                  baths: BathConfig) -> list[PopulationState]:
+def steady_states(elems: CouplingElements, baths: BathConfig) -> list[PopulationState]:
     """One stationary population vector per decoupled structural block: the
     restricted Gibbs vectors of `connectivity_blocks`, embedded in the full
     dimension.  Neither the blocks nor the vectors depend on rate magnitudes,
     so no rate matrix is built; at T = 0 a block with several absorbing
     minima is refused with NumericalIntegrityError.
     """
-    partition = connectivity_blocks(dec, elems, baths)
+    partition = connectivity_blocks(elems, baths)
     return [PopulationState(row) for row in partition.embedded()]
 
 

@@ -27,8 +27,9 @@ class DegenerateGapError(SpinbathError):
     """The spectrum is degenerate: two levels lie within the tolerance.
 
     The secular rate construction needs a nondegenerate spectrum; the
-    builders refuse a degenerate one and name the offending level pair in
-    the message.  Equal transition gaps alone are admitted.
+    transition table (`bath.coupling_matrix_elements`) refuses a degenerate
+    one and names the offending level pair in the message.  Equal transition
+    gaps alone are admitted.
     """
 
 

@@ -110,7 +110,7 @@ def write_rates_csv(path, rates, header: list[str]) -> Path:
     rows, cols, d = rates.elems.rows, rates.elems.cols, rates.dimension
     at = np.concatenate((rows * d + cols, cols * d + rows, np.arange(d) * (d + 1)))
     values = np.concatenate((rates.damping, rates.gain, -rates.outflow))
-    labels = ",".join(f"E={fmt(e)}" for e in rates.energies)
+    labels = ",".join(f"E={fmt(e)}" for e in rates.elems.spectrum.energies)
     return _write_cells(path, [*header, labels], d, d, at, values)
 
 

@@ -9,13 +9,15 @@ Two routes are built from the same spectral data:
   on column-stacked density matrices, assembled from the secular jump
   operators.
 
-Both constructions need a nondegenerate spectrum, checked at the fixed
-tolerance chain.DEGENERACY_TOL, and refuse a degenerate one.  Equal gaps are
-admitted: flips of one site at one frequency share a jump operator, and two
-flips of the same site never share an endpoint, so populations still evolve
-apart from coherences.  Structural zeros of Lambda (entries that vanish for
-every T > 0 given the kappa and coupling-element patterns) are read off the
-transition table, never by thresholding floats.
+Both constructions need a nondegenerate spectrum.  They read it from the
+transition table (`bath.CouplingElements.spectrum`), which admits it once,
+where it is built, at the fixed tolerance chain.DEGENERACY_TOL, so no builder
+takes a decomposition or checks it again.  Equal gaps are admitted: flips of
+one site at one frequency share a jump operator, and two flips of the same
+site never share an endpoint, so populations still evolve apart from
+coherences.  Structural zeros of Lambda (entries that vanish for every T > 0
+given the kappa and coupling-element patterns) are read off the transition
+table, never by thresholding floats.
 """
 
 from __future__ import annotations
@@ -26,29 +28,16 @@ from functools import cached_property
 import numpy as np
 
 from .bath import BathConfig, CouplingElements, bose_einstein, spectral_density
-from .chain import DEGENERACY_TOL, MAX_DENSE_SITES, SpectralDecomposition, _close_levels, check_degeneracy
-from .errors import CapacityError, DegenerateGapError, NumericalIntegrityError, ValidationError
+from .chain import DEGENERACY_TOL, MAX_DENSE_SITES
+# unused here; spinbench/test_spinbench.py::test_tracer_restores_every_wrapped_function reads it
+from .chain import check_degeneracy  # noqa: F401
+from .errors import CapacityError, NumericalIntegrityError, ValidationError
 
 # The oracle is a dense d^4 complex matrix: 16.8 MB at N = 5, 268 MB at N = 6.
 MAX_LINDBLAD_SITES = 5
 
 
-def _require_nondegenerate(dec: SpectralDecomposition) -> None:
-    """Refuse a degenerate spectrum.  Only adjacent levels are compared; the
-    full report, whose same-site gap scan nothing here needs, is built only
-    to name the pair of a refused spectrum."""
-    if _close_levels(dec.energies, DEGENERACY_TOL).size:
-        i, j, diff = check_degeneracy(dec, DEGENERACY_TOL).spectrum_pairs[0]
-        raise DegenerateGapError(
-            f"spectrum degenerate: |E_{i + 1} - E_{j + 1}| = {diff:.3e} < {DEGENERACY_TOL:.1e}"
-        )
-
-
-def _check_bath(dec: SpectralDecomposition, elems: CouplingElements, baths: BathConfig) -> None:
-    if elems.dimension != dec.dimension:
-        raise ValidationError(
-            f"coupling elements dimension {elems.dimension} != spectrum dimension {dec.dimension}"
-        )
+def _check_bath(elems: CouplingElements, baths: BathConfig) -> None:
     if baths.n_sites != elems.n_sites:
         raise ValidationError(
             f"bath has {baths.n_sites} sites but coupling elements cover {elems.n_sites}"
@@ -73,7 +62,7 @@ class JumpOperator:
     values: tuple[complex, ...]
 
 
-def build_jump_operators(dec: SpectralDecomposition, elems: CouplingElements) -> list[JumpOperator]:
+def build_jump_operators(elems: CouplingElements) -> list[JumpOperator]:
     """One jump operator per (site, positive gap) with a nonzero coupling element.
 
     Each site's flips from the transition table are taken in (omega, i, j)
@@ -81,12 +70,12 @@ def build_jump_operators(dec: SpectralDecomposition, elems: CouplingElements) ->
     within DEGENERACY_TOL with the first of a group join that operator (the
     sum over equal-frequency terms of the secular form).
     """
-    _require_nondegenerate(dec)
+    energies = elems.spectrum.energies
     ops: list[JumpOperator] = []
     for n in range(1, elems.n_sites + 1):
         flips = elems.sites == n
         rows, cols, values = elems.rows[flips], elems.cols[flips], elems.values[flips]
-        omega = dec.energies[cols] - dec.energies[rows]
+        omega = energies[cols] - energies[rows]
         groups: list[list[int]] = []
         for k in np.lexsort((cols, rows, omega)).tolist():
             if groups and omega[k] - omega[groups[-1][0]] < DEGENERACY_TOL:
@@ -103,7 +92,7 @@ def build_jump_operators(dec: SpectralDecomposition, elems: CouplingElements) ->
 @dataclass(frozen=True)
 class RateMatrix:
     """Generator of the population dynamics in the energy-sorted basis, kept
-    on the transition table `elems` it was built from.
+    on the transition table `elems` it was built from, for the baths `baths`.
 
     For table row k, the flip (i, j) = (elems.rows[k], elems.cols[k]) with
     i < j, damping[k] = Lambda[i, j] is the rate from |j> down into |i> and
@@ -115,12 +104,10 @@ class RateMatrix:
     """
 
     elems: CouplingElements
+    baths: BathConfig
     damping: np.ndarray
     gain: np.ndarray
     outflow: np.ndarray
-    energies: np.ndarray
-    temperature: float
-    kappas: tuple[float, ...]
 
     @property
     def dimension(self) -> int:
@@ -151,11 +138,7 @@ class RateMatrix:
                 raise ValidationError(f"{name}[{bad[0]}] = {rates[bad[0]]} is not a finite rate >= 0")
 
 
-def build_rate_matrix(
-    dec: SpectralDecomposition,
-    elems: CouplingElements,
-    baths: BathConfig,
-) -> RateMatrix:
+def build_rate_matrix(elems: CouplingElements, baths: BathConfig) -> RateMatrix:
     """Assemble the golden-rule rates for the configured baths on the table.
 
     For every row (i, j, n) of the transition table `elems`, the flip of
@@ -170,20 +153,19 @@ def build_rate_matrix(
     nonzero when its site has kappa^(n) > 0.  No d x d array is allocated, so
     only the dense `RateMatrix.matrix` has a capacity limit.
 
-    Refused with NumericalIntegrityError when a rate or a total outflow
-    overflows (kappa * omega beyond double range).
+    Refused with ValidationError when the baths do not match the table's
+    sites and axes, and with NumericalIntegrityError when a rate or a total
+    outflow overflows (kappa * omega beyond double range).
     """
-    d = dec.dimension
-    _require_nondegenerate(dec)
-    _check_bath(dec, elems, baths)
-    omega, coupled = _flip_densities(dec, elems, baths)
+    _check_bath(elems, baths)
+    omega, coupled = _flip_densities(elems, baths)
     nbar = np.array([bose_einstein(w, baths.temperature) for w in omega.tolist()])
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         damping, gain = coupled * (1.0 + nbar), coupled * nbar
         # each column summed in row order, as Lambda.sum(axis=0) sums it: the damping
         # into rows i < j in table order, then the gain into rows above j
         outflow = np.bincount(np.concatenate((elems.cols, elems.rows)), np.concatenate((damping, gain)),
-                              minlength=d).astype(np.float64)  # an empty table counts in integers
+                              minlength=elems.dimension).astype(np.float64)  # an empty table counts in integers
     # rates are nonnegative, so a column sum is finite iff every rate in it is
     bad = np.flatnonzero(~np.isfinite(outflow))
     if bad.size:
@@ -191,24 +173,16 @@ def build_rate_matrix(
         raise NumericalIntegrityError(
             f"non-finite rates: total outflow of level {j + 1} is {float(outflow[j])}"
         )
-    return RateMatrix(
-        elems=elems,
-        damping=damping,
-        gain=gain,
-        outflow=outflow,
-        energies=dec.energies.copy(),
-        temperature=baths.temperature,
-        kappas=baths.kappas,
-    )
+    return RateMatrix(elems=elems, baths=baths, damping=damping, gain=gain, outflow=outflow)
 
 
-def _flip_densities(dec: SpectralDecomposition, elems: CouplingElements,
-                    baths: BathConfig) -> tuple[np.ndarray, np.ndarray]:
+def _flip_densities(elems: CouplingElements, baths: BathConfig) -> tuple[np.ndarray, np.ndarray]:
     """The gap omega and the spectral density J^(n)(omega) of every row of the
     transition table, in one call over the rows' sites.  J overflows to inf
     when kappa * omega is beyond double range; callers decide whether that
     matters."""
-    omega = dec.energies[elems.cols] - dec.energies[elems.rows]
+    energies = elems.spectrum.energies
+    omega = energies[elems.cols] - energies[elems.rows]
     with np.errstate(over="ignore"):
         density = spectral_density(baths, elems.sites, omega)
     return omega, density
@@ -258,15 +232,6 @@ def structural_blocks(elems: CouplingElements, kappas) -> tuple[tuple[int, ...],
     return tuple(tuple(block.tolist()) for block in np.split(order, cuts))
 
 
-def _checked_blocks(dec: SpectralDecomposition, elems: CouplingElements,
-                    baths: BathConfig) -> tuple[tuple[int, ...], ...]:
-    """`structural_blocks` of the table, refusing a degenerate spectrum and a
-    bath that does not match the table, as `build_rate_matrix` does."""
-    _require_nondegenerate(dec)
-    _check_bath(dec, elems, baths)
-    return structural_blocks(elems, baths.kappas)
-
-
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stack a density matrix (vec convention used by the superoperator)."""
     return np.asarray(rho).flatten(order="F")
@@ -306,11 +271,7 @@ class LindbladSuperoperator:
         return self.matrix[np.ix_(idx, idx)].real
 
 
-def build_lindblad_superoperator(
-    dec: SpectralDecomposition,
-    elems: CouplingElements,
-    baths: BathConfig,
-) -> LindbladSuperoperator:
+def build_lindblad_superoperator(elems: CouplingElements, baths: BathConfig) -> LindbladSuperoperator:
     """Assemble -i[H, .] plus the dissipator from the secular jump operators.
 
     Every damping term carries J(omega)(1 + nbar) with the sandwich
@@ -319,15 +280,15 @@ def build_lindblad_superoperator(
     stacking, vec(A rho B) = kron(B^T, A) vec(rho).  Refused beyond
     MAX_LINDBLAD_SITES sites, before anything is allocated.
     """
-    _check_bath(dec, elems, baths)
+    _check_bath(elems, baths)
     if baths.n_sites > MAX_LINDBLAD_SITES:
         raise CapacityError(
             f"Lindblad superoperator limited to N <= {MAX_LINDBLAD_SITES}, got N = {baths.n_sites}"
         )
-    ops = build_jump_operators(dec, elems)
-    d = dec.dimension
+    ops = build_jump_operators(elems)
+    d, energies = elems.dimension, elems.spectrum.energies
     eye = np.eye(d)
-    h = np.diag(dec.energies)
+    h = np.diag(energies)
     super_matrix = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
     for op in ops:
@@ -346,4 +307,4 @@ def build_lindblad_superoperator(
             np.kron(a.T, a_dag) - 0.5 * (np.kron(eye, up) + np.kron(up.T, eye))
         )
 
-    return LindbladSuperoperator(matrix=super_matrix, energies=dec.energies.copy())
+    return LindbladSuperoperator(matrix=super_matrix, energies=energies.copy())

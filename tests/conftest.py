@@ -56,23 +56,23 @@ def paper_dec(paper_spec):
 
 @pytest.fixture
 def paper_table(paper_dec):
-    """Factory building (dec, elems, baths), what steady_states and
+    """Factory building (elems, baths), what steady_states and
     connectivity_blocks take, for chosen couplings and temperature."""
 
     def build(kappas=(1.0, 1.0), temperature=1.0):
         baths = BathConfig(temperature=temperature, kappas=kappas)
-        return paper_dec, coupling_matrix_elements(baths, paper_dec), baths
+        return coupling_matrix_elements(baths, paper_dec), baths
 
     return build
 
 
 @pytest.fixture
 def paper_model(paper_table):
-    """Factory building (dec, elems, rates) for chosen couplings and temperature."""
+    """Factory building (elems, rates) for chosen couplings and temperature."""
 
     def build(kappas=(1.0, 1.0), temperature=1.0):
-        dec, elems, baths = paper_table(kappas, temperature)
-        return dec, elems, build_rate_matrix(dec, elems, baths)
+        elems, baths = paper_table(kappas, temperature)
+        return elems, build_rate_matrix(elems, baths)
 
     return build
 
@@ -82,7 +82,7 @@ def paper_superop(paper_dec):
     def build(kappas=(1.0, 1.0), temperature=1.0):
         baths = BathConfig(temperature=temperature, kappas=kappas)
         elems = coupling_matrix_elements(baths, paper_dec)
-        return build_lindblad_superoperator(paper_dec, elems, baths)
+        return build_lindblad_superoperator(elems, baths)
 
     return build
 
@@ -103,7 +103,7 @@ def csgraph_blocks(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
 def table_mask(rates) -> np.ndarray:
     """The structural pattern of a built rate matrix as a dense d x d mask, for
     comparison with an independent reference."""
-    rows, cols, touched = _structural_pattern(rates.elems, rates.kappas)
+    rows, cols, touched = _structural_pattern(rates.elems, rates.baths.kappas)
     mask = np.diag(touched)
     mask[rows, cols] = mask[cols, rows] = True
     return mask
@@ -124,13 +124,13 @@ def dense_steady_vectors(rates) -> list[np.ndarray] | None:
     -Lambda[j, j] == 0.0, and None stands for a refusal, a block with two
     absorbing states."""
     blocks = csgraph_blocks(value_edges(rates))
-    if rates.temperature == 0.0:
+    if rates.baths.temperature == 0.0:
         absorbing = np.diagonal(rates.matrix) == 0.0
         if any(np.count_nonzero(absorbing[list(block)]) > 1 for block in blocks):
             return None
     vectors = []
     for block in blocks:
         vector = np.zeros(rates.dimension)
-        vector[list(block)] = _thermal_weights(rates.energies[list(block)], rates.temperature)
+        vector[list(block)] = _thermal_weights(rates.elems.spectrum.energies[list(block)], rates.baths.temperature)
         vectors.append(vector)
     return vectors

@@ -57,7 +57,7 @@ def criterion(number: int, label: str):
 def build(paper_dec, kappas, temperature):
     baths = BathConfig(temperature=temperature, kappas=kappas)
     elems = coupling_matrix_elements(baths, paper_dec)
-    return elems, build_rate_matrix(paper_dec, elems, baths)
+    return elems, build_rate_matrix(elems, baths)
 
 
 def test_criterion_1_gibbs_stationarity(paper_dec):
@@ -65,8 +65,8 @@ def test_criterion_1_gibbs_stationarity(paper_dec):
         for temperature in (0.1, 1.0, 10.0):
             baths = BathConfig(temperature=temperature, kappas=(1.0, 1.0))
             elems = coupling_matrix_elements(baths, paper_dec)
-            rates = build_rate_matrix(paper_dec, elems, baths)
-            superop = build_lindblad_superoperator(paper_dec, elems, baths)
+            rates = build_rate_matrix(elems, baths)
+            superop = build_lindblad_superoperator(elems, baths)
             p = gibbs_state(paper_dec, temperature).p
             assert np.max(np.abs(rates.matrix @ p)) < 1e-10
             rho = np.diag(p).astype(complex)
@@ -85,7 +85,7 @@ def test_criterion_2_detailed_balance_random_chains():
                 temperature=temperature, kappas=tuple(rng.uniform(0.1, 2.0, size=n))
             )
             dec = spectral_decomposition(build_hamiltonian(spec))
-            rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+            rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
             worst = max(worst, detailed_balance_audit(rates))
         assert worst < 1e-10
 
@@ -99,7 +99,7 @@ def test_criterion_3_blocking_both_extremes(paper_dec):
             traj = propagate_populations(rates, p0, times)
             assert np.max(np.abs(traj.populations[:, :2])) < 1e-12
             baths = BathConfig(temperature=temperature, kappas=(0.0, 1.0))
-            prediction = restricted_gibbs_prediction(connectivity_blocks(paper_dec, elems, baths), p0)
+            prediction = restricted_gibbs_prediction(connectivity_blocks(elems, baths), p0)
             assert np.max(np.abs(traj.populations[-1] - prediction.p)) < 1e-6
 
 
@@ -107,7 +107,7 @@ def _ground_state_sweep(paper_dec, temperature, axis, grid, site=None):
     """P_exc(t* = 10) from the ground state with kappa = (1e-5, 1)."""
     baths = BathConfig(temperature=temperature, kappas=(1e-5, 1.0))
     elems = coupling_matrix_elements(baths, paper_dec)
-    return sweep(paper_dec, elems, baths, axis, grid, 10.0, PopulationState.basis(4, 0), site)
+    return sweep(elems, baths, axis, grid, 10.0, PopulationState.basis(4, 0), site)
 
 
 def _thermal_sweep(paper_dec):
@@ -155,7 +155,7 @@ def test_criterion_7_zeros_scaling_law():
                 spec = random_nondegenerate_chain(n, rng)
                 baths = BathConfig(temperature=1.0, kappas=(1.0,) * n)
                 dec = spectral_decomposition(build_hamiltonian(spec))
-                rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+                rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
                 assert count_structural_zeros(rates) == expected
         for n in (3, 4, 5):  # open nearest-neighbour chains, whose same-site gaps collide
             expected = predicted_zero_count(n)
@@ -164,7 +164,7 @@ def test_criterion_7_zeros_scaling_law():
                 spec = ChainSpec(n, tuple(rng.uniform(0.5, 1.5, size=n)), couplings)
                 baths = BathConfig(temperature=1.0, kappas=(1.0,) * n)
                 dec = spectral_decomposition(build_hamiltonian(spec))
-                rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+                rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
                 assert count_structural_zeros(rates) == expected
 
 
@@ -176,8 +176,8 @@ def test_criterion_8_oracle_equivalence(paper_dec):
         for kappas, temperature in regimes:
             baths = BathConfig(temperature=temperature, kappas=kappas)
             elems = coupling_matrix_elements(baths, paper_dec)
-            rates = build_rate_matrix(paper_dec, elems, baths)
-            superop = build_lindblad_superoperator(paper_dec, elems, baths)
+            rates = build_rate_matrix(elems, baths)
+            superop = build_lindblad_superoperator(elems, baths)
             for _ in range(10):  # diagonal initial states
                 p0 = rng.dirichlet(np.ones(4))
                 dens = propagate_density(superop, np.diag(p0).astype(complex), times)

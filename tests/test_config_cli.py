@@ -347,6 +347,11 @@ _OUT_OF_RANGE = {
     "seed": ("-1",),
     "max_n": ("0", "1"),
     "draws": ("0",),
+    "times": ("-1:10:5",),
+    "temperature_grid": ("-1:1:3",),
+    "kappa_grid": ("-1:1:3",),
+    "fig2_temperatures": ("-1, 1",),
+    "fig2_kappas": ("-0.5, 1",),
 }
 
 
@@ -385,6 +390,13 @@ def _broken_configs(draw):
         value = draw(st.sampled_from(_BAD_GRIDS))
     else:
         value = draw(st.sampled_from(_OUT_OF_RANGE[key]))
+    return _with_value(key, value)
+
+
+def _with_value(key: str, value: str) -> tuple[str, int]:
+    """(text, line): VALID with `key` set to `value`, and the 1-based line of the key."""
+    lines = list(_LINES)
+    k = _KEY_LINES[key]
     lines[k] = f"{key} = {value}"
     return "\n".join(lines) + "\n", k + 1
 
@@ -404,7 +416,15 @@ def test_every_broken_config_names_its_line(case):
     per-site list of the wrong length, a bad grid, a value out of range or a
     Gibbs start at T = 0: parse_config raises a ConfigError naming the line, and the CLI exits 2
     with one JSON record."""
-    text, line = case
+    _assert_refused_naming_its_line(*case)
+
+
+@pytest.mark.parametrize("key, value", [(key, value) for key, values in _OUT_OF_RANGE.items() for value in values])
+def test_every_out_of_range_value_names_its_line(key, value):
+    _assert_refused_naming_its_line(*_with_value(key, value))
+
+
+def _assert_refused_naming_its_line(text: str, line: int) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "broken.cfg"
         path.write_text(text)
@@ -799,14 +819,21 @@ class TestCli:
         assert record == {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
 
     def test_degenerate_chain_is_config_class_error(self, tmp_path, capsys):
+        # equal fields put levels 2 and 3 at the same energy: every command that builds
+        # the transition table refuses the chain before writing anything, the sweeps too,
+        # and only spectrum reports it
         path = tmp_path / "degen.cfg"
-        path.write_text(
-            "[chain]\nn = 2\nfields = 1, 1\n[bath]\ntemperature = 1\nkappas = 1, 1\n"
-        )
-        for command in ("rates", "steady", "blocks"):
-            code = main([command, "--config", str(path), "--out", str(tmp_path / "d")])
-            assert code == 2
-            assert json.loads(capsys.readouterr().err)["error"] == "DegenerateGapError"
+        path.write_text("[chain]\nn = 2\nfields = 1.0, 1.0\n[bath]\ntemperature = 1\nkappas = 1, 1\n")
+        record = {"error": "DegenerateGapError", "exit_code": 2,
+                  "message": "spectrum degenerate: |E_2 - E_3| = 0.000e+00 < 1.0e-09"}
+        for command in ("rates", "evolve", "steady", "blocks", "sweep-T", "sweep-kappa", "fig2"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2, command
+            captured = capsys.readouterr()
+            assert [json.loads(line) for line in captured.err.splitlines()] == [record], command
+            assert captured.out == "" and not any(out.iterdir()), command
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "spectrum")]) == 0
+        assert read_json_body(tmp_path / "spectrum" / "degeneracy.json")["spectrum_degenerate"] is True
 
     def test_nearest_neighbour_chain_runs_with_colliding_gaps(self, tmp_path):
         path = tmp_path / "nn6.cfg"

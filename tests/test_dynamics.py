@@ -24,6 +24,7 @@ from spinbath import (
     ChainSpec,
     CouplingElements,
     RateMatrix,
+    SpectralDecomposition,
     Trajectory,
     ValidationError,
     build_hamiltonian,
@@ -76,13 +77,13 @@ class TestPopulationState:
 
 class TestPropagatePopulations:
     def test_gibbs_initial_state_is_stationary(self, paper_dec, paper_model):
-        _, _, rates = paper_model(kappas=(1.0, 1.0), temperature=1.0)
+        _, rates = paper_model(kappas=(1.0, 1.0), temperature=1.0)
         p0 = gibbs_state(paper_dec, 1.0)
         traj = propagate_populations(rates, p0, np.linspace(0.0, 10.0, 21))
         assert np.max(np.abs(traj.populations - p0.p)) < 1e-10
 
     def test_blocked_subspace_never_populated(self, paper_model):
-        _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
+        _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
         traj = propagate_populations(
             rates, PopulationState.basis(4, 2), np.linspace(0.0, 50.0, 26)
         )
@@ -90,7 +91,7 @@ class TestPropagatePopulations:
 
     def test_asymmetric_regime_two_level_reduction(self, paper_model):
         # effective two-level {|1>,|2>} relaxation with rate kappa2*omega*(2 nbar + 1)
-        _, _, rates = paper_model(kappas=(1e-5, 1.0), temperature=10.0)
+        _, rates = paper_model(kappas=(1e-5, 1.0), temperature=10.0)
         traj = propagate_populations(rates, PopulationState.basis(4, 0), [10.0])
         nbar = 1.0 / math.expm1((5 / 3) / 10.0)
         fixed_point = nbar / (2 * nbar + 1)
@@ -103,11 +104,11 @@ class TestPropagatePopulations:
         # nothing of size d x d exists
         d = 2**13
         empty = np.zeros(0, dtype=np.intp)
+        spectrum = SpectralDecomposition(energies=np.arange(d, dtype=float), basis=np.arange(d))
         elems = CouplingElements(rows=empty, cols=empty, sites=empty, values=empty.astype(float),
-                                 axes=("x",) * 13, dimension=d)
-        rates = RateMatrix(elems=elems, damping=empty.astype(float), gain=empty.astype(float),
-                           outflow=np.zeros(d), energies=np.arange(d, dtype=float), temperature=1.0,
-                           kappas=(1.0,) * 13)
+                                 axes=("x",) * 13, spectrum=spectrum)
+        rates = RateMatrix(elems=elems, baths=BathConfig(temperature=1.0, kappas=(1.0,) * 13),
+                           damping=empty.astype(float), gain=empty.astype(float), outflow=np.zeros(d))
         p0 = PopulationState.basis(d, 0)
         tracemalloc.start()
         try:
@@ -130,7 +131,7 @@ class TestPropagatePopulations:
                 kappas=tuple(rng.uniform(0.0, 1.5, size=n)),
             )
             dec = spectral_decomposition(build_hamiltonian(spec))
-            rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+            rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
             p0 = PopulationState(rng.dirichlet(np.ones(dec.dimension)))
             t, s = float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3))
             p_ts = propagate_populations(rates, p0, [t + s]).populations[-1]
@@ -139,7 +140,7 @@ class TestPropagatePopulations:
             assert np.max(np.abs(p_ts - p_t_s)) < 1e-9
 
     def test_two_level_block_monotone_relaxation(self, paper_model, paper_table):
-        _, _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
+        _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
         traj = propagate_populations(
             rates, PopulationState.basis(4, 2), np.linspace(0.0, 20.0, 41)
         )
@@ -148,7 +149,7 @@ class TestPropagatePopulations:
         assert np.all(np.diff(distances) <= 1e-15)
 
     def test_normalization_drift_aborts(self, paper_model):
-        _, _, rates = paper_model()
+        _, rates = paper_model()
         broken = replace(rates, outflow=rates.outflow - 0.05)  # each column gains 0.05
         with pytest.raises(NumericalIntegrityError, match="drift"):
             propagate_populations(broken, PopulationState.uniform(4), [0.0, 5.0])
@@ -171,7 +172,7 @@ class TestPropagatePopulations:
             Trajectory(times=[0.0, 1.0, 2.0], populations=[good, drifted, [math.nan, 1.0]])
 
     def test_time_grid_validation(self, paper_model):
-        _, _, rates = paper_model()
+        _, rates = paper_model()
         p0 = PopulationState.uniform(4)
         with pytest.raises(ValidationError):
             propagate_populations(rates, p0, [1.0, 1.0])
@@ -181,7 +182,7 @@ class TestPropagatePopulations:
 
 class TestPropagateDensity:
     def test_population_marginals_match_rate_engine(self, paper_model, paper_superop):
-        _, _, rates = paper_model(kappas=(1e-5, 1.0), temperature=10.0)
+        _, rates = paper_model(kappas=(1e-5, 1.0), temperature=10.0)
         superop = paper_superop(kappas=(1e-5, 1.0), temperature=10.0)
         times = np.linspace(0.0, 10.0, 11)
         rho0 = np.zeros((4, 4), dtype=complex)
@@ -283,7 +284,7 @@ class TestSteadyStates:
                 temperature=temperature, kappas=tuple(rng.uniform(0.2, 2.0, size=n))
             )
             dec = spectral_decomposition(build_hamiltonian(spec))
-            states = steady_states(dec, coupling_matrix_elements(baths, dec), baths)
+            states = steady_states(coupling_matrix_elements(baths, dec), baths)
             assert len(states) == 1
             assert np.max(np.abs(states[0].p - gibbs_state(dec, temperature).p)) < 1e-9
 
@@ -295,7 +296,7 @@ class TestSteadyStates:
         baths = BathConfig(temperature=0.0, kappas=(1.0, 1.0, 1.0))
         dec = spectral_decomposition(build_hamiltonian(spec))
         with pytest.raises(NumericalIntegrityError, match="kernel"):
-            steady_states(dec, coupling_matrix_elements(baths, dec), baths)
+            steady_states(coupling_matrix_elements(baths, dec), baths)
 
     @pytest.mark.parametrize("temperature", [0.03, 0.02, 0.01])
     def test_glassy_chain_at_low_temperature_is_its_gibbs_state(self, temperature):
@@ -306,10 +307,10 @@ class TestSteadyStates:
         baths = BathConfig(temperature=temperature, kappas=(1.0, 1.0, 1.0))
         dec = spectral_decomposition(build_hamiltonian(spec))
         elems = coupling_matrix_elements(baths, dec)
-        rates = build_rate_matrix(dec, elems, baths)
-        states = steady_states(dec, elems, baths)
+        rates = build_rate_matrix(elems, baths)
+        states = steady_states(elems, baths)
         assert len(states) == 1
-        partition = connectivity_blocks(dec, elems, baths)
+        partition = connectivity_blocks(elems, baths)
         assert partition.blocks == (tuple(range(8)),)
         assert np.array_equal(states[0].p, partition.weights[0])
         residual = np.max(np.abs(rates.matrix @ states[0].p))
@@ -327,7 +328,7 @@ def _random_models(draw):
     )
     dec = spectral_decomposition(build_hamiltonian(spec))
     elems = coupling_matrix_elements(baths, dec)
-    return dec, elems, baths, build_rate_matrix(dec, elems, baths)
+    return dec, elems, baths, build_rate_matrix(elems, baths)
 
 
 @settings(max_examples=80, deadline=None)
@@ -344,15 +345,15 @@ def test_steady_states_match_the_null_space_oracle(model):
     blocks = structural_blocks(elems, baths.kappas)
     kernels = [null_space(rates.matrix[np.ix_(b, b)], rcond=1e-12) for b in blocks]
     if any(k.shape[1] > 1 for k in kernels):
-        assert rates.temperature == 0.0
+        assert rates.baths.temperature == 0.0
         with pytest.raises(NumericalIntegrityError, match="kernel"):
-            steady_states(dec, elems, baths)
+            steady_states(elems, baths)
         return
-    states = steady_states(dec, elems, baths)
+    states = steady_states(elems, baths)
     assert len(states) == len(blocks)
     scale = np.max(np.abs(rates.matrix))
     for block, kernel, state in zip(blocks, kernels, states):
-        if rates.temperature > 0:
+        if rates.baths.temperature > 0:
             oracle = np.zeros(rates.dimension)
             oracle[list(block)] = kernel[:, 0] / kernel[:, 0].sum()
             assert np.max(np.abs(state.p - oracle)) <= 1e-9
@@ -391,17 +392,17 @@ class TestGibbsState:
 
 class TestExcitationProbability:
     def test_ground_start_is_zero(self, paper_model):
-        _, _, rates = paper_model()
+        _, rates = paper_model()
         traj = propagate_populations(rates, PopulationState.basis(4, 0), [0.0, 1.0])
         assert excitation_probability(traj)[0] == 0.0
 
     def test_uniform_state_value(self, paper_model):
-        _, _, rates = paper_model()
+        _, rates = paper_model()
         traj = propagate_populations(rates, PopulationState.uniform(4), [0.0])
         assert excitation_probability(traj)[0] == pytest.approx(0.75, abs=1e-14)
 
     def test_late_time_hot_gibbs(self, paper_dec, paper_model):
-        _, _, rates = paper_model(kappas=(1.0, 1.0), temperature=10.0)
+        _, rates = paper_model(kappas=(1.0, 1.0), temperature=10.0)
         traj = propagate_populations(rates, PopulationState.basis(4, 0), [1000.0])
         expected = 1.0 - gibbs_oracle(10.0)[0]
         assert excitation_probability(traj)[-1] == pytest.approx(expected, abs=1e-6)
@@ -530,7 +531,7 @@ class TestExpm:
         spec = random_nondegenerate_chain(7, np.random.default_rng(7))
         baths = BathConfig(temperature=1.0, kappas=(1e-5,) + (1.0,) * 6)
         dec = spectral_decomposition(build_hamiltonian(spec))
-        rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+        rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
         for t in np.linspace(0.0, 10.0, 201)[::5]:
             a = rates.matrix * t
             assert np.array_equal(dynamics.expm(a), scipy_expm(a))

@@ -10,6 +10,7 @@ degeneracy check.
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from spinbath import (
 )
 from spinbath import cli, export, generator
 from spinbath.bath import bose_einstein, spectral_density
-from spinbath.chain import DegeneracyReport
+from spinbath.chain import DEGENERACY_TOL, DegeneracyReport
 from spinbath.errors import ValidationError
 from spinbath.export import fmt, write_csv, write_mask_csv, write_rates_csv
 
@@ -204,21 +205,21 @@ def _assert_same_rates(dec, baths):
         expected_ops = reference_jump_operators(dec, reference)
     except Exception as exc:
         with pytest.raises(type(exc)):
-            build_rate_matrix(dec, elems, baths)
+            build_rate_matrix(elems, baths)
         return None
-    rates = build_rate_matrix(dec, elems, baths)
+    rates = build_rate_matrix(elems, baths)
     assert np.array_equal(table_mask(rates), expected_mask)
     off = ~np.eye(dec.dimension, dtype=bool)
     assert np.array_equal(rates.matrix[off], expected[off])
     scale = np.max(np.abs(expected))  # the pair loop sums each column in another order
     assert np.max(np.abs(rates.matrix - expected)) <= 1e-15 * scale
-    ops = build_jump_operators(dec, elems)
+    ops = build_jump_operators(elems)
     _assert_same_jump_operators(ops, expected_ops)
     if dec.dimension <= 8:
-        superop = build_lindblad_superoperator(dec, elems, baths)
+        superop = build_lindblad_superoperator(elems, baths)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(generator, "build_jump_operators", lambda *args, **kwargs: expected_ops)
-            oracle = build_lindblad_superoperator(dec, elems, baths)
+            oracle = build_lindblad_superoperator(elems, baths)
         assert np.array_equal(superop.matrix, oracle.matrix)
     return rates
 
@@ -255,7 +256,7 @@ def test_degenerate_gaps_admitted_by_both():
     assert check_degeneracy(dec, 1e-9).gaps_degenerate
     baths = BathConfig(temperature=1.0, kappas=(1.0,) * 4)
     expected, expected_mask = reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
-    rates = build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+    rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
     assert np.array_equal(table_mask(rates), expected_mask)
     assert np.max(np.abs(rates.matrix - expected)) <= 1e-15 * np.max(np.abs(expected))
 
@@ -267,7 +268,7 @@ def test_zero_gap_transition_raises_like_the_pair_loop():
     with pytest.raises(DegenerateGapError):
         reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
     with pytest.raises(DegenerateGapError):
-        build_rate_matrix(dec, coupling_matrix_elements(baths, dec), baths)
+        build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
 
 
 def test_transition_table_has_one_pair_per_spin_flip():
@@ -305,14 +306,40 @@ def test_table_equals_the_dense_rotation_on_random_chains(case):
     spec, axes, kappas = case
     dec = spectral_decomposition(build_hamiltonian(spec))
     baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
     elems = coupling_matrix_elements(baths, dec)
     _assert_same_table(elems, reference_coupling_matrices(baths, dec))
 
     # with every site coupled through x, the zeros law holds whatever the gaps
-    assume(not check_degeneracy(dec).spectrum_degenerate)
     coupled = BathConfig(temperature=1.0, kappas=tuple(k or 0.5 for k in kappas))
-    rates = build_rate_matrix(dec, coupling_matrix_elements(coupled, dec), coupled)
+    rates = build_rate_matrix(coupling_matrix_elements(coupled, dec), coupled)
     assert count_structural_zeros(rates) == predicted_zero_count(spec.n_sites)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains_and_baths())
+def test_the_table_refuses_exactly_the_degenerate_spectra(case):
+    """coupling_matrix_elements admits a spectrum by the spacing check alone,
+    and its refusal names the pair check_degeneracy lists first."""
+    spec, axes, kappas = case
+    dec = spectral_decomposition(build_hamiltonian(spec))
+    baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    report = check_degeneracy(dec)
+    if not report.spectrum_degenerate:
+        assert coupling_matrix_elements(baths, dec).spectrum is dec
+        return
+    i, j, diff = report.spectrum_pairs[0]
+    with pytest.raises(DegenerateGapError) as info:
+        coupling_matrix_elements(baths, dec)
+    assert str(info.value) == f"spectrum degenerate: |E_{i + 1} - E_{j + 1}| = {diff:.3e} < {DEGENERACY_TOL:.1e}"
+
+
+def test_a_table_built_by_hand_refuses_a_degenerate_spectrum(paper_table):
+    elems, _ = paper_table()
+    energies = np.array([0.0, 1.0, 1.0 + 1e-12, 2.0])
+    close = SpectralDecomposition(energies=energies, basis=np.arange(4))
+    with pytest.raises(DegenerateGapError, match=r"\|E_2 - E_3\| = 1\.000e-12 < 1\.0e-09"):
+        replace(elems, spectrum=close)
 
 
 def test_decomposition_arrays_are_private_and_read_only():
@@ -385,14 +412,14 @@ def test_flip_densities_equal_the_per_site_law(case):
     spec, axes, kappas = case
     dec = spectral_decomposition(build_hamiltonian(spec))
     baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    assume(not check_degeneracy(dec).spectrum_degenerate)  # a zero gap is refused with the table
     elems = coupling_matrix_elements(baths, dec)
     omega = dec.energies[elems.cols] - dec.energies[elems.rows]
-    assume(np.all(omega > 0))  # a zero gap is refused before any density is taken
     expected = np.empty(omega.size)
     for n in range(1, baths.n_sites + 1):
         flips = elems.sites == n
         expected[flips] = spectral_density(baths, n, omega[flips])
-    gaps, density = generator._flip_densities(dec, elems, baths)
+    gaps, density = generator._flip_densities(elems, baths)
     assert gaps.tobytes() == omega.tobytes()
     assert density.tobytes() == expected.tobytes()
 
@@ -407,14 +434,9 @@ def test_rates_on_the_table_equal_the_pair_loop(case, temperature):
     spec, axes, kappas = case
     dec = spectral_decomposition(build_hamiltonian(spec))
     baths = BathConfig(temperature=temperature, kappas=kappas, axes=axes)
-    elems = coupling_matrix_elements(baths, dec)
-    try:
-        expected, _ = reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
-    except DegenerateGapError:
-        with pytest.raises(DegenerateGapError):
-            build_rate_matrix(dec, elems, baths)
-        return
-    rates = build_rate_matrix(dec, elems, baths)
+    assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
+    expected, _ = reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
+    rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
     scale = np.max(np.abs(expected), initial=0.0)
     paired = np.diagonal(expected).copy()
     np.fill_diagonal(expected, 0.0)
@@ -486,7 +508,7 @@ def test_cli_files_match_the_per_entry_rendering(tmp_path):
 
     cfg = parse_config(path)
     dec = spectral_decomposition(build_hamiltonian(cfg.chain))
-    rates = build_rate_matrix(dec, coupling_matrix_elements(cfg.bath, dec), cfg.bath)
+    rates = build_rate_matrix(coupling_matrix_elements(cfg.bath, dec), cfg.bath)
     _, expected_mask = reference_rates(dec, reference_coupling_matrices(cfg.bath, dec), cfg.bath)
     e, d = dec.energies, dec.dimension
     expected = {
