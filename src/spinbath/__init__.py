@@ -9,12 +9,11 @@ excitation pathways.
 """
 
 from .analysis import (
-    BlockPartition,
     SweepResult,
     bath_at,
-    connectivity_blocks,
     count_structural_zeros,
     detailed_balance_audit,
+    excitation_curves,
     locate_t_theta,
     predicted_zero_count,
     random_nondegenerate_chain,
@@ -27,7 +26,6 @@ from .bath import (
     CouplingElements,
     bose_einstein,
     coupling_matrix_elements,
-    ohmic_spectral_density,
     spectral_density,
 )
 from .chain import (
@@ -43,9 +41,11 @@ from .chain import (
 )
 from .config import GridSpec, RunConfig, builtin_config_path, parse_config
 from .dynamics import (
+    BlockPartition,
     DensityTrajectory,
     PopulationState,
     Trajectory,
+    connectivity_blocks,
     excitation_probability,
     gibbs_state,
     propagate_density,
@@ -56,9 +56,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     DegenerateGapError,
-    DomainError,
     NumericalIntegrityError,
-    SpecificationError,
     SpinbathError,
     ValidationError,
 )

@@ -1,23 +1,19 @@
 """Structural and statistical analysis of the rate dynamics.
 
-Covers the block partition of the transition table and the late-time state
-predicted from block weights, the zeros scaling law, a detailed-balance
-audit, the P_exc(t*) sweep along temperature or one site's kappa (run on the
-caller's transition table, each point checked like a trajectory snapshot),
-and the slope locator for the thermal transition temperature.
+Covers the late-time state predicted from block weights, the zeros scaling
+law, a detailed-balance audit, the bath-variant scans behind fig2 and the
+slope locator for the thermal transition temperature.  Every function that
+reads a transition table takes it with its baths, `(elems, baths)`.
 
-Blocks are always computed from the transition table (the coupled flips,
-those of sites with kappa > 0), never from rate values or float thresholds: a
-kappa of 1e-5 is structurally connected but dynamically slow, and that
-distinction is exactly what the blocking phenomenology exploits.  The table's
-coupled flips are the structural off-diagonal entries of Lambda, so blocks and
-steady states need no rate matrix.
+The scans vary one bath setting (`bath_at`) on the caller's table: `sweep`
+gives P_exc(t*) along a grid, each point checked like a trajectory snapshot,
+and `excitation_curves` P_exc(t) for a few variants.
 
-`connectivity_blocks` and `BlockPartition` are dynamics', re-exported here.
-At T = 0 they refuse a block with several absorbing minima, whose late-time
-state depends on where in the block the weight starts, so the predictions
-refuse it too; the bare block structure (`generator.structural_blocks`, the
-`blocks` command) does not.
+Structural zeros and blocks are always read off the transition table (the
+coupled flips, those of sites with kappa > 0), never from rate values or
+float thresholds: a kappa of 1e-5 is structurally connected but dynamically
+slow, and that distinction is exactly what the blocking phenomenology
+exploits.
 """
 
 from __future__ import annotations
@@ -29,9 +25,10 @@ import numpy as np
 
 from .bath import BathConfig, CouplingElements, coupling_matrix_elements
 from .chain import DEGENERACY_TOL, ChainSpec, SpectralDecomposition, _close_levels, decompose_chain
-from .dynamics import BlockPartition, PopulationState, _as_population, _snapshot_faults, connectivity_blocks, expm
+from .dynamics import (BlockPartition, PopulationState, _as_population, _snapshot_faults, excitation_probability, expm,
+                       propagate_populations)
 from .errors import SpinbathError, ValidationError
-from .generator import RateMatrix, _structural_pattern, build_rate_matrix
+from .generator import RateMatrix, _check_bath, _structural_pattern, build_rate_matrix
 
 MAX_CHAIN_DRAWS = 1000
 
@@ -45,18 +42,13 @@ def predicted_zero_count(n_sites: int) -> int:
     return d * (d - (int(n_sites) + 1))
 
 
-def count_structural_zeros(rates: RateMatrix) -> int:
-    """Structurally zero entries of the full d x d generator (diagonal included),
-    counted on the table it was built from (`_table_zero_count`)."""
-    return _table_zero_count(rates.elems, rates.baths.kappas)
-
-
-def _table_zero_count(elems: CouplingElements, kappas) -> int:
-    """Structural zeros of the rate matrix built from `elems` and `kappas`, without
-    building it: d^2 minus two entries per coupled flip and one diagonal entry per
-    state a coupled flip touches (`_structural_pattern`)."""
-    rows, _, touched = _structural_pattern(elems, kappas)
-    return elems.dimension**2 - 2 * rows.size - int(np.count_nonzero(touched))
+def count_structural_zeros(elems: CouplingElements, baths: BathConfig) -> int:
+    """Structurally zero entries of the d x d rate matrix (diagonal included) of
+    `baths` on the table `elems`, without building it: d^2 minus two entries
+    per coupled flip and one diagonal entry per state a coupled flip touches
+    (`_structural_pattern`)."""
+    coupled, touched = _structural_pattern(elems, baths)
+    return elems.dimension**2 - 2 * int(np.count_nonzero(coupled)) - int(np.count_nonzero(touched))
 
 
 def detailed_balance_audit(rates: RateMatrix) -> float:
@@ -70,7 +62,7 @@ def detailed_balance_audit(rates: RateMatrix) -> float:
     e, temperature = rates.elems.spectrum.energies, rates.baths.temperature
     if temperature <= 0:
         raise ValidationError(f"detailed-balance audit requires T > 0, got {temperature}")
-    coupled = np.asarray(rates.baths.kappas)[rates.elems.sites - 1] > 0
+    coupled, _ = _structural_pattern(rates.elems, rates.baths)
     rows, cols = rates.elems.rows[coupled], rates.elems.cols[coupled]
     damping, gain = rates.damping[coupled], rates.gain[coupled]
     expected = np.exp(-(e[cols] - e[rows]) / temperature)
@@ -139,13 +131,15 @@ def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: f
     value, site)` built on the caller's transition table at every grid value.
 
     The table's spectrum was admitted (nondegenerate) when it was built, so a
-    degenerate chain never reaches the loop.  A bad axis, site, initial state
+    degenerate chain never reaches the loop.  A bath whose sites or axes
+    differ from the table's (`_check_bath`), a bad axis, site, initial state
     or t_star is refused before the loop.  A point whose rates fail, or whose
     state at t* fails the trajectory snapshot check
     (`dynamics._snapshot_faults`), is recorded under its grid index and the
     sweep continues.  The metadata are the bath settings the axis leaves
     fixed.
     """
+    _check_bath(elems, baths)
     p0 = _as_population(p0)
     if p0.size != elems.dimension:
         raise ValidationError("initial state dimension does not match the spectrum")
@@ -171,12 +165,24 @@ def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: f
                 errors[k] = f"{type(exc).__name__}: {exc}"
     for k, reason in _snapshot_faults(np.full(grid.size, float(t_star)), snapshots).items():
         errors.setdefault(k, f"NumericalIntegrityError: {reason}")
-    values = 1.0 - snapshots[:, 0]
+    values = excitation_probability(snapshots)
     values[list(errors)] = np.nan
     return SweepResult(
         axis=axis, grid=grid, values=values, t_star=float(t_star), site=site,
         metadata=metadata, errors=dict(sorted(errors.items())),
     )
+
+
+def excitation_curves(elems: CouplingElements, baths: BathConfig, axis: str, points, times, p0,
+                      site: int | None = None) -> np.ndarray:
+    """P_exc(t) from p0 on the grid `times`, one column per bath variant `bath_at(baths,
+    axis, value, site)` of `points`, each propagated on the caller's transition table by
+    `dynamics.propagate_populations`; a variant whose rates or trajectory fail is refused."""
+    columns = []
+    for value in points:
+        rates = build_rate_matrix(elems, bath_at(baths, axis, value, site))
+        columns.append(excitation_probability(propagate_populations(rates, p0, times).populations))
+    return np.column_stack(columns)
 
 
 def locate_t_theta(sweep: SweepResult) -> float:
@@ -241,7 +247,7 @@ def zeros_scaling(max_n: int, draws: int, rng: np.random.Generator) -> list[tupl
         for _ in range(draws):
             _, dec = _draw_nondegenerate(n, rng)
             baths = BathConfig(temperature=1.0, kappas=(1.0,) * n)
-            counts.add(_table_zero_count(coupling_matrix_elements(baths, dec), baths.kappas))
+            counts.add(count_structural_zeros(coupling_matrix_elements(baths, dec), baths))
         if len(counts) != 1:
             raise SpinbathError(f"structural zero count varies across draws for N = {n}: {counts}")
         rows.append((n, counts.pop(), predicted_zero_count(n)))

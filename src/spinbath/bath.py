@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import SpectralDecomposition, _require_nondegenerate, _spin_flips
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 _LOG_DBL_MAX = 709.782712893384  # log of the largest double; np.expm1 overflows above it
 
@@ -58,33 +58,27 @@ class BathConfig:
         return len(self.kappas)
 
 
-def ohmic_spectral_density(kappa: float, omega):
-    """J(omega) = kappa * omega at positive gap frequencies (kappa, omega scalars or arrays)."""
-    if np.any(np.less_equal(omega, 0)):
-        raise DomainError(f"spectral density requires omega > 0, got {np.min(omega)}")
-    if np.any(np.less(kappa, 0)):
-        raise ValidationError(f"kappa must be >= 0, got {np.min(kappa)}")
-    return kappa * omega
-
-
 def spectral_density(config: BathConfig, site, omega):
-    """J^(n)(omega) of the ohmic bath attached to 1-based `site`, or, for an
-    array of sites such as the transition table's, of each entry's own site.
+    """J^(n)(omega) = kappa^(n) * omega of the ohmic bath attached to 1-based
+    `site`, or, for an array of sites such as the transition table's, of each
+    entry's own site, at positive gaps omega (a scalar or an array).
 
     No cutoff is modelled because rates only ever sample J at the finitely
-    many gap frequencies, passed as a scalar or an array.
+    many gap frequencies.
     """
     sites = np.asarray(site)
     bad = (sites < 1) | (sites > config.n_sites)
     if np.any(bad):
         raise ValidationError(f"site {sites[bad][0]} out of range 1..{config.n_sites}")
-    return ohmic_spectral_density(np.asarray(config.kappas)[sites - 1], omega)
+    if np.any(np.less_equal(omega, 0)):
+        raise ValidationError(f"spectral density requires omega > 0, got {np.min(omega)}")
+    return np.asarray(config.kappas)[sites - 1] * omega
 
 
 def bose_einstein(omega: float, temperature: float) -> float:
     """Mean thermal occupation 1/(exp(omega/T) - 1); 0 in the T = 0 limit."""
     if omega <= 0:
-        raise DomainError(f"occupation requires omega > 0, got {omega}")
+        raise ValidationError(f"occupation requires omega > 0, got {omega}")
     if temperature < 0:
         raise ValidationError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0.0:

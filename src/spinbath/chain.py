@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateGapError, SpecificationError, ValidationError
+from .errors import CapacityError, DegenerateGapError, ValidationError
 
 # Dense-matrix scale limits.  Frustration checks only need the 2^N energy
 # vector and go further than the d x d matrix builders.
@@ -48,22 +48,18 @@ class ChainSpec:
 
     def __post_init__(self):
         if self.n_sites < 1:
-            raise SpecificationError(f"n_sites must be >= 1, got {self.n_sites}")
+            raise ValidationError(f"n_sites must be >= 1, got {self.n_sites}")
         object.__setattr__(self, "fields", tuple(float(h) for h in self.fields))
         if len(self.fields) != self.n_sites:
-            raise SpecificationError(
-                f"expected {self.n_sites} fields, got {len(self.fields)}"
-            )
+            raise ValidationError(f"expected {self.n_sites} fields, got {len(self.fields)}")
         seen = set()
         norm = []
         for a, b, delta in self.couplings:
             a, b = int(a), int(b)
             if not (1 <= a < b <= self.n_sites):
-                raise SpecificationError(
-                    f"coupling sites ({a},{b}) must satisfy 1 <= a < b <= {self.n_sites}"
-                )
+                raise ValidationError(f"coupling sites ({a},{b}) must satisfy 1 <= a < b <= {self.n_sites}")
             if (a, b) in seen:
-                raise SpecificationError(f"duplicate coupling for sites ({a},{b})")
+                raise ValidationError(f"duplicate coupling for sites ({a},{b})")
             seen.add((a, b))
             norm.append((a, b, float(delta)))
         object.__setattr__(self, "couplings", tuple(norm))

@@ -24,10 +24,11 @@ builds the transition table once, which admits the spectrum: a degenerate
 one (two adjacent levels within chain.DEGENERACY_TOL) exits 2 with a
 DegenerateGapError naming the pair, before any artifact is written.
 `spectrum` reports it instead ("spectrum_degenerate" in degeneracy.json) and
-exits 0.  `sweep-T`, `sweep-kappa` and `fig2` sweep on that one table
-(analysis.sweep).  A sweep point whose rates or state at t* fail their checks
-is a `# failed_point` header line with its reason and a nan P_exc; the
-command still exits 0.
+exits 0.  `sweep-T`, `sweep-kappa`, fig2e and fig2f are one configured
+sweep on that one table (`_sweep`, analysis.sweep), and fig2c and fig2d its
+P_exc(t) curves (analysis.excitation_curves).  A sweep point whose rates or
+state at t* fail their checks is a `# failed_point` header line with its
+reason and a nan P_exc; the command still exits 0.
 
 `spectrum`, `rates`, `steady`, `blocks` and `zeros-scaling` run on numpy
 alone and never import scipy.  `evolve`, `sweep-T`, `sweep-kappa` and `fig2`
@@ -118,11 +119,13 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _cmd_rates(cfg: RunConfig, out: Path) -> list[Path]:
-    rates = build_rate_matrix(_table(cfg), cfg.bath)
+    elems = _table(cfg)
+    rates = build_rate_matrix(elems, cfg.bath)
+    coupled, touched = _structural_pattern(elems, cfg.bath)
     header = _header(cfg, "rates")
     return [
         export.write_rates_csv(out / "rates.csv", rates, header),
-        export.write_mask_csv(out / "rates_mask.csv", _structural_pattern(rates.elems, cfg.bath.kappas), header),
+        export.write_mask_csv(out / "rates_mask.csv", (elems.rows[coupled], elems.cols[coupled], touched), header),
     ]
 
 
@@ -139,22 +142,23 @@ def _cmd_steady(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
-    payload = [[i + 1 for i in block] for block in structural_blocks(_table(cfg), cfg.bath.kappas)]
+    payload = [[i + 1 for i in block] for block in structural_blocks(_table(cfg), cfg.bath)]
     return [export.write_json(out / "blocks.json", payload, _header(cfg, "blocks"))]
 
 
-def _cmd_sweep_t(cfg: RunConfig, out: Path) -> list[Path]:
-    elems = _table(cfg)
-    sweep = analysis.sweep(elems, cfg.bath, "temperature", cfg.temperature_grid.values(), cfg.t_star,
-                           resolve_initial_state(cfg, elems.spectrum))
-    return [export.write_sweep_csv(out / "sweep_T.csv", sweep, _header(cfg, "sweep-T"))]
+def _sweep(cfg: RunConfig, elems, p0, axis: str) -> analysis.SweepResult:
+    """The configured P_exc(t*) sweep along `axis`: sweep-T, sweep-kappa, fig2e and fig2f."""
+    grid, site = (cfg.temperature_grid, None) if axis == "temperature" else (cfg.kappa_grid, cfg.kappa_site)
+    return analysis.sweep(elems, cfg.bath, axis, grid.values(), cfg.t_star, p0, site)
 
 
-def _cmd_sweep_kappa(cfg: RunConfig, out: Path) -> list[Path]:
-    elems = _table(cfg)
-    sweep = analysis.sweep(elems, cfg.bath, "kappa", cfg.kappa_grid.values(), cfg.t_star,
-                           resolve_initial_state(cfg, elems.spectrum), cfg.kappa_site)
-    return [export.write_sweep_csv(out / "sweep_kappa.csv", sweep, _header(cfg, "sweep-kappa"))]
+def _cmd_sweep(command: str, axis: str, name: str):
+    """The handler of `command`: the configured sweep along `axis`, written to `name`."""
+    def run(cfg: RunConfig, out: Path) -> list[Path]:
+        elems = _table(cfg)
+        sweep = _sweep(cfg, elems, resolve_initial_state(cfg, elems.spectrum), axis)
+        return [export.write_sweep_csv(out / name, sweep, _header(cfg, command))]
+    return run
 
 
 def _cmd_zeros_scaling(cfg: RunConfig, out: Path) -> list[Path]:
@@ -180,23 +184,17 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     p0 = resolve_initial_state(cfg, elems.spectrum)
     times = cfg.times.values()
     header = _header(cfg, "fig2")
-    site = cfg.kappa_site
 
     def curves(path: Path, label: str, axis: str, points) -> Path:
-        columns = []  # P_exc(t) for each bath variant, built by the sweeps' own rule
-        for value in points:
-            rates = build_rate_matrix(elems, analysis.bath_at(cfg.bath, axis, value, site))
-            columns.append(1.0 - propagate_populations(rates, p0, times).populations[:, 0])
+        columns = analysis.excitation_curves(elems, cfg.bath, axis, points, times, p0, cfg.kappa_site)
         names = "t," + ",".join(f"{label}={export.fmt(v)}" for v in points)
-        return export.write_csv(path, [*header, names], np.column_stack((times, *columns)))
+        return export.write_csv(path, [*header, names], np.column_stack((times, columns)))
 
     return [
         curves(out / "fig2c.csv", "T", "temperature", cfg.fig2_temperatures),
-        curves(out / "fig2d.csv", f"kappa{site}", "kappa", cfg.fig2_kappas),
-        export.write_sweep_csv(out / "fig2e.csv", analysis.sweep(
-            elems, cfg.bath, "temperature", cfg.temperature_grid.values(), cfg.t_star, p0), header),
-        export.write_sweep_csv(out / "fig2f.csv", analysis.sweep(
-            elems, cfg.bath, "kappa", cfg.kappa_grid.values(), cfg.t_star, p0, site), header),
+        curves(out / "fig2d.csv", f"kappa{cfg.kappa_site}", "kappa", cfg.fig2_kappas),
+        export.write_sweep_csv(out / "fig2e.csv", _sweep(cfg, elems, p0, "temperature"), header),
+        export.write_sweep_csv(out / "fig2f.csv", _sweep(cfg, elems, p0, "kappa"), header),
     ]
 
 
@@ -206,8 +204,8 @@ _HANDLERS = {
     "evolve": _cmd_evolve,
     "steady": _cmd_steady,
     "blocks": _cmd_blocks,
-    "sweep-T": _cmd_sweep_t,
-    "sweep-kappa": _cmd_sweep_kappa,
+    "sweep-T": _cmd_sweep("sweep-T", "temperature", "sweep_T.csv"),
+    "sweep-kappa": _cmd_sweep("sweep-kappa", "kappa", "sweep_kappa.csv"),
     "zeros-scaling": _cmd_zeros_scaling,
     "fig2": _cmd_fig2,
 }

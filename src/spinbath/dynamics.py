@@ -1,4 +1,5 @@
-"""Propagation, steady states, and observables of the population dynamics.
+"""Propagation, steady states, and observables of the population dynamics,
+among them P_exc = 1 - p_1 (`excitation_probability`, its one definition).
 
 Trajectories are computed with the dense matrix exponential, sampling
 exp(generator * t) independently at every requested time.  The generator is
@@ -44,8 +45,7 @@ import numpy as np
 from .bath import BathConfig, CouplingElements
 from .chain import SpectralDecomposition
 from .errors import NumericalIntegrityError, ValidationError
-from .generator import (LindbladSuperoperator, RateMatrix, _check_bath, _flip_densities, structural_blocks,
-                        unvectorize, vectorize)
+from .generator import LindbladSuperoperator, RateMatrix, _flip_densities, structural_blocks, unvectorize, vectorize
 
 # Construction-time tolerance for a population vector, and the looser drift
 # budget allowed to the matrix exponential during propagation.
@@ -344,11 +344,11 @@ def connectivity_blocks(elems: CouplingElements, baths: BathConfig) -> BlockPart
     """The checked block partition of the transition table, the one source of
     steady states and late-time predictions; no rate matrix is built.
 
-    In order: the refusal of a bath that does not match the table's sites and
-    axes (the table's spectrum was admitted when it was built); the connected
-    components of the structural graph (`structural_blocks`); each block's
-    restricted Gibbs weights over its own levels, from the table's spectrum;
-    and at T = 0 the absorbing-state check.
+    In order: the connected components of the structural graph
+    (`structural_blocks`, which refuses a bath that does not match the
+    table's sites and axes); each block's restricted Gibbs weights over its
+    own levels, from the table's spectrum (admitted when the table was
+    built); and at T = 0 the absorbing-state check.
 
     Lambda obeys detailed balance and a block is connected, so for T > 0 the
     restricted Gibbs vector is the block's exact and only kernel vector
@@ -360,8 +360,7 @@ def connectivity_blocks(elems: CouplingElements, baths: BathConfig) -> BlockPart
     block holding several absorbing local minima has a kernel of that
     dimension and no unique steady state: NumericalIntegrityError.
     """
-    _check_bath(elems, baths)
-    blocks = structural_blocks(elems, baths.kappas)
+    blocks = structural_blocks(elems, baths)
     weights = tuple(_thermal_weights(elems.spectrum.energies[list(block)], baths.temperature) for block in blocks)
     if baths.temperature == 0.0:
         _, density = _flip_densities(elems, baths)
@@ -393,6 +392,7 @@ def gibbs_state(dec: SpectralDecomposition, temperature: float) -> PopulationSta
     return PopulationState(_thermal_weights(dec.energies, temperature))
 
 
-def excitation_probability(trajectory) -> np.ndarray:
-    """P_exc(t) = 1 - p_1(t), the departure from the native-like ground state."""
-    return 1.0 - np.asarray(trajectory.populations)[:, 0]
+def excitation_probability(populations) -> np.ndarray:
+    """P_exc = 1 - p_1, the departure from the native-like ground state, of every
+    row of a populations array (trajectory snapshots, sweep states at t*)."""
+    return 1.0 - np.asarray(populations)[:, 0]

@@ -7,16 +7,10 @@ class SpinbathError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SpecificationError(SpinbathError, ValueError):
-    """A chain specification is internally inconsistent (bad site index, duplicate coupling, ...)."""
-
-
 class ValidationError(SpinbathError, ValueError):
-    """An input value violates a documented precondition (non-Hermitian matrix, dimension mismatch, ...)."""
-
-
-class DomainError(SpinbathError, ValueError):
-    """A function was evaluated outside its mathematical domain (e.g. spectral density at omega <= 0)."""
+    """An input value violates a documented precondition: an inconsistent chain
+    specification, a bath that does not match its transition table, a gap
+    omega <= 0, a dimension mismatch, ..."""
 
 
 class CapacityError(SpinbathError):

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import excitation_probability
 from .errors import ValidationError
 
 
@@ -306,7 +307,7 @@ def write_trajectory_csv(path, trajectory, header: list[str]) -> Path:
     """Columns t, p_1..p_d, P_exc."""
     pops = np.asarray(trajectory.populations)
     names = "t," + ",".join(f"p_{i + 1}" for i in range(pops.shape[1])) + ",P_exc"
-    table = np.column_stack((trajectory.times, pops, 1.0 - pops[:, 0]))
+    table = np.column_stack((trajectory.times, pops, excitation_probability(pops)))
     return write_csv(path, [*header, names], table)
 
 

@@ -18,6 +18,11 @@ site never share an endpoint, so populations still evolve apart from
 coherences.  Structural zeros of Lambda (entries that vanish for every T > 0
 given the kappa and coupling-element patterns) are read off the transition
 table, never by thresholding floats.
+
+Every consumer of the table takes it with its baths, `(elems, baths)`, and
+reads them through `_flip_densities` (J(omega) of every flip) or
+`_structural_pattern` (the coupled flips).  These two and the Lindblad builder
+refuse a bath whose sites or axes differ from the table's (`_check_bath`).
 """
 
 from __future__ import annotations
@@ -154,10 +159,9 @@ def build_rate_matrix(elems: CouplingElements, baths: BathConfig) -> RateMatrix:
     only the dense `RateMatrix.matrix` has a capacity limit.
 
     Refused with ValidationError when the baths do not match the table's
-    sites and axes, and with NumericalIntegrityError when a rate or a total
-    outflow overflows (kappa * omega beyond double range).
+    sites and axes (`_flip_densities`), and with NumericalIntegrityError when
+    a rate or a total outflow overflows (kappa * omega beyond double range).
     """
-    _check_bath(elems, baths)
     omega, coupled = _flip_densities(elems, baths)
     nbar = np.array([bose_einstein(w, baths.temperature) for w in omega.tolist()])
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
@@ -178,9 +182,10 @@ def build_rate_matrix(elems: CouplingElements, baths: BathConfig) -> RateMatrix:
 
 def _flip_densities(elems: CouplingElements, baths: BathConfig) -> tuple[np.ndarray, np.ndarray]:
     """The gap omega and the spectral density J^(n)(omega) of every row of the
-    transition table, in one call over the rows' sites.  J overflows to inf
-    when kappa * omega is beyond double range; callers decide whether that
-    matters."""
+    transition table, in one call over the rows' sites, for baths that match
+    the table (`_check_bath`).  J overflows to inf when kappa * omega is
+    beyond double range; callers decide whether that matters."""
+    _check_bath(elems, baths)
     energies = elems.spectrum.energies
     omega = energies[elems.cols] - energies[elems.rows]
     with np.errstate(over="ignore"):
@@ -188,28 +193,30 @@ def _flip_densities(elems: CouplingElements, baths: BathConfig) -> tuple[np.ndar
     return omega, density
 
 
-def _structural_pattern(elems: CouplingElements, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The structurally nonzero entries of Lambda, read off the transition table.
+def _structural_pattern(elems: CouplingElements, baths: BathConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The structurally nonzero entries of Lambda, read off the transition table
+    for baths that match it (`_check_bath`).
 
     A flip is coupled when its site has kappa > 0; each coupled flip (i, j)
     gives the two entries (i, j) and (j, i), and a state touched by any
-    coupled flip has a nonzero diagonal entry.  Returns the coupled flips'
-    rows and cols and the touched-state flags.
+    coupled flip has a nonzero diagonal entry.  Returns the coupled flag of
+    every table row and the touched flag of every state.
     """
-    coupled = np.asarray(kappas)[elems.sites - 1] > 0
-    rows, cols = elems.rows[coupled], elems.cols[coupled]
+    _check_bath(elems, baths)
+    coupled = np.asarray(baths.kappas)[elems.sites - 1] > 0
     touched = np.zeros(elems.dimension, dtype=bool)
-    touched[rows] = touched[cols] = True
-    return rows, cols, touched
+    touched[elems.rows[coupled]] = touched[elems.cols[coupled]] = True
+    return coupled, touched
 
 
-def structural_blocks(elems: CouplingElements, kappas) -> tuple[tuple[int, ...], ...]:
+def structural_blocks(elems: CouplingElements, baths: BathConfig) -> tuple[tuple[int, ...], ...]:
     """Connected components of the structural transition graph.
 
     The edges are the coupled flips of the transition table (those of sites
     with kappa > 0, `_structural_pattern`), taken undirected; they are the
     structurally nonzero off-diagonal entries of Lambda, so no rate matrix is
-    needed.  Blocks are ordered by smallest member.
+    needed.  Blocks are ordered by smallest member.  Only the bath's kappas
+    are read.
 
     Found with numpy alone, so `steady` and `blocks` load no scipy.  Every
     state repeatedly takes the smallest label among itself and its
@@ -217,7 +224,8 @@ def structural_blocks(elems: CouplingElements, kappas) -> tuple[tuple[int, ...],
     a state of the same component no larger than the state itself, so at the
     fixed point every state is labelled with the smallest member of its block.
     """
-    rows, cols, _ = _structural_pattern(elems, kappas)
+    coupled, _ = _structural_pattern(elems, baths)
+    rows, cols = elems.rows[coupled], elems.cols[coupled]
     labels = np.arange(elems.dimension)
     while True:
         hooked = labels.copy()

@@ -103,7 +103,8 @@ def csgraph_blocks(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
 def table_mask(rates) -> np.ndarray:
     """The structural pattern of a built rate matrix as a dense d x d mask, for
     comparison with an independent reference."""
-    rows, cols, touched = _structural_pattern(rates.elems, rates.baths.kappas)
+    coupled, touched = _structural_pattern(rates.elems, rates.baths)
+    rows, cols = rates.elems.rows[coupled], rates.elems.cols[coupled]
     mask = np.diag(touched)
     mask[rows, cols] = mask[cols, rows] = True
     return mask

@@ -27,6 +27,7 @@ from spinbath import (
     connectivity_blocks,
     count_structural_zeros,
     detailed_balance_audit,
+    excitation_curves,
     locate_t_theta,
     predicted_zero_count,
     propagate_populations,
@@ -37,7 +38,7 @@ from spinbath import (
     sweep,
     zeros_scaling,
 )
-from spinbath import analysis
+from spinbath import analysis, generator
 
 from conftest import csgraph_blocks, dense_steady_vectors, table_mask, value_edges
 
@@ -64,6 +65,17 @@ class TestConnectivityBlocks:
         assert partition.embedded()[0] == pytest.approx([low, 1 - low, 0, 0], abs=1e-12)
 
 
+@pytest.mark.parametrize("kappas", [(0.0, 1.0, 7.0), (1.0,)])
+def test_structure_refuses_a_kappa_count_other_than_the_tables(paper_table, kappas):
+    # the blocks, the zero count and the pattern behind rates_mask.csv read the bath's
+    # kappas by table site: a third kappa is not dropped, a missing one is no IndexError
+    elems, _ = paper_table()
+    baths = BathConfig(temperature=1.0, kappas=kappas)
+    for consumer in (structural_blocks, count_structural_zeros, generator._structural_pattern):
+        with pytest.raises(ValidationError, match=f"bath has {len(kappas)} sites but coupling elements cover 2"):
+            consumer(elems, baths)
+
+
 class TestZeroCounts:
     def test_formula_values(self):
         assert predicted_zero_count(1) == 0
@@ -73,9 +85,9 @@ class TestZeroCounts:
 
     def test_paper_model_counts(self, paper_model):
         _, rates = paper_model(kappas=(1.0, 1.0))
-        assert count_structural_zeros(rates) == 4
+        assert count_structural_zeros(rates.elems, rates.baths) == 4
         _, blocked = paper_model(kappas=(0.0, 1.0))
-        assert count_structural_zeros(blocked) == 8
+        assert count_structural_zeros(blocked.elems, blocked.baths) == 8
 
     def test_blocked_mask_matches_enumeration(self, paper_model):
         # oracle: site-2 flips only connect |1><->|2| and |3><->|4>
@@ -124,7 +136,7 @@ def _tables(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_tables())
-def test_table_zero_count_matches_the_built_rate_matrix(table):
+def test_structural_zero_count_matches_the_built_rate_matrix(table):
     # the zeros of the values, at a temperature where no occupation underflows: the
     # structure does not depend on T, while at T = 0 a state with no downhill flip
     # has a zero diagonal entry
@@ -133,7 +145,7 @@ def test_table_zero_count_matches_the_built_rate_matrix(table):
     elems = coupling_matrix_elements(baths, dec)
     rates = build_rate_matrix(elems, baths)
     hot = build_rate_matrix(elems, replace(baths, temperature=10.0))
-    assert count_structural_zeros(rates) == hot.matrix.size - np.count_nonzero(hot.matrix)
+    assert count_structural_zeros(rates.elems, rates.baths) == hot.matrix.size - np.count_nonzero(hot.matrix)
 
 
 @settings(max_examples=80, deadline=None)
@@ -144,7 +156,7 @@ def test_blocks_equal_csgraph_on_random_chains(table):
     elems = coupling_matrix_elements(baths, dec)
     rates = build_rate_matrix(elems, baths)
     # the bare structure: at T = 0 connectivity_blocks refuses a glassy block, this does not
-    assert structural_blocks(elems, baths.kappas) == csgraph_blocks(value_edges(rates))
+    assert structural_blocks(elems, baths) == csgraph_blocks(value_edges(rates))
 
 
 @settings(max_examples=120, deadline=None)
@@ -229,7 +241,7 @@ def test_site_relabelling_permutes_the_states(case):
     scale = np.max(np.abs(dec.energies))
     assert np.max(np.abs(moved_dec.energies - dec.energies)) <= 1e-12 * scale
     assert np.max(np.abs(moved_dec.energies[level] - dec.energies)) <= 1e-12 * scale
-    assert count_structural_zeros(moved_rates) == count_structural_zeros(rates)
+    assert count_structural_zeros(moved_rates.elems, moved_rates.baths) == count_structural_zeros(rates.elems, rates.baths)
     assert sorted(map(len, moved_blocks.blocks)) == sorted(map(len, blocks.blocks))
     moved_matrix = moved_rates.matrix[np.ix_(level, level)]
     assert np.max(np.abs(moved_matrix - rates.matrix)) <= 1e-12 * np.max(np.abs(rates.matrix), initial=0.0)
@@ -371,6 +383,35 @@ class TestSweeps:
         monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
         with pytest.raises(ValidationError, match=re.escape(message)):
             _paper_sweep(paper_table, (1.0, 1.0), 1.0, axis, [0.5, 1.0], 10.0, site=site)
+
+    @pytest.mark.parametrize("baths, axis, grid, site, message", [
+        (BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y")), "temperature",
+         np.geomspace(0.1, 10, 25), None, "bath axes differ from the axes the coupling elements were built with"),
+        (BathConfig(temperature=10.0, kappas=(1e-5, 1.0, 1.0)), "kappa",
+         np.geomspace(1e-3, 1, 5), 1, "bath has 3 sites but coupling elements cover 2"),
+    ])
+    def test_mismatched_bath_refused_before_the_loop(self, baths, axis, grid, site, message, paper_table,
+                                                     monkeypatch):
+        # one refusal, not a failed point per grid value
+        def refuse(*args):
+            raise AssertionError("no rates are built for a refused sweep")
+
+        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        elems, _ = paper_table(kappas=(1e-5, 1.0))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sweep(elems, baths, axis, grid, 10.0, PopulationState.basis(4, 0), site)
+
+    def test_excitation_curves_are_one_trajectory_per_bath_variant(self, paper_table):
+        elems, baths = paper_table(kappas=(1e-5, 1.0), temperature=10.0)
+        times, p0 = np.linspace(0.0, 10.0, 11), PopulationState.basis(4, 0)
+        columns = excitation_curves(elems, baths, "kappa", [1e-3, 1.0], times, p0, site=1)
+        assert columns.shape == (11, 2)
+        for k, value in enumerate([1e-3, 1.0]):
+            rates = build_rate_matrix(elems, bath_at(baths, "kappa", value, 1))
+            expected = 1.0 - propagate_populations(rates, p0, times).populations[:, 0]
+            assert columns[:, k].tobytes() == expected.tobytes()
+        with pytest.raises(NumericalIntegrityError, match="non-finite rates"):  # refused, not recorded
+            excitation_curves(elems, baths, "kappa", [1.0, 1e308], times, p0, site=1)
 
     def test_bath_at_sets_one_axis(self):
         baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y"))

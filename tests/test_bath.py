@@ -11,12 +11,10 @@ import pytest
 from spinbath import (
     BathConfig,
     ChainSpec,
-    DomainError,
     ValidationError,
     bose_einstein,
     build_hamiltonian,
     coupling_matrix_elements,
-    ohmic_spectral_density,
     spectral_decomposition,
     spectral_density,
 )
@@ -24,21 +22,24 @@ from spinbath import (
 from conftest import site_operator
 
 
+def _one_bath(kappa: float) -> BathConfig:
+    return BathConfig(temperature=1.0, kappas=(kappa,))
+
+
 class TestOhmicSpectralDensity:
     def test_paper_gap_value(self):
-        assert ohmic_spectral_density(1.0, 5 / 3) == pytest.approx(5 / 3, rel=1e-15)
+        assert spectral_density(_one_bath(1.0), 1, 5 / 3) == pytest.approx(5 / 3, rel=1e-15)
 
     def test_decoupled_site(self):
-        assert ohmic_spectral_density(0.0, 2.7) == 0.0
+        assert spectral_density(_one_bath(0.0), 1, 2.7) == 0.0
 
     def test_linearity(self):
-        assert ohmic_spectral_density(1e-5, 3.0) == pytest.approx(3e-5, rel=1e-15)
+        assert spectral_density(_one_bath(1e-5), 1, 3.0) == pytest.approx(3e-5, rel=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            ohmic_spectral_density(1.0, 0.0)
-        with pytest.raises(DomainError):
-            ohmic_spectral_density(1.0, -1.0)
+        for omega in (0.0, -1.0, np.array([1.0, 0.0])):
+            with pytest.raises(ValidationError, match="spectral density requires omega > 0"):
+                spectral_density(_one_bath(1.0), 1, omega)
 
     def test_dispatch_by_site(self):
         cfg = BathConfig(temperature=1.0, kappas=(0.25, 2.0))
@@ -70,7 +71,7 @@ class TestBoseEinstein:
         assert bose_einstein(1.0, 1e-4) == 0.0  # occupation below double-precision range
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="occupation requires omega > 0"):
             bose_einstein(0.0, 1.0)
 
     def test_detailed_balance_precursor(self):

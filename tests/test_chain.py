@@ -10,7 +10,6 @@ import pytest
 from spinbath import (
     CapacityError,
     ChainSpec,
-    SpecificationError,
     ValidationError,
     build_hamiltonian,
     check_degeneracy,
@@ -56,13 +55,13 @@ class TestBuildHamiltonian:
         assert abs(h[-1, -1] - (-2.2)) < 1e-12
 
     def test_invalid_sites_rejected(self):
-        with pytest.raises(SpecificationError):
+        with pytest.raises(ValidationError):
             ChainSpec(2, (1.0, 0.5), ((1, 3, 0.1),))
-        with pytest.raises(SpecificationError):
+        with pytest.raises(ValidationError):
             ChainSpec(2, (1.0, 0.5), ((2, 1, 0.1),))
-        with pytest.raises(SpecificationError):
+        with pytest.raises(ValidationError):
             ChainSpec(2, (1.0, 0.5), ((1, 2, 0.1), (1, 2, 0.2)))
-        with pytest.raises(SpecificationError):
+        with pytest.raises(ValidationError):
             ChainSpec(2, (1.0,))
 
     def test_dense_capacity_guard(self):

@@ -96,8 +96,8 @@ class TestPropagatePopulations:
         nbar = 1.0 / math.expm1((5 / 3) / 10.0)
         fixed_point = nbar / (2 * nbar + 1)
         analytic = fixed_point * -math.expm1(-(5 / 3) * (2 * nbar + 1) * 10.0)
-        assert excitation_probability(traj)[0] == pytest.approx(analytic, abs=1e-3)
-        assert excitation_probability(traj)[0] == pytest.approx(0.458, abs=1e-2)
+        assert excitation_probability(traj.populations)[0] == pytest.approx(analytic, abs=1e-3)
+        assert excitation_probability(traj.populations)[0] == pytest.approx(0.458, abs=1e-2)
 
     def test_capacity_guard_before_allocation(self):
         # a synthetic 2^13-level generator with an empty table and zero outflows:
@@ -342,7 +342,7 @@ def test_steady_states_match_the_null_space_oracle(model):
     1-D oracle kernel and the residual bound pin the state instead.
     """
     dec, elems, baths, rates = model
-    blocks = structural_blocks(elems, baths.kappas)
+    blocks = structural_blocks(elems, baths)
     kernels = [null_space(rates.matrix[np.ix_(b, b)], rcond=1e-12) for b in blocks]
     if any(k.shape[1] > 1 for k in kernels):
         assert rates.baths.temperature == 0.0
@@ -367,7 +367,7 @@ def test_block_weights_are_conserved_by_propagation(model, seed):
     _, elems, baths, rates = model
     p0 = np.random.default_rng(seed).dirichlet(np.ones(rates.dimension))
     traj = propagate_populations(rates, p0, [0.0, 0.1, 1.0, 10.0, 100.0])
-    for block in structural_blocks(elems, baths.kappas):
+    for block in structural_blocks(elems, baths):
         weights = traj.populations[:, list(block)].sum(axis=1)
         assert np.max(np.abs(weights - p0[list(block)].sum())) <= 1e-12
 
@@ -394,18 +394,18 @@ class TestExcitationProbability:
     def test_ground_start_is_zero(self, paper_model):
         _, rates = paper_model()
         traj = propagate_populations(rates, PopulationState.basis(4, 0), [0.0, 1.0])
-        assert excitation_probability(traj)[0] == 0.0
+        assert excitation_probability(traj.populations)[0] == 0.0
 
     def test_uniform_state_value(self, paper_model):
         _, rates = paper_model()
         traj = propagate_populations(rates, PopulationState.uniform(4), [0.0])
-        assert excitation_probability(traj)[0] == pytest.approx(0.75, abs=1e-14)
+        assert excitation_probability(traj.populations)[0] == pytest.approx(0.75, abs=1e-14)
 
     def test_late_time_hot_gibbs(self, paper_dec, paper_model):
         _, rates = paper_model(kappas=(1.0, 1.0), temperature=10.0)
         traj = propagate_populations(rates, PopulationState.basis(4, 0), [1000.0])
         expected = 1.0 - gibbs_oracle(10.0)[0]
-        assert excitation_probability(traj)[-1] == pytest.approx(expected, abs=1e-6)
+        assert excitation_probability(traj.populations)[-1] == pytest.approx(expected, abs=1e-6)
         assert expected == pytest.approx(0.702, abs=1e-3)
 
 

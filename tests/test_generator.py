@@ -106,7 +106,7 @@ class TestRateMatrix:
             for j in block_b:
                 assert rates.matrix[i, j] == 0.0
                 assert rates.matrix[j, i] == 0.0
-        assert structural_blocks(elems, rates.baths.kappas) == (block_a, block_b)
+        assert structural_blocks(elems, rates.baths) == (block_a, block_b)
 
     def test_zero_temperature_pure_damping(self, paper_model):
         _, rates = paper_model(kappas=(1.0, 1.0), temperature=0.0)
@@ -275,7 +275,7 @@ def test_blocks_equal_csgraph_on_random_masks(mask):
     d = mask.shape[0]
     elems = CouplingElements(rows=rows, cols=cols, sites=ones, values=ones.astype(float), axes=("x",),
                              spectrum=SpectralDecomposition(energies=np.arange(d, dtype=float), basis=np.arange(d)))
-    assert structural_blocks(elems, (1.0,)) == csgraph_blocks(mask)
+    assert structural_blocks(elems, BathConfig(temperature=1.0, kappas=(1.0,))) == csgraph_blocks(mask)
 
 
 class TestLindbladSuperoperator:
@@ -360,7 +360,7 @@ class TestLindbladSuperoperator:
                 dec = spectral_decomposition(build_hamiltonian(spec))
                 cfg, elems = _elems(dec, (1.0,) * n)
                 rates = build_rate_matrix(elems, cfg)
-                assert count_structural_zeros(rates) == predicted_zero_count(n)
+                assert count_structural_zeros(rates.elems, rates.baths) == predicted_zero_count(n)
 
 
 def _assert_oracle_populations_equal_rates(dec, axes, kappas, temperature):

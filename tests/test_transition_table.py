@@ -24,18 +24,24 @@ from spinbath import (
     ChainSpec,
     DegenerateGapError,
     JumpOperator,
+    PopulationState,
     SpectralDecomposition,
     build_hamiltonian,
     build_jump_operators,
     build_lindblad_superoperator,
     build_rate_matrix,
     check_degeneracy,
+    connectivity_blocks,
     coupling_matrix_elements,
     count_structural_zeros,
+    excitation_curves,
     parse_config,
     predicted_zero_count,
     random_nondegenerate_chain,
     spectral_decomposition,
+    steady_states,
+    structural_blocks,
+    sweep,
 )
 from spinbath import cli, export, generator
 from spinbath.bath import bose_einstein, spectral_density
@@ -313,7 +319,7 @@ def test_table_equals_the_dense_rotation_on_random_chains(case):
     # with every site coupled through x, the zeros law holds whatever the gaps
     coupled = BathConfig(temperature=1.0, kappas=tuple(k or 0.5 for k in kappas))
     rates = build_rate_matrix(coupling_matrix_elements(coupled, dec), coupled)
-    assert count_structural_zeros(rates) == predicted_zero_count(spec.n_sites)
+    assert count_structural_zeros(rates.elems, rates.baths) == predicted_zero_count(spec.n_sites)
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,6 +338,45 @@ def test_the_table_refuses_exactly_the_degenerate_spectra(case):
     with pytest.raises(DegenerateGapError) as info:
         coupling_matrix_elements(baths, dec)
     assert str(info.value) == f"spectrum degenerate: |E_{i + 1} - E_{j + 1}| = {diff:.3e} < {DEGENERACY_TOL:.1e}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains_and_baths())
+def test_every_table_consumer_checks_its_bath(case):
+    """Every function that takes (elems, baths) refuses a bath whose sites or axes
+    differ from the table's with _check_bath's own message, and accepts the bath
+    the table was built for."""
+    spec, axes, kappas = case
+    dec = spectral_decomposition(build_hamiltonian(spec))
+    assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
+    baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    elems = coupling_matrix_elements(baths, dec)
+    p0 = PopulationState.basis(dec.dimension, 0)
+    consumers = [
+        build_rate_matrix, connectivity_blocks, steady_states, structural_blocks, count_structural_zeros,
+        generator._structural_pattern, generator._flip_densities,
+        lambda e, b: sweep(e, b, "temperature", [1.0], 1.0, p0),
+        lambda e, b: excitation_curves(e, b, "temperature", [1.0], [0.0, 1.0], p0),
+    ]
+    if spec.n_sites <= 3:  # the oracle's d^4 matrix
+        consumers.append(build_lindblad_superoperator)
+    rotated = {"x": "y", "y": "z", "z": "x"}
+    mismatched = [
+        replace(baths, axes=(rotated[axes[0]], *axes[1:])),
+        BathConfig(temperature=1.0, kappas=(*kappas, 1.0), axes=(*axes, "x")),
+    ]
+    if spec.n_sites > 1:
+        mismatched.append(BathConfig(temperature=1.0, kappas=kappas[:-1], axes=axes[:-1]))
+    for bad in mismatched:
+        with pytest.raises(ValidationError) as expected:
+            generator._check_bath(elems, bad)
+        for consumer in consumers:
+            with pytest.raises(ValidationError) as refused:
+                consumer(elems, bad)
+            assert str(refused.value) == str(expected.value)
+    for consumer in consumers:
+        consumer(elems, baths)
+    assert sweep(elems, baths, "temperature", [1.0], 1.0, p0).errors == {}
 
 
 def test_a_table_built_by_hand_refuses_a_degenerate_spectrum(paper_table):
