@@ -89,7 +89,9 @@ class GridSpec:
         return np.linspace(self.start, self.stop, self.count)
 
     def __str__(self) -> str:
-        return f"{self.start:g}:{self.stop:g}:{self.count}:{self.mode}"
+        """start:stop:count:mode, the bounds to 12 significant digits, as
+        `export.fmt` prints every other float of an echo."""
+        return f"{self.start:.12g}:{self.stop:.12g}:{self.count}:{self.mode}"
 
 
 @dataclass(frozen=True)

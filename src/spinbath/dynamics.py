@@ -1,10 +1,18 @@
 """Propagation, steady states, and observables of the population dynamics,
 among them P_exc = 1 - p_1 (`excitation_probability`, its one definition).
 
-Trajectories are computed with the dense matrix exponential, sampling
-exp(generator * t) independently at every requested time.  The generator is
-stiff when couplings span several decades (kappa = 1e-5 against 1), and the
-exponential route keeps acceptance tests free of integrator tolerances.
+Trajectories are computed with the dense matrix exponential, stepping from
+one requested time to the next: p(t_0) = exp(Lambda t_0) p0, then
+p(t_k) = exp(Lambda (t_k - t_{k-1})) p(t_{k-1}), one exponential per
+snapshot.  Scaling and squaring costs, and rounds, more as log2 ||Lambda t||
+grows, so a short interval is cheaper and no less accurate than the whole
+time from 0.  The generator is stiff when couplings span several decades
+(kappa = 1e-5 against 1); every step is still an exact exponential, not an
+integrator step, so there is no step size to pick and no tolerance to meet:
+the requested grid is the only discretisation, and the factors are
+column-stochastic, so the rounding of one step does not grow in the next.
+A sweep (`analysis.sweep`) takes one exponential from 0 to t*, and the
+Lindblad oracle (`propagate_density`) one from 0 to every snapshot time.
 Normalisation and positivity are asserted at every snapshot (once, when the
 Trajectory is built) and at every sweep point (`analysis.sweep`), by the one
 check `_snapshot_faults`, never silently repaired.  An exponential that
@@ -18,7 +26,7 @@ table, so `steady`, like every other structure command, runs on numpy alone.
 `expm`, the rate path's exponential, is scipy's algorithm (Al-Mohy & Higham,
 SIAM J. Matrix Anal. Appl. 31(3):970-989, 2009), bit for bit
 `scipy.linalg.expm`.  A real float64 matrix with a nonzero in both strict
-triangles, such as Lambda t for t > 0 at T > 0 with any coupled flip, goes
+triangles, such as Lambda dt for dt > 0 at T > 0 with any coupled flip, goes
 straight to the Pade kernel of scipy's generic branch, skipping the input
 handling that costs about two thirds of a 4 x 4 call.  1 x 1, diagonal and
 triangular input (a T = 0 rate matrix is upper triangular), stacks, and any
@@ -75,9 +83,10 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     Importing scipy.linalg costs more than half of a cold start of the CLI,
     which commands that never propagate should not pay.  A real float64
-    square matrix with a nonzero in both strict triangles runs scipy's Pade
-    kernel directly; a diagonal or triangular matrix, or one the kernel
-    refuses, goes to scipy.linalg.expm (see the module docstring).
+    square matrix with a nonzero in both strict triangles, such as the step
+    Lambda dt of a trajectory at T > 0, runs scipy's Pade kernel directly; a
+    diagonal or triangular matrix, or one the kernel refuses, goes to
+    scipy.linalg.expm (see the module docstring).
     """
     if _scipy_expm is None:
         _load_scipy()
@@ -221,16 +230,27 @@ def _snapshot_faults(times: np.ndarray, populations: np.ndarray) -> dict[int, st
     faults = {}
     for k in np.flatnonzero(~finite | (drift > DRIFT_TOL) | (low < -DRIFT_TOL)).tolist():
         if not finite[k]:
-            faults[k] = f"non-finite population at t = {times[k]:g}"
+            faults[k] = f"non-finite population at t = {times[k]:.12g}"
         elif drift[k] > DRIFT_TOL:
-            faults[k] = f"normalisation drift {drift[k]:.3e} at t = {times[k]:g}"
+            faults[k] = f"normalisation drift {drift[k]:.3e} at t = {times[k]:.12g}"
         else:
-            faults[k] = f"negative population {low[k]:.3e} at t = {times[k]:g}"
+            faults[k] = f"negative population {low[k]:.3e} at t = {times[k]:.12g}"
     return faults
 
 
 def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
-    """Evolve a population vector through exp(Lambda t) on the given grid.
+    """Evolve a population vector through exp(Lambda t) on the given grid,
+    one interval at a time: p(t_0) = expm(Lambda t_0) p0 and
+    p(t_k) = expm(Lambda (t_k - t_{k-1})) p(t_{k-1}), one `expm` per snapshot.
+
+    Accuracy: every factor is column-stochastic up to rounding, so the error
+    a step makes is carried to the next without growing.  For kappa <= 1 and
+    T <= 10 on chains of up to five sites, each snapshot agrees with the
+    independent expm(Lambda t_k) p0 within 1e-12 absolute.  On a stiff Lambda
+    the short interval is the more accurate route: it needs few or no
+    squarings, where expm(Lambda t_k) needs up to log2 ||Lambda t_k|| of them,
+    each adding its rounding (the paper chain at kappa_1 = 1e6 drifts from
+    normalisation by 7.7e-10 stepped against 1.7e-8 taken from 0).
 
     The dense Lambda is read before the snapshots are allocated, so a chain
     beyond its capacity (`RateMatrix.matrix`) is refused first.  An exponential
@@ -243,8 +263,8 @@ def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     matrix = rates.matrix
     snapshots = np.empty((t.size, p.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, tk in enumerate(t):
-            snapshots[k] = expm(matrix * tk) @ p
+        for k, dt in enumerate(np.diff(t, prepend=0.0)):
+            p = snapshots[k] = expm(matrix * dt) @ p
     return Trajectory(times=t, populations=snapshots)
 
 

@@ -250,6 +250,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="grid"):
             parse_config(path)
 
+    def test_grid_echo_keeps_twelve_digits(self, tmp_path):
+        # bounds that differ in the 7th digit write different `# params` echoes; the
+        # shipped grids print as they always have
+        params = []
+        for start in ("0.1234567", "0.1234568"):
+            path = tmp_path / f"{start}.cfg"
+            path.write_text(BLOCKED + f"temperature_grid = {start}:10:5:log\n")
+            out = tmp_path / start
+            assert main(["sweep-T", "--config", str(path), "--out", str(out)]) == 0
+            lines = (out / "sweep_T.csv").read_text().splitlines()
+            params.append(next(line for line in lines if line.startswith("# params:")))
+        assert "temperature_grid=0.1234567:10:5:log" in params[0]
+        assert "temperature_grid=0.1234568:10:5:log" in params[1]
+        paper = parse_config(builtin_config_path("ising2_paper"))
+        assert [str(paper.times), str(paper.temperature_grid), str(paper.kappa_grid)] == [
+            "0:10:201:linear", "0.1:10:25:log", "0.001:1:25:log"]
+
     def test_bad_command_rejected(self, tmp_path):
         path = tmp_path / "cmd.cfg"
         path.write_text(
@@ -555,6 +572,19 @@ class TestCli:
         failed = [line for line in lines if "failed_point" in line]
         assert len(failed) == 1
         assert "index=1" in failed[0] and "NumericalIntegrityError: non-finite rates" in failed[0]
+
+    def test_stiff_chemical_axis_reaches_its_plateau(self, tmp_path):
+        # kappa_1 = 1e6 against kappa_2 = 1: each 0.05 step of the grid keeps ||Lambda dt||
+        # small, so the trajectory stays normalised and P_exc(10) lands on the T = 10 plateau
+        # 0.701779922116 of the exact exponential (150-digit mpmath), shared by every kappa_1
+        # from 1e3 to 1e17
+        paper = builtin_config_path("ising2_paper").read_text()
+        path = tmp_path / "stiff.cfg"
+        path.write_text(paper.replace("kappas = 1e-5, 1.0", "kappas = 1e6, 1.0"))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        p_exc = read_csv_columns(out / "trajectory.csv")["P_exc"]
+        assert abs(p_exc[-1] - 0.701779922116) <= 1e-9
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_exponential_exits_3_and_fails_every_sweep_point(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 import sys
 import tracemalloc
 import types
@@ -170,6 +171,12 @@ class TestPropagatePopulations:
             Trajectory(times=[0.0, 1.0], populations=[good, [math.inf, -math.inf]])
         with pytest.raises(NumericalIntegrityError, match=r"drift 1\.000e-01 at t = 1$"):
             Trajectory(times=[0.0, 1.0, 2.0], populations=[good, drifted, [math.nan, 1.0]])
+
+    def test_fault_times_keep_twelve_digits(self):
+        good, drifted = [0.5, 0.5], [0.5, 0.6]
+        for t in ("0.1234567", "0.1234568", "10.0000000001"):
+            with pytest.raises(NumericalIntegrityError, match=rf"drift 1\.000e-01 at t = {re.escape(t)}$"):
+                Trajectory(times=[0.0, float(t)], populations=[good, drifted])
 
     def test_time_grid_validation(self, paper_model):
         _, rates = paper_model()
@@ -370,6 +377,46 @@ def test_block_weights_are_conserved_by_propagation(model, seed):
     for block in structural_blocks(elems, baths):
         weights = traj.populations[:, list(block)].sum(axis=1)
         assert np.max(np.abs(weights - p0[list(block)].sum())) <= 1e-12
+
+
+@st.composite
+def _stepped_runs(draw):
+    """A rate matrix, a start vector and a time grid: linspace and geomspace
+    grids, irregular ones, and grids whose first time is > 0."""
+    n = draw(st.integers(1, 5))
+    spec = random_nondegenerate_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    baths = BathConfig(
+        temperature=draw(st.sampled_from((0.0, 0.05, 1.0, 10.0))),
+        kappas=tuple(draw(st.sampled_from((0.0, 1e-5, 1.0))) for _ in range(n)),
+        axes=tuple(draw(st.sampled_from("xyz")) for _ in range(n)),
+    )
+    rates = build_rate_matrix(coupling_matrix_elements(baths, spectral_decomposition(build_hamiltonian(spec))), baths)
+    d = rates.dimension
+    p0 = draw(st.sampled_from((PopulationState.basis(d, 0), PopulationState.basis(d, d - 1),
+                               PopulationState.uniform(d)))).p
+    first = draw(st.sampled_from((0.0, 1e-3, 0.7)))
+    stop = first + draw(st.sampled_from((0.5, 10.0, 50.0)))
+    count = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("linspace", "geomspace", "irregular")))
+    if kind == "linspace":
+        times = np.linspace(first, stop, count + 1)
+    elif kind == "geomspace":
+        times = np.geomspace(first or 1e-3, stop, count + 1)
+    else:
+        steps = draw(st.lists(st.floats(1e-4, 5.0), min_size=count, max_size=count))
+        times = first + np.cumsum([0.0] + steps)
+    return rates, p0, times
+
+
+@settings(max_examples=120, deadline=None)
+@given(_stepped_runs())
+def test_stepped_snapshots_match_one_exponential_per_time(run):
+    """Stepping interval by interval gives, at every snapshot, what scipy's
+    exponential of Lambda t_k, taken independently at each time, gives."""
+    rates, p0, times = run
+    traj = propagate_populations(rates, p0, times)
+    oracle = np.array([scipy_expm(rates.matrix * t) @ p0 for t in times])
+    assert np.max(np.abs(traj.populations - oracle)) <= 1e-12
 
 
 class TestGibbsState:
