@@ -25,8 +25,8 @@ import numpy as np
 
 from .bath import BathConfig, CouplingElements, coupling_matrix_elements
 from .chain import DEGENERACY_TOL, ChainSpec, SpectralDecomposition, _close_levels, decompose_chain
-from .dynamics import (BlockPartition, PopulationState, _as_population, _snapshot_faults, excitation_probability, expm,
-                       propagate_populations)
+from .dynamics import (BlockPartition, PopulationState, _as_population, _check_times, _snapshot_faults,
+                       excitation_probability, expm, propagate_populations)
 from .errors import SpinbathError, ValidationError
 from .generator import RateMatrix, _check_bath, _structural_pattern, build_rate_matrix
 
@@ -85,25 +85,30 @@ def restricted_gibbs_prediction(blocks: BlockPartition, p0) -> PopulationState:
     return PopulationState(out)
 
 
+def _check_grid(grid) -> np.ndarray:
+    """A bath-axis grid as a float array: 1-D and strictly increasing, as every
+    GridSpec and time grid is."""
+    g = np.asarray(grid, dtype=np.float64)
+    if g.ndim != 1 or not np.all(np.diff(g) > 0):
+        raise ValidationError("sweep grid must be a strictly increasing 1-D array")
+    return g
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """Excitation probability P_exc(t*) recorded along a parameter grid."""
+    """A value per point of an increasing bath-axis grid, such as P_exc(t*),
+    with the failed points: grid index -> reason, their values nan."""
 
     axis: str
     grid: np.ndarray
     values: np.ndarray
-    t_star: float
-    site: int | None = None
-    metadata: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=np.float64)
+        g = _check_grid(self.grid)
         v = np.asarray(self.values, dtype=np.float64)
-        if g.ndim != 1 or v.shape != g.shape:
-            raise ValidationError("sweep grid and values must be matching 1-D arrays")
-        if g.size >= 2 and not (np.all(np.diff(g) > 0) or np.all(np.diff(g) < 0)):
-            raise ValidationError("sweep grid must be strictly monotone")
+        if v.shape != g.shape:
+            raise ValidationError("sweep values must match the grid")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -111,10 +116,13 @@ class SweepResult:
 def bath_at(baths: BathConfig, axis: str, value: float, site: int | None = None) -> BathConfig:
     """The bath variant at one sweep point.
 
-    axis "temperature" sets the temperature of every bath; axis "kappa" sets
-    the coupling of the 1-based `site` and leaves the other sites alone.
+    axis "temperature" sets the temperature of every bath and takes no site;
+    axis "kappa" sets the coupling of the 1-based `site` and leaves the other
+    sites alone.
     """
     if axis == "temperature":
+        if site is not None:
+            raise ValidationError("a temperature sweep takes no site")
         return replace(baths, temperature=float(value))
     if axis != "kappa":
         raise ValidationError(f"unknown sweep axis {axis!r}")
@@ -132,27 +140,21 @@ def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: f
 
     The table's spectrum was admitted (nondegenerate) when it was built, so a
     degenerate chain never reaches the loop.  A bath whose sites or axes
-    differ from the table's (`_check_bath`), a bad axis, site, initial state
-    or t_star is refused before the loop.  A point whose rates fail, or whose
-    state at t* fails the trajectory snapshot check
+    differ from the table's (`_check_bath`), a grid that is not 1-D and
+    strictly increasing, a bad axis or site (`bath_at`), initial state or
+    t_star is refused before any rate is built.  A point whose rates fail,
+    or whose state at t* fails the trajectory snapshot check
     (`dynamics._snapshot_faults`), is recorded under its grid index and the
-    sweep continues.  The metadata are the bath settings the axis leaves
-    fixed.
+    sweep continues.
     """
     _check_bath(elems, baths)
+    grid = _check_grid(grid)
     p0 = _as_population(p0)
     if p0.size != elems.dimension:
         raise ValidationError("initial state dimension does not match the spectrum")
     if t_star <= 0:
         raise ValidationError(f"t_star must be positive, got {t_star}")
-    if axis == "temperature":
-        if site is not None:
-            raise ValidationError("a temperature sweep takes no site")
-        metadata = {"kappas": baths.kappas, "axes": baths.axes}
-    else:
-        bath_at(baths, axis, 0.0, site)  # refuses an unknown axis or a bad site
-        metadata = {"temperature": baths.temperature, "axes": baths.axes}
-    grid = np.asarray(grid, dtype=np.float64)
+    bath_at(baths, axis, 0.0, site)  # refuses an unknown axis or a bad site
     snapshots = np.empty((grid.size, p0.size))
     errors = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the snapshot check refuses what overflows
@@ -167,20 +169,19 @@ def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: f
         errors.setdefault(k, f"NumericalIntegrityError: {reason}")
     values = excitation_probability(snapshots)
     values[list(errors)] = np.nan
-    return SweepResult(
-        axis=axis, grid=grid, values=values, t_star=float(t_star), site=site,
-        metadata=metadata, errors=dict(sorted(errors.items())),
-    )
+    return SweepResult(axis=axis, grid=grid, values=values, errors=dict(sorted(errors.items())))
 
 
 def excitation_curves(elems: CouplingElements, baths: BathConfig, axis: str, points, times, p0,
                       site: int | None = None) -> np.ndarray:
     """P_exc(t) from p0 on the grid `times`, one column per bath variant `bath_at(baths,
     axis, value, site)` of `points`, each propagated on the caller's transition table by
-    `dynamics.propagate_populations`; a variant whose rates or trajectory fail is refused."""
+    `dynamics.propagate_populations`.  A bad time grid, axis or site is refused before
+    any rate is built; a variant whose rates or trajectory fail is refused."""
+    times = _check_times(times)
     columns = []
-    for value in points:
-        rates = build_rate_matrix(elems, bath_at(baths, axis, value, site))
+    for bath in [bath_at(baths, axis, value, site) for value in points]:
+        rates = build_rate_matrix(elems, bath)
         columns.append(excitation_probability(propagate_populations(rates, p0, times).populations))
     return np.column_stack(columns)
 

@@ -185,14 +185,14 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     times = cfg.times.values()
     header = _header(cfg, "fig2")
 
-    def curves(path: Path, label: str, axis: str, points) -> Path:
-        columns = analysis.excitation_curves(elems, cfg.bath, axis, points, times, p0, cfg.kappa_site)
+    def curves(path: Path, label: str, axis: str, points, site: int | None = None) -> Path:
+        columns = analysis.excitation_curves(elems, cfg.bath, axis, points, times, p0, site)
         names = "t," + ",".join(f"{label}={export.fmt(v)}" for v in points)
         return export.write_csv(path, [*header, names], np.column_stack((times, columns)))
 
     return [
         curves(out / "fig2c.csv", "T", "temperature", cfg.fig2_temperatures),
-        curves(out / "fig2d.csv", f"kappa{cfg.kappa_site}", "kappa", cfg.fig2_kappas),
+        curves(out / "fig2d.csv", f"kappa{cfg.kappa_site}", "kappa", cfg.fig2_kappas, cfg.kappa_site),
         export.write_sweep_csv(out / "fig2e.csv", _sweep(cfg, elems, p0, "temperature"), header),
         export.write_sweep_csv(out / "fig2f.csv", _sweep(cfg, elems, p0, "kappa"), header),
     ]

@@ -29,6 +29,7 @@ from .bath import BathConfig
 from .chain import MAX_DENSE_SITES, ChainSpec, SpectralDecomposition
 from .dynamics import PopulationState, gibbs_state
 from .errors import CapacityError, ConfigError, SpinbathError
+from .export import fmt
 
 COMMANDS = (
     "spectrum",
@@ -89,9 +90,8 @@ class GridSpec:
         return np.linspace(self.start, self.stop, self.count)
 
     def __str__(self) -> str:
-        """start:stop:count:mode, the bounds to 12 significant digits, as
-        `export.fmt` prints every other float of an echo."""
-        return f"{self.start:.12g}:{self.stop:.12g}:{self.count}:{self.mode}"
+        """start:stop:count:mode, the bounds as `export.fmt` prints every float of an echo."""
+        return f"{fmt(self.start)}:{fmt(self.stop)}:{self.count}:{self.mode}"
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 All floats are written with 12 significant digits, exactly as fmt renders
 them (format(v, ".12g"), the correctly rounded decimal), and every file
 starts with '#'-prefixed provenance lines (command, config hash, parameter
-echo), so identical configurations produce byte-identical artifacts.  JSON
-bodies follow the same header lines; `read_json_body` strips them again.
+echo), so identical configurations produce byte-identical artifacts.  A
+sweep file adds only "# axis:" and one "# failed_point:" line per failed
+point; the settings it held fixed are in the echo.  JSON bodies follow the
+same header lines; `read_json_body` strips them again.
 
 CSV bodies are rendered as byte arrays, a bounded chunk of rows at a time,
 and each chunk is written to the file before the next is rendered, so the
@@ -327,12 +329,10 @@ def write_steady_csv(path, partition, header: list[str]) -> Path:
 
 
 def write_sweep_csv(path, sweep, header: list[str]) -> Path:
-    """Columns grid_value, P_exc; sweep metadata joins the '#' header."""
-    extra = [f"# axis: {sweep.axis}", f"# t_star: {fmt(sweep.t_star)}"]
-    if sweep.site is not None:
-        extra.append(f"# site: {sweep.site}")
-    for key in sorted(sweep.metadata):
-        extra.append(f"# {key}: {sweep.metadata[key]}")
+    """Columns grid_value, P_exc after `header`, "# axis: <axis>" and one
+    "# failed_point:" line per failed point, with its index, grid value and
+    reason.  The settings the sweep held fixed are in the header's params echo."""
+    extra = [f"# axis: {sweep.axis}"]
     for k in sorted(sweep.errors):
         extra.append(f"# failed_point: index={k} grid_value={fmt(sweep.grid[k])} {sweep.errors[k]}")
     return write_csv(path, [*header, *extra, "grid_value,P_exc"], np.column_stack((sweep.grid, sweep.values)))

@@ -133,15 +133,6 @@ class RateMatrix:
         matrix.setflags(write=False)
         return matrix
 
-    def validate(self) -> None:
-        """Check, on the table alone, that every rate and outflow is finite and
-        not negative.  Columns sum to zero by construction of the outflow."""
-        for name in ("damping", "gain", "outflow"):
-            rates = getattr(self, name)
-            bad = np.flatnonzero(~((rates >= 0) & (rates < np.inf)))
-            if bad.size:
-                raise ValidationError(f"{name}[{bad[0]}] = {rates[bad[0]]} is not a finite rate >= 0")
-
 
 def build_rate_matrix(elems: CouplingElements, baths: BathConfig) -> RateMatrix:
     """Assemble the golden-rule rates for the configured baths on the table.

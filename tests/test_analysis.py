@@ -326,14 +326,13 @@ def _paper_sweep(paper_table, kappas, temperature, axis, grid, t_star, site=None
 class TestSweeps:
     def test_temperature_sweep_thermal_ceiling(self, paper_table):
         result = _paper_sweep(paper_table, (1e-5, 1.0), 1.0, "temperature", np.geomspace(0.1, 10, 25), 10.0)
-        assert result.axis == "temperature"
-        assert result.metadata == {"kappas": (1e-5, 1.0), "axes": ("x", "x")}
+        assert result.axis == "temperature" and result.errors == {}
         assert np.all(np.diff(result.values) > 0)
         assert result.values.max() < 0.5
 
     def test_coupling_sweep_crosses_half(self, paper_table):
         result = _paper_sweep(paper_table, (1e-5, 1.0), 10.0, "kappa", np.geomspace(1e-3, 1, 25), 10.0, site=1)
-        assert result.metadata == {"temperature": 10.0, "axes": ("x", "x")}
+        assert result.axis == "kappa" and result.errors == {}
         assert result.values[-1] > 0.5
         assert np.all(np.diff(result.values) > -1e-12)
 
@@ -384,6 +383,35 @@ class TestSweeps:
         with pytest.raises(ValidationError, match=re.escape(message)):
             _paper_sweep(paper_table, (1.0, 1.0), 1.0, axis, [0.5, 1.0], 10.0, site=site)
 
+    @pytest.mark.parametrize("axis, grid, site", [
+        ("temperature", [0.5, 1.0, 1.0], None),
+        ("kappa", [1.0, 0.5, 0.25], 1),
+        ("temperature", [[0.5, 1.0]], None),
+    ])
+    def test_bad_grid_refused_before_the_loop(self, axis, grid, site, paper_table, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no rates are built for a refused sweep")
+
+        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        with pytest.raises(ValidationError, match="sweep grid must be a strictly increasing 1-D array"):
+            _paper_sweep(paper_table, (1.0, 1.0), 1.0, axis, grid, 10.0, site=site)
+
+    @pytest.mark.parametrize("axis, times, site, message", [
+        ("field", [0.0, 1.0], 1, "unknown sweep axis 'field'"),
+        ("kappa", [0.0, 1.0], None, "site None out of range 1..2"),
+        ("temperature", [0.0, 1.0], 1, "a temperature sweep takes no site"),
+        ("temperature", [0.0, 1.0, 1.0], None, "time grid must be nonnegative and strictly increasing"),
+        ("kappa", [[0.0, 1.0]], 1, "time grid must be a non-empty 1-D array"),
+    ])
+    def test_bad_curves_refused_before_the_loop(self, axis, times, site, message, paper_table, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no rates are built for refused curves")
+
+        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        elems, baths = paper_table(kappas=(1.0, 1.0), temperature=1.0)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            excitation_curves(elems, baths, axis, [0.5, 1.0], times, PopulationState.basis(4, 0), site)
+
     @pytest.mark.parametrize("baths, axis, grid, site, message", [
         (BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y")), "temperature",
          np.geomspace(0.1, 10, 25), None, "bath axes differ from the axes the coupling elements were built with"),
@@ -417,7 +445,7 @@ class TestSweeps:
         baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y"))
         assert bath_at(baths, "temperature", 0.3) == replace(baths, temperature=0.3)
         assert bath_at(baths, "kappa", 0.5, site=2) == replace(baths, kappas=(1e-5, 0.5))
-        for axis, site in (("field", 1), ("kappa", None), ("kappa", 3)):
+        for axis, site in (("field", 1), ("kappa", None), ("kappa", 3), ("temperature", 1)):
             with pytest.raises(ValidationError):
                 bath_at(baths, axis, 0.5, site)
 
@@ -492,7 +520,7 @@ class TestLocateTTheta:
             return nbar / (2 * nbar + 1) * -math.expm1(-omega * (2 * nbar + 1) * t_star)
 
         values = np.array([analytic(t) for t in grid])
-        sweep = SweepResult(axis="temperature", grid=grid, values=values, t_star=t_star)
+        sweep = SweepResult(axis="temperature", grid=grid, values=values)
         slopes = [
             (values[k + 1] - values[k - 1]) / (grid[k + 1] - grid[k - 1])
             for k in range(1, 24)
@@ -502,21 +530,25 @@ class TestLocateTTheta:
 
     def test_flat_curve_rejected(self):
         grid = np.geomspace(0.1, 10, 5)
-        sweep = SweepResult(axis="temperature", grid=grid, values=np.zeros(5), t_star=1.0)
+        sweep = SweepResult(axis="temperature", grid=grid, values=np.zeros(5))
         with pytest.raises(ValidationError, match="variation"):
             locate_t_theta(sweep)
 
     def test_needs_enough_points_and_right_axis(self):
-        sweep = SweepResult(
-            axis="temperature", grid=np.array([1.0, 2.0]), values=np.array([0.1, 0.2]), t_star=1.0
-        )
+        sweep = SweepResult(axis="temperature", grid=np.array([1.0, 2.0]), values=np.array([0.1, 0.2]))
         with pytest.raises(ValidationError):
             locate_t_theta(sweep)
-        kappa_sweep = SweepResult(
-            axis="kappa", grid=np.array([1.0, 2.0, 3.0]), values=np.array([0.1, 0.2, 0.3]), t_star=1.0
-        )
+        kappa_sweep = SweepResult(axis="kappa", grid=np.array([1.0, 2.0, 3.0]), values=np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ValidationError):
             locate_t_theta(kappa_sweep)
+
+    def test_ties_resolve_toward_lower_temperature_on_an_increasing_grid_only(self):
+        # equal slopes 0.125 at T = 2 and T = 5: the lower one is located, and the same
+        # points listed from the top, which would locate 5, are refused as a sweep
+        grid, values = np.array([1.0, 2.0, 5.0, 6.0]), np.array([0.0, 0.25, 0.5, 0.75])
+        assert locate_t_theta(SweepResult(axis="temperature", grid=grid, values=values)) == 2.0
+        with pytest.raises(ValidationError, match="sweep grid must be a strictly increasing 1-D array"):
+            SweepResult(axis="temperature", grid=grid[::-1], values=values[::-1])
 
 
 class TestRandomChains:

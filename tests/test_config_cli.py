@@ -520,6 +520,25 @@ class TestCli:
             params = next(line for line in lines[name] if line.startswith("# params:"))
             assert " initial_state=basis:4 " in params
 
+    def test_sweep_headers_hold_provenance_axis_and_failed_points_only(self, tmp_path):
+        # the settings a sweep holds fixed are echoed once, in "# params:"; a kappa grid
+        # out to 1e308 fails its last two points, each on a line of its own
+        path = tmp_path / "paper.cfg"
+        path.write_text(builtin_config_path("ising2_paper").read_text()
+                        .replace("kappa_grid = 1e-3:1:25:log", "kappa_grid = 1e-3:1e308:3:log"))
+        out = tmp_path / "out"
+        for command in ("fig2", "sweep-T", "sweep-kappa"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        for name, command, axis in (("fig2e", "fig2", "temperature"), ("fig2f", "fig2", "kappa"),
+                                    ("sweep_T", "sweep-T", "temperature"), ("sweep_kappa", "sweep-kappa", "kappa")):
+            header = [line for line in (out / f"{name}.csv").read_text().splitlines() if line.startswith("#")]
+            assert header[0] == f"# spinbath {command}"
+            assert header[1].startswith("# config_sha256: ") and header[2].startswith("# params: ")
+            assert header[3] == f"# axis: {axis}"
+            failed = header[4:]
+            assert all(line.startswith("# failed_point: ") for line in failed)
+            assert len(failed) == (2 if axis == "kappa" else 0)
+
     def test_zeros_scaling_table_and_determinism(self, blocked_cfg, tmp_path):
         out1, out2 = tmp_path / "z1", tmp_path / "z2"
         args = ["zeros-scaling", "--config", str(blocked_cfg), "--max-n", "4", "--draws", "3", "--seed", "99"]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -129,8 +128,8 @@ class TestRateMatrix:
 
     def test_invariants_and_row_counts(self, paper_model):
         _, rates = paper_model(kappas=(1.0, 1.0), temperature=1.0)
-        rates.validate()
         m = rates.matrix
+        assert np.all(np.isfinite(m))
         off = ~np.eye(4, dtype=bool)
         assert np.all(m[off] >= 0)
         assert np.all(np.diagonal(m) <= 0)
@@ -138,17 +137,6 @@ class TestRateMatrix:
         # T > 0 each of them is a nonzero rate
         assert np.all(table_mask(rates).sum(axis=1) == 3)
         assert np.array_equal(table_mask(rates), m != 0)
-
-    def test_validate_refuses_each_corruption(self, paper_model):
-        _, rates = paper_model(kappas=(0.0, 1.0), temperature=1.0)
-        rates.validate()
-        k = int(np.flatnonzero(rates.elems.sites == 2)[0])  # a coupled flip
-        for name in ("damping", "gain", "outflow"):
-            for value in (-0.1, np.inf, np.nan):
-                rate = getattr(rates, name).copy()
-                rate[k] = value
-                with pytest.raises(ValidationError, match=rf"^{name}\[{k}\] = {value} is not a finite rate"):
-                    replace(rates, **{name: rate}).validate()
 
     def test_build_allocates_no_dense_matrix(self):
         # N = 10: a dense Lambda alone takes 8 MiB; the build keeps two rates per flip
