@@ -50,7 +50,6 @@ from .dynamics import (
     gibbs_state,
     propagate_density,
     propagate_populations,
-    steady_states,
 )
 from .errors import (
     CapacityError,

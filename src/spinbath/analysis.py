@@ -85,18 +85,9 @@ def restricted_gibbs_prediction(blocks: BlockPartition, p0) -> PopulationState:
     return PopulationState(out)
 
 
-def _check_grid(grid) -> np.ndarray:
-    """A bath-axis grid as a float array: 1-D and strictly increasing, as every
-    GridSpec and time grid is."""
-    g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 1 or not np.all(np.diff(g) > 0):
-        raise ValidationError("sweep grid must be a strictly increasing 1-D array")
-    return g
-
-
 @dataclass(frozen=True)
 class SweepResult:
-    """A value per point of an increasing bath-axis grid, such as P_exc(t*),
+    """A value per point of a bath-axis grid, such as P_exc(t*),
     with the failed points: grid index -> reason, their values nan."""
 
     axis: str
@@ -105,7 +96,7 @@ class SweepResult:
     errors: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = _check_grid(self.grid)
+        g = _check_times(self.grid, "sweep grid")
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != g.shape:
             raise ValidationError("sweep values must match the grid")
@@ -133,6 +124,16 @@ def bath_at(baths: BathConfig, axis: str, value: float, site: int | None = None)
     return replace(baths, kappas=tuple(kappas))
 
 
+def _scan_start(elems: CouplingElements, baths: BathConfig, p0) -> np.ndarray:
+    """The checks both bath-variant scans make first: `baths` matches the table
+    (`_check_bath`), and p0 is a population vector of the table's dimension."""
+    _check_bath(elems, baths)
+    p = _as_population(p0)
+    if p.size != elems.dimension:
+        raise ValidationError("initial state dimension does not match the spectrum")
+    return p
+
+
 def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: float, p0,
           site: int | None = None) -> SweepResult:
     """P_exc(t*) = 1 - p_1(t*) from p0, with the rates of `bath_at(baths, axis,
@@ -140,20 +141,18 @@ def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: f
 
     The table's spectrum was admitted (nondegenerate) when it was built, so a
     degenerate chain never reaches the loop.  A bath whose sites or axes
-    differ from the table's (`_check_bath`), a grid that is not 1-D and
-    strictly increasing, a bad axis or site (`bath_at`), initial state or
-    t_star is refused before any rate is built.  A point whose rates fail,
-    or whose state at t* fails the trajectory snapshot check
+    differ from the table's, an initial state of another dimension
+    (`_scan_start`), a grid that fails `dynamics._check_times`, a bad axis
+    or site (`bath_at`) and a t_star that is not positive and finite are
+    refused before any rate is built.  A point whose rates fail, or whose
+    state at t* fails the trajectory snapshot check
     (`dynamics._snapshot_faults`), is recorded under its grid index and the
     sweep continues.
     """
-    _check_bath(elems, baths)
-    grid = _check_grid(grid)
-    p0 = _as_population(p0)
-    if p0.size != elems.dimension:
-        raise ValidationError("initial state dimension does not match the spectrum")
-    if t_star <= 0:
-        raise ValidationError(f"t_star must be positive, got {t_star}")
+    p0 = _scan_start(elems, baths, p0)
+    grid = _check_times(grid, "sweep grid")
+    if not 0 < t_star < np.inf:  # NaN fails every comparison
+        raise ValidationError(f"t_star must be positive and finite, got {t_star}")
     bath_at(baths, axis, 0.0, site)  # refuses an unknown axis or a bad site
     snapshots = np.empty((grid.size, p0.size))
     errors = {}
@@ -176,13 +175,16 @@ def excitation_curves(elems: CouplingElements, baths: BathConfig, axis: str, poi
                       site: int | None = None) -> np.ndarray:
     """P_exc(t) from p0 on the grid `times`, one column per bath variant `bath_at(baths,
     axis, value, site)` of `points`, each propagated on the caller's transition table by
-    `dynamics.propagate_populations`.  A bad time grid, axis or site is refused before
-    any rate is built; a variant whose rates or trajectory fail is refused."""
+    `dynamics.propagate_populations`.  A mismatched bath or initial state (`_scan_start`),
+    a bad time grid, axis or site, and an empty `points` are refused before any rate is
+    built; a variant whose rates or trajectory fail is refused."""
+    p0 = _scan_start(elems, baths, p0)
     times = _check_times(times)
-    columns = []
-    for bath in [bath_at(baths, axis, value, site) for value in points]:
-        rates = build_rate_matrix(elems, bath)
-        columns.append(excitation_probability(propagate_populations(rates, p0, times).populations))
+    variants = [bath_at(baths, axis, value, site) for value in points]
+    if not variants:
+        raise ValidationError("excitation curves need at least one bath variant")
+    columns = [excitation_probability(propagate_populations(build_rate_matrix(elems, bath), p0, times).populations)
+               for bath in variants]
     return np.column_stack(columns)
 
 
@@ -242,6 +244,8 @@ def zeros_scaling(max_n: int, draws: int, rng: np.random.Generator) -> list[tupl
     must agree on the count.  Each count comes from the draw's transition
     table; no rate matrix is built.
     """
+    if max_n < 2 or draws < 1:
+        raise ValidationError(f"zeros scaling needs max_n >= 2 and draws >= 1, got max_n = {max_n}, draws = {draws}")
     rows = []
     for n in range(2, max_n + 1):
         counts = set()

@@ -19,6 +19,7 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,8 @@ class ChainSpec:
 
     fields[n-1] is the longitudinal field h_n on site n; couplings are
     (a, b, Delta_ab) triples with 1 <= a < b <= N, entering the Hamiltonian
-    as -Delta_ab sigma_z^(a) sigma_z^(b).
+    as -Delta_ab sigma_z^(a) sigma_z^(b).  Every field and Delta is finite:
+    a NaN would give NaN energies that no later check refuses.
     """
 
     n_sites: int
@@ -52,6 +54,9 @@ class ChainSpec:
         object.__setattr__(self, "fields", tuple(float(h) for h in self.fields))
         if len(self.fields) != self.n_sites:
             raise ValidationError(f"expected {self.n_sites} fields, got {len(self.fields)}")
+        for n, h in enumerate(self.fields, start=1):
+            if not math.isfinite(h):
+                raise ValidationError(f"field for site {n} must be finite, got {h}")
         seen = set()
         norm = []
         for a, b, delta in self.couplings:
@@ -61,7 +66,10 @@ class ChainSpec:
             if (a, b) in seen:
                 raise ValidationError(f"duplicate coupling for sites ({a},{b})")
             seen.add((a, b))
-            norm.append((a, b, float(delta)))
+            delta = float(delta)
+            if not math.isfinite(delta):
+                raise ValidationError(f"coupling for sites ({a},{b}) must be finite, got {delta}")
+            norm.append((a, b, delta))
         object.__setattr__(self, "couplings", tuple(norm))
 
     @property
@@ -211,7 +219,7 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
     within `tol`, as neighbours in that site's (omega, i, j) order.  A
     dimension that is not a power of two has no spin flips.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails every comparison
         raise ValidationError(f"tolerance must be positive, got {tol}")
     e = dec.energies
     spectrum_pairs = [(int(i), int(i) + 1, float(e[i + 1] - e[i])) for i in _close_levels(e, tol)]

@@ -11,8 +11,9 @@ depend on rate magnitudes, so a kappa whose rates overflow (kappa = 1e308 on a
 gap above 1.8) makes `rates`, `evolve` and `fig2` exit 3 but `steady` and
 `blocks` exit 0 with the output of any other positive kappa.  At T = 0 a
 block holding several absorbing minima has no unique steady state: `steady`
-refuses it (exit 3), as `steady_states` and the late-time predictions do,
-while `blocks` still writes the block structure (exit 0).
+refuses it (exit 3), as the late-time predictions do (both read
+dynamics.connectivity_blocks), while `blocks` still writes the block
+structure (exit 0).
 
 A config file is INI text or JSON read as the same INI text (spinbath.config).
 --seed, --max-n and --draws pass the config file's reader and checks, so a

@@ -37,10 +37,11 @@ checked once, on the first call.  The Lindblad oracle (`propagate_density`)
 runs `scipy.linalg.expm` itself, apart from this fast path.
 
 `connectivity_blocks` is the one place where the transition table becomes a
-checked partition, with d restricted Gibbs weights in all.  `steady_states`,
-the late-time predictions and the `steady` command read it, so at T = 0 all
-refuse a block with several absorbing minima; the bare block structure
-(`generator.structural_blocks`, the `blocks` command) does not.
+checked partition, with d restricted Gibbs weights in all: it is the steady
+state, one restricted Gibbs vector per block.  The late-time predictions and
+the `steady` command read it, so at T = 0 both refuse a block with several
+absorbing minima; the bare block structure (`generator.structural_blocks`,
+the `blocks` command) does not.
 """
 
 from __future__ import annotations
@@ -169,6 +170,8 @@ class PopulationState:
 
     @classmethod
     def basis(cls, dimension: int, index: int) -> "PopulationState":
+        if not 0 <= index < dimension:
+            raise ValidationError(f"basis index {index} out of range 0..{dimension - 1}")
         p = np.zeros(dimension)
         p[index] = 1.0
         return cls(p)
@@ -188,12 +191,13 @@ def _as_population(p0) -> np.ndarray:
     return PopulationState(np.asarray(p0)).p
 
 
-def _check_times(times) -> np.ndarray:
+def _check_times(times, name: str = "time grid") -> np.ndarray:
+    """`times` as a float array: the one rule for every time and bath-axis
+    grid.  1-D, non-empty, first point >= 0, strictly increasing and finite,
+    each written as a comparison that NaN fails; a refusal names the grid."""
     t = np.asarray(times, dtype=np.float64)
-    if t.ndim != 1 or t.size == 0:
-        raise ValidationError("time grid must be a non-empty 1-D array")
-    if t[0] < 0 or np.any(np.diff(t) <= 0):
-        raise ValidationError("time grid must be nonnegative and strictly increasing")
+    if t.ndim != 1 or t.size == 0 or not (t[0] >= 0 and np.all(np.diff(t) > 0) and t[-1] < np.inf):
+        raise ValidationError(f"{name} must be a non-empty 1-D array, nonnegative, finite and strictly increasing")
     return t
 
 
@@ -214,10 +218,6 @@ class Trajectory:
         faults = _snapshot_faults(t, p)
         if faults:  # report the earliest bad snapshot
             raise NumericalIntegrityError(next(iter(faults.values())))
-
-    @property
-    def dimension(self) -> int:
-        return self.populations.shape[1]
 
 
 def _snapshot_faults(times: np.ndarray, populations: np.ndarray) -> dict[int, str]:
@@ -274,10 +274,6 @@ class DensityTrajectory:
 
     times: np.ndarray
     matrices: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.matrices.shape[-1]
 
     @property
     def populations(self) -> np.ndarray:
@@ -343,21 +339,9 @@ class BlockPartition:
     blocks: tuple[tuple[int, ...], ...]
     weights: tuple[np.ndarray, ...]
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
     @cached_property
     def dimension(self) -> int:
         return sum(map(len, self.blocks))
-
-    def embedded(self) -> np.ndarray:
-        """The restricted Gibbs vectors embedded in the full dimension, one row
-        per block."""
-        rows = np.zeros((self.n_blocks, self.dimension))
-        for row, block, w in zip(rows, self.blocks, self.weights):
-            row[list(block)] = w
-        return rows
 
 
 def connectivity_blocks(elems: CouplingElements, baths: BathConfig) -> BlockPartition:
@@ -392,17 +376,6 @@ def connectivity_blocks(elems: CouplingElements, baths: BathConfig) -> BlockPart
                     f"block {tuple(i + 1 for i in block)} has kernel dimension {k}, expected 1"
                 )
     return BlockPartition(blocks=blocks, weights=weights)
-
-
-def steady_states(elems: CouplingElements, baths: BathConfig) -> list[PopulationState]:
-    """One stationary population vector per decoupled structural block: the
-    restricted Gibbs vectors of `connectivity_blocks`, embedded in the full
-    dimension.  Neither the blocks nor the vectors depend on rate magnitudes,
-    so no rate matrix is built; at T = 0 a block with several absorbing
-    minima is refused with NumericalIntegrityError.
-    """
-    partition = connectivity_blocks(elems, baths)
-    return [PopulationState(row) for row in partition.embedded()]
 
 
 def gibbs_state(dec: SpectralDecomposition, temperature: float) -> PopulationState:

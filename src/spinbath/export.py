@@ -317,7 +317,7 @@ def write_steady_csv(path, partition, header: list[str]) -> Path:
     """Columns block, p_1..p_d: one row per block of a BlockPartition, its
     restricted Gibbs vector embedded in the full dimension.  Only the block
     labels and the d weights are rendered; every other cell is "0"."""
-    d, n_blocks = partition.dimension, partition.n_blocks
+    d, n_blocks = partition.dimension, len(partition.blocks)
     names = "block," + ",".join(f"p_{i + 1}" for i in range(d))
     sizes = [len(block) for block in partition.blocks]
     members = np.array([i for block in partition.blocks for i in block], dtype=np.intp)

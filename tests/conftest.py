@@ -56,8 +56,8 @@ def paper_dec(paper_spec):
 
 @pytest.fixture
 def paper_table(paper_dec):
-    """Factory building (elems, baths), what steady_states and
-    connectivity_blocks take, for chosen couplings and temperature."""
+    """Factory building (elems, baths), what connectivity_blocks and
+    structural_blocks take, for chosen couplings and temperature."""
 
     def build(kappas=(1.0, 1.0), temperature=1.0):
         baths = BathConfig(temperature=temperature, kappas=kappas)
@@ -118,8 +118,21 @@ def value_edges(rates) -> np.ndarray:
     return (m != 0) | (m.T != 0)
 
 
+def steady_vectors(partition) -> list[np.ndarray]:
+    """The restricted Gibbs weights of each block of a BlockPartition embedded
+    in the full dimension: one d-vector per block, for comparison with an
+    oracle's."""
+    vectors = []
+    for block, weights in zip(partition.blocks, partition.weights):
+        vector = np.zeros(partition.dimension)
+        vector[list(block)] = weights
+        vectors.append(vector)
+    return vectors
+
+
 def dense_steady_vectors(rates) -> list[np.ndarray] | None:
-    """Oracle for steady_states: the dense path it replaced.  Blocks are the
+    """Oracle for connectivity_blocks' steady states: the dense path it
+    replaced, one d-vector per block (`steady_vectors`).  Blocks are the
     csgraph components of the built matrix's nonzero rates (`value_edges`),
     each with its restricted Gibbs vector; at T = 0 a state is absorbing when
     -Lambda[j, j] == 0.0, and None stands for a refusal, a block with two

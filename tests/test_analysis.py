@@ -33,14 +33,13 @@ from spinbath import (
     propagate_populations,
     random_nondegenerate_chain,
     restricted_gibbs_prediction,
-    steady_states,
     structural_blocks,
     sweep,
     zeros_scaling,
 )
 from spinbath import analysis, generator
 
-from conftest import csgraph_blocks, dense_steady_vectors, table_mask, value_edges
+from conftest import csgraph_blocks, dense_steady_vectors, steady_vectors, table_mask, value_edges
 
 
 class TestConnectivityBlocks:
@@ -62,7 +61,7 @@ class TestConnectivityBlocks:
         partition = connectivity_blocks(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
         low = 1.0 / (1.0 + math.exp(-5 / 3))
         assert partition.weights[0] == pytest.approx([low, 1 - low], abs=1e-12)
-        assert partition.embedded()[0] == pytest.approx([low, 1 - low, 0, 0], abs=1e-12)
+        assert steady_vectors(partition)[0] == pytest.approx([low, 1 - low, 0, 0], abs=1e-12)
 
 
 @pytest.mark.parametrize("kappas", [(0.0, 1.0, 7.0), (1.0,)])
@@ -102,6 +101,12 @@ class TestZeroCounts:
         rng = np.random.default_rng(51)
         rows = zeros_scaling(3, 5, rng)
         assert rows == [(2, 4, 4), (3, 32, 32)]
+
+    @pytest.mark.parametrize("max_n, draws", [(3, 0), (3, -1), (1, 5), (0, 5)])
+    def test_scaling_refuses_an_empty_table(self, max_n, draws):
+        # no draws, or no N >= 2: there is nothing to count
+        with pytest.raises(ValidationError, match="zeros scaling needs max_n >= 2 and draws >= 1"):
+            zeros_scaling(max_n, draws, np.random.default_rng(0))
 
     def test_scaling_reuses_the_accepted_decompositions(self, monkeypatch):
         built = []
@@ -168,23 +173,22 @@ def test_blocks_equal_csgraph_on_random_chains(table):
 @example((ChainSpec(3, (1.2, 0.63, 0.88), ((1, 2, -0.4), (1, 3, 0.82), (2, 3, -0.22))),
           BathConfig(temperature=0.0, kappas=(1.0, 1.0, 1.0))))
 def test_table_steady_states_equal_the_dense_path(table):
-    """Steady vectors from the transition table equal, bit for bit, those of the
-    dense path on the built rate matrix, and at T = 0 both refuse or both accept."""
+    """Steady vectors from the transition table's block partition equal, bit for
+    bit, those of the dense path on the built rate matrix, and at T = 0 both
+    refuse or both accept."""
     spec, baths = table
     dec = decompose_chain(spec)
     elems = coupling_matrix_elements(baths, dec)
     expected = dense_steady_vectors(build_rate_matrix(elems, baths))
     if expected is None:
         with pytest.raises(NumericalIntegrityError, match="kernel dimension"):
-            steady_states(elems, baths)
-        with pytest.raises(NumericalIntegrityError, match="kernel dimension"):
             connectivity_blocks(elems, baths)
         return
-    states = steady_states(elems, baths)
     partition = connectivity_blocks(elems, baths)
-    assert len(states) == partition.n_blocks == len(expected)
+    states = steady_vectors(partition)
+    assert len(states) == len(partition.blocks) == len(expected)
     for state, block, weights, oracle in zip(states, partition.blocks, partition.weights, expected):
-        assert np.array_equal(state.p, oracle)
+        assert np.array_equal(state, oracle)
         assert np.array_equal(weights, oracle[list(block)])
 
 
@@ -317,6 +321,9 @@ class TestRestrictedGibbsPrediction:
                 assert pred.p[idx].sum() == pytest.approx(p0.p[idx].sum(), abs=1e-12)
 
 
+GRID_RULE = "must be a non-empty 1-D array, nonnegative, finite and strictly increasing"
+
+
 def _paper_sweep(paper_table, kappas, temperature, axis, grid, t_star, site=None, p0=None):
     """A sweep of the paper chain from the ground state (or p0)."""
     p0 = PopulationState.basis(4, 0) if p0 is None else p0
@@ -340,9 +347,17 @@ class TestSweeps:
         result = _paper_sweep(paper_table, (1.0, 1.0), 1.0, "temperature", np.geomspace(1, 1e4, 9), 10.0)
         assert result.values[-1] == pytest.approx(0.75, abs=1e-3)
 
-    def test_per_point_failures_recorded(self, paper_table):
-        result = _paper_sweep(paper_table, (1e-5, 1.0), 10.0, "kappa", np.array([-1.0, 0.1]), 10.0, site=1)
-        assert 0 in result.errors and "ValidationError" in result.errors[0]
+    def test_per_point_failures_recorded(self, paper_table, monkeypatch):
+        build = analysis.build_rate_matrix
+
+        def refuse_first(elems, baths):
+            if baths.kappas[0] == 0.05:
+                raise ValidationError("refused")
+            return build(elems, baths)
+
+        monkeypatch.setattr(analysis, "build_rate_matrix", refuse_first)
+        result = _paper_sweep(paper_table, (1e-5, 1.0), 10.0, "kappa", np.array([0.05, 0.1]), 10.0, site=1)
+        assert result.errors == {0: "ValidationError: refused"}
         assert np.isnan(result.values[0]) and not np.isnan(result.values[1])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -387,30 +402,40 @@ class TestSweeps:
         ("temperature", [0.5, 1.0, 1.0], None),
         ("kappa", [1.0, 0.5, 0.25], 1),
         ("temperature", [[0.5, 1.0]], None),
+        ("kappa", [-1.0, 0.1], 1),
+        ("temperature", [0.5, math.nan], None),
+        ("temperature", [0.5, math.inf], None),
+        ("temperature", [], None),
     ])
     def test_bad_grid_refused_before_the_loop(self, axis, grid, site, paper_table, monkeypatch):
         def refuse(*args):
             raise AssertionError("no rates are built for a refused sweep")
 
         monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
-        with pytest.raises(ValidationError, match="sweep grid must be a strictly increasing 1-D array"):
+        with pytest.raises(ValidationError, match=re.escape("sweep grid " + GRID_RULE)):
             _paper_sweep(paper_table, (1.0, 1.0), 1.0, axis, grid, 10.0, site=site)
 
-    @pytest.mark.parametrize("axis, times, site, message", [
-        ("field", [0.0, 1.0], 1, "unknown sweep axis 'field'"),
-        ("kappa", [0.0, 1.0], None, "site None out of range 1..2"),
-        ("temperature", [0.0, 1.0], 1, "a temperature sweep takes no site"),
-        ("temperature", [0.0, 1.0, 1.0], None, "time grid must be nonnegative and strictly increasing"),
-        ("kappa", [[0.0, 1.0]], 1, "time grid must be a non-empty 1-D array"),
+    @pytest.mark.parametrize("change, message", [
+        ({"axis": "field", "site": 1}, "unknown sweep axis 'field'"),
+        ({"axis": "kappa"}, "site None out of range 1..2"),
+        ({"site": 1}, "a temperature sweep takes no site"),
+        ({"times": [0.0, 1.0, 1.0]}, "time grid " + GRID_RULE),
+        ({"axis": "kappa", "times": [[0.0, 1.0]], "site": 1}, "time grid " + GRID_RULE),
+        ({"times": [0.0, math.nan]}, "time grid " + GRID_RULE),
+        ({"points": []}, "excitation curves need at least one bath variant"),
+        ({"p0": PopulationState.basis(8, 0)}, "initial state dimension does not match the spectrum"),
+        ({"baths": BathConfig(temperature=1.0, kappas=(1.0,) * 3)}, "bath has 3 sites but coupling elements cover 2"),
     ])
-    def test_bad_curves_refused_before_the_loop(self, axis, times, site, message, paper_table, monkeypatch):
+    def test_bad_curves_refused_before_the_loop(self, change, message, paper_table, monkeypatch):
         def refuse(*args):
             raise AssertionError("no rates are built for refused curves")
 
         monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
         elems, baths = paper_table(kappas=(1.0, 1.0), temperature=1.0)
+        call = {"baths": baths, "axis": "temperature", "points": [0.5, 1.0], "times": [0.0, 1.0],
+                "p0": PopulationState.basis(4, 0), "site": None, **change}
         with pytest.raises(ValidationError, match=re.escape(message)):
-            excitation_curves(elems, baths, axis, [0.5, 1.0], times, PopulationState.basis(4, 0), site)
+            excitation_curves(elems, **call)
 
     @pytest.mark.parametrize("baths, axis, grid, site, message", [
         (BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y")), "temperature",
@@ -449,9 +474,15 @@ class TestSweeps:
             with pytest.raises(ValidationError):
                 bath_at(baths, axis, 0.5, site)
 
-    def test_invalid_t_star(self, paper_table):
-        with pytest.raises(ValidationError):
-            _paper_sweep(paper_table, (1.0, 1.0), 1.0, "temperature", np.geomspace(0.1, 1, 5), 0.0)
+    @pytest.mark.parametrize("t_star", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_t_star(self, t_star, paper_table, monkeypatch):
+        # refused once, not a failed point per grid value
+        def refuse(*args):
+            raise AssertionError("no rates are built for a refused sweep")
+
+        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        with pytest.raises(ValidationError, match=f"t_star must be positive and finite, got {t_star}"):
+            _paper_sweep(paper_table, (1.0, 1.0), 1.0, "temperature", np.geomspace(0.1, 1, 5), t_star)
 
     def test_initial_state_must_match_the_spectrum(self, paper_table):
         with pytest.raises(ValidationError, match="dimension"):
@@ -547,7 +578,7 @@ class TestLocateTTheta:
         # points listed from the top, which would locate 5, are refused as a sweep
         grid, values = np.array([1.0, 2.0, 5.0, 6.0]), np.array([0.0, 0.25, 0.5, 0.75])
         assert locate_t_theta(SweepResult(axis="temperature", grid=grid, values=values)) == 2.0
-        with pytest.raises(ValidationError, match="sweep grid must be a strictly increasing 1-D array"):
+        with pytest.raises(ValidationError, match=re.escape("sweep grid " + GRID_RULE)):
             SweepResult(axis="temperature", grid=grid[::-1], values=values[::-1])
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ class TestBuildHamiltonian:
             ChainSpec(2, (1.0, 0.5), ((1, 2, 0.1), (1, 2, 0.2)))
         with pytest.raises(ValidationError):
             ChainSpec(2, (1.0,))
+
+    @pytest.mark.parametrize("fields, couplings, message", [
+        ((float("nan"), 0.5), (), "field for site 1 must be finite, got nan"),
+        ((1.0, float("-inf")), (), "field for site 2 must be finite, got -inf"),
+        ((1.0, 0.5), ((1, 2, float("nan")),), "coupling for sites (1,2) must be finite, got nan"),
+        ((1.0, 0.5), ((1, 2, float("inf")),), "coupling for sites (1,2) must be finite, got inf"),
+    ])
+    def test_non_finite_parameters_rejected(self, fields, couplings, message):
+        # NaN energies would pass the table's nondegeneracy check and the frustration check
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ChainSpec(2, fields, couplings)
 
     def test_dense_capacity_guard(self):
         spec = ChainSpec(14, (1.0,) * 14)
@@ -140,9 +152,12 @@ class TestCheckDegeneracy:
         assert np.max(np.abs(dec.energies - np.array([-2.0, 0.0, 1.0, 1.0]))) < 1e-12
         assert check_degeneracy(dec, 1e-9).spectrum_degenerate
 
-    def test_tolerance_must_be_positive(self, paper_dec):
-        with pytest.raises(ValidationError):
-            check_degeneracy(paper_dec, 0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        # a NaN tolerance would call the degenerate fields = (1, 1) chain nondegenerate
+        dec = spectral_decomposition(build_hamiltonian(ChainSpec(2, (1.0, 1.0))))
+        with pytest.raises(ValidationError, match="tolerance must be positive"):
+            check_degeneracy(dec, tol)
 
     def test_report_deterministic(self, paper_dec):
         a = check_degeneracy(paper_dec, 1e-9)

@@ -38,13 +38,12 @@ from spinbath import (
     propagate_populations,
     random_nondegenerate_chain,
     spectral_decomposition,
-    steady_states,
     structural_blocks,
 )
 from spinbath import analysis, dynamics
 from spinbath.cli import main
 
-from conftest import random_density, two_spin_energies
+from conftest import random_density, steady_vectors, two_spin_energies
 
 
 EPS = np.finfo(np.float64).eps
@@ -74,6 +73,12 @@ class TestPopulationState:
     def test_basis_and_uniform(self):
         assert PopulationState.basis(4, 2).p[2] == 1.0
         assert np.allclose(PopulationState.uniform(5).p, 0.2)
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_basis_index_out_of_range_refused(self, index):
+        # -1 would silently pick the top state, 4 raise a bare IndexError
+        with pytest.raises(ValidationError, match=rf"basis index {index} out of range 0\.\.3"):
+            PopulationState.basis(4, index)
 
 
 class TestPropagatePopulations:
@@ -145,7 +150,7 @@ class TestPropagatePopulations:
         traj = propagate_populations(
             rates, PopulationState.basis(4, 2), np.linspace(0.0, 20.0, 41)
         )
-        equilibrium = steady_states(*paper_table(kappas=(0.0, 1.0), temperature=1.0))[1].p
+        equilibrium = _steady_states(*paper_table(kappas=(0.0, 1.0), temperature=1.0))[1]
         distances = np.abs(traj.populations - equilibrium).max(axis=1)
         assert np.all(np.diff(distances) <= 1e-15)
 
@@ -161,7 +166,7 @@ class TestPropagatePopulations:
             Trajectory(times=[0.0, 1.0, 2.0], populations=[good, negative, drifted])
         with pytest.raises(NumericalIntegrityError, match=r"drift 1\.000e-01 at t = 1$"):
             Trajectory(times=[0.0, 1.0, 2.0], populations=[good, [-0.4, 1.5], negative])
-        assert Trajectory(times=[0.0, 1.0], populations=[good, good]).dimension == 2
+        assert Trajectory(times=[0.0, 1.0], populations=[good, good]).populations.shape == (2, 2)
 
     def test_earliest_bad_snapshot_reported_non_finite_first(self):
         good, drifted = [0.5, 0.5], [0.5, 0.6]
@@ -178,13 +183,15 @@ class TestPropagatePopulations:
             with pytest.raises(NumericalIntegrityError, match=rf"drift 1\.000e-01 at t = {re.escape(t)}$"):
                 Trajectory(times=[0.0, float(t)], populations=[good, drifted])
 
-    def test_time_grid_validation(self, paper_model):
+    @pytest.mark.parametrize("times", [
+        [1.0, 1.0], [-1.0, 1.0], [0.0, math.nan], [math.nan, 1.0], [0.0, math.inf], [], [[0.0, 1.0]],
+    ])
+    def test_time_grid_validation(self, times, paper_model):
+        # a NaN time is a bad grid (ValidationError, CLI exit 2), not a failed snapshot
         _, rates = paper_model()
-        p0 = PopulationState.uniform(4)
-        with pytest.raises(ValidationError):
-            propagate_populations(rates, p0, [1.0, 1.0])
-        with pytest.raises(ValidationError):
-            propagate_populations(rates, p0, [-1.0, 1.0])
+        message = "time grid must be a non-empty 1-D array, nonnegative, finite and strictly increasing"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            propagate_populations(rates, PopulationState.uniform(4), times)
 
 
 class TestPropagateDensity:
@@ -254,30 +261,35 @@ class TestPropagateDensity:
         assert np.array_equal(dens.matrices, np.array(direct))
 
 
+def _steady_states(elems, baths) -> list[np.ndarray]:
+    """One d-vector per block of the checked partition, its restricted Gibbs state."""
+    return steady_vectors(connectivity_blocks(elems, baths))
+
+
 class TestSteadyStates:
     def test_connected_model_reaches_gibbs(self, paper_dec, paper_table):
-        states = steady_states(*paper_table(kappas=(1.0, 1.0), temperature=1.0))
+        states = _steady_states(*paper_table(kappas=(1.0, 1.0), temperature=1.0))
         assert len(states) == 1
         oracle = gibbs_oracle(1.0)
-        assert np.max(np.abs(states[0].p - oracle)) < 1e-10
-        assert np.max(np.abs(states[0].p - gibbs_state(paper_dec, 1.0).p)) < 1e-10
+        assert np.max(np.abs(states[0] - oracle)) < 1e-10
+        assert np.max(np.abs(states[0] - gibbs_state(paper_dec, 1.0).p)) < 1e-10
         frozen = np.array([0.764441, 0.144384, 0.053116, 0.038059])
-        assert np.max(np.abs(states[0].p - frozen)) < 1e-6
+        assert np.max(np.abs(states[0] - frozen)) < 1e-6
 
     def test_blocked_model_two_restricted_gibbs(self, paper_table):
-        states = steady_states(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
+        states = _steady_states(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
         assert len(states) == 2
         # two-level Gibbs oracles with gaps 5/3 and 1/3
         low = 1.0 / (1.0 + math.exp(-5 / 3))
         high = 1.0 / (1.0 + math.exp(-1 / 3))
-        assert states[0].p == pytest.approx([low, 1 - low, 0.0, 0.0], abs=1e-10)
-        assert states[1].p == pytest.approx([0.0, 0.0, high, 1 - high], abs=1e-10)
+        assert states[0] == pytest.approx([low, 1 - low, 0.0, 0.0], abs=1e-10)
+        assert states[1] == pytest.approx([0.0, 0.0, high, 1 - high], abs=1e-10)
 
     def test_fully_decoupled_gives_basis_states(self, paper_table):
-        states = steady_states(*paper_table(kappas=(0.0, 0.0), temperature=1.0))
+        states = _steady_states(*paper_table(kappas=(0.0, 0.0), temperature=1.0))
         assert len(states) == 4
         for k, state in enumerate(states):
-            assert state.p[k] == 1.0
+            assert state[k] == 1.0
 
     def test_random_connected_chains_reach_gibbs(self):
         rng = np.random.default_rng(43)
@@ -291,9 +303,9 @@ class TestSteadyStates:
                 temperature=temperature, kappas=tuple(rng.uniform(0.2, 2.0, size=n))
             )
             dec = spectral_decomposition(build_hamiltonian(spec))
-            states = steady_states(coupling_matrix_elements(baths, dec), baths)
+            states = _steady_states(coupling_matrix_elements(baths, dec), baths)
             assert len(states) == 1
-            assert np.max(np.abs(states[0].p - gibbs_state(dec, temperature).p)) < 1e-9
+            assert np.max(np.abs(states[0] - gibbs_state(dec, temperature).p)) < 1e-9
 
     def test_zero_temperature_multiminimum_is_integrity_error(self):
         # two single-flip local minima in one structural block: kernel is 2-D
@@ -303,7 +315,7 @@ class TestSteadyStates:
         baths = BathConfig(temperature=0.0, kappas=(1.0, 1.0, 1.0))
         dec = spectral_decomposition(build_hamiltonian(spec))
         with pytest.raises(NumericalIntegrityError, match="kernel"):
-            steady_states(coupling_matrix_elements(baths, dec), baths)
+            connectivity_blocks(coupling_matrix_elements(baths, dec), baths)
 
     @pytest.mark.parametrize("temperature", [0.03, 0.02, 0.01])
     def test_glassy_chain_at_low_temperature_is_its_gibbs_state(self, temperature):
@@ -315,12 +327,9 @@ class TestSteadyStates:
         dec = spectral_decomposition(build_hamiltonian(spec))
         elems = coupling_matrix_elements(baths, dec)
         rates = build_rate_matrix(elems, baths)
-        states = steady_states(elems, baths)
-        assert len(states) == 1
         partition = connectivity_blocks(elems, baths)
         assert partition.blocks == (tuple(range(8)),)
-        assert np.array_equal(states[0].p, partition.weights[0])
-        residual = np.max(np.abs(rates.matrix @ states[0].p))
+        residual = np.max(np.abs(rates.matrix @ partition.weights[0]))
         assert residual <= 8 * EPS * np.max(np.abs(rates.matrix))
 
 
@@ -354,17 +363,17 @@ def test_steady_states_match_the_null_space_oracle(model):
     if any(k.shape[1] > 1 for k in kernels):
         assert rates.baths.temperature == 0.0
         with pytest.raises(NumericalIntegrityError, match="kernel"):
-            steady_states(elems, baths)
+            connectivity_blocks(elems, baths)
         return
-    states = steady_states(elems, baths)
+    states = _steady_states(elems, baths)
     assert len(states) == len(blocks)
     scale = np.max(np.abs(rates.matrix))
     for block, kernel, state in zip(blocks, kernels, states):
         if rates.baths.temperature > 0:
             oracle = np.zeros(rates.dimension)
             oracle[list(block)] = kernel[:, 0] / kernel[:, 0].sum()
-            assert np.max(np.abs(state.p - oracle)) <= 1e-9
-        assert np.max(np.abs(rates.matrix @ state.p)) <= 8 * EPS * scale
+            assert np.max(np.abs(state - oracle)) <= 1e-9
+        assert np.max(np.abs(rates.matrix @ state)) <= 8 * EPS * scale
 
 
 @settings(max_examples=80, deadline=None)

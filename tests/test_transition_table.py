@@ -39,7 +39,6 @@ from spinbath import (
     predicted_zero_count,
     random_nondegenerate_chain,
     spectral_decomposition,
-    steady_states,
     structural_blocks,
     sweep,
 )
@@ -353,7 +352,7 @@ def test_every_table_consumer_checks_its_bath(case):
     elems = coupling_matrix_elements(baths, dec)
     p0 = PopulationState.basis(dec.dimension, 0)
     consumers = [
-        build_rate_matrix, connectivity_blocks, steady_states, structural_blocks, count_structural_zeros,
+        build_rate_matrix, connectivity_blocks, structural_blocks, count_structural_zeros,
         generator._structural_pattern, generator._flip_densities,
         lambda e, b: sweep(e, b, "temperature", [1.0], 1.0, p0),
         lambda e, b: excitation_curves(e, b, "temperature", [1.0], [0.0, 1.0], p0),
