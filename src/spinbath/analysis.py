@@ -18,13 +18,14 @@ exploits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
 from .bath import BathConfig, CouplingElements, coupling_matrix_elements
-from .chain import DEGENERACY_TOL, ChainSpec, SpectralDecomposition, _close_levels, decompose_chain
+from .chain import ChainSpec, SpectralDecomposition, _close_levels, decompose_chain
 from .dynamics import (BlockPartition, PopulationState, _as_population, _check_times, _snapshot_faults,
                        excitation_probability, expm, propagate_populations)
 from .errors import SpinbathError, ValidationError
@@ -88,7 +89,8 @@ def restricted_gibbs_prediction(blocks: BlockPartition, p0) -> PopulationState:
 @dataclass(frozen=True)
 class SweepResult:
     """A value per point of a bath-axis grid, such as P_exc(t*),
-    with the failed points: grid index -> reason, their values nan."""
+    with the failed points: grid index -> reason.  A value is nan exactly
+    at the failed points."""
 
     axis: str
     grid: np.ndarray
@@ -100,6 +102,10 @@ class SweepResult:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != g.shape:
             raise ValidationError("sweep values must match the grid")
+        if not all(isinstance(k, numbers.Integral) and 0 <= k < g.size for k in self.errors):
+            raise ValidationError(f"sweep errors must be keyed by grid indices 0..{g.size - 1}")
+        if not np.array_equal(np.isnan(v), np.isin(np.arange(g.size), list(self.errors))):
+            raise ValidationError("a sweep value must be nan exactly at its failed points")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -117,7 +123,7 @@ def bath_at(baths: BathConfig, axis: str, value: float, site: int | None = None)
         return replace(baths, temperature=float(value))
     if axis != "kappa":
         raise ValidationError(f"unknown sweep axis {axis!r}")
-    if site is None or not 1 <= site <= baths.n_sites:
+    if not (isinstance(site, numbers.Integral) and 1 <= site <= baths.n_sites):
         raise ValidationError(f"site {site} out of range 1..{baths.n_sites}")
     kappas = list(baths.kappas)
     kappas[site - 1] = float(value)
@@ -229,7 +235,7 @@ def _draw_nondegenerate(n_sites: int, rng: np.random.Generator) -> tuple[ChainSp
         )
         spec = ChainSpec(n_sites=n_sites, fields=fields, couplings=couplings)
         dec = decompose_chain(spec)
-        if not _close_levels(dec.energies, DEGENERACY_TOL).size:
+        if not _close_levels(dec.energies).size:
             return spec, dec
     raise SpinbathError(
         f"failed to draw a nondegenerate {n_sites}-site chain in {MAX_CHAIN_DRAWS} attempts"

@@ -20,6 +20,7 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class ChainSpec:
     couplings: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValidationError(f"n_sites must be >= 1, got {self.n_sites}")
+        if not (isinstance(self.n_sites, numbers.Integral) and self.n_sites >= 1):
+            raise ValidationError(f"n_sites must be an integer >= 1, got {self.n_sites}")
         object.__setattr__(self, "fields", tuple(float(h) for h in self.fields))
         if len(self.fields) != self.n_sites:
             raise ValidationError(f"expected {self.n_sites} fields, got {len(self.fields)}")
@@ -122,7 +123,9 @@ class SpectralDecomposition:
         # stable: the default integer quicksort pages in ~0.3 MB of SIMD code on first use
         if not np.array_equal(np.sort(b, kind="stable"), np.arange(e.size)):
             raise ValidationError("basis must be a permutation of the computational basis")
-        if np.any(np.diff(e) < 0):
+        if not np.all(np.isfinite(e)):
+            raise ValidationError("energies must be finite")
+        if not np.all(np.diff(e) >= 0):  # NaN fails every comparison
             raise ValidationError("energies must be sorted ascending")
         for name, a in (("energies", e), ("basis", b)):
             a.setflags(write=False)
@@ -187,16 +190,31 @@ def _spin_flips(dec: SpectralDecomposition, n_sites: int):
     return label[state], partner[site, state], site + 1, (state & bits[site]) != 0
 
 
+def _frequency_groups(sites, gaps, rows, cols, tol: float = DEGENERACY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The secular grouping rule: which spin flips share one frequency.
+
+    Returns (order, joins): order sorts the flips by (site, omega, i, j), and
+    joins[k] says whether flip order[k + 1] joins the group of order[k] (one
+    site, gaps within `tol`).  A group is a maximal run of joins: the
+    transitive closure of "gaps within tol", whatever the visiting order.
+    """
+    order = np.lexsort((cols, rows, gaps, sites))
+    sites, gaps = sites[order], gaps[order]
+    return order, (np.diff(gaps) < tol) & (sites[1:] == sites[:-1])
+
+
 @dataclass(frozen=True)
 class DegeneracyReport:
     """Outcome of the nondegeneracy check behind the secular rate construction.
 
     spectrum_pairs lists (i, j, |E_i - E_j|) for level pairs closer than the
     tolerance, which the secular construction cannot take.  gap_pairs lists
-    ((i, j), (k, l), difference) for two flips of the same site whose gaps
-    agree within the tolerance: the secular jump operator of that site and
-    frequency holds both, which is the exact secular form, so colliding gaps
-    are reported but harmless.  Indices are 0-based eigenstate labels.
+    ((i, j), (k, l), difference) for each flip that joins the frequency group
+    of the flip before it (`_frequency_groups`: one site, gaps within the
+    tolerance).  Each group is one secular jump operator
+    (`generator.build_jump_operators`), so both flips of a pair share one:
+    colliding gaps are reported but harmless.  Indices are 0-based
+    eigenstate labels.
     """
 
     spectrum_degenerate: bool
@@ -215,28 +233,24 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
     """Flag near-coincident eigenvalues and colliding gaps of same-site flips.
 
     The spectrum is degenerate if two adjacent eigenvalues lie within `tol`.
-    Gaps collide if two flips of one site (whatever its bath axis) have gaps
-    within `tol`, as neighbours in that site's (omega, i, j) order.  A
-    dimension that is not a power of two has no spin flips.
+    Gaps collide where a flip joins its neighbour's frequency group
+    (`_frequency_groups`), whatever the site's bath axis.  A dimension that
+    is not a power of two has no spin flips.
     """
     if not tol > 0:  # NaN fails every comparison
         raise ValidationError(f"tolerance must be positive, got {tol}")
     e = dec.energies
     spectrum_pairs = [(int(i), int(i) + 1, float(e[i + 1] - e[i])) for i in _close_levels(e, tol)]
-
     d = dec.dimension
     n_sites = d.bit_length() - 1 if d & (d - 1) == 0 else 0
     rows, cols, sites, _ = _spin_flips(dec, n_sites)
     gaps = e[cols] - e[rows]
-    order = np.lexsort((cols, rows, gaps, sites))
-    rows, cols, sites, gaps = rows[order], cols[order], sites[order], gaps[order]
-    diffs = np.diff(gaps)
-    hits = np.flatnonzero((diffs < tol) & (sites[1:] == sites[:-1]))
+    order, joins = _frequency_groups(sites, gaps, rows, cols, tol)
+    rows, cols, diffs = rows[order], cols[order], np.diff(gaps[order])
     gap_pairs = [
         ((int(rows[k]), int(cols[k])), (int(rows[k + 1]), int(cols[k + 1])), float(diffs[k]))
-        for k in hits
+        for k in np.flatnonzero(joins)
     ]
-
     return DegeneracyReport(
         spectrum_degenerate=bool(spectrum_pairs),
         gaps_degenerate=bool(gap_pairs),
@@ -246,7 +260,7 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
     )
 
 
-def _close_levels(energies: np.ndarray, tol: float) -> np.ndarray:
+def _close_levels(energies: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
     """The 0-based i with E_(i+1) - E_i < tol in an ascending spectrum: the
     spacing check alone, all that admitting a spectrum needs."""
     return np.flatnonzero(np.diff(energies) < tol)
@@ -255,7 +269,7 @@ def _close_levels(energies: np.ndarray, tol: float) -> np.ndarray:
 def _require_nondegenerate(dec: SpectralDecomposition) -> None:
     """Refuse a degenerate spectrum, naming its lowest close pair of adjacent
     levels (1-based), as `check_degeneracy` lists it first in spectrum_pairs."""
-    close = _close_levels(dec.energies, DEGENERACY_TOL)
+    close = _close_levels(dec.energies)
     if close.size:
         i = int(close[0])
         diff = float(dec.energies[i + 1] - dec.energies[i])

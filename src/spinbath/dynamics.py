@@ -46,6 +46,7 @@ the `blocks` command) does not.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,7 +171,7 @@ class PopulationState:
 
     @classmethod
     def basis(cls, dimension: int, index: int) -> "PopulationState":
-        if not 0 <= index < dimension:
+        if not (isinstance(index, numbers.Integral) and 0 <= index < dimension):
             raise ValidationError(f"basis index {index} out of range 0..{dimension - 1}")
         p = np.zeros(dimension)
         p[index] = 1.0
@@ -211,7 +212,7 @@ class Trajectory:
     def __post_init__(self):
         t = _check_times(self.times)
         p = np.asarray(self.populations, dtype=np.float64)
-        if p.shape != (t.size, p.shape[-1]):
+        if p.ndim != 2 or p.shape[0] != t.size:
             raise ValidationError("population snapshots do not match the time grid")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "populations", p)

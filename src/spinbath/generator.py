@@ -15,9 +15,12 @@ where it is built, at the fixed tolerance chain.DEGENERACY_TOL, so no builder
 takes a decomposition or checks it again.  Equal gaps are admitted: flips of
 one site at one frequency share a jump operator, and two flips of the same
 site never share an endpoint, so populations still evolve apart from
-coherences.  Structural zeros of Lambda (entries that vanish for every T > 0
-given the kappa and coupling-element patterns) are read off the transition
-table, never by thresholding floats.
+coherences.  "One frequency" has one rule, `chain._frequency_groups`: a
+site's flips in gap order, chained wherever neighbouring gaps lie within
+the tolerance; the degeneracy report lists the same chained pairs.
+Structural zeros of Lambda (entries that vanish for every T > 0 given the
+kappa and coupling-element patterns) are read off the transition table,
+never by thresholding floats.
 
 Every consumer of the table takes it with its baths, `(elems, baths)`, and
 reads them through `_flip_densities` (J(omega) of every flip) or
@@ -33,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .bath import BathConfig, CouplingElements, bose_einstein, spectral_density
-from .chain import DEGENERACY_TOL, MAX_DENSE_SITES
+from .chain import MAX_DENSE_SITES, _frequency_groups
 # unused here; spinbench/test_spinbench.py::test_tracer_restores_every_wrapped_function reads it
 from .chain import check_degeneracy  # noqa: F401
 from .errors import CapacityError, NumericalIntegrityError, ValidationError
@@ -68,30 +71,22 @@ class JumpOperator:
 
 
 def build_jump_operators(elems: CouplingElements) -> list[JumpOperator]:
-    """One jump operator per (site, positive gap) with a nonzero coupling element.
+    """One jump operator per frequency group of the transition table's flips.
 
-    Each site's flips from the transition table are taken in (omega, i, j)
-    order, so sites without flips get no operator.  Flips whose gaps agree
-    within DEGENERACY_TOL with the first of a group join that operator (the
-    sum over equal-frequency terms of the secular form).
+    The groups are `chain._frequency_groups`, the rule `check_degeneracy`
+    reports gap_pairs by: each site's flips in (omega, i, j) order, cut
+    wherever a flip's gap is not within the tolerance of the previous one's.
+    An operator sums its group's flips (the equal-frequency terms of the
+    secular form) at its first flip's gap; sites without flips get none.
     """
     energies = elems.spectrum.energies
-    ops: list[JumpOperator] = []
-    for n in range(1, elems.n_sites + 1):
-        flips = elems.sites == n
-        rows, cols, values = elems.rows[flips], elems.cols[flips], elems.values[flips]
-        omega = energies[cols] - energies[rows]
-        groups: list[list[int]] = []
-        for k in np.lexsort((cols, rows, omega)).tolist():
-            if groups and omega[k] - omega[groups[-1][0]] < DEGENERACY_TOL:
-                groups[-1].append(k)
-            else:
-                groups.append([k])
-        for group in groups:
-            pairs = tuple(zip(rows[group].tolist(), cols[group].tolist()))
-            ops.append(JumpOperator(site=n, omega=float(omega[group[0]]), pairs=pairs,
-                                    values=tuple(values[group].tolist())))
-    return ops
+    omega = energies[elems.cols] - energies[elems.rows]
+    order, joins = _frequency_groups(elems.sites, omega, elems.rows, elems.cols)
+    groups = np.split(order, np.flatnonzero(~joins) + 1) if order.size else []
+    return [JumpOperator(site=int(elems.sites[g[0]]), omega=float(omega[g[0]]),
+                         pairs=tuple(zip(elems.rows[g].tolist(), elems.cols[g].tolist())),
+                         values=tuple(elems.values[g].tolist()))
+            for g in groups]
 
 
 @dataclass(frozen=True)

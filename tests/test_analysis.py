@@ -388,6 +388,7 @@ class TestSweeps:
         ("field", 1, "unknown sweep axis 'field'"),
         ("kappa", None, "site None out of range 1..2"),
         ("kappa", 3, "site 3 out of range 1..2"),
+        ("kappa", 1.5, "site 1.5 out of range 1..2"),
         ("temperature", 1, "a temperature sweep takes no site"),
     ])
     def test_bad_axis_or_site_refused_before_the_loop(self, axis, site, message, paper_table, monkeypatch):
@@ -418,6 +419,7 @@ class TestSweeps:
     @pytest.mark.parametrize("change, message", [
         ({"axis": "field", "site": 1}, "unknown sweep axis 'field'"),
         ({"axis": "kappa"}, "site None out of range 1..2"),
+        ({"axis": "kappa", "site": 1.5}, "site 1.5 out of range 1..2"),
         ({"site": 1}, "a temperature sweep takes no site"),
         ({"times": [0.0, 1.0, 1.0]}, "time grid " + GRID_RULE),
         ({"axis": "kappa", "times": [[0.0, 1.0]], "site": 1}, "time grid " + GRID_RULE),
@@ -470,6 +472,7 @@ class TestSweeps:
         baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y"))
         assert bath_at(baths, "temperature", 0.3) == replace(baths, temperature=0.3)
         assert bath_at(baths, "kappa", 0.5, site=2) == replace(baths, kappas=(1e-5, 0.5))
+        assert bath_at(baths, "kappa", 0.5, site=np.int64(2)) == replace(baths, kappas=(1e-5, 0.5))
         for axis, site in (("field", 1), ("kappa", None), ("kappa", 3), ("temperature", 1)):
             with pytest.raises(ValidationError):
                 bath_at(baths, axis, 0.5, site)
@@ -580,6 +583,24 @@ class TestLocateTTheta:
         assert locate_t_theta(SweepResult(axis="temperature", grid=grid, values=values)) == 2.0
         with pytest.raises(ValidationError, match=re.escape("sweep grid " + GRID_RULE)):
             SweepResult(axis="temperature", grid=grid[::-1], values=values[::-1])
+
+    @pytest.mark.parametrize("values, errors, message", [
+        ([0.5, 0.6, 0.7], {5: "x"}, "sweep errors must be keyed by grid indices 0..2"),
+        ([0.5, 0.6, 0.7], {-1: "x"}, "sweep errors must be keyed by grid indices 0..2"),
+        ([0.5, 0.6, 0.7], {"1": "x"}, "sweep errors must be keyed by grid indices 0..2"),
+        # a failed point whose value is finite would pass locate_t_theta's nan guard
+        ([0.5, 0.6, 0.7], {1: "failed"}, "a sweep value must be nan exactly at its failed points"),
+        ([0.5, math.nan, 0.7], {}, "a sweep value must be nan exactly at its failed points"),
+    ])
+    def test_failed_points_are_the_nan_values(self, values, errors, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SweepResult(axis="temperature", grid=[1.0, 2.0, 3.0], values=values, errors=errors)
+
+    def test_failed_points_refused(self):
+        failed = SweepResult(axis="temperature", grid=[1.0, 2.0, 3.0], values=[0.5, math.nan, 0.7],
+                             errors={np.int64(1): "failed"})
+        with pytest.raises(ValidationError, match="failed points"):
+            locate_t_theta(failed)
 
 
 class TestRandomChains:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from spinbath import (
     CapacityError,
     ChainSpec,
+    SpectralDecomposition,
     ValidationError,
     build_hamiltonian,
     check_degeneracy,
@@ -76,6 +78,13 @@ class TestBuildHamiltonian:
         with pytest.raises(ValidationError, match=re.escape(message)):
             ChainSpec(2, fields, couplings)
 
+    @pytest.mark.parametrize("n_sites", [0, -1, 2.0, 1.5, "2"])
+    def test_site_count_must_be_a_positive_integer(self, n_sites):
+        # 2.0 passes a range check and then breaks decompose_chain with a bare TypeError
+        with pytest.raises(ValidationError, match=re.escape(f"n_sites must be an integer >= 1, got {n_sites}")):
+            ChainSpec(n_sites, (1.0, 0.5))
+        assert ChainSpec(np.int64(2), (1.0, 0.5)).dimension == 4
+
     def test_dense_capacity_guard(self):
         spec = ChainSpec(14, (1.0,) * 14)
         with pytest.raises(CapacityError):
@@ -88,6 +97,18 @@ class TestSpectralDecomposition:
         assert np.max(np.abs(paper_dec.energies - expected)) < 1e-12
         # |1> = dd (index 3), |2> = du (2), |3> = ud (1), |4> = uu (0)
         assert paper_dec.basis.tolist() == [3, 2, 1, 0]
+
+    @pytest.mark.parametrize("build", [
+        lambda: spectral_decomposition(np.diag([0.0, math.nan, 1.0, 2.0])),
+        lambda: spectral_decomposition(np.diag([0.0, 1.0, math.inf, 2.0])),
+        lambda: SpectralDecomposition([0.0, 1.0, 2.0, math.nan], np.arange(4)),
+        lambda: SpectralDecomposition([math.nan], [0]),
+        lambda: SpectralDecomposition([-math.inf, 0.0], [0, 1]),
+    ])
+    def test_non_finite_energies_refused(self, build):
+        # a NaN energy sorts last and fails no spacing check, so it would be admitted as nondegenerate
+        with pytest.raises(ValidationError, match="energies must be finite"):
+            build()
 
     def test_scaled_identity(self):
         dec = spectral_decomposition(2.5 * np.eye(6))

@@ -72,11 +72,12 @@ class TestPopulationState:
 
     def test_basis_and_uniform(self):
         assert PopulationState.basis(4, 2).p[2] == 1.0
+        assert PopulationState.basis(np.int64(4), np.int64(2)).p[2] == 1.0
         assert np.allclose(PopulationState.uniform(5).p, 0.2)
 
-    @pytest.mark.parametrize("index", [-1, 4])
+    @pytest.mark.parametrize("index", [-1, 4, 1.5])
     def test_basis_index_out_of_range_refused(self, index):
-        # -1 would silently pick the top state, 4 raise a bare IndexError
+        # -1 would silently pick the top state, 4 and 1.5 raise a bare IndexError
         with pytest.raises(ValidationError, match=rf"basis index {index} out of range 0\.\.3"):
             PopulationState.basis(4, index)
 
@@ -176,6 +177,12 @@ class TestPropagatePopulations:
             Trajectory(times=[0.0, 1.0], populations=[good, [math.inf, -math.inf]])
         with pytest.raises(NumericalIntegrityError, match=r"drift 1\.000e-01 at t = 1$"):
             Trajectory(times=[0.0, 1.0, 2.0], populations=[good, drifted, [math.nan, 1.0]])
+
+    @pytest.mark.parametrize("populations", [1.0, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[[1.0]]]])
+    def test_snapshots_must_match_the_time_grid(self, populations):
+        # a 0-d array has no axes for a shape check to index
+        with pytest.raises(ValidationError, match="population snapshots do not match the time grid"):
+            Trajectory(times=[0.0], populations=populations)
 
     def test_fault_times_keep_twelve_digits(self):
         good, drifted = [0.5, 0.5], [0.5, 0.6]

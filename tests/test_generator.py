@@ -83,6 +83,19 @@ class TestJumpOperators:
         assert len(site1[0].pairs) == 2
         assert site1[0].values == (1.0, 1.0)
 
+    def test_chained_gaps_share_one_operator(self):
+        # the four site-1 gaps lie 8e-10, 2e-10 and 8e-10 apart: each within the tolerance
+        # of the next, 1.8e-9 end to end, so they chain into one group, as the report pairs them
+        dec = decompose_chain(ChainSpec(3, (1.0, 0.5, 0.3), ((1, 2, 2.5e-10), (1, 3, 2e-10))))
+        _, elems = _elems(dec, (1.0, 1.0, 1.0))
+        ops = build_jump_operators(elems)
+        assert [op.pairs for op in ops if op.site == 1] == [((3, 7), (2, 6), (1, 5), (0, 4))]
+        operator_of = {pair: k for k, op in enumerate(ops) for pair in op.pairs}
+        report = check_degeneracy(dec)
+        assert report.gap_pairs[:3] == (((3, 7), (2, 6), pytest.approx(8e-10)), ((2, 6), (1, 5), pytest.approx(2e-10)),
+                                        ((1, 5), (0, 4), pytest.approx(8e-10)))
+        assert all(operator_of[a] == operator_of[b] for a, b, _ in report.gap_pairs)
+
     def test_operators_store_only_their_entries(self):
         # operators keep their entries only: a d x d matrix per flip would take 512 MiB here
         dec = spectral_decomposition(build_hamiltonian(random_nondegenerate_chain(8, np.random.default_rng(3))))
@@ -95,6 +108,22 @@ class TestJumpOperators:
             tracemalloc.stop()
         assert len(ops) == 8 * 2**8 // 2
         assert peak < 8 * 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_report_pairs_are_the_operators_consecutive_members(n, seed, data):
+    """Couplings within +-5e-10 spread a site's gaps over a few tolerances, so
+    they chain into groups of every shape; the report and the operators group
+    them by the one rule."""
+    rng = np.random.default_rng(seed)
+    couplings = tuple((a, b, float(rng.uniform(-5e-10, 5e-10))) for a, b in combinations(range(1, n + 1), 2))
+    dec = decompose_chain(ChainSpec(n, tuple(rng.uniform(0.5, 1.5, size=n)), couplings))
+    report = check_degeneracy(dec)
+    assume(report.nondegenerate)
+    _, elems = _elems(dec, (1.0,) * n, axes=tuple(data.draw(st.sampled_from("xy")) for _ in range(n)))
+    members = [pairs for op in build_jump_operators(elems) for pairs in zip(op.pairs, op.pairs[1:])]
+    assert [(a, b) for a, b, _ in report.gap_pairs] == members
 
 
 class TestRateMatrix:

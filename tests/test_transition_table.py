@@ -140,7 +140,9 @@ def reference_rates(dec, matrices, baths, *, tol=1e-9):
 
 def reference_jump_operators(dec, matrices, *, tol=1e-9):
     """Pair loop over every level pair of every site's dense coupling matrix,
-    grouping a site's entries whose gaps lie within tol of a group's first."""
+    grouping a site's entries by neighbour chaining: in (omega, i, j) order,
+    an entry joins the group of the one before it when their gaps lie within
+    tol."""
     if reference_degeneracy(dec, tol).spectrum_degenerate:
         raise DegenerateGapError("degenerate spectrum")
     d = dec.dimension
@@ -155,7 +157,7 @@ def reference_jump_operators(dec, matrices, *, tol=1e-9):
         entries.sort()
         groups = []
         for entry in entries:
-            if groups and entry[0] - groups[-1][0][0] < tol:
+            if groups and entry[0] - groups[-1][-1][0] < tol:
                 groups[-1].append(entry)
             else:
                 groups.append([entry])
