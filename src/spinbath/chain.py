@@ -61,6 +61,8 @@ class ChainSpec:
         seen = set()
         norm = []
         for a, b, delta in self.couplings:
+            if not (isinstance(a, numbers.Integral) and isinstance(b, numbers.Integral)):
+                raise ValidationError(f"coupling sites ({a!r},{b!r}) must be integers")
             a, b = int(a), int(b)
             if not (1 <= a < b <= self.n_sites):
                 raise ValidationError(f"coupling sites ({a},{b}) must satisfy 1 <= a < b <= {self.n_sites}")

@@ -67,6 +67,16 @@ class TestBuildHamiltonian:
         with pytest.raises(ValidationError):
             ChainSpec(2, (1.0,))
 
+    @pytest.mark.parametrize("couplings, message", [
+        (((1.5, 2, 0.1),), "coupling sites (1.5,2) must be integers"),
+        ((("1", 2, 0.1),), "coupling sites ('1',2) must be integers"),
+    ])
+    def test_coupling_sites_must_be_integers(self, couplings, message):
+        # int() would silently turn site 1.5 into 1 and '1' into 1
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ChainSpec(3, (1.0, 0.5, 0.3), couplings)
+        assert ChainSpec(3, (1.0, 0.5, 0.3), ((np.int64(1), np.int64(2), 0.1),)).couplings == ((1, 2, 0.1),)
+
     @pytest.mark.parametrize("fields, couplings, message", [
         ((float("nan"), 0.5), (), "field for site 1 must be finite, got nan"),
         ((1.0, float("-inf")), (), "field for site 2 must be finite, got -inf"),

@@ -75,6 +75,18 @@ class TestPopulationState:
         assert PopulationState.basis(np.int64(4), np.int64(2)).p[2] == 1.0
         assert np.allclose(PopulationState.uniform(5).p, 0.2)
 
+    @pytest.mark.parametrize("make, dimension", [
+        (lambda: PopulationState.basis(4.0, 1), "4.0"),
+        (lambda: PopulationState.uniform(4.5), "4.5"),
+        (lambda: PopulationState.uniform(0), "0"),
+        (lambda: PopulationState.basis(-1, 0), "-1"),
+    ])
+    def test_dimension_must_be_a_positive_integer(self, make, dimension):
+        # a float raised a bare TypeError from numpy, 0 a ZeroDivisionError, and
+        # -1 reported an index "out of range 0..-2"
+        with pytest.raises(ValidationError, match=re.escape(f"dimension must be an integer >= 1, got {dimension}")):
+            make()
+
     @pytest.mark.parametrize("index", [-1, 4, 1.5])
     def test_basis_index_out_of_range_refused(self, index):
         # -1 would silently pick the top state, 4 and 1.5 raise a bare IndexError
@@ -435,6 +447,20 @@ def test_stepped_snapshots_match_one_exponential_per_time(run):
     assert np.max(np.abs(traj.populations - oracle)) <= 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(_stepped_runs())
+def test_stepped_snapshots_equal_a_plain_loop(run):
+    """The snapshots are, bit for bit, p = expm(Lambda dt) @ p over the grid's
+    intervals, the first from 0."""
+    rates, p, times = run
+    traj = propagate_populations(rates, p, times)
+    expected = []
+    for dt in np.diff(times, prepend=0.0):
+        p = scipy_expm(rates.matrix * dt) @ p
+        expected.append(p)
+    assert np.array_equal(traj.populations, expected)
+
+
 class TestGibbsState:
     def test_high_temperature_uniform(self, paper_dec):
         assert np.max(np.abs(gibbs_state(paper_dec, 1e9).p - 0.25)) < 1e-9
@@ -562,6 +588,42 @@ class TestExpm:
         assert len(seen) == len(others)
         dynamics.expm(generic)
         assert len(seen) == len(others) + (dynamics._pade is None)
+
+    @pytest.mark.parametrize("n", [2, 4, 17, 128])
+    def test_remembered_pair_never_changes_the_route(self, monkeypatch, n):
+        """Triangular, diagonal and generic input meets a pair left by an earlier
+        matrix: each still takes the route a scan of both triangles gives it
+        (NaN counts as nonzero) and gets scipy's bits."""
+        dynamics.expm(np.eye(2))  # loads scipy
+        if dynamics._pade is None:
+            pytest.skip("no usable Pade kernel: every input goes to scipy unclassified")
+        monkeypatch.setattr(dynamics, "_PAIRS", {})
+        seen = []
+        real = dynamics._scipy_expm
+        monkeypatch.setattr(dynamics, "_scipy_expm", lambda a: seen.append(a) or real(a))
+
+        def check_route(a):
+            before = len(seen)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.array_equal(dynamics.expm(a), scipy_expm(a), equal_nan=True)
+            generic = np.count_nonzero(np.tril(a, -1)) > 0 and np.count_nonzero(np.triu(a, 1)) > 0
+            assert len(seen) - before == (not generic)
+
+        generic = _matrix("generic", n, 3.0, n)
+        check_route(generic)
+        pair = dynamics._PAIRS[n]
+        for kind in ("upper", "lower", "diagonal"):
+            check_route(_matrix(kind, n, 3.0, n))
+        assert dynamics._PAIRS[n] == pair
+        rescanned = generic.copy()
+        rescanned.flat[list(pair)] = 0.0  # diagonal at n = 2, generic with a new pair above
+        check_route(rescanned)
+        assert (dynamics._PAIRS[n] != pair) == (n > 2)
+        pair = dynamics._PAIRS[n]
+        poisoned = generic.copy()
+        poisoned.flat[pair[0]] = np.nan
+        check_route(poisoned)
+        assert dynamics._PAIRS[n] == pair
 
     @pytest.mark.parametrize("hide", ["import", "signature", "mismatch"])
     def test_kernel_refused_unless_it_reproduces_scipy(self, reloaded, hide):
