@@ -18,14 +18,13 @@ exploits.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
 from .bath import BathConfig, CouplingElements, coupling_matrix_elements
-from .chain import ChainSpec, SpectralDecomposition, _close_levels, decompose_chain
+from .chain import ChainSpec, SpectralDecomposition, _close_levels, _is_integer, decompose_chain
 from .dynamics import (BlockPartition, PopulationState, _as_population, _check_times, _snapshot_faults,
                        excitation_probability, expm, propagate_populations)
 from .errors import SpinbathError, ValidationError
@@ -102,7 +101,7 @@ class SweepResult:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != g.shape:
             raise ValidationError("sweep values must match the grid")
-        if not all(isinstance(k, numbers.Integral) and 0 <= k < g.size for k in self.errors):
+        if not all(_is_integer(k) and 0 <= k < g.size for k in self.errors):
             raise ValidationError(f"sweep errors must be keyed by grid indices 0..{g.size - 1}")
         if not np.array_equal(np.isnan(v), np.isin(np.arange(g.size), list(self.errors))):
             raise ValidationError("a sweep value must be nan exactly at its failed points")
@@ -123,7 +122,7 @@ def bath_at(baths: BathConfig, axis: str, value: float, site: int | None = None)
         return replace(baths, temperature=float(value))
     if axis != "kappa":
         raise ValidationError(f"unknown sweep axis {axis!r}")
-    if not (isinstance(site, numbers.Integral) and 1 <= site <= baths.n_sites):
+    if not (_is_integer(site) and 1 <= site <= baths.n_sites):
         raise ValidationError(f"site {site} out of range 1..{baths.n_sites}")
     kappas = list(baths.kappas)
     kappas[site - 1] = float(value)

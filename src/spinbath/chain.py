@@ -35,6 +35,12 @@ MAX_ENUMERATION_SITES = 20
 HERMITICITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 
+
+def _is_integer(x) -> bool:
+    """The one rule for a count, index or site: a Python or numpy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Parameters of a z-type Ising chain.
@@ -50,7 +56,7 @@ class ChainSpec:
     couplings: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
-        if not (isinstance(self.n_sites, numbers.Integral) and self.n_sites >= 1):
+        if not (_is_integer(self.n_sites) and self.n_sites >= 1):
             raise ValidationError(f"n_sites must be an integer >= 1, got {self.n_sites}")
         object.__setattr__(self, "fields", tuple(float(h) for h in self.fields))
         if len(self.fields) != self.n_sites:
@@ -61,7 +67,7 @@ class ChainSpec:
         seen = set()
         norm = []
         for a, b, delta in self.couplings:
-            if not (isinstance(a, numbers.Integral) and isinstance(b, numbers.Integral)):
+            if not (_is_integer(a) and _is_integer(b)):
                 raise ValidationError(f"coupling sites ({a!r},{b!r}) must be integers")
             a, b = int(a), int(b)
             if not (1 <= a < b <= self.n_sites):

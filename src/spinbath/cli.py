@@ -60,36 +60,32 @@ from .generator import _structural_pattern, build_rate_matrix, structural_blocks
 OUT_DIR_ENV = "SPINBATH_OUT"
 
 
-def _echo(cfg: RunConfig, command: str) -> dict:
+def _echo_value(value) -> str:
+    """One `# params:` value without whitespace: a tuple of floats as (a,b,c), a
+    float as export.fmt prints it, a string with its whitespace dropped."""
+    if isinstance(value, tuple):
+        return "(" + ",".join(export.fmt(v) for v in value) + ")"
+    if isinstance(value, float):
+        return export.fmt(value)
+    return "".join(str(value).split())
+
+
+def _header(cfg: RunConfig) -> list[str]:
+    """The provenance lines of cfg.command: the chain and bath, then the [run]
+    keys that command reads (`_COMMAND_TABLE`)."""
+    chain, bath = cfg.chain, cfg.bath
     params = {
-        "command": command,
-        "n": cfg.chain.n_sites,
-        "fields": "(" + ",".join(export.fmt(h) for h in cfg.chain.fields) + ")",
-        "couplings": ";".join(f"{a}-{b}:{export.fmt(d)}" for a, b, d in cfg.chain.couplings) or "none",
-        "temperature": export.fmt(cfg.bath.temperature),
-        "kappas": "(" + ",".join(export.fmt(k) for k in cfg.bath.kappas) + ")",
-        "axes": "".join(cfg.bath.axes),
+        "command": cfg.command,
+        "n": chain.n_sites,
+        "fields": _echo_value(chain.fields),
+        "couplings": ";".join(f"{a}-{b}:{export.fmt(d)}" for a, b, d in chain.couplings) or "none",
+        "temperature": _echo_value(bath.temperature),
+        "kappas": _echo_value(bath.kappas),
+        "axes": "".join(bath.axes),
     }
-    if command in ("evolve", "fig2"):
-        params["times"] = str(cfg.times)
-    if command in ("evolve", "sweep-T", "sweep-kappa", "fig2"):
-        params["initial_state"] = cfg.initial_state
-    if command in ("sweep-T", "fig2"):
-        params["temperature_grid"] = str(cfg.temperature_grid)
-    if command in ("sweep-kappa", "fig2"):
-        params["kappa_grid"] = str(cfg.kappa_grid)
-        params["kappa_site"] = cfg.kappa_site
-    if command in ("sweep-T", "sweep-kappa", "fig2"):
-        params["t_star"] = export.fmt(cfg.t_star)
-    if command == "zeros-scaling":
-        params["max_n"] = cfg.max_n
-        params["draws"] = cfg.draws
-        params["seed"] = cfg.seed
-    return params
-
-
-def _header(cfg: RunConfig, command: str) -> list[str]:
-    return export.provenance_lines(command, cfg.source_hash, _echo(cfg, command))
+    for key in _COMMAND_TABLE[cfg.command][1]:
+        params[key] = _echo_value(getattr(cfg, key))
+    return export.provenance_lines(cfg.command, cfg.source_hash, params)
 
 
 def _table(cfg: RunConfig):
@@ -99,7 +95,7 @@ def _table(cfg: RunConfig):
 def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
     dec = decompose_chain(cfg.chain)
     report = check_degeneracy(dec)
-    header = _header(cfg, "spectrum")
+    header = _header(cfg)
     states = np.arange(1, dec.dimension + 1)[:, None]
     files = [
         export.write_csv(out / "spectrum.csv", [*header, "state,energy"], states, dec.energies[:, None]),
@@ -123,7 +119,7 @@ def _cmd_rates(cfg: RunConfig, out: Path) -> list[Path]:
     elems = _table(cfg)
     rates = build_rate_matrix(elems, cfg.bath)
     coupled, touched = _structural_pattern(elems, cfg.bath)
-    header = _header(cfg, "rates")
+    header = _header(cfg)
     return [
         export.write_rates_csv(out / "rates.csv", rates, header),
         export.write_mask_csv(out / "rates_mask.csv", (elems.rows[coupled], elems.cols[coupled], touched), header),
@@ -134,17 +130,17 @@ def _cmd_evolve(cfg: RunConfig, out: Path) -> list[Path]:
     elems = _table(cfg)
     rates = build_rate_matrix(elems, cfg.bath)
     traj = propagate_populations(rates, resolve_initial_state(cfg, elems.spectrum), cfg.times.values())
-    return [export.write_trajectory_csv(out / "trajectory.csv", traj, _header(cfg, "evolve"))]
+    return [export.write_trajectory_csv(out / "trajectory.csv", traj, _header(cfg))]
 
 
 def _cmd_steady(cfg: RunConfig, out: Path) -> list[Path]:
     partition = connectivity_blocks(_table(cfg), cfg.bath)
-    return [export.write_steady_csv(out / "steady.csv", partition, _header(cfg, "steady"))]
+    return [export.write_steady_csv(out / "steady.csv", partition, _header(cfg))]
 
 
 def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
     payload = [[i + 1 for i in block] for block in structural_blocks(_table(cfg), cfg.bath)]
-    return [export.write_json(out / "blocks.json", payload, _header(cfg, "blocks"))]
+    return [export.write_json(out / "blocks.json", payload, _header(cfg))]
 
 
 def _sweep(cfg: RunConfig, elems, p0, axis: str) -> analysis.SweepResult:
@@ -153,12 +149,12 @@ def _sweep(cfg: RunConfig, elems, p0, axis: str) -> analysis.SweepResult:
     return analysis.sweep(elems, cfg.bath, axis, grid.values(), cfg.t_star, p0, site)
 
 
-def _cmd_sweep(command: str, axis: str, name: str):
-    """The handler of `command`: the configured sweep along `axis`, written to `name`."""
+def _cmd_sweep(axis: str, name: str):
+    """The handler of a sweep command: the configured sweep along `axis`, written to `name`."""
     def run(cfg: RunConfig, out: Path) -> list[Path]:
         elems = _table(cfg)
         sweep = _sweep(cfg, elems, resolve_initial_state(cfg, elems.spectrum), axis)
-        return [export.write_sweep_csv(out / name, sweep, _header(cfg, command))]
+        return [export.write_sweep_csv(out / name, sweep, _header(cfg))]
     return run
 
 
@@ -168,7 +164,7 @@ def _cmd_zeros_scaling(cfg: RunConfig, out: Path) -> list[Path]:
     rng = np.random.default_rng(cfg.seed)
     rows = analysis.zeros_scaling(cfg.max_n, cfg.draws, rng)
     body = ["N,counted,predicted"] + [f"{n},{c},{p}" for n, c, p in rows]
-    return [export.write_lines(out / "zeros_scaling.csv", _header(cfg, "zeros-scaling"), body)]
+    return [export.write_lines(out / "zeros_scaling.csv", _header(cfg), body)]
 
 
 def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
@@ -184,7 +180,7 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     build_rate_matrix(elems, cfg.bath)
     p0 = resolve_initial_state(cfg, elems.spectrum)
     times = cfg.times.values()
-    header = _header(cfg, "fig2")
+    header = _header(cfg)
 
     def curves(path: Path, label: str, axis: str, points, site: int | None = None) -> Path:
         columns = analysis.excitation_curves(elems, cfg.bath, axis, points, times, p0, site)
@@ -199,16 +195,18 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     ]
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "rates": _cmd_rates,
-    "evolve": _cmd_evolve,
-    "steady": _cmd_steady,
-    "blocks": _cmd_blocks,
-    "sweep-T": _cmd_sweep("sweep-T", "temperature", "sweep_T.csv"),
-    "sweep-kappa": _cmd_sweep("sweep-kappa", "kappa", "sweep_kappa.csv"),
-    "zeros-scaling": _cmd_zeros_scaling,
-    "fig2": _cmd_fig2,
+# command -> (handler, the [run] keys it reads, echoed in its `# params:` line)
+_COMMAND_TABLE = {
+    "spectrum": (_cmd_spectrum, ()),
+    "rates": (_cmd_rates, ()),
+    "evolve": (_cmd_evolve, ("times", "initial_state")),
+    "steady": (_cmd_steady, ()),
+    "blocks": (_cmd_blocks, ()),
+    "sweep-T": (_cmd_sweep("temperature", "sweep_T.csv"), ("initial_state", "temperature_grid", "t_star")),
+    "sweep-kappa": (_cmd_sweep("kappa", "sweep_kappa.csv"), ("initial_state", "kappa_grid", "kappa_site", "t_star")),
+    "zeros-scaling": (_cmd_zeros_scaling, ("max_n", "draws", "seed")),
+    "fig2": (_cmd_fig2, ("times", "initial_state", "temperature_grid", "kappa_grid", "kappa_site", "t_star",
+                         "fig2_temperatures", "fig2_kappas")),
 }
 
 
@@ -216,11 +214,11 @@ def run_command(cfg: RunConfig) -> list[Path]:
     """Execute the configured command and return the written artifact paths."""
     if cfg.command is None:
         raise ConfigError("no command given (positional argument or [run] command)")
-    if cfg.command not in _HANDLERS:
+    if cfg.command not in _COMMAND_TABLE:
         raise ConfigError(f"unknown command {cfg.command!r}; available: {', '.join(COMMANDS)}")
     out = Path(cfg.out) if cfg.out else Path(os.environ.get(OUT_DIR_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
-    return _HANDLERS[cfg.command](cfg, out)
+    return _COMMAND_TABLE[cfg.command][0](cfg, out)
 
 
 def _resolve_config_path(value: str) -> Path:

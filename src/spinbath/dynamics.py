@@ -28,18 +28,18 @@ SIAM J. Matrix Anal. Appl. 31(3):970-989, 2009), bit for bit
 `scipy.linalg.expm`.  A real float64 matrix with a nonzero in both strict
 triangles, such as Lambda dt for dt > 0 at T > 0 with any coupled flip, goes
 straight to the Pade kernel of scipy's generic branch, skipping scipy's own
-input checks and its structure scan.  To see that a matrix is such a generic
-one, `expm` first reads two entries, one below and one above the diagonal,
-that held nonzeros when the last generic matrix of that size was found: the
-steps of one trajectory share their zero pattern, so two scalar reads settle
-all but its first step.  Only when either read is zero does it scan the
-triangles as scipy would.  1 x 1, diagonal and triangular input (a T = 0 rate
-matrix is upper triangular), stacks, and any matrix the kernel cannot do go
-to `scipy.linalg.expm`.  The kernel is private to scipy, so it is used only
-if it imports, accepts these arguments and reproduces `scipy.linalg.expm`
-bit for bit on a probe that needs squaring, checked once, on the first call.
-The Lindblad oracle (`propagate_density`) runs `scipy.linalg.expm` itself,
-apart from this fast path.
+input checks.  To see that a matrix is such a generic one, `expm` first reads
+two entries, one below and one above the diagonal, that held nonzeros in the
+last generic matrix of that size: the steps of one trajectory share their
+zero pattern, so two scalar reads settle all but its first step.  On a miss,
+`scipy.linalg.bandwidth`, the test scipy's own expm routes by, decides.  1 x 1,
+diagonal and triangular input (a T = 0 rate matrix is upper triangular),
+stacks, and any matrix the kernel cannot do go to `scipy.linalg.expm`.  The
+kernel is private to scipy, so it is used only if it imports, accepts these
+arguments and reproduces `scipy.linalg.expm` bit for bit on a probe that
+needs squaring, checked once, on the first call.  The Lindblad oracle
+(`propagate_density`) runs `scipy.linalg.expm` itself, apart from this fast
+path.
 
 `connectivity_blocks` is the one place where the transition table becomes a
 checked partition, with d restricted Gibbs weights in all: it is the steady
@@ -51,14 +51,13 @@ the `blocks` command) does not.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .bath import BathConfig, CouplingElements
-from .chain import SpectralDecomposition
+from .chain import SpectralDecomposition, _is_integer
 from .errors import NumericalIntegrityError, ValidationError
 from .generator import LindbladSuperoperator, RateMatrix, _flip_densities, structural_blocks, unvectorize, vectorize
 
@@ -73,21 +72,9 @@ _pade = None  # (pick_pade_structure, pade_UV_calc) once the probe has passed
 # A generator (zero column sums) of 1-norm 12: degree 13 after scaling by 2^-1, then one squaring.
 _PROBE = np.array([[-6.0, 2.0, 1.0], [4.0, -3.0, 5.0], [2.0, 1.0, -6.0]])
 
-# Flat indices of the strict lower and upper triangles of the sizes up to
-# _SMALL_SIZE (1,360 in all).  At d = 4, counting the nonzeros at them takes
-# 1.7 us against 6.8 us for scipy.linalg.bandwidth, which larger matrices use
-# (10 us at d = 128, where np.nonzero takes 114 us).  These scans run only
-# when the remembered pair below misses.
-_SMALL_SIZE = 16
-_TRIANGLES = tuple(
-    (np.flatnonzero(lower), np.flatnonzero(lower.T))
-    for lower in (np.tri(n, k=-1, dtype=bool) for n in range(_SMALL_SIZE + 1))
-)
-
 # For each size n, the flat indices of one entry below and one above the
-# diagonal that were nonzero in the last n x n matrix found to have a nonzero
-# in both strict triangles.  A hint, never a verdict: a matrix that is nonzero
-# at both is generic whatever the hint's age, and any other is scanned.
+# diagonal that were nonzero in the last generic n x n matrix.  A hint, never
+# a verdict: a matrix nonzero at both is generic, and bandwidth decides others.
 _PAIRS: dict[int, tuple[int, int]] = {}
 
 
@@ -98,11 +85,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     Importing scipy.linalg costs more than half of a cold start of the CLI,
     which commands that never propagate should not pay.  A real float64
     square matrix with a nonzero in both strict triangles, such as the step
-    Lambda dt of a trajectory at T > 0, runs scipy's Pade kernel directly:
-    two reads at the positions remembered for its size usually show it, and
-    otherwise a scan of both triangles does (`_in_both_triangles`).  A
-    diagonal or triangular matrix, or one the kernel refuses, goes to
-    scipy.linalg.expm (see the module docstring).
+    Lambda dt of a trajectory at T > 0, runs scipy's Pade kernel directly
+    (`_in_both_triangles` decides which matrices do).  A diagonal or
+    triangular matrix, or one the kernel refuses, goes to scipy.linalg.expm
+    (see the module docstring).
     """
     if _scipy_expm is None:
         _load_scipy()
@@ -138,23 +124,17 @@ def _in_both_triangles(a: np.ndarray) -> bool:
 
     The entries at the pair remembered for a's size are read first; when both
     are nonzero the answer is True at the cost of two scalar reads.  On a
-    miss, the triangles are scanned, and a matrix the scan finds generic
-    replaces the pair with its own first nonzero below and above the
-    diagonal.  A diagonal or triangular matrix misses on every call and pays
-    only the scan, as it would without the pair."""
+    miss, scipy.linalg.bandwidth decides, as it does in scipy.linalg.expm,
+    and a generic matrix replaces the pair with its own first nonzero below
+    and above the diagonal."""
     n = a.shape[0]
     pair = _PAIRS.get(n)
     if pair is not None and a.item(pair[0]) != 0 and a.item(pair[1]) != 0:
         return True
-    if n <= _SMALL_SIZE:
-        lower, upper = _TRIANGLES[n]
-        flat = a.reshape(-1)
-        generic = np.count_nonzero(flat[lower]) > 0 and np.count_nonzero(flat[upper]) > 0
-    else:
-        from scipy.linalg import bandwidth  # loaded with scipy.linalg.expm
+    from scipy.linalg import bandwidth  # loaded with scipy.linalg.expm
 
-        below, above = bandwidth(a)
-        generic = below > 0 and above > 0
+    below, above = bandwidth(a)
+    generic = below > 0 and above > 0
     if generic:
         _PAIRS[n] = (int(np.flatnonzero(np.tril(a, -1))[0]), int(np.flatnonzero(np.triu(a, 1))[0]))
     return generic
@@ -200,7 +180,7 @@ class PopulationState:
     @classmethod
     def basis(cls, dimension: int, index: int) -> "PopulationState":
         dimension = _check_dimension(dimension)
-        if not (isinstance(index, numbers.Integral) and 0 <= index < dimension):
+        if not (_is_integer(index) and 0 <= index < dimension):
             raise ValidationError(f"basis index {index} out of range 0..{dimension - 1}")
         p = np.zeros(dimension)
         p[index] = 1.0
@@ -219,7 +199,7 @@ class PopulationState:
 def _check_dimension(dimension) -> int:
     """`dimension` as an int, refused unless it is an integer >= 1, the rule
     `ChainSpec.n_sites` uses."""
-    if not (isinstance(dimension, numbers.Integral) and dimension >= 1):
+    if not (_is_integer(dimension) and dimension >= 1):
         raise ValidationError(f"population dimension must be an integer >= 1, got {dimension!r}")
     return int(dimension)
 

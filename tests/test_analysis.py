@@ -389,6 +389,7 @@ class TestSweeps:
         ("kappa", None, "site None out of range 1..2"),
         ("kappa", 3, "site 3 out of range 1..2"),
         ("kappa", 1.5, "site 1.5 out of range 1..2"),
+        ("kappa", True, "site True out of range 1..2"),
         ("temperature", 1, "a temperature sweep takes no site"),
     ])
     def test_bad_axis_or_site_refused_before_the_loop(self, axis, site, message, paper_table, monkeypatch):
@@ -588,6 +589,7 @@ class TestLocateTTheta:
         ([0.5, 0.6, 0.7], {5: "x"}, "sweep errors must be keyed by grid indices 0..2"),
         ([0.5, 0.6, 0.7], {-1: "x"}, "sweep errors must be keyed by grid indices 0..2"),
         ([0.5, 0.6, 0.7], {"1": "x"}, "sweep errors must be keyed by grid indices 0..2"),
+        ([0.5, math.nan, 0.7], {True: "x"}, "sweep errors must be keyed by grid indices 0..2"),
         # a failed point whose value is finite would pass locate_t_theta's nan guard
         ([0.5, 0.6, 0.7], {1: "failed"}, "a sweep value must be nan exactly at its failed points"),
         ([0.5, math.nan, 0.7], {}, "a sweep value must be nan exactly at its failed points"),

@@ -70,6 +70,7 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("couplings, message", [
         (((1.5, 2, 0.1),), "coupling sites (1.5,2) must be integers"),
         ((("1", 2, 0.1),), "coupling sites ('1',2) must be integers"),
+        (((True, 2, 0.1),), "coupling sites (True,2) must be integers"),
     ])
     def test_coupling_sites_must_be_integers(self, couplings, message):
         # int() would silently turn site 1.5 into 1 and '1' into 1
@@ -88,7 +89,7 @@ class TestBuildHamiltonian:
         with pytest.raises(ValidationError, match=re.escape(message)):
             ChainSpec(2, fields, couplings)
 
-    @pytest.mark.parametrize("n_sites", [0, -1, 2.0, 1.5, "2"])
+    @pytest.mark.parametrize("n_sites", [0, -1, 2.0, 1.5, "2", True])
     def test_site_count_must_be_a_positive_integer(self, n_sites):
         # 2.0 passes a range check and then breaks decompose_chain with a bare TypeError
         with pytest.raises(ValidationError, match=re.escape(f"n_sites must be an integer >= 1, got {n_sites}")):

@@ -27,6 +27,8 @@ from spinbath import (
     build_hamiltonian,
     builtin_config_path,
     cli,
+    decompose_chain,
+    gibbs_state,
     parse_config,
     random_nondegenerate_chain,
     spectral_decomposition,
@@ -520,6 +522,29 @@ class TestCli:
             params = next(line for line in lines[name] if line.startswith("# params:"))
             assert " initial_state=basis:4 " in params
 
+    @pytest.mark.parametrize("state, echo, p0", [
+        ("uniform", "uniform", [0.25] * 4),
+        ("gibbs", "gibbs", None),
+        ("0.1, 0.2, 0.3, 0.4", "0.1,0.2,0.3,0.4", [0.1, 0.2, 0.3, 0.4]),
+    ])
+    def test_evolve_starts_from_every_initial_state_kind(self, state, echo, p0, tmp_path):
+        # row 0 is the state; the Gibbs state is stationary, since both kappa > 0 make one block
+        path = tmp_path / "start.cfg"
+        path.write_text(builtin_config_path("ising2_paper").read_text()
+                        .replace("initial_state = ground", f"initial_state = {state}"))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        cols = read_csv_columns(out / "trajectory.csv")
+        populations = np.column_stack([cols[f"p_{i}"] for i in range(1, 5)])
+        if p0 is None:
+            p0 = gibbs_state(decompose_chain(parse_config(path).chain), 10.0).p
+            assert np.max(np.abs(populations - populations[0])) == 0.0
+            assert np.all(cols["P_exc"] == 0.701779922116)
+        assert populations[0] == pytest.approx(p0, abs=1e-12)
+        params = next(line for line in (out / "trajectory.csv").read_text().splitlines()
+                      if line.startswith("# params: "))
+        assert f" initial_state={echo} " in params
+
     def test_sweep_headers_hold_provenance_axis_and_failed_points_only(self, tmp_path):
         # the settings a sweep holds fixed are echoed once, in "# params:"; a kappa grid
         # out to 1e308 fails its last two points, each on a line of its own
@@ -862,7 +887,7 @@ class TestCli:
         def fail(cfg, out):
             raise exc
 
-        monkeypatch.setitem(cli._HANDLERS, "spectrum", fail)
+        monkeypatch.setitem(cli._COMMAND_TABLE, "spectrum", (fail, ()))
         assert main(["spectrum", "--config", "ising2_paper", "--out", str(tmp_path)]) == code
         record = json.loads(capsys.readouterr().err)
         assert record == {"error": type(exc).__name__, "message": str(exc), "exit_code": code}

@@ -80,6 +80,8 @@ class TestPopulationState:
         (lambda: PopulationState.uniform(4.5), "4.5"),
         (lambda: PopulationState.uniform(0), "0"),
         (lambda: PopulationState.basis(-1, 0), "-1"),
+        (lambda: PopulationState.basis(True, 0), "True"),
+        (lambda: PopulationState.uniform(True), "True"),
     ])
     def test_dimension_must_be_a_positive_integer(self, make, dimension):
         # a float raised a bare TypeError from numpy, 0 a ZeroDivisionError, and
@@ -87,9 +89,10 @@ class TestPopulationState:
         with pytest.raises(ValidationError, match=re.escape(f"dimension must be an integer >= 1, got {dimension}")):
             make()
 
-    @pytest.mark.parametrize("index", [-1, 4, 1.5])
+    @pytest.mark.parametrize("index", [-1, 4, 1.5, True])
     def test_basis_index_out_of_range_refused(self, index):
-        # -1 would silently pick the top state, 4 and 1.5 raise a bare IndexError
+        # -1 would silently pick the top state, 4 and 1.5 raise a bare IndexError,
+        # and True is a boolean mask that sets every entry
         with pytest.raises(ValidationError, match=rf"basis index {index} out of range 0\.\.3"):
             PopulationState.basis(4, index)
 
@@ -525,6 +528,12 @@ def _matrix(kind: str, d: int, norm: float, seed: int) -> np.ndarray:
     return a
 
 
+def _generic(a: np.ndarray) -> bool:
+    """A nonzero (NaN included) in both strict triangles, counted independently
+    of `dynamics._in_both_triangles`."""
+    return np.count_nonzero(np.tril(a, -1)) > 0 and np.count_nonzero(np.triu(a, 1)) > 0
+
+
 @pytest.fixture
 def reloaded(monkeypatch):
     """The next dynamics.expm call loads scipy and probes the kernel again, under
@@ -592,8 +601,8 @@ class TestExpm:
     @pytest.mark.parametrize("n", [2, 4, 17, 128])
     def test_remembered_pair_never_changes_the_route(self, monkeypatch, n):
         """Triangular, diagonal and generic input meets a pair left by an earlier
-        matrix: each still takes the route a scan of both triangles gives it
-        (NaN counts as nonzero) and gets scipy's bits."""
+        matrix: each still takes the route a count of both triangles gives it
+        (NaN counts as nonzero) and gets scipy's bits, at every size."""
         dynamics.expm(np.eye(2))  # loads scipy
         if dynamics._pade is None:
             pytest.skip("no usable Pade kernel: every input goes to scipy unclassified")
@@ -606,8 +615,7 @@ class TestExpm:
             before = len(seen)
             with np.errstate(over="ignore", invalid="ignore"):
                 assert np.array_equal(dynamics.expm(a), scipy_expm(a), equal_nan=True)
-            generic = np.count_nonzero(np.tril(a, -1)) > 0 and np.count_nonzero(np.triu(a, 1)) > 0
-            assert len(seen) - before == (not generic)
+            assert len(seen) - before == (not _generic(a))
 
         generic = _matrix("generic", n, 3.0, n)
         check_route(generic)
@@ -682,7 +690,7 @@ class TestExpm:
 
         matrices, with_kernel = run("kernel")
         assert len(matrices) == 1809 + 50
-        assert [np.count_nonzero(a) for a in matrices if not dynamics._in_both_triangles(a)] == [0] * 9
+        assert [np.count_nonzero(a) for a in matrices if not _generic(a)] == [0] * 9
         assert all(np.array_equal(real(a), scipy_expm(a)) for a in matrices)
 
         reloaded.setitem(sys.modules, KERNEL, None)
