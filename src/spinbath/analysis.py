@@ -145,8 +145,8 @@ def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: f
     value, site)` built on the caller's transition table at every grid value.
 
     The table's spectrum was admitted (nondegenerate) when it was built, so a
-    degenerate chain never reaches the loop.  A bath whose sites or axes
-    differ from the table's, an initial state of another dimension
+    degenerate chain never reaches the loop.  A bath whose site count, all a
+    sigma_x bath can differ in, is not the table's, a p0 of another dimension
     (`_scan_start`), a grid that fails `dynamics._check_times`, a bad axis
     or site (`bath_at`) and a t_star that is not positive and finite are
     refused before any rate is built.  A point whose rates fail, or whose
@@ -245,7 +245,7 @@ def zeros_scaling(max_n: int, draws: int, rng: np.random.Generator) -> list[tupl
     """Count structural zeros on random nondegenerate chains against the scaling law.
 
     Returns (N, counted, predicted) rows for N = 2 .. max_n, with every site
-    coupled through its x axis at unit strength; all draws for a given N
+    coupled through its sigma_x at unit strength; all draws for a given N
     must agree on the count.  Each count comes from the draw's transition
     table; no rate matrix is built.
     """

@@ -1,11 +1,13 @@
 """Per-site thermal baths: spectral density, occupation numbers, coupling elements.
 
-Each of the N sites couples to its own independent bosonic reservoir, all at
-the same temperature T.  A bath is characterised by the Pauli axis of its
-coupling operator S^(n) and a dimensionless strength kappa^(n) >= 0 entering
-the ohmic spectral density J^(n)(omega) = kappa^(n) * omega.  kappa = 0 means
-the site is exactly decoupled; this is the central asymmetry knob and is kept
-distinct from merely small kappa.
+Each of the N sites couples through its sigma_x to its own independent
+bosonic reservoir, all at the same temperature T.  A bath is characterised by
+a dimensionless strength kappa^(n) >= 0 entering the ohmic spectral density
+J^(n)(omega) = kappa^(n) * omega.  kappa = 0 means the site is exactly
+decoupled; this is the central asymmetry knob and is kept distinct from
+merely small kappa.  No other coupling is offered: sigma_y is sigma_x rotated
+by a z rotation of its site, which commutes with H (the same rates), and
+sigma_z commutes with H, so it moves no population (kappa = 0).
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ _LOG_DBL_MAX = 709.782712893384  # log of the largest double; np.expm1 overflows
 class BathConfig:
     """One bath per site, all at temperature T (units h1/k_B).
 
-    T = 0 is admitted as a documented limit (zero occupation, pure damping).
-    T and every kappa are finite: a NaN kappa would silently decouple its site.
+    Site n couples through its sigma_x (the only coupling; see the module).
+    T = 0 is a documented limit (zero occupation, pure damping).  T and every
+    kappa are finite: a NaN kappa would silently decouple its site.
     """
 
     temperature: float
     kappas: tuple[float, ...]
-    axes: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "temperature", float(self.temperature))
@@ -43,15 +45,6 @@ class BathConfig:
         for n, kappa in enumerate(self.kappas, start=1):
             if not 0 <= kappa < math.inf:
                 raise ValidationError(f"kappa for site {n} must be finite and >= 0, got {kappa}")
-        axes = tuple(self.axes) if self.axes else ("x",) * len(self.kappas)
-        if len(axes) != len(self.kappas):
-            raise ValidationError(
-                f"expected {len(self.kappas)} coupling axes, got {len(axes)}"
-            )
-        for axis in axes:
-            if axis not in ("x", "y", "z"):
-                raise ValidationError(f"unknown coupling axis {axis!r}")
-        object.__setattr__(self, "axes", axes)
 
     @property
     def n_sites(self) -> int:
@@ -93,30 +86,27 @@ def bose_einstein(omega: float, temperature: float) -> float:
 
 @dataclass(frozen=True)
 class CouplingElements:
-    """The transition table: every nonzero <i|S^(n)|j> with i < j in the
-    energy basis of `spectrum`, the decomposition its rows index.
+    """The transition table of `n_sites` sites: every nonzero <i|sigma_x^(n)|j>
+    with i < j in the energy basis of `spectrum`, the decomposition its rows index.
 
-    Each bath flips one spin, so the rows are the single-spin flips of the
-    sites with an x or y axis, d/2 per such site: read-only arrays rows,
-    cols, sites (1-based) and values = <rows|S^(sites)|cols>, in row-major
-    (i, j) order.  Values are exact (1 for x, -1j or +1j for y), so
-    |S_ij|^2 = 1 on every row, which the structural-zero bookkeeping
-    downstream relies on.  The lower triangle is the conjugate.  A table
-    admits only a nondegenerate spectrum (no two adjacent levels within
-    chain.DEGENERACY_TOL, which the secular rate construction cannot take;
-    DegenerateGapError names the pair), so nothing derived from it checks
-    the spectrum again.
+    Each bath flips one spin, so the rows are the single-spin flips, d/2 per
+    site: read-only arrays rows, cols and sites (1-based), in row-major
+    (i, j) order.  Every element is exactly 1, in both triangles, so none is
+    stored and |S_ij|^2 = 1, which the structural-zero bookkeeping relies on.
+    A table admits only a nondegenerate spectrum (no two adjacent levels
+    within chain.DEGENERACY_TOL, which the secular rate construction cannot
+    take; DegenerateGapError names the pair), so nothing derived from it
+    checks the spectrum again.  (Why sigma_x alone: see the module.)
     """
 
     rows: np.ndarray
     cols: np.ndarray
     sites: np.ndarray
-    values: np.ndarray
-    axes: tuple[str, ...]
+    n_sites: int
     spectrum: SpectralDecomposition
 
     def __post_init__(self):
-        for name in ("rows", "cols", "sites", "values"):
+        for name in ("rows", "cols", "sites"):
             a = np.array(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -126,37 +116,26 @@ class CouplingElements:
     def dimension(self) -> int:
         return self.spectrum.dimension
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.axes)
-
 
 def coupling_matrix_elements(config: BathConfig, dec: SpectralDecomposition) -> CouplingElements:
     """Build the transition table from the spin flips of the eigenbasis.
 
     A bath whose site count does not match the dimension is refused with
-    ValidationError, and a degenerate spectrum by the table itself.  A z
-    axis commutes with the chain and contributes no rows.  For y the element
-    is -1j when site n is up (bit 0) in |i>, else +1j.
+    ValidationError, and a degenerate spectrum by the table itself.  Every
+    site's sigma_x flips its spin between two eigenstates, so every flip is
+    a row.
     """
     d = dec.dimension
     if 2 ** config.n_sites != d:
         raise ValidationError(
             f"bath has {config.n_sites} sites but decomposition dimension is {d}"
         )
-    rows, cols, sites, down = _spin_flips(dec, config.n_sites)
-    axes = np.asarray(config.axes)[sites - 1]
-    values = np.ones(rows.size)  # the x element; the table stays real without a y axis
-    if "y" in config.axes:
-        values = np.where(axes == "y", np.where(down, 1j, -1j), values)
-    keep = axes != "z"
-    rows, cols, sites, values = rows[keep], cols[keep], sites[keep], values[keep]
+    rows, cols, sites = _spin_flips(dec, config.n_sites)
     order = np.lexsort((cols, rows))
     return CouplingElements(
         rows=rows[order],
         cols=cols[order],
         sites=sites[order],
-        values=values[order],
-        axes=config.axes,
+        n_sites=config.n_sites,
         spectrum=dec,
     )

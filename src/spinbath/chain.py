@@ -182,12 +182,12 @@ def _sorted(energies: np.ndarray) -> SpectralDecomposition:
 
 
 def _spin_flips(dec: SpectralDecomposition, n_sites: int):
-    """Every single-spin flip between eigenstates, as arrays (rows, cols, sites, down).
+    """Every single-spin flip between eigenstates, as arrays (rows, cols, sites):
+    the nonzero upper-triangle elements of each site's sigma_x, all equal to 1.
 
     Site n flips bit 2^(N - n) of the basis index (site 1 is the most
     significant bit).  Each flip is listed once, from eigenstate rows to the
-    higher label cols, site by site and then by the basis index of |rows>;
-    down is True where site n is down (bit 1) in |rows>.
+    higher label cols, site by site and then by the basis index of |rows>.
     """
     state = np.arange(dec.dimension)
     label = np.empty(dec.dimension, dtype=np.intp)
@@ -195,7 +195,7 @@ def _spin_flips(dec: SpectralDecomposition, n_sites: int):
     bits = 1 << (n_sites - np.arange(1, n_sites + 1))
     partner = label[state ^ bits[:, None]]
     site, state = np.nonzero(label < partner)
-    return label[state], partner[site, state], site + 1, (state & bits[site]) != 0
+    return label[state], partner[site, state], site + 1
 
 
 def _frequency_groups(sites, gaps, rows, cols, tol: float = DEGENERACY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -242,8 +242,8 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
 
     The spectrum is degenerate if two adjacent eigenvalues lie within `tol`.
     Gaps collide where a flip joins its neighbour's frequency group
-    (`_frequency_groups`), whatever the site's bath axis.  A dimension that
-    is not a power of two has no spin flips.
+    (`_frequency_groups`).  A dimension that is not a power of two has no
+    spin flips.
     """
     if not tol > 0:  # NaN fails every comparison
         raise ValidationError(f"tolerance must be positive, got {tol}")
@@ -251,7 +251,7 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
     spectrum_pairs = [(int(i), int(i) + 1, float(e[i + 1] - e[i])) for i in _close_levels(e, tol)]
     d = dec.dimension
     n_sites = d.bit_length() - 1 if d & (d - 1) == 0 else 0
-    rows, cols, sites, _ = _spin_flips(dec, n_sites)
+    rows, cols, sites = _spin_flips(dec, n_sites)
     gaps = e[cols] - e[rows]
     order, joins = _frequency_groups(sites, gaps, rows, cols, tol)
     rows, cols, diffs = rows[order], cols[order], np.diff(gaps[order])

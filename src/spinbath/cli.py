@@ -81,7 +81,7 @@ def _header(cfg: RunConfig) -> list[str]:
         "couplings": ";".join(f"{a}-{b}:{export.fmt(d)}" for a, b, d in chain.couplings) or "none",
         "temperature": _echo_value(bath.temperature),
         "kappas": _echo_value(bath.kappas),
-        "axes": "".join(bath.axes),
+        "axes": "x" * bath.n_sites,  # every bath couples through sigma_x
     }
     for key in _COMMAND_TABLE[cfg.command][1]:
         params[key] = _echo_value(getattr(cfg, key))
@@ -168,11 +168,11 @@ def _cmd_zeros_scaling(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
-    """The four datasets behind the thermal-vs-chemical excitation figure.
-
-    fig2c: P_exc(t) at several temperatures with the configured (asymmetric)
-    couplings; fig2d: P_exc(t) at several kappa values for the swept site at
-    the configured temperature; fig2e/f: the corresponding P_exc(t*) sweeps.
+    """The four datasets behind the thermal-vs-chemical excitation figure,
+    all computed before any is written: fig2c, P_exc(t) at several
+    temperatures with the configured (asymmetric) couplings; fig2d, P_exc(t)
+    at several kappa values for the swept site at the configured temperature;
+    fig2e/f, the corresponding P_exc(t*) sweeps.
     """
     elems = _table(cfg)
     # the configured-bath rates are built only to refuse overflowing rates up
@@ -182,16 +182,19 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     times = cfg.times.values()
     header = _header(cfg)
 
-    def curves(path: Path, label: str, axis: str, points, site: int | None = None) -> Path:
+    def curves(label: str, axis: str, points, site: int | None = None):
         columns = analysis.excitation_curves(elems, cfg.bath, axis, points, times, p0, site)
         names = "t," + ",".join(f"{label}={export.fmt(v)}" for v in points)
-        return export.write_csv(path, [*header, names], np.column_stack((times, columns)))
+        return [*header, names], np.column_stack((times, columns))
 
+    fig2c = curves("T", "temperature", cfg.fig2_temperatures)
+    fig2d = curves(f"kappa{cfg.kappa_site}", "kappa", cfg.fig2_kappas, cfg.kappa_site)
+    fig2e, fig2f = _sweep(cfg, elems, p0, "temperature"), _sweep(cfg, elems, p0, "kappa")
     return [
-        curves(out / "fig2c.csv", "T", "temperature", cfg.fig2_temperatures),
-        curves(out / "fig2d.csv", f"kappa{cfg.kappa_site}", "kappa", cfg.fig2_kappas, cfg.kappa_site),
-        export.write_sweep_csv(out / "fig2e.csv", _sweep(cfg, elems, p0, "temperature"), header),
-        export.write_sweep_csv(out / "fig2f.csv", _sweep(cfg, elems, p0, "kappa"), header),
+        export.write_csv(out / "fig2c.csv", *fig2c),
+        export.write_csv(out / "fig2d.csv", *fig2d),
+        export.write_sweep_csv(out / "fig2e.csv", fig2e, header),
+        export.write_sweep_csv(out / "fig2f.csv", fig2f, header),
     ]
 
 

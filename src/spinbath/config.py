@@ -9,7 +9,8 @@ key that is absent), so "n": 2.0 is refused as n = 2.0 is.  A refused value
 reads "[section] key: expected ... (line N): got ...".  Command-line values
 of seed, max_n and draws pass the same reader and checks, with (command line)
 in place of the line.  Units follow the package convention
-hbar = k_B = h_1 = 1.
+hbar = k_B = h_1 = 1.  Every bath couples through sigma_x (see `bath`), so
+[bath] axes, read for files that spell it out, must be x, once or per site.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .bath import BathConfig
 from .chain import MAX_DENSE_SITES, ChainSpec, SpectralDecomposition
-from .dynamics import PopulationState, gibbs_state
+from .dynamics import PopulationState, _check_times, gibbs_state
 from .errors import CapacityError, ConfigError, SpinbathError
 from .export import fmt
 
@@ -67,7 +68,7 @@ _SCHEMA = {
 @dataclass(frozen=True)
 class GridSpec:
     """A (start, stop, count, linear|log) grid of times, temperatures or
-    kappas, none of which may be negative."""
+    kappas, whose points pass `dynamics._check_times`, the one grid rule."""
 
     start: float
     stop: float
@@ -77,12 +78,12 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 2:
             raise ConfigError(f"grid needs at least 2 points, got {self.count}")
-        if not self.start < self.stop:
-            raise ConfigError(f"grid must increase: start={self.start}, stop={self.stop}")
         if self.mode not in ("linear", "log"):
             raise ConfigError(f"grid mode must be linear or log, got {self.mode!r}")
-        if self.start < 0 or (self.mode == "log" and self.start == 0):
-            raise ConfigError(f"grid must start at >= 0 (> 0 for a log grid), got start={self.start}")
+        if self.mode == "log" and not (self.start > 0 and self.stop > 0):
+            raise ConfigError(f"a log grid needs bounds > 0, got start={self.start}, stop={self.stop}")
+        with np.errstate(over="ignore", invalid="ignore"):  # stop - start beyond double range: nan, refused
+            _check_times(self.values(), "grid", ConfigError)
 
     def values(self) -> np.ndarray:
         if self.mode == "log":
@@ -310,15 +311,15 @@ def parse_config(path) -> RunConfig:
     temperature = sections.get_float("bath", "temperature", _REQUIRED)
     kappas = sections.get_floats("bath", "kappas", _REQUIRED)
     axes = [a.strip() for a in sections.get_str("bath", "axes", "x").split(",")]
-    axes = tuple(axes * n if len(axes) == 1 else axes)  # one letter stands for every site
-    for key, bad, expected in (  # every refusal of BathConfig, with its line
+    for key, bad, expected in (  # every refusal of BathConfig, and any axis but x, with its line
         ("temperature", temperature < 0, "a temperature >= 0"),
         ("kappas", len(kappas) != n or min(kappas) < 0, f"one bath per site ({n}), each kappa >= 0"),
-        ("axes", len(axes) != n or not set(axes) <= {"x", "y", "z"}, f"one axis per site ({n}), each x, y or z"),
+        ("axes", set(axes) != {"x"} or len(axes) not in (1, n),
+         f"x on every site, once or {n} times (sigma_y is sigma_x up to a phase; a z bath is kappa = 0)"),
     ):
         if bad:
             sections._fail("bath", key, expected, f"got {sections.data['bath'][key]!r}")
-    bath = BathConfig(temperature=temperature, kappas=kappas, axes=axes)
+    bath = BathConfig(temperature=temperature, kappas=kappas)
 
     command = sections.get_str("run", "command")
     if command is not None and command not in COMMANDS:

@@ -210,13 +210,13 @@ def _as_population(p0) -> np.ndarray:
     return PopulationState(np.asarray(p0)).p
 
 
-def _check_times(times, name: str = "time grid") -> np.ndarray:
-    """`times` as a float array: the one rule for every time and bath-axis
+def _check_times(times, name: str = "time grid", error=ValidationError) -> np.ndarray:
+    """`times` as a float array: the one rule for every time, sweep and config
     grid.  1-D, non-empty, first point >= 0, strictly increasing and finite,
     each written as a comparison that NaN fails; a refusal names the grid."""
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size == 0 or not (t[0] >= 0 and np.all(np.diff(t) > 0) and t[-1] < np.inf):
-        raise ValidationError(f"{name} must be a non-empty 1-D array, nonnegative, finite and strictly increasing")
+        raise error(f"{name} must be a non-empty 1-D array, nonnegative, finite and strictly increasing")
     return t
 
 
@@ -368,8 +368,8 @@ def connectivity_blocks(elems: CouplingElements, baths: BathConfig) -> BlockPart
     steady states and late-time predictions; no rate matrix is built.
 
     In order: the connected components of the structural graph
-    (`structural_blocks`, which refuses a bath that does not match the
-    table's sites and axes); each block's restricted Gibbs weights over its
+    (`structural_blocks`, which refuses a sigma_x bath whose site count is
+    not the table's); each block's restricted Gibbs weights over its
     own levels, from the table's spectrum (admitted when the table was
     built); and at T = 0 the absorbing-state check.
 

@@ -25,7 +25,8 @@ never by thresholding floats.
 Every consumer of the table takes it with its baths, `(elems, baths)`, and
 reads them through `_flip_densities` (J(omega) of every flip) or
 `_structural_pattern` (the coupled flips).  These two and the Lindblad builder
-refuse a bath whose sites or axes differ from the table's (`_check_bath`).
+refuse a bath whose site count, all a sigma_x bath can differ in, is not the
+table's (`_check_bath`).
 """
 
 from __future__ import annotations
@@ -50,24 +51,21 @@ def _check_bath(elems: CouplingElements, baths: BathConfig) -> None:
         raise ValidationError(
             f"bath has {baths.n_sites} sites but coupling elements cover {elems.n_sites}"
         )
-    if baths.axes != elems.axes:
-        raise ValidationError("bath axes differ from the axes the coupling elements were built with")
 
 
 @dataclass(frozen=True)
 class JumpOperator:
     """Secular jump operator of one site at one positive transition frequency.
 
-    In the energy basis it lowers |j> to |i> with amplitude values[k] for the
-    k-th stored (i, j) pair, and has no other entries; it holds one pair per
-    flip of the site at this frequency, usually one.  `site` is the 1-based
-    site label.
+    In the energy basis it lowers |j> to |i> with amplitude 1, the sigma_x
+    element, for every stored (i, j) pair, and has no other entries; it holds
+    one pair per flip of the site at this frequency, usually one.  `site` is
+    the 1-based site label.
     """
 
     site: int
     omega: float
     pairs: tuple[tuple[int, int], ...]
-    values: tuple[complex, ...]
 
 
 def build_jump_operators(elems: CouplingElements) -> list[JumpOperator]:
@@ -77,15 +75,14 @@ def build_jump_operators(elems: CouplingElements) -> list[JumpOperator]:
     reports gap_pairs by: each site's flips in (omega, i, j) order, cut
     wherever a flip's gap is not within the tolerance of the previous one's.
     An operator sums its group's flips (the equal-frequency terms of the
-    secular form) at its first flip's gap; sites without flips get none.
+    secular form of sigma_x) at its first flip's gap.
     """
     energies = elems.spectrum.energies
     omega = energies[elems.cols] - energies[elems.rows]
     order, joins = _frequency_groups(elems.sites, omega, elems.rows, elems.cols)
     groups = np.split(order, np.flatnonzero(~joins) + 1) if order.size else []
     return [JumpOperator(site=int(elems.sites[g[0]]), omega=float(omega[g[0]]),
-                         pairs=tuple(zip(elems.rows[g].tolist(), elems.cols[g].tolist())),
-                         values=tuple(elems.values[g].tolist()))
+                         pairs=tuple(zip(elems.rows[g].tolist(), elems.cols[g].tolist())))
             for g in groups]
 
 
@@ -145,7 +142,7 @@ def build_rate_matrix(elems: CouplingElements, baths: BathConfig) -> RateMatrix:
     only the dense `RateMatrix.matrix` has a capacity limit.
 
     Refused with ValidationError when the baths do not match the table's
-    sites and axes (`_flip_densities`), and with NumericalIntegrityError when
+    site count (`_flip_densities`), and with NumericalIntegrityError when
     a rate or a total outflow overflows (kappa * omega beyond double range).
     """
     omega, coupled = _flip_densities(elems, baths)
@@ -286,8 +283,8 @@ def build_lindblad_superoperator(elems: CouplingElements, baths: BathConfig) -> 
     super_matrix = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
     for op in ops:
-        a = np.zeros((d, d), dtype=elems.values.dtype)
-        a[tuple(zip(*op.pairs))] = op.values
+        a = np.zeros((d, d))
+        a[tuple(zip(*op.pairs))] = 1.0
         a_dag = a.conj().T
         j_omega = spectral_density(baths, op.site, op.omega)
         nbar = bose_einstein(op.omega, baths.temperature)

@@ -23,19 +23,15 @@ H2 = 0.5
 DELTA = 1.0 / 3.0
 
 
-PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def site_operator(axis: str, site: int, n_sites: int) -> np.ndarray:
-    """Dense Kronecker embedding of the Pauli matrix `axis` at 1-based `site`
-    (site 1 is the leftmost factor, the most significant bit)."""
+def site_operator(site: int, n_sites: int) -> np.ndarray:
+    """Dense Kronecker embedding of sigma_x, every bath's coupling operator, at
+    1-based `site` (site 1 is the leftmost factor, the most significant bit)."""
     out = np.array([[1.0]])
     for n in range(1, n_sites + 1):
-        out = np.kron(out, PAULI[axis] if n == site else np.eye(2))
+        out = np.kron(out, SIGMA_X if n == site else np.eye(2))
     return out
 
 

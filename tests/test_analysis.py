@@ -135,8 +135,7 @@ def _tables(draw):
     spec = replace(spec, couplings=tuple((a, b, scale * delta) for a, b, delta in spec.couplings))
     assume(check_degeneracy(decompose_chain(spec)).nondegenerate)
     kappas = tuple(draw(st.lists(st.sampled_from([0.0, 1e-5, 1.0]), min_size=n, max_size=n)))
-    axes = tuple(draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n)))
-    return spec, BathConfig(temperature=draw(st.sampled_from([0.0, 0.05, 1.0, 10.0])), kappas=kappas, axes=axes)
+    return spec, BathConfig(temperature=draw(st.sampled_from([0.0, 0.05, 1.0, 10.0])), kappas=kappas)
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,8 +198,7 @@ def _relabelled_tables(draw):
     n = draw(st.integers(1, 6))
     spec = random_nondegenerate_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     kappas = tuple(draw(st.lists(st.sampled_from([0.0, 1e-5, 1.0]), min_size=n, max_size=n)))
-    axes = tuple(draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n)))
-    baths = BathConfig(temperature=draw(st.sampled_from([0.05, 1.0, 10.0])), kappas=kappas, axes=axes)
+    baths = BathConfig(temperature=draw(st.sampled_from([0.05, 1.0, 10.0])), kappas=kappas)
     return spec, baths, draw(st.permutations(range(n)))
 
 
@@ -221,7 +219,7 @@ def _relabelled(spec: ChainSpec, baths: BathConfig, perm) -> tuple[ChainSpec, Ba
 
     couplings = tuple((*sorted((perm[a - 1] + 1, perm[b - 1] + 1)), delta) for a, b, delta in spec.couplings)
     return (ChainSpec(spec.n_sites, moved(spec.fields), couplings),
-            BathConfig(temperature=baths.temperature, kappas=moved(baths.kappas), axes=moved(baths.axes)))
+            BathConfig(temperature=baths.temperature, kappas=moved(baths.kappas)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,8 +439,6 @@ class TestSweeps:
             excitation_curves(elems, **call)
 
     @pytest.mark.parametrize("baths, axis, grid, site, message", [
-        (BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y")), "temperature",
-         np.geomspace(0.1, 10, 25), None, "bath axes differ from the axes the coupling elements were built with"),
         (BathConfig(temperature=10.0, kappas=(1e-5, 1.0, 1.0)), "kappa",
          np.geomspace(1e-3, 1, 5), 1, "bath has 3 sites but coupling elements cover 2"),
     ])
@@ -470,7 +466,7 @@ class TestSweeps:
             excitation_curves(elems, baths, "kappa", [1.0, 1e308], times, p0, site=1)
 
     def test_bath_at_sets_one_axis(self):
-        baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0), axes=("x", "y"))
+        baths = BathConfig(temperature=10.0, kappas=(1e-5, 1.0))
         assert bath_at(baths, "temperature", 0.3) == replace(baths, temperature=0.3)
         assert bath_at(baths, "kappa", 0.5, site=2) == replace(baths, kappas=(1e-5, 0.5))
         assert bath_at(baths, "kappa", 0.5, site=np.int64(2)) == replace(baths, kappas=(1e-5, 0.5))
@@ -507,7 +503,6 @@ def _sweeps(draw):
     baths = BathConfig(
         temperature=draw(st.sampled_from(SWEEP_TEMPERATURES)),
         kappas=tuple(draw(st.lists(st.sampled_from(SWEEP_KAPPAS), min_size=n, max_size=n))),
-        axes=tuple(draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n))),
     )
     dec = decompose_chain(spec)
     axis = draw(st.sampled_from(["temperature", "kappa"]))

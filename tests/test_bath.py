@@ -128,16 +128,6 @@ class TestBathConfig:
         with pytest.raises(ValidationError, match="temperature must be finite and >= 0"):
             BathConfig(temperature=value, kappas=(1.0,))
 
-    def test_axes_validated(self):
-        with pytest.raises(ValidationError):
-            BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("x",))
-        with pytest.raises(ValidationError):
-            BathConfig(temperature=1.0, kappas=(1.0,), axes=("q",))
-
-    def test_default_axes_are_x(self):
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 0.0, 2.0))
-        assert cfg.axes == ("x", "x", "x")
-
 
 def _pairs(elems, site=None):
     return [
@@ -151,7 +141,6 @@ class TestCouplingMatrixElements:
         cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
         elems = coupling_matrix_elements(cfg, paper_dec)
         assert _pairs(elems, 1) == [(0, 2), (1, 3)]  # |1> <-> |3>, |2> <-> |4>
-        assert elems.values.tolist() == [1.0] * 4
 
     def test_site_two_pathways(self, paper_dec):
         cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
@@ -160,27 +149,17 @@ class TestCouplingMatrixElements:
         assert _pairs(elems) == [(0, 1), (0, 2), (1, 3), (2, 3)]  # row-major
         assert elems.sites.tolist() == [2, 1, 1, 2]
 
-    def test_z_coupling_is_diagonal(self, paper_dec):
-        # sigma_z commutes with the chain, so it has no off-diagonal elements
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("z", "z"))
-        assert coupling_matrix_elements(cfg, paper_dec).rows.size == 0
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("z", "x"))
-        assert _pairs(coupling_matrix_elements(cfg, paper_dec)) == [(0, 1), (2, 3)]
-
     def test_hermiticity(self):
-        # the table and its conjugate transpose rebuild the dense Hermitian operators;
-        # |h_2| < Delta: site 2 is up in the lower level of one flip and down in the
-        # other, so both signs of the y element occur
+        # each site's rows, with 1 in both triangles, rebuild its dense sigma_x;
+        # |h_2| < Delta: site 2 is up in the lower level of one flip and down in the other
         dec = spectral_decomposition(build_hamiltonian(ChainSpec(2, (1.0, -0.2), ((1, 2, 1 / 3),))))
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("x", "y"))
-        elems = coupling_matrix_elements(cfg, dec)
+        elems = coupling_matrix_elements(BathConfig(temperature=1.0, kappas=(1.0, 1.0)), dec)
         u = np.eye(4)[:, dec.basis]
-        for site, axis in enumerate(cfg.axes, start=1):
+        for site in (1, 2):
             flips = elems.sites == site
-            s = np.zeros((4, 4), dtype=complex)
-            s[elems.rows[flips], elems.cols[flips]] = elems.values[flips]
-            assert np.array_equal(s + s.conj().T, u.T @ site_operator(axis, site, 2) @ u)
-        assert set(elems.values[elems.sites == 2].tolist()) == {-1j, 1j}
+            s = np.zeros((4, 4))
+            s[elems.rows[flips], elems.cols[flips]] = 1.0
+            assert np.array_equal(s + s.T, u.T @ site_operator(site, 2) @ u)
 
     def test_dimension_mismatch(self, paper_dec):
         cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0, 1.0))
@@ -191,14 +170,14 @@ class TestCouplingMatrixElements:
         # [H, sigma_x^(n)] != 0 for both sites of the reference chain
         h = build_hamiltonian(paper_spec)
         for site in (1, 2):
-            s = site_operator("x", site, 2)
+            s = site_operator(site, 2)
             assert np.max(np.abs(h @ s - s @ h)) > 0.1
 
     def test_independent_of_gauge_for_nondegenerate_spectra(self, paper_spec):
         # rebuilding the decomposition must reproduce the same table exactly
         dec_a = spectral_decomposition(build_hamiltonian(paper_spec))
         dec_b = spectral_decomposition(build_hamiltonian(paper_spec))
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0), axes=("x", "y"))
+        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
         a, b = coupling_matrix_elements(cfg, dec_a), coupling_matrix_elements(cfg, dec_b)
-        for name in ("rows", "cols", "sites", "values"):
+        for name in ("rows", "cols", "sites"):
             assert np.array_equal(getattr(a, name), getattr(b, name))

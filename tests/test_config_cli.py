@@ -236,6 +236,30 @@ class TestParseConfig:
         message = "[chain] n: expected an integer (line 1): got '2.0'"
         assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message, "exit_code": 2}
 
+    @pytest.mark.parametrize("axes", [None, "x", "x, x"])
+    def test_axes_may_spell_out_x(self, axes, tmp_path):
+        # every bath couples through sigma_x: an absent key, one x and one x per site are one run
+        paper = builtin_config_path("ising2_paper").read_text()
+        path = tmp_path / "paper.cfg"
+        path.write_text(paper.replace("axes = x, x\n", "" if axes is None else f"axes = {axes}\n"))
+        cfg = parse_config(path)
+        assert cfg.bath == parse_config(builtin_config_path("ising2_paper")).bath
+        assert cli._header(cfg)[2].startswith("# params: axes=xx ")
+
+    @pytest.mark.parametrize("axes", ["y", "z", "x, y", "x, z", "w", "x, x, x", ""])
+    def test_axes_other_than_x_refused_with_the_reason(self, axes, tmp_path, capsys):
+        paper = builtin_config_path("ising2_paper").read_text()
+        path = tmp_path / "paper.cfg"
+        path.write_text(paper.replace("axes = x, x\n", f"axes = {axes}\n"))
+        message = ("[bath] axes: expected x on every site, once or 2 times (sigma_y is sigma_x up to a phase; "
+                   f"a z bath is kappa = 0) (line 13): got {axes!r}")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == message
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message, "exit_code": 2}
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_coupling_is_named_once(self, tmp_path):
         path = tmp_path / "coupling.cfg"
         path.write_text("[chain]\nn = 2\nfields = 1.0, 0.5\ncouplings = 1-2 0.3\n[bath]\ntemperature = 1\nkappas = 1, 1\n")
@@ -331,7 +355,7 @@ couplings = 1-2: 0.25, 2-3: -0.1
 [bath]
 temperature = 1.0
 kappas = 1e-5, 1.0, 1.0
-axes = x, y, x
+axes = x, x, x
 [run]
 command = spectrum
 initial_state = ground
@@ -353,13 +377,14 @@ _NUMERIC = ("n", "fields", "couplings", "temperature", "kappas", "times", "t_sta
 _PER_SITE = ("fields", "kappas", "axes")
 _GRIDS = ("times", "temperature_grid", "kappa_grid")
 _NOT_NUMBERS = ("abc", "1.0.0", "one", "0x1A", "1e", "--1", "e5", "true")
-_BAD_GRIDS = ("0:10", "0:10:11:log:x", "10:0:11", "0:10:1", "0:10:11:cubic", "0:10:11:log", "-1:1:5:log", "1:1:5")
+_BAD_GRIDS = ("0:10", "0:10:11:log:x", "10:0:11", "0:10:1", "0:10:11:cubic", "0:10:11:log", "-1:1:5:log", "1:1:5",
+              "1:1.0000000000000002:5", "1:0:5:log", "-1e308:1e308:5")
 _OUT_OF_RANGE = {
     "n": ("0", "-2"),
     "couplings": ("1-4: 0.25", "2-1: 0.25", "1-2: 0.1, 1-2: 0.2"),
     "temperature": ("-1",),
     "kappas": ("1e-5, -1, 1.0",),
-    "axes": ("x, w, x",),
+    "axes": ("x, w, x", "x, y, x", "z"),
     "kappa_site": ("0", "4"),
     "t_star": ("0", "-1"),
     "initial_state": ("basis:9", "0.5, 0.5", "warm"),
@@ -443,6 +468,13 @@ def test_every_out_of_range_value_names_its_line(key, value):
     _assert_refused_naming_its_line(*_with_value(key, value))
 
 
+@pytest.mark.parametrize("key, value", [(key, value) for key in _GRIDS for value in _BAD_GRIDS])
+def test_every_bad_grid_names_its_line(key, value):
+    # one grid rule, dynamics._check_times: points that round together, such as
+    # 1:1.0000000000000002:5, are refused with the key's line, not later by the run
+    _assert_refused_naming_its_line(*_with_value(key, value))
+
+
 def _assert_refused_naming_its_line(text: str, line: int) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "broken.cfg"
@@ -462,7 +494,7 @@ def test_the_fuzzed_config_is_valid(tmp_path):
     path = tmp_path / "valid.cfg"
     path.write_text(VALID)
     cfg = parse_config(path)
-    assert cfg.chain.n_sites == 3 and cfg.bath.axes == ("x", "y", "x") and cfg.draws == 2
+    assert cfg.chain.n_sites == 3 and cfg.bath.n_sites == 3 and cfg.draws == 2
 
 
 class TestCli:
@@ -616,6 +648,21 @@ class TestCli:
         failed = [line for line in lines if "failed_point" in line]
         assert len(failed) == 1
         assert "index=1" in failed[0] and "NumericalIntegrityError: non-finite rates" in failed[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fig2_writes_nothing_when_a_curve_is_refused(self, tmp_path, capsys):
+        # fig2d's kappa_1 = 1e308 overflows its rates, which refuses the run (exit 3)
+        # after fig2c's curves are computed: none of the four files is written
+        path = tmp_path / "huge.cfg"
+        path.write_text(builtin_config_path("ising2_paper").read_text() + "fig2_kappas = 0.001, 1e308\n")
+        out = tmp_path / "out"
+        assert main(["fig2", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "NumericalIntegrityError" and record["exit_code"] == 3
+        assert record["message"] == "non-finite rates: total outflow of level 1 is inf"
+        assert list(out.iterdir()) == []
 
     def test_stiff_chemical_axis_reaches_its_plateau(self, tmp_path):
         # kappa_1 = 1e6 against kappa_2 = 1: each 0.05 step of the grid keeps ||Lambda dt||
@@ -816,6 +863,38 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
         assert record["message"].startswith(f"config file {path} is not valid UTF-8")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("section.cfg", "[chain]\nn = 1\nfields = 1\n[bath]\ntemperature = 1\nkappas = 1\n[extra]\nk = 1\n",
+         "unknown section [extra] (line 7)"),
+        ("section.json", '{"chain": {"n": 1, "fields": 1}, "extra": {}}', "unknown section [extra] (line 1)"),
+        ("list.json", "[1, 2]", "JSON config must map section names to key/value objects"),
+        ("flat.json", '{"chain": 1}', "JSON config must map section names to key/value objects"),
+        ("broken.json", '{"chain": ', "invalid JSON config: Expecting value: line 1 column 11 (char 10)"),
+        ("missing.cfg", None, "config file not found: {path}"),
+        ("no_such_builtin", None, "unknown builtin config 'no_such_builtin'; available: ['ising2_paper']"),
+        ("command.cfg", "[chain]\nn = 1\nfields = 1\n[bath]\ntemperature = 1\nkappas = 1\n",
+         "no command given (positional argument or [run] command)"),
+    ])
+    def test_refused_inputs_exit_2_with_one_record(self, name, text, message, tmp_path, capsys, monkeypatch):
+        # a file that is not a config, a name that is no file and no builtin, and a run
+        # without a command: exit 2, one JSON record naming the fault, nothing written
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        message = message.format(path=path)
+        if name.endswith((".cfg", ".json")) and name != "command.cfg":
+            with pytest.raises(ConfigError) as info:
+                parse_config(path)
+            assert str(info.value) == message
+        config = name if name == "no_such_builtin" else str(path)
+        argv = ["--config", config, "--out", str(tmp_path / "out")]
+        assert main(argv if name == "command.cfg" else ["spectrum", *argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ConfigError", "message": message, "exit_code": 2}
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "missing.cfg")])

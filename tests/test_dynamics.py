@@ -127,8 +127,7 @@ class TestPropagatePopulations:
         d = 2**13
         empty = np.zeros(0, dtype=np.intp)
         spectrum = SpectralDecomposition(energies=np.arange(d, dtype=float), basis=np.arange(d))
-        elems = CouplingElements(rows=empty, cols=empty, sites=empty, values=empty.astype(float),
-                                 axes=("x",) * 13, spectrum=spectrum)
+        elems = CouplingElements(rows=empty, cols=empty, sites=empty, n_sites=13, spectrum=spectrum)
         rates = RateMatrix(elems=elems, baths=BathConfig(temperature=1.0, kappas=(1.0,) * 13),
                            damping=empty.astype(float), gain=empty.astype(float), outflow=np.zeros(d))
         p0 = PopulationState.basis(d, 0)
@@ -362,7 +361,6 @@ def _random_models(draw):
     baths = BathConfig(
         temperature=draw(st.sampled_from((0.0, 0.3, 1.0, 10.0))),
         kappas=tuple(draw(st.sampled_from((0.0, 1e-5, 0.3, 1.0))) for _ in range(n)),
-        axes=tuple(draw(st.sampled_from("xyz")) for _ in range(n)),
     )
     dec = spectral_decomposition(build_hamiltonian(spec))
     elems = coupling_matrix_elements(baths, dec)
@@ -419,7 +417,6 @@ def _stepped_runs(draw):
     baths = BathConfig(
         temperature=draw(st.sampled_from((0.0, 0.05, 1.0, 10.0))),
         kappas=tuple(draw(st.sampled_from((0.0, 1e-5, 1.0))) for _ in range(n)),
-        axes=tuple(draw(st.sampled_from("xyz")) for _ in range(n)),
     )
     rates = build_rate_matrix(coupling_matrix_elements(baths, spectral_decomposition(build_hamiltonian(spec))), baths)
     d = rates.dimension

@@ -56,11 +56,11 @@ TOLERANCES = (1e-9, 1e-3, 0.05)
 
 
 def reference_coupling_matrices(config: BathConfig, dec: SpectralDecomposition) -> list[np.ndarray]:
-    """Dense rotation u^dagger S u of every site's coupling operator."""
+    """Dense rotation u^dagger S u of every site's coupling operator, sigma_x."""
     u = np.eye(dec.dimension)[:, dec.basis]
     matrices = []
-    for site, axis in enumerate(config.axes, start=1):
-        s = site_operator(axis, site, config.n_sites)
+    for site in range(1, config.n_sites + 1):
+        s = site_operator(site, config.n_sites)
         s_energy = u.conj().T @ s @ u
         if np.max(np.abs(s_energy - s_energy.conj().T)) > 1e-12:
             raise ValidationError(f"coupling elements for site {site} lost Hermiticity")
@@ -163,8 +163,7 @@ def reference_jump_operators(dec, matrices, *, tol=1e-9):
                 groups.append([entry])
         for group in groups:
             pairs = tuple((i, j) for _, i, j in group)
-            values = tuple(s[i, j].item() for i, j in pairs)
-            ops.append(JumpOperator(site=n, omega=group[0][0], pairs=pairs, values=values))
+            ops.append(JumpOperator(site=n, omega=group[0][0], pairs=pairs))
     return ops
 
 
@@ -192,15 +191,16 @@ CASES = _cases()
 
 
 def _assert_same_table(elems, matrices):
-    table = (elems.rows, elems.cols, elems.sites, elems.values)
-    for got, expected in zip(table, reference_table(matrices)):
-        assert np.array_equal(got, expected)
+    *expected, values = reference_table(matrices)
+    for got, want in zip((elems.rows, elems.cols, elems.sites), expected):
+        assert np.array_equal(got, want)
+    assert np.all(values == 1.0)  # every sigma_x element is exactly 1, so the table stores none
 
 
 def _assert_same_jump_operators(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        assert (a.site, a.omega, a.pairs, a.values) == (b.site, b.omega, b.pairs, b.values)
+        assert (a.site, a.omega, a.pairs) == (b.site, b.omega, b.pairs)
 
 
 def _assert_same_rates(dec, baths):
@@ -237,9 +237,8 @@ def test_rates_match_the_pair_loop(label, spec):
     dec = spectral_decomposition(build_hamiltonian(spec))
     built = 0
     for temperature in TEMPERATURES:
-        axes = tuple(rng.choice(["x", "y", "z"], size=spec.n_sites))
         kappas = tuple(rng.choice(KAPPAS, size=spec.n_sites))
-        baths = BathConfig(temperature=temperature, kappas=kappas, axes=axes)
+        baths = BathConfig(temperature=temperature, kappas=kappas)
         built += _assert_same_rates(dec, baths) is not None
     assert built > 0
 
@@ -281,15 +280,15 @@ def test_zero_gap_transition_raises_like_the_pair_loop():
 def test_transition_table_has_one_pair_per_spin_flip():
     spec = CASES[6][1]  # an all-pairs chain with N = 5
     dec = spectral_decomposition(build_hamiltonian(spec))
-    baths = BathConfig(temperature=1.0, kappas=(1.0,) * 5, axes=("x", "y", "z", "y", "x"))
+    baths = BathConfig(temperature=1.0, kappas=(1.0,) * 5)
     elems = coupling_matrix_elements(baths, dec)
     d = dec.dimension
-    assert elems.rows.size == d * 4 // 2
+    assert elems.rows.size == d * 5 // 2
     assert np.all(elems.rows < elems.cols)
-    assert np.bincount(elems.sites).tolist() == [0, d // 2, d // 2, 0, d // 2, d // 2]
+    assert np.bincount(elems.sites).tolist() == [0] + [d // 2] * 5
     flipped = dec.basis[elems.rows] ^ dec.basis[elems.cols]
     assert np.array_equal(flipped, 1 << (5 - elems.sites))  # exactly the site's bit differs
-    for a in (elems.rows, elems.cols, elems.sites, elems.values):
+    for a in (elems.rows, elems.cols, elems.sites):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -302,22 +301,21 @@ def _chains_and_baths(draw, kappa_values=(0.0, 1e-5, 0.3, 1.0)):
     couplings = tuple(
         (a, b, draw(value)) for a, b in combinations(range(1, n + 1), 2) if draw(st.booleans())
     )
-    axes = tuple(draw(st.sampled_from("xyz")) for _ in range(n))
     kappas = tuple(draw(st.sampled_from(kappa_values)) for _ in range(n))
-    return ChainSpec(n, fields, couplings), axes, kappas
+    return ChainSpec(n, fields, couplings), kappas
 
 
 @settings(max_examples=60, deadline=None)
 @given(_chains_and_baths())
 def test_table_equals_the_dense_rotation_on_random_chains(case):
-    spec, axes, kappas = case
+    spec, kappas = case
     dec = spectral_decomposition(build_hamiltonian(spec))
-    baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    baths = BathConfig(temperature=1.0, kappas=kappas)
     assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
     elems = coupling_matrix_elements(baths, dec)
     _assert_same_table(elems, reference_coupling_matrices(baths, dec))
 
-    # with every site coupled through x, the zeros law holds whatever the gaps
+    # with every site coupled, the zeros law holds whatever the gaps
     coupled = BathConfig(temperature=1.0, kappas=tuple(k or 0.5 for k in kappas))
     rates = build_rate_matrix(coupling_matrix_elements(coupled, dec), coupled)
     assert count_structural_zeros(rates.elems, rates.baths) == predicted_zero_count(spec.n_sites)
@@ -328,9 +326,9 @@ def test_table_equals_the_dense_rotation_on_random_chains(case):
 def test_the_table_refuses_exactly_the_degenerate_spectra(case):
     """coupling_matrix_elements admits a spectrum by the spacing check alone,
     and its refusal names the pair check_degeneracy lists first."""
-    spec, axes, kappas = case
+    spec, kappas = case
     dec = spectral_decomposition(build_hamiltonian(spec))
-    baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    baths = BathConfig(temperature=1.0, kappas=kappas)
     report = check_degeneracy(dec)
     if not report.spectrum_degenerate:
         assert coupling_matrix_elements(baths, dec).spectrum is dec
@@ -344,13 +342,13 @@ def test_the_table_refuses_exactly_the_degenerate_spectra(case):
 @settings(max_examples=60, deadline=None)
 @given(_chains_and_baths())
 def test_every_table_consumer_checks_its_bath(case):
-    """Every function that takes (elems, baths) refuses a bath whose sites or axes
-    differ from the table's with _check_bath's own message, and accepts the bath
+    """Every function that takes (elems, baths) refuses a bath whose site count
+    differs from the table's with _check_bath's own message, and accepts the bath
     the table was built for."""
-    spec, axes, kappas = case
+    spec, kappas = case
     dec = spectral_decomposition(build_hamiltonian(spec))
     assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
-    baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    baths = BathConfig(temperature=1.0, kappas=kappas)
     elems = coupling_matrix_elements(baths, dec)
     p0 = PopulationState.basis(dec.dimension, 0)
     consumers = [
@@ -361,13 +359,9 @@ def test_every_table_consumer_checks_its_bath(case):
     ]
     if spec.n_sites <= 3:  # the oracle's d^4 matrix
         consumers.append(build_lindblad_superoperator)
-    rotated = {"x": "y", "y": "z", "z": "x"}
-    mismatched = [
-        replace(baths, axes=(rotated[axes[0]], *axes[1:])),
-        BathConfig(temperature=1.0, kappas=(*kappas, 1.0), axes=(*axes, "x")),
-    ]
+    mismatched = [BathConfig(temperature=1.0, kappas=(*kappas, 1.0))]
     if spec.n_sites > 1:
-        mismatched.append(BathConfig(temperature=1.0, kappas=kappas[:-1], axes=axes[:-1]))
+        mismatched.append(BathConfig(temperature=1.0, kappas=kappas[:-1]))
     for bad in mismatched:
         with pytest.raises(ValidationError) as expected:
             generator._check_bath(elems, bad)
@@ -455,9 +449,9 @@ def test_mask_csv_matches_the_per_entry_rendering(tmp_path, monkeypatch, mask_by
 def test_flip_densities_equal_the_per_site_law(case):
     """One spectral_density call over the table's sites against one call per
     site: the same bits on every row of the table."""
-    spec, axes, kappas = case
+    spec, kappas = case
     dec = spectral_decomposition(build_hamiltonian(spec))
-    baths = BathConfig(temperature=1.0, kappas=kappas, axes=axes)
+    baths = BathConfig(temperature=1.0, kappas=kappas)
     assume(not check_degeneracy(dec).spectrum_degenerate)  # a zero gap is refused with the table
     elems = coupling_matrix_elements(baths, dec)
     omega = dec.energies[elems.cols] - dec.energies[elems.rows]
@@ -477,9 +471,9 @@ def test_rates_on_the_table_equal_the_pair_loop(case, temperature):
     against the pair loop: every entry the same bits, signed zeros included.
     The pair loop sums each column in its own order, so the diagonal it is
     held to is its off-diagonal part summed as Lambda.sum(axis=0) sums it."""
-    spec, axes, kappas = case
+    spec, kappas = case
     dec = spectral_decomposition(build_hamiltonian(spec))
-    baths = BathConfig(temperature=temperature, kappas=kappas, axes=axes)
+    baths = BathConfig(temperature=temperature, kappas=kappas)
     assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
     expected, _ = reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
     rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
