@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import SpectralDecomposition, _require_nondegenerate, _spin_flips
+from .chain import SpectralDecomposition, _is_integer, _require_nondegenerate, _spin_flips
 from .errors import ValidationError
 
 _LOG_DBL_MAX = 709.782712893384  # log of the largest double; np.expm1 overflows above it
@@ -97,6 +97,9 @@ class CouplingElements:
     within chain.DEGENERACY_TOL, which the secular rate construction cannot
     take; DegenerateGapError names the pair), so nothing derived from it
     checks the spectrum again.  (Why sigma_x alone: see the module.)
+    Arrays that are not 1-D integer arrays of one length, a site outside
+    1..n_sites and a row or col outside 0..d-1 are refused with
+    ValidationError.
     """
 
     rows: np.ndarray
@@ -110,6 +113,17 @@ class CouplingElements:
             a = np.array(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        rows, cols, sites = self.rows, self.cols, self.sites
+        if not all(a.ndim == 1 and a.size == rows.size and np.issubdtype(a.dtype, np.integer)
+                   for a in (rows, cols, sites)):
+            raise ValidationError("transition table rows, cols and sites must be 1-D integer arrays of one length")
+        if not (_is_integer(self.n_sites) and self.n_sites >= 1):
+            raise ValidationError(f"transition table n_sites must be an integer >= 1, got {self.n_sites!r}")
+        d = self.spectrum.dimension
+        for name, a, low, high in (("site", sites, 1, self.n_sites), ("row", rows, 0, d - 1), ("col", cols, 0, d - 1)):
+            bad = a[(a < low) | (a > high)]
+            if bad.size:
+                raise ValidationError(f"transition table {name} {bad[0]} out of range {low}..{high}")
         _require_nondegenerate(self.spectrum)
 
     @property

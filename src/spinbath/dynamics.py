@@ -3,14 +3,21 @@ among them P_exc = 1 - p_1 (`excitation_probability`, its one definition).
 
 Trajectories are computed with the dense matrix exponential, stepping from
 one requested time to the next: p(t_0) = exp(Lambda t_0) p0, then
-p(t_k) = exp(Lambda (t_k - t_{k-1})) p(t_{k-1}), one exponential per
-snapshot.  Scaling and squaring costs, and rounds, more as log2 ||Lambda t||
-grows, so a short interval is cheaper and no less accurate than the whole
-time from 0.  The generator is stiff when couplings span several decades
-(kappa = 1e-5 against 1); every step is still an exact exponential, not an
-integrator step, so there is no step size to pick and no tolerance to meet:
-the requested grid is the only discretisation, and the factors are
-column-stochastic, so the rounding of one step does not grow in the next.
+p(t_k) = exp(Lambda (t_k - t_{k-1})) p(t_{k-1}), one `expm` call per
+snapshot but one exponential per distinct interval: the calls of one
+trajectory share a two-entry memo of exact inputs (`expm`'s `recent`), so
+the 201 steps of `0:10:201`, whose intervals take 10 distinct bit patterns,
+compute 10 exponentials, and a log grid, whose intervals all differ, 201.
+A hit returns the bits the same input produced, so the snapshots are those
+of one exponential per step; the memo holds four d x d arrays while the
+trajectory runs.  Scaling and squaring costs, and rounds, more as
+log2 ||Lambda t|| grows, so a short interval is cheaper and no less
+accurate than the whole time from 0.  The generator is stiff when couplings
+span several decades (kappa = 1e-5 against 1); every step is still an exact
+exponential, not an integrator step, so there is no step size to pick and no
+tolerance to meet: the requested grid is the only discretisation, and the
+factors are column-stochastic, so the rounding of one step does not grow in
+the next.
 A sweep (`analysis.sweep`) takes one exponential from 0 to t*, and the
 Lindblad oracle (`propagate_density`) one from 0 to every snapshot time.
 Normalisation and positivity are asserted at every snapshot (once, when the
@@ -78,7 +85,7 @@ _PROBE = np.array([[-6.0, 2.0, 1.0], [4.0, -3.0, 5.0], [2.0, 1.0, -6.0]])
 _PAIRS: dict[int, tuple[int, int]] = {}
 
 
-def expm(a: np.ndarray) -> np.ndarray:
+def expm(a: np.ndarray, recent: list | None = None) -> np.ndarray:
     """exp(a) as scipy.linalg.expm computes it, bit for bit; scipy is
     imported on the first call.
 
@@ -89,15 +96,32 @@ def expm(a: np.ndarray) -> np.ndarray:
     (`_in_both_triangles` decides which matrices do).  A diagonal or
     triangular matrix, or one the kernel refuses, goes to scipy.linalg.expm
     (see the module docstring).
+
+    `recent`, a list the caller owns and passes to every call of one
+    computation on ndarrays of one shape and dtype, remembers the last two
+    distinct inputs: an `a` whose bytes equal a stored one's gets that
+    call's result back, the same object, which the caller must not write to.
+    Each entry holds a copy of its input and the result, so the list holds
+    four arrays of a's size.
     """
+    if recent is not None:
+        key = a.tobytes()
+        for i, (k, e) in enumerate(recent):
+            if k == key:
+                recent.insert(0, recent.pop(i))
+                return e
     if _scipy_expm is None:
         _load_scipy()
+    e = None
     if (_pade is not None and type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 2
             and a.shape[0] == a.shape[1] and _in_both_triangles(a)):
         e = _pade_expm(a, *_pade)
-        if e is not None:
-            return e
-    return _scipy_expm(a)
+    if e is None:
+        e = _scipy_expm(a)
+    if recent is not None:
+        recent.insert(0, (key, e))
+        del recent[2:]
+    return e
 
 
 def _load_scipy() -> None:
@@ -260,7 +284,10 @@ def _snapshot_faults(times: np.ndarray, populations: np.ndarray) -> dict[int, st
 def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     """Evolve a population vector through exp(Lambda t) on the given grid,
     one interval at a time: p(t_0) = expm(Lambda t_0) p0 and
-    p(t_k) = expm(Lambda (t_k - t_{k-1})) p(t_{k-1}), one `expm` per snapshot.
+    p(t_k) = expm(Lambda (t_k - t_{k-1})) p(t_{k-1}), one `expm` call per
+    snapshot.  The calls share one two-entry memo (`expm`'s `recent`), made
+    here and dropped on return, so each distinct interval is exponentiated
+    once while its input and result, four d x d arrays in all, are kept.
 
     Accuracy: every factor is column-stochastic up to rounding, so the error
     a step makes is carried to the next without growing.  For kappa <= 1 and
@@ -281,9 +308,10 @@ def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     t = _check_times(times)
     matrix = rates.matrix
     snapshots = np.empty((t.size, p.size))
+    recent = []  # this trajectory's last two steps, so each distinct interval is exponentiated once
     with np.errstate(over="ignore", invalid="ignore"):
         for k, dt in enumerate(np.diff(t, prepend=0.0).tolist()):
-            p = np.dot(expm(matrix * dt), p, out=snapshots[k])
+            p = np.dot(expm(matrix * dt, recent), p, out=snapshots[k])
     return Trajectory(times=t, populations=snapshots)
 
 

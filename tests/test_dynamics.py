@@ -461,6 +461,65 @@ def test_stepped_snapshots_equal_a_plain_loop(run):
     assert np.array_equal(traj.populations, expected)
 
 
+class TestStepMemo:
+    """Each trajectory exponentiates every distinct interval once: `expm`
+    remembers, in a list the trajectory owns, its last two inputs by their
+    exact bytes."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Counts the exponentials actually computed, by either route, and the
+        `expm` calls, checking the `recent` list each call is given."""
+        dynamics.expm(np.eye(2))  # loads scipy and probes the kernel before counting
+        counts = {"kernels": 0, "calls": 0}
+        for name in ("_pade_expm", "_scipy_expm"):
+            real = getattr(dynamics, name)
+
+            def counted(*args, real=real):
+                counts["kernels"] += 1
+                return real(*args)
+
+            monkeypatch.setattr(dynamics, name, counted)
+        real_expm = dynamics.expm
+
+        def checked(a, recent=None):
+            counts["calls"] += 1
+            e = real_expm(a, recent)
+            assert recent is not None and len(recent) <= 2
+            return e
+
+        monkeypatch.setattr(dynamics, "expm", checked)
+        return counts
+
+    @pytest.mark.parametrize("times, kernels", [
+        (np.linspace(0.0, 10.0, 201), 10),  # 10 distinct interval bit patterns, 0 among them
+        (np.geomspace(0.01, 10.0, 201), 201),  # every interval differs
+    ])
+    def test_one_exponential_per_distinct_interval(self, paper_model, counts, times, kernels):
+        _, rates = paper_model(kappas=(1e-5, 1.0), temperature=10.0)
+        assert len(set(np.diff(times, prepend=0.0).tolist())) == kernels
+        propagate_populations(rates, PopulationState.basis(4, 0), times)
+        assert counts == {"kernels": kernels, "calls": 201}
+
+    def test_nothing_carries_over_between_trajectories(self, paper_model, counts):
+        _, rates = paper_model(kappas=(1e-5, 1.0), temperature=10.0)
+        times = np.linspace(0.0, 10.0, 201)
+        first = propagate_populations(rates, PopulationState.basis(4, 0), times)
+        second = propagate_populations(rates, PopulationState.basis(4, 0), times)
+        assert counts == {"kernels": 20, "calls": 402}
+        assert np.array_equal(first.populations, second.populations)
+
+    def test_a_hit_moves_to_the_front_and_a_third_input_drops_the_oldest(self):
+        a, b, c = (_matrix("rate", 4, norm, 5) for norm in (1.0, 2.0, 3.0))
+        recent = []
+        ea, eb = dynamics.expm(a, recent), dynamics.expm(b, recent)
+        assert dynamics.expm(a.copy(), recent) is ea
+        assert [e for _, e in recent] == [ea, eb]
+        ec = dynamics.expm(c, recent)
+        assert [e for _, e in recent] == [ec, ea]
+        assert np.array_equal(dynamics.expm(b, recent), scipy_expm(b))
+
+
 class TestGibbsState:
     def test_high_temperature_uniform(self, paper_dec):
         assert np.max(np.abs(gibbs_state(paper_dec, 1e9).p - 0.25)) < 1e-9
@@ -675,9 +734,9 @@ class TestExpm:
         def run(label: str):
             matrices = []
 
-            def recorded(a):
+            def recorded(a, recent=None):
                 matrices.append(a)
-                return real(a)
+                return real(a, recent)
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(analysis, "expm", recorded)

@@ -9,6 +9,7 @@ degeneracy check.
 
 from __future__ import annotations
 
+import re
 import tempfile
 from dataclasses import replace
 from itertools import combinations
@@ -380,6 +381,25 @@ def test_a_table_built_by_hand_refuses_a_degenerate_spectrum(paper_table):
     close = SpectralDecomposition(energies=energies, basis=np.arange(4))
     with pytest.raises(DegenerateGapError, match=r"\|E_2 - E_3\| = 1\.000e-12 < 1\.0e-09"):
         replace(elems, spectrum=close)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"rows": [0.0, 0.0, 1.0, 2.0]}, "rows, cols and sites must be 1-D integer arrays of one length"),
+    ({"sites": [2, 1, 1]}, "rows, cols and sites must be 1-D integer arrays of one length"),
+    ({"cols": [[1, 2, 3, 3]]}, "rows, cols and sites must be 1-D integer arrays of one length"),
+    ({"sites": [True, True, True, True]}, "rows, cols and sites must be 1-D integer arrays of one length"),
+    ({"n_sites": 2.0}, "n_sites must be an integer >= 1, got 2.0"),
+    ({"sites": [2, 1, 7, 2]}, "site 7 out of range 1..2"),
+    ({"sites": [2, 0, 1, 2]}, "site 0 out of range 1..2"),
+    ({"rows": [0, 0, 1, -1]}, "row -1 out of range 0..3"),
+    ({"cols": [1, 2, 3, 4]}, "col 4 out of range 0..3"),
+])
+def test_a_table_built_by_hand_refuses_inconsistent_arrays(paper_table, fields, message):
+    # an out-of-range site surfaced only later, as spectral_density's refusal
+    # during a rate build; an out-of-range row as an IndexError
+    elems, _ = paper_table()
+    with pytest.raises(ValidationError, match=re.escape(f"transition table {message}")):
+        replace(elems, **fields)
 
 
 def test_decomposition_arrays_are_private_and_read_only():
