@@ -3,21 +3,29 @@ among them P_exc = 1 - p_1 (`excitation_probability`, its one definition).
 
 Trajectories are computed with the dense matrix exponential, stepping from
 one requested time to the next: p(t_0) = exp(Lambda t_0) p0, then
-p(t_k) = exp(Lambda (t_k - t_{k-1})) p(t_{k-1}), one `expm` call per
-snapshot but one exponential per distinct interval: the calls of one
-trajectory share a two-entry memo of exact inputs (`expm`'s `recent`), so
-the 201 steps of `0:10:201`, whose intervals take 10 distinct bit patterns,
-compute 10 exponentials, and a log grid, whose intervals all differ, 201.
-A hit returns the bits the same input produced, so the snapshots are those
-of one exponential per step; the memo holds four d x d arrays while the
-trajectory runs.  Scaling and squaring costs, and rounds, more as
-log2 ||Lambda t|| grows, so a short interval is cheaper and no less
-accurate than the whole time from 0.  The generator is stiff when couplings
-span several decades (kappa = 1e-5 against 1); every step is still an exact
-exponential, not an integrator step, so there is no step size to pick and no
-tolerance to meet: the requested grid is the only discretisation, and the
-factors are column-stochastic, so the rounding of one step does not grow in
-the next.
+p(t_k) = exp(Lambda dt_k) p(t_{k-1}), one `expm` call per snapshot but one
+exponential per distinct step: the calls of one trajectory share a two-entry
+memo (`expm`'s `recent`), so a repeated step costs one identity check and
+returns the bits its first call produced.  The step dt_k is the interval
+t_k - t_{k-1}, except on a linear grid (t equal to
+np.linspace(t_0, t_-1, n), n > 2) whose spacing h = (t_-1 - t_0)/(n - 1)
+keeps ||Lambda h||_1 = 2 max(outflow) h within THETA_13: there every step
+after the first is h, so `0:10:201`, whose intervals take 10 bit patterns,
+computes 2 exponentials (Lambda t_0 and Lambda h) for its 201 calls, and a
+log grid, whose intervals all differ, 201.  Within THETA_13 scipy's
+exponential needs no squaring and is accurate to about the unit roundoff u,
+so repeating it n times adds about n u.  Beyond it the factor is squared s
+times and its error, the same in every step, adds up coherently over a long
+grid (the paper chain at T = 10, kappa_1 = 1e6: P_exc(10) lands 2.5e-9
+from its plateau 0.701779922116 with one reused step, 5.4e-11 with the
+grid's own intervals), so a stiff linear grid keeps its own intervals.
+Scaling and squaring costs, and rounds, more as log2 ||Lambda t|| grows, so
+a short interval is cheaper and no less accurate than the whole time from
+0.  The generator is stiff when couplings span several decades (kappa =
+1e-5 against 1); every step is still an exact exponential, not an
+integrator step, so there is no step size to pick and no tolerance to meet:
+the requested grid is the only discretisation, and the factors are
+column-stochastic, so the rounding of one step does not grow in the next.
 A sweep (`analysis.sweep`) takes one exponential from 0 to t*, and the
 Lindblad oracle (`propagate_density`) one from 0 to every snapshot time.
 Normalisation and positivity are asserted at every snapshot (once, when the
@@ -73,6 +81,10 @@ from .generator import LindbladSuperoperator, RateMatrix, _flip_densities, struc
 STATE_TOL = 1e-10
 DRIFT_TOL = 1e-8
 
+# Al-Mohy & Higham's theta_13: the largest 1-norm at which the degree-13 Pade
+# approximant of exp meets unit roundoff without scaling, so without squaring.
+THETA_13 = 5.371920351148152
+
 _scipy_expm = None
 _pade = None  # (pick_pade_structure, pade_UV_calc) once the probe has passed
 
@@ -99,17 +111,22 @@ def expm(a: np.ndarray, recent: list | None = None) -> np.ndarray:
 
     `recent`, a list the caller owns and passes to every call of one
     computation on ndarrays of one shape and dtype, remembers the last two
-    distinct inputs: an `a` whose bytes equal a stored one's gets that
-    call's result back, the same object, which the caller must not write to.
-    Each entry holds a copy of its input and the result, so the list holds
-    four arrays of a's size.
+    distinct inputs, most recent first, each as an entry (input, key,
+    result): the input array itself, a bytes copy of it and exp of it.  An
+    `a` that is a stored input, checked first by identity, or whose bytes
+    equal a stored key, gets that call's result back, the same object, which
+    the caller must not write to.  Nor may the caller write to an array it
+    has passed with `recent` while the list is in use: an identity hit does
+    not look at the contents.  The list holds at most six arrays of a's size.
     """
     if recent is not None:
-        key = a.tobytes()
-        for i, (k, e) in enumerate(recent):
-            if k == key:
-                recent.insert(0, recent.pop(i))
-                return e
+        hit = next((i for i, entry in enumerate(recent) if entry[0] is a), None)
+        if hit is None:
+            key = a.tobytes()
+            hit = next((i for i, entry in enumerate(recent) if entry[1] == key), None)
+        if hit is not None:
+            recent.insert(0, recent.pop(hit))
+            return recent[0][2]
     if _scipy_expm is None:
         _load_scipy()
     e = None
@@ -119,7 +136,7 @@ def expm(a: np.ndarray, recent: list | None = None) -> np.ndarray:
     if e is None:
         e = _scipy_expm(a)
     if recent is not None:
-        recent.insert(0, (key, e))
+        recent.insert(0, (a, key, e))
         del recent[2:]
     return e
 
@@ -283,17 +300,26 @@ def _snapshot_faults(times: np.ndarray, populations: np.ndarray) -> dict[int, st
 
 def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     """Evolve a population vector through exp(Lambda t) on the given grid,
-    one interval at a time: p(t_0) = expm(Lambda t_0) p0 and
-    p(t_k) = expm(Lambda (t_k - t_{k-1})) p(t_{k-1}), one `expm` call per
-    snapshot.  The calls share one two-entry memo (`expm`'s `recent`), made
-    here and dropped on return, so each distinct interval is exponentiated
-    once while its input and result, four d x d arrays in all, are kept.
+    one step at a time: p(t_0) = expm(Lambda t_0) p0 and
+    p(t_k) = expm(Lambda dt_k) p(t_{k-1}), one `expm` call per snapshot.
+    dt_k is the interval t_k - t_{k-1}, or, on a linear grid (t equal to
+    np.linspace(t_0, t_-1, n), n > 2) whose spacing h keeps
+    ||Lambda h||_1 = 2 max(outflow) h <= THETA_13, h itself, so that every
+    step after the first is one matrix.  The calls share one two-entry memo
+    (`expm`'s `recent`), made here and dropped on return, so each distinct
+    step is exponentiated once, and the array Lambda dt_k is formed only when
+    dt_k changes, which makes a repeated step's hit an identity check; at
+    most six d x d arrays are kept.
 
     Accuracy: every factor is column-stochastic up to rounding, so the error
-    a step makes is carried to the next without growing.  For kappa <= 1 and
-    T <= 10 on chains of up to five sites, each snapshot agrees with the
-    independent expm(Lambda t_k) p0 within 1e-12 absolute.  On a stiff Lambda
-    the short interval is the more accurate route: it needs few or no
+    a step makes is carried to the next without growing.  A reused step h
+    differs from the grid's intervals by rounding only, and within THETA_13
+    its exponential takes no squaring, so n repeats of it add about n u.  For
+    kappa <= 1 and T <= 10 on chains of up to five sites, each snapshot
+    agrees with the independent expm(Lambda t_k) p0 within 1e-12 absolute.
+    A stiff linear grid (||Lambda h||_1 > THETA_13) keeps its own intervals:
+    a squared factor repeated n times adds its error coherently.  On a stiff
+    Lambda the short interval is the more accurate route: it needs few or no
     squarings, where expm(Lambda t_k) needs up to log2 ||Lambda t_k|| of them,
     each adding its rounding (the paper chain at kappa_1 = 1e6 drifts from
     normalisation by 7.7e-10 stepped against 1.7e-8 taken from 0).
@@ -307,11 +333,19 @@ def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
         raise ValidationError("initial state dimension does not match the rate matrix")
     t = _check_times(times)
     matrix = rates.matrix
+    steps = np.diff(t, prepend=0.0)
+    if t.size > 2:
+        h = (t[-1] - t[0]) / (t.size - 1)
+        if 2.0 * rates.outflow.max() * h <= THETA_13 and np.array_equal(t, np.linspace(t[0], t[-1], t.size)):
+            steps[1:] = h  # ||Lambda h||_1 = 2 max(outflow) h: columns sum to zero
     snapshots = np.empty((t.size, p.size))
-    recent = []  # this trajectory's last two steps, so each distinct interval is exponentiated once
+    recent = []  # this trajectory's last two steps, so each distinct step is exponentiated once
+    last = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, dt in enumerate(np.diff(t, prepend=0.0).tolist()):
-            p = np.dot(expm(matrix * dt, recent), p, out=snapshots[k])
+        for k, dt in enumerate(steps.tolist()):
+            if dt != last:  # a new step gets a new array; a repeated one passes the same object
+                a, last = matrix * dt, dt
+            p = np.dot(expm(a, recent), p, out=snapshots[k])
     return Trajectory(times=t, populations=snapshots)
 
 
@@ -329,15 +363,15 @@ class DensityTrajectory:
 
 def _check_density(rho: np.ndarray, t: float, tol: float) -> None:
     if not np.all(np.isfinite(rho)):
-        raise NumericalIntegrityError(f"non-finite density matrix at t = {t:g}")
+        raise NumericalIntegrityError(f"non-finite density matrix at t = {t:.12g}")
     if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise NumericalIntegrityError(f"density matrix lost Hermiticity at t = {t:g}")
+        raise NumericalIntegrityError(f"density matrix lost Hermiticity at t = {t:.12g}")
     drift = abs(float(np.trace(rho).real) - 1.0)
     if drift > tol:
-        raise NumericalIntegrityError(f"trace drift {drift:.3e} at t = {t:g}")
+        raise NumericalIntegrityError(f"trace drift {drift:.3e} at t = {t:.12g}")
     low = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
     if low < -tol:
-        raise NumericalIntegrityError(f"negative eigenvalue {low:.3e} at t = {t:g}")
+        raise NumericalIntegrityError(f"negative eigenvalue {low:.3e} at t = {t:.12g}")
 
 
 def propagate_density(superop: LindbladSuperoperator, rho0: np.ndarray, times) -> DensityTrajectory:

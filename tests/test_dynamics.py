@@ -266,6 +266,10 @@ class TestPropagateDensity:
         with pytest.raises(ValidationError, match="non-finite"):
             propagate_density(superop, not_finite, [1.0])
 
+    def test_fault_times_keep_twelve_digits(self):
+        with pytest.raises(NumericalIntegrityError, match=r"t = 0\.1234567$"):
+            dynamics._check_density(np.diag([0.5, 0.6]), 0.1234567, 1e-8)
+
     def test_oracle_runs_its_own_exponential(self, paper_superop, monkeypatch):
         # the rate path's expm broken: the oracle propagates with scipy.linalg.expm alone
         superop = paper_superop(kappas=(1e-5, 1.0), temperature=10.0)
@@ -450,21 +454,29 @@ def test_stepped_snapshots_match_one_exponential_per_time(run):
 @settings(max_examples=100, deadline=None)
 @given(_stepped_runs())
 def test_stepped_snapshots_equal_a_plain_loop(run):
-    """The snapshots are, bit for bit, p = expm(Lambda dt) @ p over the grid's
-    intervals, the first from 0."""
+    """The snapshots are, bit for bit, p = expm(Lambda dt) @ p over the steps:
+    the grid's intervals, the first from 0, except that on a linear grid of
+    more than two points whose spacing h keeps ||Lambda h||_1 = 2 max(outflow) h
+    within theta_13 = 5.371920351148152 every step after the first is h."""
     rates, p, times = run
     traj = propagate_populations(rates, p, times)
+    steps = np.diff(times, prepend=0.0)
+    if times.size > 2:
+        h = (times[-1] - times[0]) / (times.size - 1)
+        if (np.array_equal(times, np.linspace(times[0], times[-1], times.size))
+                and 2.0 * rates.outflow.max() * h <= 5.371920351148152):
+            steps[1:] = h
     expected = []
-    for dt in np.diff(times, prepend=0.0):
+    for dt in steps:
         p = scipy_expm(rates.matrix * dt) @ p
         expected.append(p)
     assert np.array_equal(traj.populations, expected)
 
 
 class TestStepMemo:
-    """Each trajectory exponentiates every distinct interval once: `expm`
-    remembers, in a list the trajectory owns, its last two inputs by their
-    exact bytes."""
+    """Each trajectory exponentiates every distinct step once: `expm`
+    remembers, in a list the trajectory owns, its last two inputs, found by
+    identity or by their exact bytes."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -491,13 +503,15 @@ class TestStepMemo:
         monkeypatch.setattr(dynamics, "expm", checked)
         return counts
 
-    @pytest.mark.parametrize("times, kernels", [
-        (np.linspace(0.0, 10.0, 201), 10),  # 10 distinct interval bit patterns, 0 among them
-        (np.geomspace(0.01, 10.0, 201), 201),  # every interval differs
+    @pytest.mark.parametrize("kappas, times, kernels", [
+        # linear, ||Lambda h||_1 = 1.09 <= theta_13: Lambda t_0 = 0 and Lambda h
+        ((1e-5, 1.0), np.linspace(0.0, 10.0, 201), 2),
+        # linear, ||Lambda h||_1 = 1.1e5 > theta_13: the 10 distinct interval bit patterns, 0 among them
+        ((1e6, 1.0), np.linspace(0.0, 10.0, 201), 10),
+        ((1e-5, 1.0), np.geomspace(0.01, 10.0, 201), 201),  # every interval differs
     ])
-    def test_one_exponential_per_distinct_interval(self, paper_model, counts, times, kernels):
-        _, rates = paper_model(kappas=(1e-5, 1.0), temperature=10.0)
-        assert len(set(np.diff(times, prepend=0.0).tolist())) == kernels
+    def test_one_exponential_per_distinct_step(self, paper_model, counts, kappas, times, kernels):
+        _, rates = paper_model(kappas=kappas, temperature=10.0)
         propagate_populations(rates, PopulationState.basis(4, 0), times)
         assert counts == {"kernels": kernels, "calls": 201}
 
@@ -506,18 +520,29 @@ class TestStepMemo:
         times = np.linspace(0.0, 10.0, 201)
         first = propagate_populations(rates, PopulationState.basis(4, 0), times)
         second = propagate_populations(rates, PopulationState.basis(4, 0), times)
-        assert counts == {"kernels": 20, "calls": 402}
+        assert counts == {"kernels": 4, "calls": 402}
         assert np.array_equal(first.populations, second.populations)
 
-    def test_a_hit_moves_to_the_front_and_a_third_input_drops_the_oldest(self):
+    def test_the_same_array_and_an_equal_copy_hit(self, counts):
+        a = _matrix("rate", 4, 1.0, 5)
+        recent = []
+        e = dynamics.expm(a, recent)
+        assert dynamics.expm(a, recent) is e
+        assert dynamics.expm(a.copy(), recent) is e
+        assert counts["kernels"] == 1
+
+    def test_a_hit_moves_to_the_front_and_a_third_input_drops_the_oldest(self, counts):
         a, b, c = (_matrix("rate", 4, norm, 5) for norm in (1.0, 2.0, 3.0))
         recent = []
         ea, eb = dynamics.expm(a, recent), dynamics.expm(b, recent)
-        assert dynamics.expm(a.copy(), recent) is ea
-        assert [e for _, e in recent] == [ea, eb]
-        ec = dynamics.expm(c, recent)
-        assert [e for _, e in recent] == [ec, ea]
-        assert np.array_equal(dynamics.expm(b, recent), scipy_expm(b))
+        assert dynamics.expm(a.copy(), recent) is ea  # a is now the more recent, b the oldest
+        ec = dynamics.expm(c, recent)  # drops b
+        assert counts["kernels"] == 3
+        assert dynamics.expm(a, recent) is ea and dynamics.expm(c, recent) is ec
+        assert counts["kernels"] == 3
+        again = dynamics.expm(b, recent)
+        assert counts["kernels"] == 4 and again is not eb
+        assert np.array_equal(again, scipy_expm(b))
 
 
 class TestGibbsState:
