@@ -65,6 +65,14 @@ _SCHEMA = {
 }
 
 
+# Every grid's points are computed at parse time, the grids a command never
+# reads included, so a larger count is refused before anything is allocated:
+# 10**6 points take 8 MB, while 0:10:10**15 would ask linspace for 7 PiB (a
+# MemoryError naming no key) and a count that fits in virtual memory would be
+# filled page by page until the run is killed with no JSON record.
+MAX_GRID_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A (start, stop, count, linear|log) grid of times, temperatures or
@@ -78,6 +86,8 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 2:
             raise ConfigError(f"grid needs at least 2 points, got {self.count}")
+        if self.count > MAX_GRID_POINTS:
+            raise ConfigError(f"grid takes at most {MAX_GRID_POINTS} points, got {self.count}")
         if self.mode not in ("linear", "log"):
             raise ConfigError(f"grid mode must be linear or log, got {self.mode!r}")
         if self.mode == "log" and not (self.start > 0 and self.stop > 0):

@@ -38,23 +38,10 @@ propagation (`evolve`, `fig2`, the sweeps, the Lindblad oracle).  Steady
 states need neither linear algebra nor a rate matrix, only the transition
 table, so `steady`, like every other structure command, runs on numpy alone.
 
-`expm`, the rate path's exponential, is scipy's algorithm (Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 31(3):970-989, 2009), bit for bit
-`scipy.linalg.expm`.  A real float64 matrix with a nonzero in both strict
-triangles, such as Lambda dt for dt > 0 at T > 0 with any coupled flip, goes
-straight to the Pade kernel of scipy's generic branch, skipping scipy's own
-input checks.  To see that a matrix is such a generic one, `expm` first reads
-two entries, one below and one above the diagonal, that held nonzeros in the
-last generic matrix of that size: the steps of one trajectory share their
-zero pattern, so two scalar reads settle all but its first step.  On a miss,
-`scipy.linalg.bandwidth`, the test scipy's own expm routes by, decides.  1 x 1,
-diagonal and triangular input (a T = 0 rate matrix is upper triangular),
-stacks, and any matrix the kernel cannot do go to `scipy.linalg.expm`.  The
-kernel is private to scipy, so it is used only if it imports, accepts these
-arguments and reproduces `scipy.linalg.expm` bit for bit on a probe that
-needs squaring, checked once, on the first call.  The Lindblad oracle
-(`propagate_density`) runs `scipy.linalg.expm` itself, apart from this fast
-path.
+`expm`, the rate path's exponential, is `scipy.linalg.expm` (Al-Mohy &
+Higham, SIAM J. Matrix Anal. Appl. 31(3):970-989, 2009), imported on first
+use, behind the step memo; the Lindblad oracle (`propagate_density`) calls
+it directly, without the memo.
 
 `connectivity_blocks` is the one place where the transition table becomes a
 checked partition, with d restricted Gibbs weights in all: it is the steady
@@ -85,29 +72,13 @@ DRIFT_TOL = 1e-8
 # approximant of exp meets unit roundoff without scaling, so without squaring.
 THETA_13 = 5.371920351148152
 
-_scipy_expm = None
-_pade = None  # (pick_pade_structure, pade_UV_calc) once the probe has passed
-
-# A generator (zero column sums) of 1-norm 12: degree 13 after scaling by 2^-1, then one squaring.
-_PROBE = np.array([[-6.0, 2.0, 1.0], [4.0, -3.0, 5.0], [2.0, 1.0, -6.0]])
-
-# For each size n, the flat indices of one entry below and one above the
-# diagonal that were nonzero in the last generic n x n matrix.  A hint, never
-# a verdict: a matrix nonzero at both is generic, and bandwidth decides others.
-_PAIRS: dict[int, tuple[int, int]] = {}
+_scipy_expm = None  # scipy.linalg.expm, once the first exponential has imported it
 
 
 def expm(a: np.ndarray, recent: list | None = None) -> np.ndarray:
-    """exp(a) as scipy.linalg.expm computes it, bit for bit; scipy is
-    imported on the first call.
-
-    Importing scipy.linalg costs more than half of a cold start of the CLI,
-    which commands that never propagate should not pay.  A real float64
-    square matrix with a nonzero in both strict triangles, such as the step
-    Lambda dt of a trajectory at T > 0, runs scipy's Pade kernel directly
-    (`_in_both_triangles` decides which matrices do).  A diagonal or
-    triangular matrix, or one the kernel refuses, goes to scipy.linalg.expm
-    (see the module docstring).
+    """exp(a) by scipy.linalg.expm, which the first call imports: importing
+    scipy.linalg costs more than half of a cold start of the CLI, which
+    commands that never propagate should not pay.
 
     `recent`, a list the caller owns and passes to every call of one
     computation on ndarrays of one shape and dtype, remembers the last two
@@ -119,6 +90,7 @@ def expm(a: np.ndarray, recent: list | None = None) -> np.ndarray:
     has passed with `recent` while the list is in use: an identity hit does
     not look at the contents.  The list holds at most six arrays of a's size.
     """
+    global _scipy_expm
     if recent is not None:
         hit = next((i for i, entry in enumerate(recent) if entry[0] is a), None)
         if hit is None:
@@ -128,75 +100,11 @@ def expm(a: np.ndarray, recent: list | None = None) -> np.ndarray:
             recent.insert(0, recent.pop(hit))
             return recent[0][2]
     if _scipy_expm is None:
-        _load_scipy()
-    e = None
-    if (_pade is not None and type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 2
-            and a.shape[0] == a.shape[1] and _in_both_triangles(a)):
-        e = _pade_expm(a, *_pade)
-    if e is None:
-        e = _scipy_expm(a)
+        from scipy.linalg import expm as _scipy_expm
+    e = _scipy_expm(a)
     if recent is not None:
         recent.insert(0, (a, key, e))
         del recent[2:]
-    return e
-
-
-def _load_scipy() -> None:
-    """Import scipy.linalg.expm, and its Pade kernel if the kernel matches it on _PROBE."""
-    global _scipy_expm, _pade
-    from scipy.linalg import expm as scipy_expm
-
-    try:
-        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
-
-        probe = _pade_expm(_PROBE, pick_pade_structure, pade_UV_calc)
-    except (ImportError, TypeError):  # no kernel, or one with another signature
-        _pade = None
-    else:
-        matches = probe is not None and np.array_equal(probe, scipy_expm(_PROBE))
-        _pade = (pick_pade_structure, pade_UV_calc) if matches else None
-    _scipy_expm = scipy_expm
-
-
-def _in_both_triangles(a: np.ndarray) -> bool:
-    """True when the square float64 `a` has a nonzero (NaN included) below
-    the diagonal and one above it: scipy's generic case, neither diagonal nor
-    triangular.
-
-    The entries at the pair remembered for a's size are read first; when both
-    are nonzero the answer is True at the cost of two scalar reads.  On a
-    miss, scipy.linalg.bandwidth decides, as it does in scipy.linalg.expm,
-    and a generic matrix replaces the pair with its own first nonzero below
-    and above the diagonal."""
-    n = a.shape[0]
-    pair = _PAIRS.get(n)
-    if pair is not None and a.item(pair[0]) != 0 and a.item(pair[1]) != 0:
-        return True
-    from scipy.linalg import bandwidth  # loaded with scipy.linalg.expm
-
-    below, above = bandwidth(a)
-    generic = below > 0 and above > 0
-    if generic:
-        _PAIRS[n] = (int(np.flatnonzero(np.tril(a, -1))[0]), int(np.flatnonzero(np.triu(a, 1))[0]))
-    return generic
-
-
-def _pade_expm(a: np.ndarray, pick_pade_structure, pade_UV_calc) -> np.ndarray | None:
-    """scipy.linalg.expm's generic branch for one real n x n matrix: choose
-    the Pade degree m and the scaling 2^-s, evaluate the approximant in a
-    (5, n, n) workspace, then square s times.  None where scipy would raise
-    (m < 0 or a nonzero info), so that scipy.linalg.expm reports it."""
-    n = a.shape[0]
-    work = np.empty((5, n, n))
-    work[0] = a
-    m, s = pick_pade_structure(work)  # scales work[0] by 2^-s in place
-    if m < 0 or pade_UV_calc(work, m) != 0:
-        return None
-    e = work[0]
-    if s == 0:
-        return e.copy()  # not a view that keeps the workspace alive
-    for _ in range(s):
-        e = e @ e
     return e
 
 

