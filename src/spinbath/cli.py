@@ -16,9 +16,11 @@ dynamics.connectivity_blocks), while `blocks` still writes the block
 structure (exit 0).
 
 A config file is INI text or JSON read as the same INI text (spinbath.config).
---seed, --max-n and --draws pass the config file's reader and checks, so a
-bad value exits 2 naming the key and "(command line)" where a file value
-names its line.
+argparse only splits argv: the positional command, --seed, --max-n and
+--draws pass the config file's reader and checks, so a bad value exits 2
+naming the key and "(command line)" where a file value names its line, and
+argv that argparse cannot split (no --config, an unknown option) exits 2
+with the same one JSON record.
 
 Every command but `spectrum` and `zeros-scaling` decomposes the chain and
 builds the transition table once, which admits the spectrum: a degenerate
@@ -129,7 +131,7 @@ def _cmd_rates(cfg: RunConfig, out: Path) -> list[Path]:
 def _cmd_evolve(cfg: RunConfig, out: Path) -> list[Path]:
     elems = _table(cfg)
     rates = build_rate_matrix(elems, cfg.bath)
-    traj = propagate_populations(rates, resolve_initial_state(cfg, elems.spectrum), cfg.times.values())
+    traj = propagate_populations(rates, resolve_initial_state(cfg, elems.spectrum), cfg.times.points)
     return [export.write_trajectory_csv(out / "trajectory.csv", traj, _header(cfg))]
 
 
@@ -146,7 +148,7 @@ def _cmd_blocks(cfg: RunConfig, out: Path) -> list[Path]:
 def _sweep(cfg: RunConfig, elems, p0, axis: str) -> analysis.SweepResult:
     """The configured P_exc(t*) sweep along `axis`: sweep-T, sweep-kappa, fig2e and fig2f."""
     grid, site = (cfg.temperature_grid, None) if axis == "temperature" else (cfg.kappa_grid, cfg.kappa_site)
-    return analysis.sweep(elems, cfg.bath, axis, grid.values(), cfg.t_star, p0, site)
+    return analysis.sweep(elems, cfg.bath, axis, grid.points, cfg.t_star, p0, site)
 
 
 def _cmd_sweep(axis: str, name: str):
@@ -179,7 +181,7 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     # front; the benchmark's pinned bose_einstein count (240) includes their 4 calls
     build_rate_matrix(elems, cfg.bath)
     p0 = resolve_initial_state(cfg, elems.spectrum)
-    times = cfg.times.values()
+    times = cfg.times.points
     header = _header(cfg)
 
     def curves(label: str, axis: str, points, site: int | None = None):
@@ -233,25 +235,31 @@ def _resolve_config_path(value: str) -> Path:
     raise ConfigError(f"config file not found: {value}")
 
 
+class _ArgvParser(argparse.ArgumentParser):
+    def error(self, message):
+        """argv that cannot be split is refused like any other input: main's JSON record, exit 2."""
+        raise ConfigError(f"command line: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgvParser(
         prog="spinbath",
         description="Relaxation of open spin chains with site-asymmetric thermal baths.",
     )
-    parser.add_argument("command", nargs="?", choices=COMMANDS,
-                        help="command to run (defaults to the config's [run] command)")
+    parser.add_argument("command", nargs="?",
+                        help=f"one of {', '.join(COMMANDS)} (defaults to the config's [run] command)")
     parser.add_argument("--config", required=True,
                         help="path to a run config, or the name of a builtin one (e.g. ising2_paper)")
     parser.add_argument("--out", help=f"output directory (default: config, then ${OUT_DIR_ENV}, then .)")
-    parser.add_argument("--seed", type=int, help="RNG seed for randomized runs")
-    parser.add_argument("--max-n", type=int, dest="max_n", help="largest chain size for zeros-scaling")
-    parser.add_argument("--draws", type=int, help="random draws per chain size for zeros-scaling")
+    parser.add_argument("--seed", help="RNG seed for randomized runs")
+    parser.add_argument("--max-n", dest="max_n", help="largest chain size for zeros-scaling")
+    parser.add_argument("--draws", help="random draws per chain size for zeros-scaling")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = parse_config(_resolve_config_path(args.config))
         cfg = with_overrides(
             cfg,

@@ -7,8 +7,8 @@ grammar: each JSON value stands for the INI text of that key (a list for its
 items joined by ", ", a number for its repr, a string for itself, null for a
 key that is absent), so "n": 2.0 is refused as n = 2.0 is.  A refused value
 reads "[section] key: expected ... (line N): got ...".  Command-line values
-of seed, max_n and draws pass the same reader and checks, with (command line)
-in place of the line.  Units follow the package convention
+of the command, seed, max_n and draws pass the same reader and checks, with
+(command line) in place of the line.  Units follow the package convention
 hbar = k_B = h_1 = 1.  Every bath couples through sigma_x (see `bath`), so
 [bath] axes, read for files that spell it out, must be x, once or per site.
 """
@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -65,7 +65,7 @@ _SCHEMA = {
 }
 
 
-# Every grid's points are computed at parse time, the grids a command never
+# Every grid's points are computed once, at parse time, the grids a command never
 # reads included, so a larger count is refused before anything is allocated:
 # 10**6 points take 8 MB, while 0:10:10**15 would ask linspace for 7 PiB (a
 # MemoryError naming no key) and a count that fits in virtual memory would be
@@ -76,12 +76,14 @@ MAX_GRID_POINTS = 10**6
 @dataclass(frozen=True)
 class GridSpec:
     """A (start, stop, count, linear|log) grid of times, temperatures or
-    kappas, whose points pass `dynamics._check_times`, the one grid rule."""
+    kappas.  `points`, computed and checked once when the grid is built, pass
+    `dynamics._check_times`, the one grid rule, and are read-only."""
 
     start: float
     stop: float
     count: int
     mode: str = "linear"
+    points: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.count < 2:
@@ -92,13 +94,11 @@ class GridSpec:
             raise ConfigError(f"grid mode must be linear or log, got {self.mode!r}")
         if self.mode == "log" and not (self.start > 0 and self.stop > 0):
             raise ConfigError(f"a log grid needs bounds > 0, got start={self.start}, stop={self.stop}")
+        space = np.geomspace if self.mode == "log" else np.linspace
         with np.errstate(over="ignore", invalid="ignore"):  # stop - start beyond double range: nan, refused
-            _check_times(self.values(), "grid", ConfigError)
-
-    def values(self) -> np.ndarray:
-        if self.mode == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
+            points = _check_times(space(self.start, self.stop, self.count), "grid")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     def __str__(self) -> str:
         """start:stop:count:mode, the bounds as `export.fmt` prints every float of an echo."""
@@ -248,8 +248,15 @@ class _Sections:
                             default)
         try:
             return GridSpec(*fields)
-        except ConfigError as exc:
+        except SpinbathError as exc:  # GridSpec's own checks, and _check_times on its points
             self._fail(section, key, "a valid grid", str(exc))
+
+    def get_command(self):
+        """[run] command, or the command named on the command line: one of COMMANDS."""
+        command = self.get_str("run", "command")
+        if command is not None and command not in COMMANDS:
+            self._fail("run", "command", f"one of {', '.join(COMMANDS)}", f"got {command!r}")
+        return command
 
     def get_run_number(self, key, default=None):
         """seed, max_n or draws, at least its lowest value; max_n past
@@ -331,9 +338,7 @@ def parse_config(path) -> RunConfig:
             sections._fail("bath", key, expected, f"got {sections.data['bath'][key]!r}")
     bath = BathConfig(temperature=temperature, kappas=kappas)
 
-    command = sections.get_str("run", "command")
-    if command is not None and command not in COMMANDS:
-        sections._fail("run", "command", f"one of {', '.join(COMMANDS)}", f"got {command!r}")
+    command = sections.get_command()
     kappa_site = sections.get_int("run", "kappa_site", 1)
     if not 1 <= kappa_site <= chain.n_sites:
         sections._fail("run", "kappa_site", f"a site in 1..{chain.n_sites}", f"got {kappa_site}")
@@ -413,10 +418,11 @@ def resolve_initial_state(cfg: RunConfig, dec: SpectralDecomposition) -> Populat
 
 def with_overrides(cfg: RunConfig, *, command=None, out=None, seed=None, max_n=None,
                    draws=None) -> RunConfig:
-    """Apply command-line overrides on top of a parsed configuration.  seed,
-    max_n and draws pass the file's reader and checks, and a refusal names
-    (command line) where a file value names its line."""
-    flags = _Sections({"run": {"seed": seed, "max_n": max_n, "draws": draws}}, None)
-    updates = {"command": command, "out": None if out is None else str(out)}
+    """Apply command-line overrides on top of a parsed configuration.  The
+    command, seed, max_n and draws pass the file's reader and checks, as text
+    or as values, and a refusal names (command line) where a file value names
+    its line."""
+    flags = _Sections({"run": {"command": command, "seed": seed, "max_n": max_n, "draws": draws}}, None)
+    updates = {"command": flags.get_command(), "out": None if out is None else str(out)}
     updates.update((key, flags.get_run_number(key)) for key in _RUN_NUMBERS)
     return replace(cfg, **{key: value for key, value in updates.items() if value is not None})

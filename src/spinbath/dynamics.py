@@ -1,47 +1,14 @@
 """Propagation, steady states, and observables of the population dynamics,
 among them P_exc = 1 - p_1 (`excitation_probability`, its one definition).
 
-Trajectories are computed with the dense matrix exponential, stepping from
-one requested time to the next: p(t_0) = exp(Lambda t_0) p0, then
-p(t_k) = exp(Lambda dt_k) p(t_{k-1}), one `expm` call per snapshot but one
-exponential per distinct step: the calls of one trajectory share a two-entry
-memo (`expm`'s `recent`), so a repeated step costs one identity check and
-returns the bits its first call produced.  The step dt_k is the interval
-t_k - t_{k-1}, except on a linear grid (t equal to
-np.linspace(t_0, t_-1, n), n > 2) whose spacing h = (t_-1 - t_0)/(n - 1)
-keeps ||Lambda h||_1 = 2 max(outflow) h within THETA_13: there every step
-after the first is h, so `0:10:201`, whose intervals take 10 bit patterns,
-computes 2 exponentials (Lambda t_0 and Lambda h) for its 201 calls, and a
-log grid, whose intervals all differ, 201.  Within THETA_13 scipy's
-exponential needs no squaring and is accurate to about the unit roundoff u,
-so repeating it n times adds about n u.  Beyond it the factor is squared s
-times and its error, the same in every step, adds up coherently over a long
-grid (the paper chain at T = 10, kappa_1 = 1e6: P_exc(10) lands 2.5e-9
-from its plateau 0.701779922116 with one reused step, 5.4e-11 with the
-grid's own intervals), so a stiff linear grid keeps its own intervals.
-Scaling and squaring costs, and rounds, more as log2 ||Lambda t|| grows, so
-a short interval is cheaper and no less accurate than the whole time from
-0.  The generator is stiff when couplings span several decades (kappa =
-1e-5 against 1); every step is still an exact exponential, not an
-integrator step, so there is no step size to pick and no tolerance to meet:
-the requested grid is the only discretisation, and the factors are
-column-stochastic, so the rounding of one step does not grow in the next.
-A sweep (`analysis.sweep`) takes one exponential from 0 to t*, and the
-Lindblad oracle (`propagate_density`) one from 0 to every snapshot time.
-Normalisation and positivity are asserted at every snapshot (once, when the
-Trajectory is built) and at every sweep point (`analysis.sweep`), by the one
-check `_snapshot_faults`, never silently repaired.  An exponential that
-overflows is refused by that check, not reported as a numpy warning.
-
-scipy is loaded only by the first matrix exponential, i.e. on the first
-propagation (`evolve`, `fig2`, the sweeps, the Lindblad oracle).  Steady
-states need neither linear algebra nor a rate matrix, only the transition
-table, so `steady`, like every other structure command, runs on numpy alone.
-
-`expm`, the rate path's exponential, is `scipy.linalg.expm` (Al-Mohy &
-Higham, SIAM J. Matrix Anal. Appl. 31(3):970-989, 2009), imported on first
-use, behind the step memo; the Lindblad oracle (`propagate_density`) calls
-it directly, without the memo.
+Trajectories step by exact exponentials of Lambda from one requested time
+to the next: `propagate_populations` states the stepping rule (the linear-grid step
+within THETA_13, stiff grids on their own intervals) and its accuracy, and
+`expm` the step memo and scipy's import on the first exponential, so the
+structure commands run on numpy alone.  A sweep (`analysis.sweep`) takes one
+exponential from 0 to t*, and the Lindblad oracle (`propagate_density`)
+scipy's own from 0 to every snapshot time.  Every snapshot and sweep point
+passes the one check `_snapshot_faults`; nothing is silently repaired.
 
 `connectivity_blocks` is the one place where the transition table becomes a
 checked partition, with d restricted Gibbs weights in all: it is the steady
@@ -159,13 +126,13 @@ def _as_population(p0) -> np.ndarray:
     return PopulationState(np.asarray(p0)).p
 
 
-def _check_times(times, name: str = "time grid", error=ValidationError) -> np.ndarray:
+def _check_times(times, name: str = "time grid") -> np.ndarray:
     """`times` as a float array: the one rule for every time, sweep and config
     grid.  1-D, non-empty, first point >= 0, strictly increasing and finite,
     each written as a comparison that NaN fails; a refusal names the grid."""
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1 or t.size == 0 or not (t[0] >= 0 and np.all(np.diff(t) > 0) and t[-1] < np.inf):
-        raise error(f"{name} must be a non-empty 1-D array, nonnegative, finite and strictly increasing")
+        raise ValidationError(f"{name} must be a non-empty 1-D array, nonnegative, finite and strictly increasing")
     return t
 
 
@@ -213,7 +180,9 @@ def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     dt_k is the interval t_k - t_{k-1}, or, on a linear grid (t equal to
     np.linspace(t_0, t_-1, n), n > 2) whose spacing h keeps
     ||Lambda h||_1 = 2 max(outflow) h <= THETA_13, h itself, so that every
-    step after the first is one matrix.  The calls share one two-entry memo
+    step after the first is one matrix: `0:10:201`, whose intervals take 10
+    bit patterns, computes 2 exponentials for its 201 calls, and a log grid,
+    whose intervals all differ, 201.  The calls share one two-entry memo
     (`expm`'s `recent`), made here and dropped on return, so each distinct
     step is exponentiated once, and the array Lambda dt_k is formed only when
     dt_k changes, which makes a repeated step's hit an identity check; at
@@ -226,7 +195,11 @@ def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     kappa <= 1 and T <= 10 on chains of up to five sites, each snapshot
     agrees with the independent expm(Lambda t_k) p0 within 1e-12 absolute.
     A stiff linear grid (||Lambda h||_1 > THETA_13) keeps its own intervals:
-    a squared factor repeated n times adds its error coherently.  On a stiff
+    a squared factor repeated n times adds its error coherently (the paper
+    chain at T = 10, kappa_1 = 1e6: P_exc(10) lands 2.5e-9 from its plateau
+    0.701779922116 with one reused step, 5.4e-11 on the grid's own
+    intervals).  Each factor is an exact exponential, not an integrator step,
+    so there is no step size to pick and no tolerance to meet.  On a stiff
     Lambda the short interval is the more accurate route: it needs few or no
     squarings, where expm(Lambda t_k) needs up to log2 ||Lambda t_k|| of them,
     each adding its rounding (the paper chain at kappa_1 = 1e6 drifts from

@@ -81,6 +81,8 @@ class TestZeroCounts:
         assert predicted_zero_count(2) == 4
         assert predicted_zero_count(3) == 32
         assert predicted_zero_count(4) == 176
+        with pytest.raises(ValidationError, match="n_sites must be >= 1, got 0"):
+            predicted_zero_count(0)
 
     def test_paper_model_counts(self, paper_model):
         _, rates = paper_model(kappas=(1.0, 1.0))
@@ -107,6 +109,14 @@ class TestZeroCounts:
         # no draws, or no N >= 2: there is nothing to count
         with pytest.raises(ValidationError, match="zeros scaling needs max_n >= 2 and draws >= 1"):
             zeros_scaling(max_n, draws, np.random.default_rng(0))
+
+    def test_scaling_refuses_counts_that_vary_across_draws(self, monkeypatch):
+        # every draw of a nondegenerate chain gives the law's count, so only a broken
+        # counter can disagree with itself
+        counts = iter([4, 5])
+        monkeypatch.setattr(analysis, "count_structural_zeros", lambda elems, baths: next(counts))
+        with pytest.raises(SpinbathError, match=re.escape("structural zero count varies across draws for N = 2: {4, 5}")):
+            zeros_scaling(2, 2, np.random.default_rng(0))
 
     def test_scaling_reuses_the_accepted_decompositions(self, monkeypatch):
         built = []
@@ -307,6 +317,11 @@ class TestRestrictedGibbsPrediction:
         assert trajectory.populations[-1] == pytest.approx(late + [0.0] * 6, abs=1e-6)
         with pytest.raises(NumericalIntegrityError, match="kernel dimension 2"):
             restricted_gibbs_prediction(connectivity_blocks(elems, baths), p0)
+
+    def test_initial_state_must_match_the_blocks(self, paper_table):
+        blocks = connectivity_blocks(*paper_table(kappas=(0.0, 1.0), temperature=1.0))
+        with pytest.raises(ValidationError, match="initial state dimension does not match the blocks"):
+            restricted_gibbs_prediction(blocks, PopulationState.uniform(8))
 
     def test_block_weights_conserved(self, paper_table):
         rng = np.random.default_rng(52)
@@ -584,6 +599,8 @@ class TestLocateTTheta:
         # a failed point whose value is finite would pass locate_t_theta's nan guard
         ([0.5, 0.6, 0.7], {1: "failed"}, "a sweep value must be nan exactly at its failed points"),
         ([0.5, math.nan, 0.7], {}, "a sweep value must be nan exactly at its failed points"),
+        ([0.5, 0.6], {}, "sweep values must match the grid"),
+        ([[0.5, 0.6, 0.7]], {}, "sweep values must match the grid"),
     ])
     def test_failed_points_are_the_nan_values(self, values, errors, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
@@ -605,6 +622,16 @@ class TestRandomChains:
         assert a == b
         dec = spectral_decomposition(build_hamiltonian(a))
         assert check_degeneracy(dec).nondegenerate
+
+    def test_draws_give_up_after_the_limit(self, monkeypatch):
+        # no practical draw is refused MAX_CHAIN_DRAWS times: every candidate is made degenerate
+        monkeypatch.setattr(analysis, "MAX_CHAIN_DRAWS", 3)
+        monkeypatch.setattr(analysis, "_close_levels", lambda energies: np.array([0]))
+        rng = np.random.default_rng(0)
+        with pytest.raises(SpinbathError, match="failed to draw a nondegenerate 2-site chain in 3 attempts"):
+            random_nondegenerate_chain(2, rng)
+        # three candidates were drawn: two fields and one coupling each
+        assert rng.random() == np.random.default_rng(0).uniform(size=10)[9]
 
     def test_all_pairs_couplings_present(self):
         spec = random_nondegenerate_chain(4, np.random.default_rng(8))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -74,6 +75,10 @@ class TestBoseEinstein:
         with pytest.raises(ValidationError, match="occupation requires omega > 0"):
             bose_einstein(0.0, 1.0)
 
+    def test_negative_temperature_refused(self):
+        with pytest.raises(ValidationError, match=re.escape("temperature must be >= 0, got -0.5")):
+            bose_einstein(1.0, -0.5)
+
     def test_detailed_balance_precursor(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
@@ -119,6 +124,10 @@ class TestBathConfig:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValidationError):
             BathConfig(temperature=-1.0, kappas=(1.0,))
+
+    def test_at_least_one_bath(self):
+        with pytest.raises(ValidationError, match="at least one bath is required"):
+            BathConfig(temperature=1.0, kappas=())
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, value):

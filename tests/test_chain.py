@@ -121,6 +121,18 @@ class TestSpectralDecomposition:
         with pytest.raises(ValidationError, match="energies must be finite"):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SpectralDecomposition([0.0, 1.0], [0]), "energies/basis shapes are inconsistent"),
+        (lambda: SpectralDecomposition([[0.0, 1.0]], [[0, 1]]), "energies/basis shapes are inconsistent"),
+        (lambda: SpectralDecomposition([1.0, 0.0], [0, 1]), "energies must be sorted ascending"),
+        (lambda: spectral_decomposition(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+        (lambda: spectral_decomposition(np.zeros(4)), "expected a square matrix, got shape (4,)"),
+        (lambda: spectral_decomposition(np.diag([0.0, 1j])), "matrix is not Hermitian within 1e-12"),
+    ])
+    def test_malformed_input_refused(self, build, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build()
+
     def test_scaled_identity(self):
         dec = spectral_decomposition(2.5 * np.eye(6))
         assert np.allclose(dec.energies, 2.5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import filecmp
+import inspect
 import io
 import json
 import os
@@ -34,6 +35,8 @@ from spinbath import (
     spectral_decomposition,
 )
 from spinbath.cli import main
+from spinbath.config import COMMANDS, GridSpec
+from spinbath.dynamics import _check_times
 from spinbath.export import read_csv_columns, read_json_body
 
 BLOCKED = """
@@ -497,6 +500,52 @@ def test_the_fuzzed_config_is_valid(tmp_path):
     assert cfg.chain.n_sites == 3 and cfg.bath.n_sites == 3 and cfg.draws == 2
 
 
+def _refusal(argv: list[str], out: Path, capsys) -> dict:
+    """The one JSON record of a run that exits 2 and writes nothing."""
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1, captured
+    assert not out.exists()
+    return json.loads(captured.err)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "abc"), ("seed", "-1"), ("max_n", "2.5"), ("max_n", "1"), ("max_n", "13"), ("draws", "x"),
+    ("draws", "0"), ("command", "frobnicate"), ("command", ""),
+])
+def test_a_command_line_value_is_refused_as_its_file_twin(key, value, tmp_path, capsys):
+    # one reader: the same value set in the file and given on the command line is
+    # refused with the same record, (line N) against (command line)
+    broken, line = _with_value(key, value)
+    (tmp_path / "broken.cfg").write_text(broken)
+    (tmp_path / "valid.cfg").write_text(VALID)
+    from_file = _refusal(["--config", str(tmp_path / "broken.cfg")], tmp_path / "file", capsys)
+    flag = [value] if key == "command" else ["--" + key.replace("_", "-"), value]
+    from_argv = _refusal(["--config", str(tmp_path / "valid.cfg"), *flag], tmp_path / "argv", capsys)
+    assert f"(line {line})" in from_file["message"]
+    assert from_argv == {**from_file, "message": from_file["message"].replace(f"(line {line})", "(command line)")}
+    assert re.fullmatch(rf"\[run\] {key}: expected .+ \(command line\): .+", from_argv["message"])
+    if not value.lstrip("-").isdigit():  # a range refusal prints the integer it read
+        assert from_argv["message"].endswith(f"(command line): got {value!r}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum"], "command line: the following arguments are required: --config"),
+    (["spectrum", "--config", "ising2_paper", "--bogus"], "command line: unrecognized arguments: --bogus"),
+    (["spectrum", "--config", "ising2_paper", "--seed"], "command line: argument --seed: expected one argument"),
+])
+def test_argv_that_argparse_cannot_split_is_one_record(argv, message, tmp_path, capsys):
+    assert _refusal(argv, tmp_path / "out", capsys) == {"error": "ConfigError", "message": message, "exit_code": 2}
+
+
+def test_help_lists_the_commands(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "one of " + ", ".join(COMMANDS) + " (defaults to the config's [run] command)" in help_text
+
+
 class TestCli:
     def test_blocks_json(self, blocked_cfg, tmp_path):
         out = tmp_path / "out"
@@ -825,6 +874,40 @@ class TestCli:
         loaded = json.loads(done.stdout.splitlines()[-1])  # after the paths cli.main prints
         assert {command: loaded[command] for command in structure} == {command: [] for command in structure}
         assert "scipy.linalg" in loaded["evolve"]
+
+    @pytest.mark.parametrize("command, grids", [
+        ("evolve", ["times"]),
+        ("sweep-T", ["temperature_grid"]),
+        ("sweep-kappa", ["kappa_grid"]),
+        ("fig2", ["times", "times", "temperature_grid", "kappa_grid"]),
+    ])
+    def test_commands_pass_the_parsed_grid_points_themselves(self, command, grids, tmp_path, monkeypatch):
+        # each grid is computed and checked once, at parse time; a command passes its
+        # read-only points on, and nothing else computes them
+        cfg = parse_config(builtin_config_path("ising2_paper"))
+        passed = []
+
+        def spy(original, position):
+            def recorded(*args, **kwargs):
+                passed.append(args[position])
+                return original(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(cli, "propagate_populations", spy(cli.propagate_populations, 2))
+        monkeypatch.setattr(analysis, "sweep", spy(analysis.sweep, 3))
+        monkeypatch.setattr(analysis, "excitation_curves", spy(analysis.excitation_curves, 4))
+        cli.run_command(dataclasses.replace(cfg, command=command, out=str(tmp_path)))
+        assert [id(points) for points in passed] == [id(getattr(cfg, grid).points) for grid in grids]
+        assert not any(points.flags.writeable for points in passed)
+        assert not hasattr(GridSpec, "values")
+        assert list(inspect.signature(_check_times).parameters) == ["times", "name"]
+
+    def test_run_command_refuses_a_command_no_reader_checked(self, tmp_path):
+        # a RunConfig built past the reader: still refused before anything is written
+        cfg = dataclasses.replace(parse_config(builtin_config_path("ising2_paper")), out=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match=re.escape("unknown command 'x'; available: " + ", ".join(COMMANDS))):
+            cli.run_command(dataclasses.replace(cfg, command="x"))
+        assert not (tmp_path / "out").exists()
 
     def test_zeros_scaling_requires_seed(self, blocked_cfg, tmp_path, capsys):
         code = main(["zeros-scaling", "--config", str(blocked_cfg), "--out", str(tmp_path / "z")])

@@ -68,6 +68,10 @@ class TestPopulationState:
             with pytest.raises(ValidationError, match="finite"):
                 PopulationState(np.array(p))
 
+    def test_rejects_a_vector_that_is_not_1d(self):
+        with pytest.raises(ValidationError, match=re.escape("population vector must be 1-D, got shape (2, 2)")):
+            PopulationState(np.full((2, 2), 0.25))
+
     def test_basis_and_uniform(self):
         assert PopulationState.basis(4, 2).p[2] == 1.0
         assert PopulationState.basis(np.int64(4), np.int64(2)).p[2] == 1.0
@@ -202,6 +206,11 @@ class TestPropagatePopulations:
             with pytest.raises(NumericalIntegrityError, match=rf"drift 1\.000e-01 at t = {re.escape(t)}$"):
                 Trajectory(times=[0.0, float(t)], populations=[good, drifted])
 
+    def test_initial_state_must_match_the_rates(self, paper_model):
+        _, rates = paper_model()
+        with pytest.raises(ValidationError, match="initial state dimension does not match the rate matrix"):
+            propagate_populations(rates, PopulationState.uniform(2), [0.0, 1.0])
+
     @pytest.mark.parametrize("times", [
         [1.0, 1.0], [-1.0, 1.0], [0.0, math.nan], [math.nan, 1.0], [0.0, math.inf], [], [[0.0, 1.0]],
     ])
@@ -263,6 +272,16 @@ class TestPropagateDensity:
         not_finite[0, 1] = not_finite[1, 0] = math.nan
         with pytest.raises(ValidationError, match="non-finite"):
             propagate_density(superop, not_finite, [1.0])
+
+    @pytest.mark.parametrize("rho0, message", [
+        (np.eye(2) / 2, "expected a 4 x 4 density matrix, got shape (2, 2)"),
+        (np.full(4, 0.25), "expected a 4 x 4 density matrix, got shape (4,)"),
+        (np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1) * 0.1,
+         "initial density matrix invalid: density matrix lost Hermiticity at t = 0"),
+    ])
+    def test_malformed_initial_density_refused(self, rho0, message, paper_superop):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            propagate_density(paper_superop(), rho0, [1.0])
 
     def test_fault_times_keep_twelve_digits(self):
         with pytest.raises(NumericalIntegrityError, match=r"t = 0\.1234567$"):

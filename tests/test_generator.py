@@ -17,6 +17,7 @@ from spinbath import (
     ChainSpec,
     CouplingElements,
     DegenerateGapError,
+    LindbladSuperoperator,
     NumericalIntegrityError,
     SpectralDecomposition,
     build_hamiltonian,
@@ -288,6 +289,10 @@ def test_blocks_equal_csgraph_on_random_masks(mask):
 
 
 class TestLindbladSuperoperator:
+    def test_shape_must_match_the_spectrum(self):
+        with pytest.raises(ValidationError, match="superoperator shape does not match the spectrum dimension"):
+            LindbladSuperoperator(matrix=np.zeros((4, 4)), energies=np.zeros(4))
+
     def test_capacity_guard_before_allocation(self):
         spec = ChainSpec(6, (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125))  # binary fields: no two levels meet
         dec = spectral_decomposition(build_hamiltonian(spec))
