@@ -5,9 +5,10 @@ law, a detailed-balance audit, the bath-variant scans behind fig2 and the
 slope locator for the thermal transition temperature.  Every function that
 reads a transition table takes it with its baths, `(elems, baths)`.
 
-The scans vary one bath setting (`bath_at`) on the caller's table: `sweep`
-gives P_exc(t*) along a grid, each point checked like a trajectory snapshot,
-and `excitation_curves` P_exc(t) for a few variants.
+The scans vary one bath setting (`bath_at`) on the caller's table, with the
+rates of all their variants from one `build_rate_matrices` call: `sweep` gives
+P_exc(t*) along a grid, each point checked like a trajectory snapshot, and
+`excitation_curves` P_exc(t) for a few variants.
 
 Structural zeros and blocks are always read off the transition table (the
 coupled flips, those of sites with kappa > 0), never from rate values or
@@ -28,7 +29,7 @@ from .chain import ChainSpec, SpectralDecomposition, _close_levels, _is_integer,
 from .dynamics import (BlockPartition, PopulationState, _as_population, _check_times, _snapshot_faults,
                        excitation_probability, expm, propagate_populations)
 from .errors import SpinbathError, ValidationError
-from .generator import RateMatrix, _check_bath, _structural_pattern, build_rate_matrix
+from .generator import RateMatrix, _check_bath, _raise_failed, _structural_pattern, build_rate_matrices
 
 MAX_CHAIN_DRAWS = 1000
 
@@ -141,8 +142,8 @@ def _scan_start(elems: CouplingElements, baths: BathConfig, p0) -> np.ndarray:
 
 def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: float, p0,
           site: int | None = None) -> SweepResult:
-    """P_exc(t*) = 1 - p_1(t*) from p0, with the rates of `bath_at(baths, axis,
-    value, site)` built on the caller's transition table at every grid value.
+    """P_exc(t*) = 1 - p_1(t*) from p0 at every grid value, with the rates of all
+    `bath_at(baths, axis, value, site)` from one `build_rate_matrices` call on the table.
 
     The table's spectrum was admitted (nondegenerate) when it was built, so a
     degenerate chain never reaches the loop.  A bath whose site count, all a
@@ -162,10 +163,9 @@ def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: f
     snapshots = np.empty((grid.size, p0.size))
     errors = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the snapshot check refuses what overflows
-        for k, value in enumerate(grid):
+        for k, rates in enumerate(build_rate_matrices(elems, [bath_at(baths, axis, v, site) for v in grid])):
             try:
-                rates = build_rate_matrix(elems, bath_at(baths, axis, value, site))
-                snapshots[k] = expm(rates.matrix * t_star) @ p0
+                snapshots[k] = expm(_raise_failed(rates).matrix * t_star) @ p0
             except SpinbathError as exc:
                 snapshots[k] = np.nan
                 errors[k] = f"{type(exc).__name__}: {exc}"
@@ -179,18 +179,18 @@ def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: f
 def excitation_curves(elems: CouplingElements, baths: BathConfig, axis: str, points, times, p0,
                       site: int | None = None) -> np.ndarray:
     """P_exc(t) from p0 on the grid `times`, one column per bath variant `bath_at(baths,
-    axis, value, site)` of `points`, each propagated on the caller's transition table by
-    `dynamics.propagate_populations`.  A mismatched bath or initial state (`_scan_start`),
-    a bad time grid, axis or site, and an empty `points` are refused before any rate is
-    built; a variant whose rates or trajectory fail is refused."""
+    axis, value, site)` of `points`, their rates built in one `build_rate_matrices` call on
+    the caller's transition table, each propagated by `dynamics.propagate_populations`.
+    A mismatched bath or initial state (`_scan_start`), a bad time grid, axis or site, and
+    an empty `points` are refused before any rate is built; the first variant, in order,
+    whose rates or trajectory fail is refused."""
     p0 = _scan_start(elems, baths, p0)
     times = _check_times(times)
     variants = [bath_at(baths, axis, value, site) for value in points]
     if not variants:
         raise ValidationError("excitation curves need at least one bath variant")
-    columns = [excitation_probability(propagate_populations(build_rate_matrix(elems, bath), p0, times).populations)
-               for bath in variants]
-    return np.column_stack(columns)
+    return np.column_stack([excitation_probability(propagate_populations(_raise_failed(rates), p0, times).populations)
+                            for rates in build_rate_matrices(elems, variants)])
 
 
 def locate_t_theta(sweep: SweepResult) -> float:

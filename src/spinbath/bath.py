@@ -54,18 +54,20 @@ class BathConfig:
 def spectral_density(config: BathConfig, site, omega):
     """J^(n)(omega) = kappa^(n) * omega of the ohmic bath attached to 1-based
     `site`, or, for an array of sites such as the transition table's, of each
-    entry's own site, at positive gaps omega (a scalar or an array).
+    entry's own site, at positive gaps omega (a scalar or an array).  `config`
+    may also be a list of baths of one site count, one row of J per bath.
 
     No cutoff is modelled because rates only ever sample J at the finitely
     many gap frequencies.
     """
-    sites = np.asarray(site)
-    bad = (sites < 1) | (sites > config.n_sites)
+    kappas = np.array([b.kappas for b in config]) if isinstance(config, list) else np.asarray(config.kappas)
+    sites, n_sites = np.asarray(site), kappas.shape[-1]
+    bad = (sites < 1) | (sites > n_sites)
     if np.any(bad):
-        raise ValidationError(f"site {sites[bad][0]} out of range 1..{config.n_sites}")
+        raise ValidationError(f"site {sites[bad][0]} out of range 1..{n_sites}")
     if np.any(np.less_equal(omega, 0)):
         raise ValidationError(f"spectral density requires omega > 0, got {np.min(omega)}")
-    return np.asarray(config.kappas)[sites - 1] * omega
+    return kappas[..., sites - 1] * omega
 
 
 def bose_einstein(omega: float, temperature: float) -> float:

@@ -177,8 +177,9 @@ def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:
     fig2e/f, the corresponding P_exc(t*) sweeps.
     """
     elems = _table(cfg)
-    # the configured-bath rates are built only to refuse overflowing rates up
-    # front; the benchmark's pinned bose_einstein count (240) includes their 4 calls
+    # the configured-bath rates are built only to refuse overflowing rates up front;
+    # the benchmark's pinned bose_einstein count, 240 = 60 variants x 4 flips built in
+    # 5 passes (this one, then one per curve set and sweep), includes their 4 calls
     build_rate_matrix(elems, cfg.bath)
     p0 = resolve_initial_state(cfg, elems.spectrum)
     times = cfg.times.points

@@ -51,13 +51,16 @@ def expm(a: np.ndarray, recent: list | None = None) -> np.ndarray:
     computation on ndarrays of one shape and dtype, remembers the last two
     distinct inputs, most recent first, each as an entry (input, key,
     result): the input array itself, a bytes copy of it and exp of it.  An
-    `a` that is a stored input, checked first by identity, or whose bytes
-    equal a stored key, gets that call's result back, the same object, which
-    the caller must not write to.  Nor may the caller write to an array it
-    has passed with `recent` while the list is in use: an identity hit does
-    not look at the contents.  The list holds at most six arrays of a's size.
+    `a` that is the most recent input (one identity check, made first), a
+    stored input, or whose bytes equal a stored key, gets that call's result
+    back, the same object, which the caller must not write to.  Nor may the
+    caller write to an array it has passed with `recent` while the list is in
+    use: an identity hit does not look at the contents.  The list holds at
+    most six arrays of a's size.
     """
     global _scipy_expm
+    if recent and recent[0][0] is a:  # the most recent input again: the common hit, one comparison
+        return recent[0][2]
     if recent is not None:
         hit = next((i for i, entry in enumerate(recent) if entry[0] is a), None)
         if hit is None:

@@ -31,6 +31,7 @@ table's (`_check_bath`).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -143,32 +144,50 @@ def build_rate_matrix(elems: CouplingElements, baths: BathConfig) -> RateMatrix:
 
     Refused with ValidationError when the baths do not match the table's
     site count (`_flip_densities`), and with NumericalIntegrityError when
-    a rate or a total outflow overflows (kappa * omega beyond double range).
+    a rate or a total outflow overflows (kappa * omega beyond double range):
+    the one-variant case of `build_rate_matrices`, with its failure raised.
     """
-    omega, coupled = _flip_densities(elems, baths)
-    nbar = np.array([bose_einstein(w, baths.temperature) for w in omega.tolist()])
+    return _raise_failed(next(build_rate_matrices(elems, [baths])))
+
+
+def build_rate_matrices(elems: CouplingElements, variants: list[BathConfig]) -> Iterator[RateMatrix | Exception]:
+    """The `RateMatrix` of every bath in `variants` on one table, bit for bit
+    each variant's alone, from one pass: one `_flip_densities` over the list,
+    one nbar per (variant, flip) and one outflow `bincount` over the (variants
+    x flips) arrays.  A variant whose outflow is not finite gets in its place
+    the NumericalIntegrityError naming its first such level.  Each entry is
+    made as the iterator reaches it, so a caller keeping one holds one dense
+    Lambda.  What `_flip_densities` refuses (a bath, a gap <= 0) refuses all."""
+    omega, density = _flip_densities(elems, variants)
+    nbar = np.array([[bose_einstein(w, bath.temperature) for w in omega.tolist()] for bath in variants])
+    d, n = elems.dimension, len(variants)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        damping, gain = coupled * (1.0 + nbar), coupled * nbar
-        # each column summed in row order, as Lambda.sum(axis=0) sums it: the damping
-        # into rows i < j in table order, then the gain into rows above j
-        outflow = np.bincount(np.concatenate((elems.cols, elems.rows)), np.concatenate((damping, gain)),
-                              minlength=elems.dimension).astype(np.float64)  # an empty table counts in integers
-    # rates are nonnegative, so a column sum is finite iff every rate in it is
-    bad = np.flatnonzero(~np.isfinite(outflow))
-    if bad.size:
-        j = bad[0]
-        raise NumericalIntegrityError(
-            f"non-finite rates: total outflow of level {j + 1} is {float(outflow[j])}"
-        )
-    return RateMatrix(elems=elems, baths=baths, damping=damping, gain=gain, outflow=outflow)
+        damping, gain = density * (1.0 + nbar), density * nbar
+        # each column summed in row order, as Lambda.sum(axis=0) sums it: the damping into rows i < j
+        # in table order, then the gain into rows above j; variant v's column j is bin v * d + j
+        bins = np.concatenate((elems.cols, elems.rows)) + d * np.arange(n)[:, None]
+        outflow = np.bincount(bins.ravel(), np.hstack((damping, gain)).ravel(), minlength=d * n)
+    outflow = outflow.astype(np.float64).reshape(n, d)  # an empty table counts in integers
+    first = np.argmin(np.isfinite(outflow), axis=1)  # rates are nonnegative: a column sum is finite iff its rates are
+    return (RateMatrix(elems=elems, baths=bath, damping=down, gain=up, outflow=out) if np.isfinite(out[j])
+            else NumericalIntegrityError(f"non-finite rates: total outflow of level {j + 1} is {float(out[j])}")
+            for bath, down, up, out, j in zip(variants, damping, gain, outflow, first.tolist()))
 
 
-def _flip_densities(elems: CouplingElements, baths: BathConfig) -> tuple[np.ndarray, np.ndarray]:
+def _raise_failed(rates):
+    """An entry of `build_rate_matrices`: its RateMatrix, or its failure raised."""
+    if isinstance(rates, Exception):
+        raise rates
+    return rates
+
+
+def _flip_densities(elems: CouplingElements, baths) -> tuple[np.ndarray, np.ndarray]:
     """The gap omega and the spectral density J^(n)(omega) of every row of the
-    transition table, in one call over the rows' sites, for baths that match
-    the table (`_check_bath`).  J overflows to inf when kappa * omega is
-    beyond double range; callers decide whether that matters."""
-    _check_bath(elems, baths)
+    transition table, in one call over the rows' sites, for a bath (or a list,
+    one row of J each) that matches the table (`_check_bath`).  J is inf when
+    kappa * omega is beyond double range; callers decide whether that matters."""
+    for bath in baths if isinstance(baths, list) else [baths]:
+        _check_bath(elems, bath)
     energies = elems.spectrum.energies
     omega = energies[elems.cols] - energies[elems.rows]
     with np.errstate(over="ignore"):

@@ -361,14 +361,14 @@ class TestSweeps:
         assert result.values[-1] == pytest.approx(0.75, abs=1e-3)
 
     def test_per_point_failures_recorded(self, paper_table, monkeypatch):
-        build = analysis.build_rate_matrix
+        build = analysis.build_rate_matrices
 
-        def refuse_first(elems, baths):
-            if baths.kappas[0] == 0.05:
-                raise ValidationError("refused")
-            return build(elems, baths)
+        def refuse_first(elems, variants):
+            built = build(elems, variants)
+            return [ValidationError("refused") if bath.kappas[0] == 0.05 else rates
+                    for bath, rates in zip(variants, built)]
 
-        monkeypatch.setattr(analysis, "build_rate_matrix", refuse_first)
+        monkeypatch.setattr(analysis, "build_rate_matrices", refuse_first)
         result = _paper_sweep(paper_table, (1e-5, 1.0), 10.0, "kappa", np.array([0.05, 0.1]), 10.0, site=1)
         assert result.errors == {0: "ValidationError: refused"}
         assert np.isnan(result.values[0]) and not np.isnan(result.values[1])
@@ -406,7 +406,7 @@ class TestSweeps:
         def refuse(*args):
             raise AssertionError("no rates are built for a refused sweep")
 
-        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        monkeypatch.setattr(analysis, "build_rate_matrices", refuse)
         with pytest.raises(ValidationError, match=re.escape(message)):
             _paper_sweep(paper_table, (1.0, 1.0), 1.0, axis, [0.5, 1.0], 10.0, site=site)
 
@@ -423,7 +423,7 @@ class TestSweeps:
         def refuse(*args):
             raise AssertionError("no rates are built for a refused sweep")
 
-        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        monkeypatch.setattr(analysis, "build_rate_matrices", refuse)
         with pytest.raises(ValidationError, match=re.escape("sweep grid " + GRID_RULE)):
             _paper_sweep(paper_table, (1.0, 1.0), 1.0, axis, grid, 10.0, site=site)
 
@@ -443,7 +443,7 @@ class TestSweeps:
         def refuse(*args):
             raise AssertionError("no rates are built for refused curves")
 
-        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        monkeypatch.setattr(analysis, "build_rate_matrices", refuse)
         elems, baths = paper_table(kappas=(1.0, 1.0), temperature=1.0)
         call = {"baths": baths, "axis": "temperature", "points": [0.5, 1.0], "times": [0.0, 1.0],
                 "p0": PopulationState.basis(4, 0), "site": None, **change}
@@ -460,7 +460,7 @@ class TestSweeps:
         def refuse(*args):
             raise AssertionError("no rates are built for a refused sweep")
 
-        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        monkeypatch.setattr(analysis, "build_rate_matrices", refuse)
         elems, _ = paper_table(kappas=(1e-5, 1.0))
         with pytest.raises(ValidationError, match=re.escape(message)):
             sweep(elems, baths, axis, grid, 10.0, PopulationState.basis(4, 0), site)
@@ -492,7 +492,7 @@ class TestSweeps:
         def refuse(*args):
             raise AssertionError("no rates are built for a refused sweep")
 
-        monkeypatch.setattr(analysis, "build_rate_matrix", refuse)
+        monkeypatch.setattr(analysis, "build_rate_matrices", refuse)
         with pytest.raises(ValidationError, match=f"t_star must be positive and finite, got {t_star}"):
             _paper_sweep(paper_table, (1.0, 1.0), 1.0, "temperature", np.geomspace(0.1, 1, 5), t_star)
 

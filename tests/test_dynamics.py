@@ -40,6 +40,7 @@ from spinbath import (
     structural_blocks,
 )
 from spinbath import dynamics
+from spinbath.cli import main
 
 from conftest import random_density, steady_vectors, two_spin_energies
 
@@ -559,6 +560,14 @@ class TestStepMemo:
         again = dynamics.expm(b, recent)
         assert counts["kernels"] == 4 and again is not eb
         assert np.array_equal(again, scipy_expm(b))
+
+    def test_fig2_computes_one_exponential_per_distinct_step(self, counts, tmp_path):
+        """The op of the fig2-paper benchmark workload: fig2c's 5 and fig2d's 4
+        trajectories on 0:10:201 take Lambda * 0 and one reused step each, and
+        fig2e's and fig2f's 25 points one expm(Lambda t*) each, 68 in all; the
+        trajectories' 1,809 calls are the benchmark's pinned count."""
+        assert main(["fig2", "--config", "ising2_paper", "--out", str(tmp_path)]) == 0
+        assert counts == {"kernels": 9 * 2 + 2 * 25, "calls": 9 * 201}
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from spinbath import (
     BathConfig,
+    bath_at,
+    bose_einstein,
     CapacityError,
     ChainSpec,
     CouplingElements,
@@ -35,6 +37,7 @@ from spinbath import (
     ValidationError,
     vectorize,
 )
+from spinbath import generator
 
 from conftest import csgraph_blocks, random_density, table_mask
 
@@ -213,6 +216,50 @@ class TestRateMatrix:
         for rates in (cold, hot):
             assert np.array_equal(table_mask(rates), rates.matrix != 0)
         assert np.all(table_mask(cold).sum(axis=1) == 3)  # 1e-5 still structurally couples
+
+
+@st.composite
+def _bath_grids(draw):
+    """A nondegenerate chain of N <= 5 sites and its bath with variants along one
+    axis: temperatures from T = 0 to 1e308, where nbar overflows, or couplings of one
+    site up to 4e307, whose rates are finite but whose outflows may overflow, and
+    1e308, whose rates overflow."""
+    n = draw(st.integers(1, 5))
+    spec = random_nondegenerate_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    kappas = tuple(draw(st.sampled_from((0.0, 1e-5, 0.3, 1.0))) for _ in range(n))
+    baths = BathConfig(temperature=draw(st.sampled_from((0.0, 0.05, 1.0, 10.0))), kappas=kappas)
+    axis = draw(st.sampled_from(("temperature", "kappa")))
+    values = (0.0, 1e-300, 0.05, 1.0, 10.0, 1e308) if axis == "temperature" else (0.0, 1e-5, 1.0, 1e17, 4e307, 1e308)
+    site = draw(st.integers(1, n)) if axis == "kappa" else None
+    return spec, baths, axis, draw(st.lists(st.sampled_from(values), min_size=1, max_size=6)), site
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bath_grids())
+def test_batched_rates_equal_each_variant_built_alone(case):
+    """generator.build_rate_matrices is build_rate_matrix of each variant, bit for bit, with
+    a variant that build_rate_matrix refuses failed in its place by the same message,
+    and it evaluates nbar exactly once per (variant, flip)."""
+    spec, baths, axis, points, site = case
+    elems = coupling_matrix_elements(baths, decompose_chain(spec))
+    variants = [bath_at(baths, axis, value, site) for value in points]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "bose_einstein", lambda w, t: calls.append((w, t)) or bose_einstein(w, t))
+        built = list(generator.build_rate_matrices(elems, variants))
+    gaps = (elems.spectrum.energies[elems.cols] - elems.spectrum.energies[elems.rows]).tolist()
+    assert calls == [(w, bath.temperature) for bath in variants for w in gaps]
+    assert len(built) == len(variants)
+    for bath, rates in zip(variants, built):
+        try:
+            alone = build_rate_matrix(elems, bath)
+        except NumericalIntegrityError as refused:
+            assert type(rates) is NumericalIntegrityError and str(rates) == str(refused)
+            continue
+        assert isinstance(rates, generator.RateMatrix) and rates.elems is elems and rates.baths == bath
+        for name in ("damping", "gain", "outflow", "matrix"):
+            ours, theirs = getattr(rates, name), getattr(alone, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
 
 
 class TestRateMatrixRefusals:
