@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .bath import BathConfig, CouplingElements, coupling_matrix_elements
-from .chain import ChainSpec, SpectralDecomposition, _close_levels, _is_integer, decompose_chain
+from .chain import ChainSpec, SpectralDecomposition, _close_levels, _is_integer, _require_sites, decompose_chain
 from .dynamics import (BlockPartition, PopulationState, _as_population, _check_times, _snapshot_faults,
                        excitation_probability, expm, propagate_populations)
 from .errors import SpinbathError, ValidationError
@@ -37,8 +37,7 @@ MAX_CHAIN_DRAWS = 1000
 def predicted_zero_count(n_sites: int) -> int:
     """Minimum number of structural zeros of Lambda for an N-site chain,
     2^N (2^N - (N+1)), valid when every site couples and the spectrum is nondegenerate."""
-    if n_sites < 1:
-        raise ValidationError(f"n_sites must be >= 1, got {n_sites}")
+    _require_sites(n_sites)
     d = 2 ** int(n_sites)
     return d * (d - (int(n_sites) + 1))
 
@@ -60,13 +59,12 @@ def detailed_balance_audit(rates: RateMatrix) -> float:
     Division by a structurally zero damping rate cannot occur because every
     coupled flip has a strictly positive damping entry.
     """
-    e, temperature = rates.elems.spectrum.energies, rates.baths.temperature
+    temperature = rates.baths.temperature
     if temperature <= 0:
         raise ValidationError(f"detailed-balance audit requires T > 0, got {temperature}")
     coupled, _ = _structural_pattern(rates.elems, rates.baths)
-    rows, cols = rates.elems.rows[coupled], rates.elems.cols[coupled]
     damping, gain = rates.damping[coupled], rates.gain[coupled]
-    expected = np.exp(-(e[cols] - e[rows]) / temperature)
+    expected = np.exp(-rates.elems.omega[coupled] / temperature)
     with np.errstate(divide="ignore", invalid="ignore"):
         deviation = np.abs(gain / damping - expected) / expected
     underflow = np.where(gain == 0.0, 0.0, np.inf)  # exp(-omega/T) below double range
@@ -226,6 +224,7 @@ def _draw_nondegenerate(n_sites: int, rng: np.random.Generator) -> tuple[ChainSp
     """The draw behind `random_nondegenerate_chain`, also returning the accepted
     decomposition.  Only the spacing check runs; the same-site gap scan of
     `check_degeneracy` is left to the `spectrum` command."""
+    _require_sites(n_sites)
     for _ in range(MAX_CHAIN_DRAWS):
         fields = tuple(rng.uniform(0.5, 1.5, size=n_sites))
         couplings = tuple(
@@ -249,15 +248,16 @@ def zeros_scaling(max_n: int, draws: int, rng: np.random.Generator) -> list[tupl
     must agree on the count.  Each count comes from the draw's transition
     table; no rate matrix is built.
     """
-    if max_n < 2 or draws < 1:
-        raise ValidationError(f"zeros scaling needs max_n >= 2 and draws >= 1, got max_n = {max_n}, draws = {draws}")
+    if not (_is_integer(max_n) and max_n >= 2 and _is_integer(draws) and draws >= 1):
+        raise ValidationError(f"zeros scaling needs max_n >= 2 and draws >= 1, both integers, "
+                              f"got max_n = {max_n}, draws = {draws}")
     rows = []
     for n in range(2, max_n + 1):
         counts = set()
         for _ in range(draws):
             _, dec = _draw_nondegenerate(n, rng)
             baths = BathConfig(temperature=1.0, kappas=(1.0,) * n)
-            counts.add(count_structural_zeros(coupling_matrix_elements(baths, dec), baths))
+            counts.add(count_structural_zeros(coupling_matrix_elements(dec), baths))
         if len(counts) != 1:
             raise SpinbathError(f"structural zero count varies across draws for N = {n}: {counts}")
         rows.append((n, counts.pop(), predicted_zero_count(n)))

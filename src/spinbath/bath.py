@@ -1,4 +1,5 @@
-"""Per-site thermal baths: spectral density, occupation numbers, coupling elements.
+"""Per-site thermal baths: spectral density, occupation numbers, and the
+transition table, which is built from the spectrum alone.
 
 Each of the N sites couples through its sigma_x to its own independent
 bosonic reservoir, all at the same temperature T.  A bath is characterised by
@@ -13,7 +14,7 @@ sigma_z commutes with H, so it moves no population (kappa = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,15 +94,16 @@ class CouplingElements:
 
     Each bath flips one spin, so the rows are the single-spin flips, d/2 per
     site: read-only arrays rows, cols and sites (1-based), in row-major
-    (i, j) order.  Every element is exactly 1, in both triangles, so none is
-    stored and |S_ij|^2 = 1, which the structural-zero bookkeeping relies on.
-    A table admits only a nondegenerate spectrum (no two adjacent levels
+    (i, j) order, and omega, each flip's gap E_j - E_i, computed here once for
+    every consumer.  Every element is exactly 1, in both triangles, so none
+    is stored and |S_ij|^2 = 1, which the structural-zero bookkeeping relies
+    on.  A table admits only a nondegenerate spectrum (no two adjacent levels
     within chain.DEGENERACY_TOL, which the secular rate construction cannot
-    take; DegenerateGapError names the pair), so nothing derived from it
-    checks the spectrum again.  (Why sigma_x alone: see the module.)
-    Arrays that are not 1-D integer arrays of one length, a site outside
-    1..n_sites and a row or col outside 0..d-1 are refused with
-    ValidationError.
+    take; DegenerateGapError names the pair), so every omega is at least that
+    tolerance and nothing derived from the table checks the spectrum again.
+    (Why sigma_x alone: see the module.)  Arrays that are not 1-D integer
+    arrays of one length, a site outside 1..n_sites, a row or col outside
+    0..d-1 and a flip without i < j are refused with ValidationError.
     """
 
     rows: np.ndarray
@@ -109,6 +111,7 @@ class CouplingElements:
     sites: np.ndarray
     n_sites: int
     spectrum: SpectralDecomposition
+    omega: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("rows", "cols", "sites"):
@@ -126,32 +129,33 @@ class CouplingElements:
             bad = a[(a < low) | (a > high)]
             if bad.size:
                 raise ValidationError(f"transition table {name} {bad[0]} out of range {low}..{high}")
+        bad = np.flatnonzero(rows >= cols)
+        if bad.size:
+            raise ValidationError(f"transition table flip ({rows[bad[0]]}, {cols[bad[0]]}) does not have i < j")
         _require_nondegenerate(self.spectrum)
+        omega = self.spectrum.energies[cols] - self.spectrum.energies[rows]
+        omega.setflags(write=False)
+        object.__setattr__(self, "omega", omega)
 
     @property
     def dimension(self) -> int:
         return self.spectrum.dimension
 
 
-def coupling_matrix_elements(config: BathConfig, dec: SpectralDecomposition) -> CouplingElements:
-    """Build the transition table from the spin flips of the eigenbasis.
-
-    A bath whose site count does not match the dimension is refused with
-    ValidationError, and a degenerate spectrum by the table itself.  Every
-    site's sigma_x flips its spin between two eigenstates, so every flip is
-    a row.
-    """
+def coupling_matrix_elements(dec: SpectralDecomposition) -> CouplingElements:
+    """The transition table of the spectrum `dec` alone: d = 2^N levels are N
+    sites (any other d is refused with ValidationError), and every spin flip
+    between two eigenstates is a row.  A bath meets the table only through
+    `generator._check_bath`; a degenerate spectrum is refused by the table."""
     d = dec.dimension
-    if 2 ** config.n_sites != d:
-        raise ValidationError(
-            f"bath has {config.n_sites} sites but decomposition dimension is {d}"
-        )
-    rows, cols, sites = _spin_flips(dec, config.n_sites)
+    if d < 2 or d & (d - 1):
+        raise ValidationError(f"a spin-chain spectrum has 2^N levels with N >= 1, got {d}")
+    rows, cols, sites = _spin_flips(dec)
     order = np.lexsort((cols, rows))
     return CouplingElements(
         rows=rows[order],
         cols=cols[order],
         sites=sites[order],
-        n_sites=config.n_sites,
+        n_sites=d.bit_length() - 1,
         spectrum=dec,
     )

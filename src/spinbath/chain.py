@@ -41,6 +41,12 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _require_sites(n_sites) -> None:
+    """Refuse a site count that is not an integer >= 1, in ChainSpec's words."""
+    if not (_is_integer(n_sites) and n_sites >= 1):
+        raise ValidationError(f"n_sites must be an integer >= 1, got {n_sites}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Parameters of a z-type Ising chain.
@@ -56,8 +62,7 @@ class ChainSpec:
     couplings: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
-        if not (_is_integer(self.n_sites) and self.n_sites >= 1):
-            raise ValidationError(f"n_sites must be an integer >= 1, got {self.n_sites}")
+        _require_sites(self.n_sites)
         object.__setattr__(self, "fields", tuple(float(h) for h in self.fields))
         if len(self.fields) != self.n_sites:
             raise ValidationError(f"expected {self.n_sites} fields, got {len(self.fields)}")
@@ -181,16 +186,19 @@ def _sorted(energies: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(energies=energies[order], basis=order)
 
 
-def _spin_flips(dec: SpectralDecomposition, n_sites: int):
+def _spin_flips(dec: SpectralDecomposition):
     """Every single-spin flip between eigenstates, as arrays (rows, cols, sites):
     the nonzero upper-triangle elements of each site's sigma_x, all equal to 1.
 
-    Site n flips bit 2^(N - n) of the basis index (site 1 is the most
-    significant bit).  Each flip is listed once, from eigenstate rows to the
-    higher label cols, site by site and then by the basis index of |rows>.
+    d = 2^N levels are N sites, and any other d has no flips.  Site n flips
+    bit 2^(N - n) of the basis index (site 1 is the most significant bit).
+    Each flip is listed once, from eigenstate rows to the higher label cols,
+    site by site and then by the basis index of |rows>.
     """
-    state = np.arange(dec.dimension)
-    label = np.empty(dec.dimension, dtype=np.intp)
+    d = dec.dimension
+    n_sites = d.bit_length() - 1 if d & (d - 1) == 0 else 0
+    state = np.arange(d)
+    label = np.empty(d, dtype=np.intp)
     label[dec.basis] = state  # eigenstate label of each basis state
     bits = 1 << (n_sites - np.arange(1, n_sites + 1))
     partner = label[state ^ bits[:, None]]
@@ -242,16 +250,13 @@ def check_degeneracy(dec: SpectralDecomposition, tol: float = DEGENERACY_TOL) ->
 
     The spectrum is degenerate if two adjacent eigenvalues lie within `tol`.
     Gaps collide where a flip joins its neighbour's frequency group
-    (`_frequency_groups`).  A dimension that is not a power of two has no
-    spin flips.
+    (`_frequency_groups`).
     """
     if not tol > 0:  # NaN fails every comparison
         raise ValidationError(f"tolerance must be positive, got {tol}")
     e = dec.energies
     spectrum_pairs = [(int(i), int(i) + 1, float(e[i + 1] - e[i])) for i in _close_levels(e, tol)]
-    d = dec.dimension
-    n_sites = d.bit_length() - 1 if d & (d - 1) == 0 else 0
-    rows, cols, sites = _spin_flips(dec, n_sites)
+    rows, cols, sites = _spin_flips(dec)
     gaps = e[cols] - e[rows]
     order, joins = _frequency_groups(sites, gaps, rows, cols, tol)
     rows, cols, diffs = rows[order], cols[order], np.diff(gaps[order])

@@ -91,7 +91,7 @@ def _header(cfg: RunConfig) -> list[str]:
 
 
 def _table(cfg: RunConfig):
-    return coupling_matrix_elements(cfg.bath, decompose_chain(cfg.chain))
+    return coupling_matrix_elements(decompose_chain(cfg.chain))
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[Path]:
@@ -164,9 +164,8 @@ def _cmd_zeros_scaling(cfg: RunConfig, out: Path) -> list[Path]:
     if cfg.seed is None:
         raise ConfigError("zeros-scaling needs a fixed RNG seed ([run] seed or --seed)")
     rng = np.random.default_rng(cfg.seed)
-    rows = analysis.zeros_scaling(cfg.max_n, cfg.draws, rng)
-    body = ["N,counted,predicted"] + [f"{n},{c},{p}" for n, c, p in rows]
-    return [export.write_lines(out / "zeros_scaling.csv", _header(cfg), body)]
+    rows = np.array(analysis.zeros_scaling(cfg.max_n, cfg.draws, rng))
+    return [export.write_csv(out / "zeros_scaling.csv", [*_header(cfg), "N,counted,predicted"], rows)]
 
 
 def _cmd_fig2(cfg: RunConfig, out: Path) -> list[Path]:

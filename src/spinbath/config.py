@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -43,27 +43,6 @@ COMMANDS = (
     "zeros-scaling",
     "fig2",
 )
-
-_SCHEMA = {
-    "chain": ("n", "fields", "couplings"),
-    "bath": ("temperature", "kappas", "axes"),
-    "run": (
-        "command",
-        "initial_state",
-        "times",
-        "t_star",
-        "temperature_grid",
-        "kappa_grid",
-        "kappa_site",
-        "out",
-        "seed",
-        "max_n",
-        "draws",
-        "fig2_temperatures",
-        "fig2_kappas",
-    ),
-}
-
 
 # Every grid's points are computed once, at parse time, the grids a command never
 # reads included, so a larger count is refused before anything is allocated:
@@ -125,6 +104,14 @@ class RunConfig:
     fig2_temperatures: tuple[float, ...]
     fig2_kappas: tuple[float, ...]
     source_hash: str
+
+
+# the keys of each section; a [run] key is a RunConfig field, all but the chain, bath and file hash
+_SCHEMA = {
+    "chain": ("n", "fields", "couplings"),
+    "bath": ("temperature", "kappas", "axes"),
+    "run": tuple(f.name for f in fields(RunConfig) if f.name not in ("chain", "bath", "source_hash")),
+}
 
 
 def builtin_config_names() -> list[str]:

@@ -50,25 +50,25 @@ def expm(a: np.ndarray, recent: list | None = None) -> np.ndarray:
     `recent`, a list the caller owns and passes to every call of one
     computation on ndarrays of one shape and dtype, remembers the last two
     distinct inputs, most recent first, each as an entry (input, key,
-    result): the input array itself, a bytes copy of it and exp of it.  An
-    `a` that is the most recent input (one identity check, made first), a
-    stored input, or whose bytes equal a stored key, gets that call's result
+    result): the input array itself, a bytes copy of it and exp of it.  Two
+    lookups, in order: an `a` that is the most recent input (one identity
+    check), then one whose bytes equal a stored key, gets that call's result
     back, the same object, which the caller must not write to.  Nor may the
     caller write to an array it has passed with `recent` while the list is in
-    use: an identity hit does not look at the contents.  The list holds at
-    most six arrays of a's size.
+    use: an identity hit does not look at the contents, and a bytes hit
+    stores `a` as its entry's input, so that a repeat of it is one.  The list
+    holds at most six arrays of a's size.
     """
     global _scipy_expm
     if recent and recent[0][0] is a:  # the most recent input again: the common hit, one comparison
         return recent[0][2]
     if recent is not None:
-        hit = next((i for i, entry in enumerate(recent) if entry[0] is a), None)
-        if hit is None:
-            key = a.tobytes()
-            hit = next((i for i, entry in enumerate(recent) if entry[1] == key), None)
+        key = a.tobytes()
+        hit = next((i for i, entry in enumerate(recent) if entry[1] == key), None)
         if hit is not None:
-            recent.insert(0, recent.pop(hit))
-            return recent[0][2]
+            e = recent.pop(hit)[2]
+            recent.insert(0, (a, key, e))
+            return e
     if _scipy_expm is None:
         from scipy.linalg import expm as _scipy_expm
     e = _scipy_expm(a)
@@ -332,7 +332,7 @@ def connectivity_blocks(elems: CouplingElements, baths: BathConfig) -> BlockPart
     blocks = structural_blocks(elems, baths)
     weights = tuple(_thermal_weights(elems.spectrum.energies[list(block)], baths.temperature) for block in blocks)
     if baths.temperature == 0.0:
-        _, density = _flip_densities(elems, baths)
+        density = _flip_densities(elems, baths)
         absorbing = np.bincount(elems.cols, weights=density, minlength=elems.dimension) == 0.0
         for block in blocks:
             k = np.count_nonzero(absorbing[list(block)])

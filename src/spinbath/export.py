@@ -21,13 +21,14 @@ scientific notation, trailing zeros dropped, '-' for a set sign bit (so -0.0
 prints "-0").  Any value this cannot settle exactly (m outside
 [10^11, 10^12), 10^(11-k) not exact, a near tie, NaN or +-inf) is rendered
 by format() itself: about 0.06% of the gaps of an 8-site spectrum.  Integer
-columns (row labels) print as integers.  Tables that are mostly zeros are
-rendered from what they are built from, never from a dense array: a rate
-matrix from its transition table (each flip's damping and gain, and the
-outflow diagonal) and steady states from their block partition (the block
-labels and the d restricted Gibbs weights), with "0" spliced in for every
-other cell, and a structural mask from its pattern as a 0/1 grid, straight
-to bytes.  Each is written a bounded chunk of rows at a time.
+columns (row labels, the zeros-scaling counts) print as integers.  Tables
+that are mostly zeros are rendered from what they are built from, never from
+a dense array: a rate matrix from its transition table (each flip's damping
+and gain, and the outflow diagonal) and steady states from their block
+partition (the block labels and the d restricted Gibbs weights), with "0"
+spliced in for every other cell, and a structural mask from its pattern as a
+0/1 grid, straight to bytes.  Each is written a bounded chunk of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ def provenance_lines(command: str, config_hash: str, params: dict) -> list[str]:
         f"# config_sha256: {config_hash}",
         f"# params: {echo}",
     ]
-
-
-def write_lines(path: Path, header: list[str], body: list[str]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([*header, *body]) + "\n")
-    return path
 
 
 def write_csv(path, lines: list[str], *blocks) -> Path:
@@ -340,8 +334,10 @@ def write_sweep_csv(path, sweep, header: list[str]) -> Path:
 
 def write_json(path, payload, header: list[str]) -> Path:
     """'#' provenance lines followed by a canonical JSON body."""
-    body = json.dumps(payload, indent=1, sort_keys=True)
-    return write_lines(path, header, [body])
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join([*header, json.dumps(payload, indent=1, sort_keys=True)]) + "\n")
+    return path
 
 
 def read_json_body(path) -> object:

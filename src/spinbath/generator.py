@@ -78,11 +78,9 @@ def build_jump_operators(elems: CouplingElements) -> list[JumpOperator]:
     An operator sums its group's flips (the equal-frequency terms of the
     secular form of sigma_x) at its first flip's gap.
     """
-    energies = elems.spectrum.energies
-    omega = energies[elems.cols] - energies[elems.rows]
-    order, joins = _frequency_groups(elems.sites, omega, elems.rows, elems.cols)
+    order, joins = _frequency_groups(elems.sites, elems.omega, elems.rows, elems.cols)
     groups = np.split(order, np.flatnonzero(~joins) + 1) if order.size else []
-    return [JumpOperator(site=int(elems.sites[g[0]]), omega=float(omega[g[0]]),
+    return [JumpOperator(site=int(elems.sites[g[0]]), omega=float(elems.omega[g[0]]),
                          pairs=tuple(zip(elems.rows[g].tolist(), elems.cols[g].tolist())))
             for g in groups]
 
@@ -157,9 +155,12 @@ def build_rate_matrices(elems: CouplingElements, variants: list[BathConfig]) -> 
     x flips) arrays.  A variant whose outflow is not finite gets in its place
     the NumericalIntegrityError naming its first such level.  Each entry is
     made as the iterator reaches it, so a caller keeping one holds one dense
-    Lambda.  What `_flip_densities` refuses (a bath, a gap <= 0) refuses all."""
-    omega, density = _flip_densities(elems, variants)
-    nbar = np.array([[bose_einstein(w, bath.temperature) for w in omega.tolist()] for bath in variants])
+    Lambda.  A bath that `_flip_densities` refuses refuses all; no variants
+    give no entries."""
+    if not variants:
+        return iter(())
+    density = _flip_densities(elems, variants)
+    nbar = np.array([[bose_einstein(w, bath.temperature) for w in elems.omega.tolist()] for bath in variants])
     d, n = elems.dimension, len(variants)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         damping, gain = density * (1.0 + nbar), density * nbar
@@ -181,18 +182,15 @@ def _raise_failed(rates):
     return rates
 
 
-def _flip_densities(elems: CouplingElements, baths) -> tuple[np.ndarray, np.ndarray]:
-    """The gap omega and the spectral density J^(n)(omega) of every row of the
-    transition table, in one call over the rows' sites, for a bath (or a list,
-    one row of J each) that matches the table (`_check_bath`).  J is inf when
-    kappa * omega is beyond double range; callers decide whether that matters."""
+def _flip_densities(elems: CouplingElements, baths) -> np.ndarray:
+    """J^(n)(omega) of every row of the transition table at its gap omega, in
+    one call over the rows' sites, for a bath (or a non-empty list, one row of
+    J each) that matches the table (`_check_bath`).  J is inf when kappa *
+    omega is beyond double range; callers decide whether that matters."""
     for bath in baths if isinstance(baths, list) else [baths]:
         _check_bath(elems, bath)
-    energies = elems.spectrum.energies
-    omega = energies[elems.cols] - energies[elems.rows]
     with np.errstate(over="ignore"):
-        density = spectral_density(baths, elems.sites, omega)
-    return omega, density
+        return spectral_density(baths, elems.sites, elems.omega)
 
 
 def _structural_pattern(elems: CouplingElements, baths: BathConfig) -> tuple[np.ndarray, np.ndarray]:

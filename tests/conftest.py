@@ -57,7 +57,7 @@ def paper_table(paper_dec):
 
     def build(kappas=(1.0, 1.0), temperature=1.0):
         baths = BathConfig(temperature=temperature, kappas=kappas)
-        return coupling_matrix_elements(baths, paper_dec), baths
+        return coupling_matrix_elements(paper_dec), baths
 
     return build
 
@@ -77,7 +77,7 @@ def paper_model(paper_table):
 def paper_superop(paper_dec):
     def build(kappas=(1.0, 1.0), temperature=1.0):
         baths = BathConfig(temperature=temperature, kappas=kappas)
-        elems = coupling_matrix_elements(baths, paper_dec)
+        elems = coupling_matrix_elements(paper_dec)
         return build_lindblad_superoperator(elems, baths)
 
     return build

@@ -81,8 +81,16 @@ class TestZeroCounts:
         assert predicted_zero_count(2) == 4
         assert predicted_zero_count(3) == 32
         assert predicted_zero_count(4) == 176
-        with pytest.raises(ValidationError, match="n_sites must be >= 1, got 0"):
+        with pytest.raises(ValidationError, match="n_sites must be an integer >= 1, got 0"):
             predicted_zero_count(0)
+
+    @pytest.mark.parametrize("n_sites", [2.5, True, 2.0, "2"])
+    def test_a_site_count_that_is_not_an_integer_is_refused(self, n_sites):
+        # 2.5 counted 4 zeros and True 0; the draw raised numpy's TypeError
+        for refused in (predicted_zero_count, lambda n: random_nondegenerate_chain(n, np.random.default_rng(0))):
+            with pytest.raises(ValidationError, match=re.escape(f"n_sites must be an integer >= 1, got {n_sites}")):
+                refused(n_sites)
+        assert predicted_zero_count(np.int64(3)) == 32
 
     def test_paper_model_counts(self, paper_model):
         _, rates = paper_model(kappas=(1.0, 1.0))
@@ -104,9 +112,10 @@ class TestZeroCounts:
         rows = zeros_scaling(3, 5, rng)
         assert rows == [(2, 4, 4), (3, 32, 32)]
 
-    @pytest.mark.parametrize("max_n, draws", [(3, 0), (3, -1), (1, 5), (0, 5)])
+    @pytest.mark.parametrize("max_n, draws", [(3, 0), (3, -1), (1, 5), (0, 5), (3, True), (3.0, 1), (3, 2.0)])
     def test_scaling_refuses_an_empty_table(self, max_n, draws):
-        # no draws, or no N >= 2: there is nothing to count
+        # no draws, or no N >= 2: there is nothing to count; a bool or a float is no count
+        # (True ran one draw, and 3.0 raised a raw TypeError)
         with pytest.raises(ValidationError, match="zeros scaling needs max_n >= 2 and draws >= 1"):
             zeros_scaling(max_n, draws, np.random.default_rng(0))
 
@@ -156,7 +165,7 @@ def test_structural_zero_count_matches_the_built_rate_matrix(table):
     # has a zero diagonal entry
     spec, baths = table
     dec = decompose_chain(spec)
-    elems = coupling_matrix_elements(baths, dec)
+    elems = coupling_matrix_elements(dec)
     rates = build_rate_matrix(elems, baths)
     hot = build_rate_matrix(elems, replace(baths, temperature=10.0))
     assert count_structural_zeros(rates.elems, rates.baths) == hot.matrix.size - np.count_nonzero(hot.matrix)
@@ -167,7 +176,7 @@ def test_structural_zero_count_matches_the_built_rate_matrix(table):
 def test_blocks_equal_csgraph_on_random_chains(table):
     spec, baths = table
     dec = decompose_chain(spec)
-    elems = coupling_matrix_elements(baths, dec)
+    elems = coupling_matrix_elements(dec)
     rates = build_rate_matrix(elems, baths)
     # the bare structure: at T = 0 connectivity_blocks refuses a glassy block, this does not
     assert structural_blocks(elems, baths) == csgraph_blocks(value_edges(rates))
@@ -187,7 +196,7 @@ def test_table_steady_states_equal_the_dense_path(table):
     refuse or both accept."""
     spec, baths = table
     dec = decompose_chain(spec)
-    elems = coupling_matrix_elements(baths, dec)
+    elems = coupling_matrix_elements(dec)
     expected = dense_steady_vectors(build_rate_matrix(elems, baths))
     if expected is None:
         with pytest.raises(NumericalIntegrityError, match="kernel dimension"):
@@ -217,7 +226,7 @@ def _relabelled_tables(draw):
 def test_built_rates_obey_detailed_balance(case):
     spec, baths, _ = case
     dec = decompose_chain(spec)
-    assert detailed_balance_audit(build_rate_matrix(coupling_matrix_elements(baths, dec), baths)) < 1e-10
+    assert detailed_balance_audit(build_rate_matrix(coupling_matrix_elements(dec), baths)) < 1e-10
 
 
 def _relabelled(spec: ChainSpec, baths: BathConfig, perm) -> tuple[ChainSpec, BathConfig]:
@@ -242,7 +251,7 @@ def test_site_relabelling_permutes_the_states(case):
     models = []
     for chain, bath in (case[:2], _relabelled(spec, baths, perm)):
         dec = decompose_chain(chain)
-        elems = coupling_matrix_elements(bath, dec)
+        elems = coupling_matrix_elements(dec)
         models.append((dec, build_rate_matrix(elems, bath), connectivity_blocks(elems, bath)))
     (dec, rates, blocks), (moved_dec, moved_rates, moved_blocks) = models
     # level k is basis state dec.basis[k]; site m's bit (2^(N - m)) moves to site perm[m - 1] + 1
@@ -311,7 +320,7 @@ class TestRestrictedGibbsPrediction:
         spec = ChainSpec(3, (0.251, 0.252, 0.179), ((1, 2, -1.229), (2, 3, -1.368), (1, 3, -1.17)))
         baths = BathConfig(temperature=0.0, kappas=(1.0, 1.0, 1.0))
         dec = decompose_chain(spec)
-        elems = coupling_matrix_elements(baths, dec)
+        elems = coupling_matrix_elements(dec)
         p0 = PopulationState.basis(8, start - 1)
         trajectory = propagate_populations(build_rate_matrix(elems, baths), p0, [0.0, 1e3])
         assert trajectory.populations[-1] == pytest.approx(late + [0.0] * 6, abs=1e-6)
@@ -523,7 +532,7 @@ def _sweeps(draw):
     grid = sorted(draw(st.sets(st.sampled_from(values), min_size=1)))
     p0 = PopulationState.basis(dec.dimension, draw(st.integers(0, dec.dimension - 1)))
     t_star = draw(st.sampled_from([0.1, 1.0, 10.0]))
-    return dec, coupling_matrix_elements(baths, dec), baths, axis, grid, t_star, p0, site
+    return dec, coupling_matrix_elements(dec), baths, axis, grid, t_star, p0, site
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,6 +12,7 @@ import pytest
 from spinbath import (
     BathConfig,
     ChainSpec,
+    SpectralDecomposition,
     ValidationError,
     bose_einstein,
     build_hamiltonian,
@@ -147,13 +148,11 @@ def _pairs(elems, site=None):
 
 class TestCouplingMatrixElements:
     def test_site_one_pathways(self, paper_dec):
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
-        elems = coupling_matrix_elements(cfg, paper_dec)
+        elems = coupling_matrix_elements(paper_dec)
         assert _pairs(elems, 1) == [(0, 2), (1, 3)]  # |1> <-> |3>, |2> <-> |4>
 
     def test_site_two_pathways(self, paper_dec):
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
-        elems = coupling_matrix_elements(cfg, paper_dec)
+        elems = coupling_matrix_elements(paper_dec)
         assert _pairs(elems, 2) == [(0, 1), (2, 3)]  # |1> <-> |2>, |3> <-> |4>
         assert _pairs(elems) == [(0, 1), (0, 2), (1, 3), (2, 3)]  # row-major
         assert elems.sites.tolist() == [2, 1, 1, 2]
@@ -162,7 +161,7 @@ class TestCouplingMatrixElements:
         # each site's rows, with 1 in both triangles, rebuild its dense sigma_x;
         # |h_2| < Delta: site 2 is up in the lower level of one flip and down in the other
         dec = spectral_decomposition(build_hamiltonian(ChainSpec(2, (1.0, -0.2), ((1, 2, 1 / 3),))))
-        elems = coupling_matrix_elements(BathConfig(temperature=1.0, kappas=(1.0, 1.0)), dec)
+        elems = coupling_matrix_elements(dec)
         u = np.eye(4)[:, dec.basis]
         for site in (1, 2):
             flips = elems.sites == site
@@ -170,10 +169,12 @@ class TestCouplingMatrixElements:
             s[elems.rows[flips], elems.cols[flips]] = 1.0
             assert np.array_equal(s + s.T, u.T @ site_operator(site, 2) @ u)
 
-    def test_dimension_mismatch(self, paper_dec):
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0, 1.0))
-        with pytest.raises(ValidationError):
-            coupling_matrix_elements(cfg, paper_dec)
+    @pytest.mark.parametrize("d", [0, 1, 3, 6])
+    def test_a_spectrum_of_other_than_two_to_the_n_levels_is_refused(self, d):
+        # the table reads N off d = 2^N; a bath meets the table only in generator._check_bath
+        dec = SpectralDecomposition(energies=np.arange(d, dtype=float), basis=np.arange(d))
+        with pytest.raises(ValidationError, match=f"a spin-chain spectrum has 2\\^N levels with N >= 1, got {d}"):
+            coupling_matrix_elements(dec)
 
     def test_x_coupling_exchanges_energy(self, paper_spec):
         # [H, sigma_x^(n)] != 0 for both sites of the reference chain
@@ -186,7 +187,6 @@ class TestCouplingMatrixElements:
         # rebuilding the decomposition must reproduce the same table exactly
         dec_a = spectral_decomposition(build_hamiltonian(paper_spec))
         dec_b = spectral_decomposition(build_hamiltonian(paper_spec))
-        cfg = BathConfig(temperature=1.0, kappas=(1.0, 1.0))
-        a, b = coupling_matrix_elements(cfg, dec_a), coupling_matrix_elements(cfg, dec_b)
+        a, b = coupling_matrix_elements(dec_a), coupling_matrix_elements(dec_b)
         for name in ("rows", "cols", "sites"):
             assert np.array_equal(getattr(a, name), getattr(b, name))

@@ -155,7 +155,7 @@ class TestPropagatePopulations:
                 kappas=tuple(rng.uniform(0.0, 1.5, size=n)),
             )
             dec = spectral_decomposition(build_hamiltonian(spec))
-            rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
+            rates = build_rate_matrix(coupling_matrix_elements(dec), baths)
             p0 = PopulationState(rng.dirichlet(np.ones(dec.dimension)))
             t, s = float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3))
             p_ts = propagate_populations(rates, p0, [t + s]).populations[-1]
@@ -346,7 +346,7 @@ class TestSteadyStates:
                 temperature=temperature, kappas=tuple(rng.uniform(0.2, 2.0, size=n))
             )
             dec = spectral_decomposition(build_hamiltonian(spec))
-            states = _steady_states(coupling_matrix_elements(baths, dec), baths)
+            states = _steady_states(coupling_matrix_elements(dec), baths)
             assert len(states) == 1
             assert np.max(np.abs(states[0] - gibbs_state(dec, temperature).p)) < 1e-9
 
@@ -358,7 +358,7 @@ class TestSteadyStates:
         baths = BathConfig(temperature=0.0, kappas=(1.0, 1.0, 1.0))
         dec = spectral_decomposition(build_hamiltonian(spec))
         with pytest.raises(NumericalIntegrityError, match="kernel"):
-            connectivity_blocks(coupling_matrix_elements(baths, dec), baths)
+            connectivity_blocks(coupling_matrix_elements(dec), baths)
 
     @pytest.mark.parametrize("temperature", [0.03, 0.02, 0.01])
     def test_glassy_chain_at_low_temperature_is_its_gibbs_state(self, temperature):
@@ -368,7 +368,7 @@ class TestSteadyStates:
         )
         baths = BathConfig(temperature=temperature, kappas=(1.0, 1.0, 1.0))
         dec = spectral_decomposition(build_hamiltonian(spec))
-        elems = coupling_matrix_elements(baths, dec)
+        elems = coupling_matrix_elements(dec)
         rates = build_rate_matrix(elems, baths)
         partition = connectivity_blocks(elems, baths)
         assert partition.blocks == (tuple(range(8)),)
@@ -385,7 +385,7 @@ def _random_models(draw):
         kappas=tuple(draw(st.sampled_from((0.0, 1e-5, 0.3, 1.0))) for _ in range(n)),
     )
     dec = spectral_decomposition(build_hamiltonian(spec))
-    elems = coupling_matrix_elements(baths, dec)
+    elems = coupling_matrix_elements(dec)
     return dec, elems, baths, build_rate_matrix(elems, baths)
 
 
@@ -440,7 +440,7 @@ def _stepped_runs(draw):
         temperature=draw(st.sampled_from((0.0, 0.05, 1.0, 10.0))),
         kappas=tuple(draw(st.sampled_from((0.0, 1e-5, 1.0))) for _ in range(n)),
     )
-    rates = build_rate_matrix(coupling_matrix_elements(baths, spectral_decomposition(build_hamiltonian(spec))), baths)
+    rates = build_rate_matrix(coupling_matrix_elements(spectral_decomposition(build_hamiltonian(spec))), baths)
     d = rates.dimension
     p0 = draw(st.sampled_from((PopulationState.basis(d, 0), PopulationState.basis(d, d - 1),
                                PopulationState.uniform(d)))).p
@@ -738,7 +738,7 @@ class TestExpm:
         spec = random_nondegenerate_chain(7, np.random.default_rng(7))
         baths = BathConfig(temperature=1.0, kappas=(1e-5,) + (1.0,) * 6)
         dec = spectral_decomposition(build_hamiltonian(spec))
-        rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
+        rates = build_rate_matrix(coupling_matrix_elements(dec), baths)
         for t in np.linspace(0.0, 10.0, 201)[::5]:
             a = rates.matrix * t
             assert np.array_equal(dynamics.expm(a), scipy_expm(a))

@@ -44,7 +44,7 @@ from conftest import csgraph_blocks, random_density, table_mask
 
 def _elems(dec, kappas, temperature=1.0):
     cfg = BathConfig(temperature=temperature, kappas=kappas)
-    return cfg, coupling_matrix_elements(cfg, dec)
+    return cfg, coupling_matrix_elements(dec)
 
 
 class TestJumpOperators:
@@ -241,7 +241,7 @@ def test_batched_rates_equal_each_variant_built_alone(case):
     a variant that build_rate_matrix refuses failed in its place by the same message,
     and it evaluates nbar exactly once per (variant, flip)."""
     spec, baths, axis, points, site = case
-    elems = coupling_matrix_elements(baths, decompose_chain(spec))
+    elems = coupling_matrix_elements(decompose_chain(spec))
     variants = [bath_at(baths, axis, value, site) for value in points]
     calls = []
     with pytest.MonkeyPatch.context() as patch:
@@ -260,6 +260,12 @@ def test_batched_rates_equal_each_variant_built_alone(case):
         for name in ("damping", "gain", "outflow", "matrix"):
             ours, theirs = getattr(rates, name), getattr(alone, name)
             assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+
+def test_no_bath_variants_build_no_rates(paper_dec):
+    # an empty list of baths has no site count: it was refused as "site 2 out of range 1..0"
+    _, elems = _elems(paper_dec, (1.0, 1.0))
+    assert list(generator.build_rate_matrices(elems, [])) == []
 
 
 class TestRateMatrixRefusals:
@@ -326,8 +332,9 @@ def _symmetric_masks(draw):
 @settings(max_examples=200, deadline=None)
 @given(_symmetric_masks())
 def test_blocks_equal_csgraph_on_random_masks(mask):
-    # any graph as a one-site table: each edge of the mask is a coupled flip
-    rows, cols = np.nonzero(np.triu(mask))
+    # any graph as a one-site table: each edge of the mask is a coupled flip; a
+    # self-loop is no flip (the table refuses i = j) and joins no two states
+    rows, cols = np.nonzero(np.triu(mask, 1))
     ones = np.ones(rows.size, dtype=np.intp)
     d = mask.shape[0]
     elems = CouplingElements(rows=rows, cols=cols, sites=ones, n_sites=1,

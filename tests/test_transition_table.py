@@ -35,6 +35,7 @@ from spinbath import (
     connectivity_blocks,
     coupling_matrix_elements,
     count_structural_zeros,
+    decompose_chain,
     excitation_curves,
     parse_config,
     predicted_zero_count,
@@ -44,7 +45,7 @@ from spinbath import (
     sweep,
 )
 from spinbath import cli, export, generator
-from spinbath.bath import bose_einstein, spectral_density
+from spinbath.bath import CouplingElements, bose_einstein, spectral_density
 from spinbath.chain import DEGENERACY_TOL, DegeneracyReport
 from spinbath.errors import ValidationError
 from spinbath.export import fmt, write_csv, write_mask_csv, write_rates_csv
@@ -205,7 +206,7 @@ def _assert_same_jump_operators(got, expected):
 
 
 def _assert_same_rates(dec, baths):
-    elems = coupling_matrix_elements(baths, dec)
+    elems = coupling_matrix_elements(dec)
     reference = reference_coupling_matrices(baths, dec)
     _assert_same_table(elems, reference)
     try:
@@ -263,7 +264,7 @@ def test_degenerate_gaps_admitted_by_both():
     assert check_degeneracy(dec, 1e-9).gaps_degenerate
     baths = BathConfig(temperature=1.0, kappas=(1.0,) * 4)
     expected, expected_mask = reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
-    rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
+    rates = build_rate_matrix(coupling_matrix_elements(dec), baths)
     assert np.array_equal(table_mask(rates), expected_mask)
     assert np.max(np.abs(rates.matrix - expected)) <= 1e-15 * np.max(np.abs(expected))
 
@@ -275,14 +276,13 @@ def test_zero_gap_transition_raises_like_the_pair_loop():
     with pytest.raises(DegenerateGapError):
         reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
     with pytest.raises(DegenerateGapError):
-        build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
+        build_rate_matrix(coupling_matrix_elements(dec), baths)
 
 
 def test_transition_table_has_one_pair_per_spin_flip():
     spec = CASES[6][1]  # an all-pairs chain with N = 5
     dec = spectral_decomposition(build_hamiltonian(spec))
-    baths = BathConfig(temperature=1.0, kappas=(1.0,) * 5)
-    elems = coupling_matrix_elements(baths, dec)
+    elems = coupling_matrix_elements(dec)
     d = dec.dimension
     assert elems.rows.size == d * 5 // 2
     assert np.all(elems.rows < elems.cols)
@@ -313,13 +313,33 @@ def test_table_equals_the_dense_rotation_on_random_chains(case):
     dec = spectral_decomposition(build_hamiltonian(spec))
     baths = BathConfig(temperature=1.0, kappas=kappas)
     assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
-    elems = coupling_matrix_elements(baths, dec)
+    elems = coupling_matrix_elements(dec)
     _assert_same_table(elems, reference_coupling_matrices(baths, dec))
 
     # with every site coupled, the zeros law holds whatever the gaps
     coupled = BathConfig(temperature=1.0, kappas=tuple(k or 0.5 for k in kappas))
-    rates = build_rate_matrix(coupling_matrix_elements(coupled, dec), coupled)
+    rates = build_rate_matrix(coupling_matrix_elements(dec), coupled)
     assert count_structural_zeros(rates.elems, rates.baths) == predicted_zero_count(spec.n_sites)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains_and_baths())
+def test_the_table_owns_its_gaps(case):
+    """On the table of either route to the spectrum, omega is E_j - E_i of
+    every flip, bit for bit, read-only and at least the degeneracy tolerance,
+    and the site count is log2 d: the table reads nothing but the spectrum."""
+    spec, _ = case
+    for dec in (decompose_chain(spec), spectral_decomposition(build_hamiltonian(spec))):
+        assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
+        elems = coupling_matrix_elements(dec)
+        assert elems.omega.tobytes() == (dec.energies[elems.cols] - dec.energies[elems.rows]).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            elems.omega[0] = 1.0
+        assert np.all(elems.omega >= DEGENERACY_TOL)
+        assert 2**elems.n_sites == dec.dimension and elems.n_sites == spec.n_sites
+    with pytest.raises(TypeError, match="omega"):  # computed, never passed in
+        CouplingElements(rows=elems.rows, cols=elems.cols, sites=elems.sites, n_sites=elems.n_sites,
+                         spectrum=dec, omega=elems.omega)
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,16 +347,15 @@ def test_table_equals_the_dense_rotation_on_random_chains(case):
 def test_the_table_refuses_exactly_the_degenerate_spectra(case):
     """coupling_matrix_elements admits a spectrum by the spacing check alone,
     and its refusal names the pair check_degeneracy lists first."""
-    spec, kappas = case
+    spec, _ = case
     dec = spectral_decomposition(build_hamiltonian(spec))
-    baths = BathConfig(temperature=1.0, kappas=kappas)
     report = check_degeneracy(dec)
     if not report.spectrum_degenerate:
-        assert coupling_matrix_elements(baths, dec).spectrum is dec
+        assert coupling_matrix_elements(dec).spectrum is dec
         return
     i, j, diff = report.spectrum_pairs[0]
     with pytest.raises(DegenerateGapError) as info:
-        coupling_matrix_elements(baths, dec)
+        coupling_matrix_elements(dec)
     assert str(info.value) == f"spectrum degenerate: |E_{i + 1} - E_{j + 1}| = {diff:.3e} < {DEGENERACY_TOL:.1e}"
 
 
@@ -350,7 +369,7 @@ def test_every_table_consumer_checks_its_bath(case):
     dec = spectral_decomposition(build_hamiltonian(spec))
     assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
     baths = BathConfig(temperature=1.0, kappas=kappas)
-    elems = coupling_matrix_elements(baths, dec)
+    elems = coupling_matrix_elements(dec)
     p0 = PopulationState.basis(dec.dimension, 0)
     consumers = [
         build_rate_matrix, connectivity_blocks, structural_blocks, count_structural_zeros,
@@ -393,10 +412,15 @@ def test_a_table_built_by_hand_refuses_a_degenerate_spectrum(paper_table):
     ({"sites": [2, 0, 1, 2]}, "site 0 out of range 1..2"),
     ({"rows": [0, 0, 1, -1]}, "row -1 out of range 0..3"),
     ({"cols": [1, 2, 3, 4]}, "col 4 out of range 0..3"),
+    ({"rows": [0, 0, 1, 3]}, "flip (3, 3) does not have i < j"),
+    ({"rows": [0, 2, 1, 2]}, "flip (2, 2) does not have i < j"),
+    ({"cols": [1, 2, 0, 3]}, "flip (1, 0) does not have i < j"),
 ])
 def test_a_table_built_by_hand_refuses_inconsistent_arrays(paper_table, fields, message):
     # an out-of-range site surfaced only later, as spectral_density's refusal
-    # during a rate build; an out-of-range row as an IndexError
+    # during a rate build; an out-of-range row as an IndexError; a self-loop
+    # (1, 1) was counted as two structural nonzeros, a reversed flip (2, 0)
+    # joined blocks whose rates were then refused with omega = -2
     elems, _ = paper_table()
     with pytest.raises(ValidationError, match=re.escape(f"transition table {message}")):
         replace(elems, **fields)
@@ -473,14 +497,13 @@ def test_flip_densities_equal_the_per_site_law(case):
     dec = spectral_decomposition(build_hamiltonian(spec))
     baths = BathConfig(temperature=1.0, kappas=kappas)
     assume(not check_degeneracy(dec).spectrum_degenerate)  # a zero gap is refused with the table
-    elems = coupling_matrix_elements(baths, dec)
+    elems = coupling_matrix_elements(dec)
     omega = dec.energies[elems.cols] - dec.energies[elems.rows]
     expected = np.empty(omega.size)
     for n in range(1, baths.n_sites + 1):
         flips = elems.sites == n
         expected[flips] = spectral_density(baths, n, omega[flips])
-    gaps, density = generator._flip_densities(elems, baths)
-    assert gaps.tobytes() == omega.tobytes()
+    density = generator._flip_densities(elems, baths)
     assert density.tobytes() == expected.tobytes()
 
 
@@ -496,7 +519,7 @@ def test_rates_on_the_table_equal_the_pair_loop(case, temperature):
     baths = BathConfig(temperature=temperature, kappas=kappas)
     assume(not check_degeneracy(dec).spectrum_degenerate)  # refused with the table
     expected, _ = reference_rates(dec, reference_coupling_matrices(baths, dec), baths)
-    rates = build_rate_matrix(coupling_matrix_elements(baths, dec), baths)
+    rates = build_rate_matrix(coupling_matrix_elements(dec), baths)
     scale = np.max(np.abs(expected), initial=0.0)
     paired = np.diagonal(expected).copy()
     np.fill_diagonal(expected, 0.0)
@@ -568,7 +591,7 @@ def test_cli_files_match_the_per_entry_rendering(tmp_path):
 
     cfg = parse_config(path)
     dec = spectral_decomposition(build_hamiltonian(cfg.chain))
-    rates = build_rate_matrix(coupling_matrix_elements(cfg.bath, dec), cfg.bath)
+    rates = build_rate_matrix(coupling_matrix_elements(dec), cfg.bath)
     _, expected_mask = reference_rates(dec, reference_coupling_matrices(cfg.bath, dec), cfg.bath)
     e, d = dec.energies, dec.dimension
     expected = {
