@@ -84,7 +84,7 @@ def restricted_gibbs_prediction(blocks: BlockPartition, p0) -> PopulationState:
     return PopulationState(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """A value per point of a bath-axis grid, such as P_exc(t*),
     with the failed points: grid index -> reason.  A value is nan exactly
@@ -163,7 +163,7 @@ def sweep(elems: CouplingElements, baths: BathConfig, axis: str, grid, t_star: f
     with np.errstate(over="ignore", invalid="ignore"):  # the snapshot check refuses what overflows
         for k, rates in enumerate(build_rate_matrices(elems, [bath_at(baths, axis, v, site) for v in grid])):
             try:
-                snapshots[k] = expm(_raise_failed(rates).matrix * t_star) @ p0
+                snapshots[k] = expm(_raise_failed(rates).matrix, t_star) @ p0
             except SpinbathError as exc:
                 snapshots[k] = np.nan
                 errors[k] = f"{type(exc).__name__}: {exc}"

@@ -87,7 +87,7 @@ def bose_einstein(omega: float, temperature: float) -> float:
     return 1.0 / m if m else math.inf  # m == 0 when omega / T underflows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingElements:
     """The transition table of `n_sites` sites: every nonzero <i|sigma_x^(n)|j>
     with i < j in the energy basis of `spectrum`, the decomposition its rows index.

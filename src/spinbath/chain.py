@@ -116,7 +116,7 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return np.diag(diagonal_energies(spec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Sorted eigensystem of a diagonal Hamiltonian.
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .bath import BathConfig
-from .chain import MAX_DENSE_SITES, ChainSpec, SpectralDecomposition
+from .chain import MAX_DENSE_SITES, ChainSpec, SpectralDecomposition, _is_integer
 from .dynamics import PopulationState, _check_times, gibbs_state
 from .errors import CapacityError, ConfigError, SpinbathError
 from .export import fmt
@@ -65,6 +65,8 @@ class GridSpec:
     points: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not _is_integer(self.count):  # the one integer rule: 3.0, "3" and True are no counts
+            raise ConfigError(f"grid count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ConfigError(f"grid needs at least 2 points, got {self.count}")
         if self.count > MAX_GRID_POINTS:

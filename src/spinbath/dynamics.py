@@ -42,43 +42,35 @@ THETA_13 = 5.371920351148152
 _scipy_expm = None  # scipy.linalg.expm, once the first exponential has imported it
 
 
-def expm(a: np.ndarray, recent: list | None = None) -> np.ndarray:
-    """exp(a) by scipy.linalg.expm, which the first call imports: importing
-    scipy.linalg costs more than half of a cold start of the CLI, which
-    commands that never propagate should not pay.
+def expm(a: np.ndarray, t: float, recent: list | None = None) -> np.ndarray:
+    """exp(a t) by scipy.linalg.expm of `a * t`, which the first call imports:
+    importing scipy.linalg costs more than half of a cold start of the CLI,
+    which commands that never propagate should not pay.
 
-    `recent`, a list the caller owns and passes to every call of one
-    computation on ndarrays of one shape and dtype, remembers the last two
-    distinct inputs, most recent first, each as an entry (input, key,
-    result): the input array itself, a bytes copy of it and exp of it.  Two
-    lookups, in order: an `a` that is the most recent input (one identity
-    check), then one whose bytes equal a stored key, gets that call's result
-    back, the same object, which the caller must not write to.  Nor may the
-    caller write to an array it has passed with `recent` while the list is in
-    use: an identity hit does not look at the contents, and a bytes hit
-    stores `a` as its entry's input, so that a repeat of it is one.  The list
-    holds at most six arrays of a's size.
+    `recent`, a list the caller owns and passes with one matrix `a` to every
+    call, remembers the last two distinct t, most recent first, each as an
+    entry (t, exp(a t)).  A t equal to the most recent entry's (one float
+    comparison), then to the other's, gets that call's result back, the same
+    object, which the caller must not write to; a miss computes it, puts it
+    first and keeps two entries.  So the list holds two arrays of a's size,
+    and the array a * t lives for one miss only.  0.0 and -0.0 are one key,
+    which is harmless: only a trajectory's first step can be zero.
     """
     global _scipy_expm
-    if recent and recent[0][0] is a:  # the most recent input again: the common hit, one comparison
-        return recent[0][2]
-    if recent is not None:
-        key = a.tobytes()
-        hit = next((i for i, entry in enumerate(recent) if entry[1] == key), None)
-        if hit is not None:
-            e = recent.pop(hit)[2]
-            recent.insert(0, (a, key, e))
-            return e
+    if recent and recent[0][0] == t:  # the most recent step again: the common hit
+        return recent[0][1]
+    if recent and recent[-1][0] == t:  # the other entry, which moves to the front
+        recent.reverse()
+        return recent[0][1]
     if _scipy_expm is None:
         from scipy.linalg import expm as _scipy_expm
-    e = _scipy_expm(a)
+    e = _scipy_expm(a * t)
     if recent is not None:
-        recent.insert(0, (a, key, e))
-        del recent[2:]
+        recent[:] = [(t, e)] + recent[:1]
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationState:
     """Probability vector over energy eigenstates (nonnegative, sum 1)."""
 
@@ -139,7 +131,7 @@ def _check_times(times, name: str = "time grid") -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Population snapshots on a strictly increasing time grid."""
 
@@ -186,10 +178,8 @@ def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
     step after the first is one matrix: `0:10:201`, whose intervals take 10
     bit patterns, computes 2 exponentials for its 201 calls, and a log grid,
     whose intervals all differ, 201.  The calls share one two-entry memo
-    (`expm`'s `recent`), made here and dropped on return, so each distinct
-    step is exponentiated once, and the array Lambda dt_k is formed only when
-    dt_k changes, which makes a repeated step's hit an identity check; at
-    most six d x d arrays are kept.
+    (`expm`'s `recent`, keyed by dt_k), made here and dropped on return, so
+    each distinct step is exponentiated once and two d x d results are kept.
 
     Accuracy: every factor is column-stochastic up to rounding, so the error
     a step makes is carried to the next without growing.  A reused step h
@@ -224,16 +214,13 @@ def propagate_populations(rates: RateMatrix, p0, times) -> Trajectory:
             steps[1:] = h  # ||Lambda h||_1 = 2 max(outflow) h: columns sum to zero
     snapshots = np.empty((t.size, p.size))
     recent = []  # this trajectory's last two steps, so each distinct step is exponentiated once
-    last = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k, dt in enumerate(steps.tolist()):
-            if dt != last:  # a new step gets a new array; a repeated one passes the same object
-                a, last = matrix * dt, dt
-            p = np.dot(expm(a, recent), p, out=snapshots[k])
+            p = np.dot(expm(matrix, dt, recent), p, out=snapshots[k])
     return Trajectory(times=t, populations=snapshots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityTrajectory:
     """Density-matrix snapshots; populations are the real diagonal."""
 
@@ -291,7 +278,7 @@ def _thermal_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockPartition:
     """Decoupled energy subspaces of the structural transition graph.
 

@@ -85,7 +85,7 @@ def build_jump_operators(elems: CouplingElements) -> list[JumpOperator]:
             for g in groups]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Generator of the population dynamics in the energy-sorted basis, kept
     on the transition table `elems` it was built from, for the baths `baths`.
@@ -250,7 +250,7 @@ def unvectorize(vec: np.ndarray, dimension: int) -> np.ndarray:
     return np.asarray(vec).reshape((dimension, dimension), order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladSuperoperator:
     """Full secular master-equation generator on column-stacked densities.
 

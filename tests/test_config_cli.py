@@ -279,6 +279,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="grid"):
             parse_config(path)
 
+    @pytest.mark.parametrize("count, message", [
+        *((count, f"grid count must be an integer, got {count!r}") for count in (3.0, "3", True, np.float64(3.0))),
+        (1, "grid needs at least 2 points, got 1"),  # the checks after the integer rule keep their words
+    ])
+    def test_a_grid_count_that_is_not_an_integer_is_refused(self, count, message):
+        # the one integer rule (chain._is_integer), before the point-count checks
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            GridSpec(0.0, 1.0, count)
+
     def test_grid_echo_keeps_twelve_digits(self, tmp_path):
         # bounds that differ in the 7th digit write different `# params` echoes; the
         # shipped grids print as they always have

@@ -493,14 +493,15 @@ def test_stepped_snapshots_equal_a_plain_loop(run):
 
 class TestStepMemo:
     """Each trajectory exponentiates every distinct step once: `expm`
-    remembers, in a list the trajectory owns, its last two inputs, found by
-    identity or by their exact bytes."""
+    remembers, in a list the trajectory owns, its last two steps t, each with
+    exp(Lambda t), and finds a repeat by comparing t."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         """Counts the exponentials actually computed and the `expm` calls,
-        checking the `recent` list each call is given."""
-        dynamics.expm(np.eye(2))  # loads scipy before counting
+        checking the `recent` list each call is given: at most two entries
+        (t, result), none holding an input array or a bytes key."""
+        dynamics.expm(np.eye(2), 1.0)  # loads scipy before counting
         counts = {"kernels": 0, "calls": 0}
         real = dynamics._scipy_expm
 
@@ -511,10 +512,11 @@ class TestStepMemo:
         monkeypatch.setattr(dynamics, "_scipy_expm", counted)
         real_expm = dynamics.expm
 
-        def checked(a, recent=None):
+        def checked(a, t, recent=None):
             counts["calls"] += 1
-            e = real_expm(a, recent)
+            e = real_expm(a, t, recent)
             assert recent is not None and len(recent) <= 2
+            assert all(len(entry) == 2 and isinstance(entry[0], float) for entry in recent)
             return e
 
         monkeypatch.setattr(dynamics, "expm", checked)
@@ -540,26 +542,29 @@ class TestStepMemo:
         assert counts == {"kernels": 4, "calls": 402}
         assert np.array_equal(first.populations, second.populations)
 
-    def test_the_same_array_and_an_equal_copy_hit(self, counts):
+    def test_the_same_step_and_an_equal_one_hit(self, counts):
         a = _matrix("rate", 4, 1.0, 5)
         recent = []
-        e = dynamics.expm(a, recent)
-        assert dynamics.expm(a, recent) is e
-        assert dynamics.expm(a.copy(), recent) is e
-        assert counts["kernels"] == 1
+        e = dynamics.expm(a, 0.3, recent)
+        assert np.array_equal(e, scipy_expm(a * 0.3))
+        assert dynamics.expm(a, 0.3, recent) is e
+        assert dynamics.expm(a, float("0.3"), recent) is e
+        assert dynamics.expm(a, np.float64(0.3), recent) is e
+        assert counts["kernels"] == 1 and len(recent) == 1
 
-    def test_a_hit_moves_to_the_front_and_a_third_input_drops_the_oldest(self, counts):
-        a, b, c = (_matrix("rate", 4, norm, 5) for norm in (1.0, 2.0, 3.0))
+    def test_a_hit_moves_to_the_front_and_a_third_step_drops_the_oldest(self, counts):
+        a = _matrix("rate", 4, 1.0, 5)
         recent = []
-        ea, eb = dynamics.expm(a, recent), dynamics.expm(b, recent)
-        assert dynamics.expm(a.copy(), recent) is ea  # a is now the more recent, b the oldest
-        ec = dynamics.expm(c, recent)  # drops b
+        e1, e2 = dynamics.expm(a, 1.0, recent), dynamics.expm(a, 2.0, recent)
+        assert dynamics.expm(a, 1.0, recent) is e1  # 1.0 is now the more recent, 2.0 the oldest
+        e3 = dynamics.expm(a, 3.0, recent)  # drops 2.0
         assert counts["kernels"] == 3
-        assert dynamics.expm(a, recent) is ea and dynamics.expm(c, recent) is ec
+        assert [t for t, _ in recent] == [3.0, 1.0]
+        assert dynamics.expm(a, 1.0, recent) is e1 and dynamics.expm(a, 3.0, recent) is e3
         assert counts["kernels"] == 3
-        again = dynamics.expm(b, recent)
-        assert counts["kernels"] == 4 and again is not eb
-        assert np.array_equal(again, scipy_expm(b))
+        again = dynamics.expm(a, 2.0, recent)
+        assert counts["kernels"] == 4 and again is not e2
+        assert np.array_equal(again, scipy_expm(a * 2.0))
 
     def test_fig2_computes_one_exponential_per_distinct_step(self, counts, tmp_path):
         """The op of the fig2-paper benchmark workload: fig2c's 5 and fig2d's 4
@@ -569,33 +574,58 @@ class TestStepMemo:
         assert main(["fig2", "--config", "ising2_paper", "--out", str(tmp_path)]) == 0
         assert counts == {"kernels": 9 * 2 + 2 * 25, "calls": 9 * 201}
 
+    def test_a_trajectory_keeps_two_results_of_lambdas_size(self, monkeypatch):
+        """The memo's working set on a linear grid at d = 256, with the kernel
+        replaced by a stub that allocates its one d x d result: the two stored
+        results and the one Lambda t of a miss, below 3.5 Lambda sizes beyond
+        the snapshots (an entry holding its input and a bytes key of it as
+        well would take six)."""
+        spec = random_nondegenerate_chain(8, np.random.default_rng(8))
+        dec = spectral_decomposition(build_hamiltonian(spec))
+        baths = BathConfig(temperature=1.0, kappas=(1e-5,) + (1.0,) * 7)
+        rates = build_rate_matrix(coupling_matrix_elements(dec), baths)
+        size = rates.matrix.nbytes  # the dense Lambda is built before counting
+        times = np.linspace(0.0, 10.0, 201)
+        computed = []
+        monkeypatch.setattr(dynamics, "_scipy_expm", lambda a: computed.append(a.shape) or np.eye(a.shape[0]))
+        tracemalloc.start()
+        try:
+            propagate_populations(rates, PopulationState.basis(256, 0), times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert computed == [(256, 256)] * 2  # the linear grid's two steps
+        snapshots = times.size * 256 * 8
+        assert peak < 3.5 * size + snapshots, f"peak {(peak - snapshots) / size:.2f} Lambda sizes beyond the snapshots"
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_any_call_sequence_gets_scipys_bits_once_per_miss(self, data):
-        """Pooled inputs and equal copies of them, in any order through one
-        `recent` list: every result is scipy's, the list keeps at most two
-        entries, and an exponential is computed exactly when a two-entry
-        least-recently-used cache keyed by the input's bytes misses."""
+        """One matrix and steps t from a pool, equal copies of them as numpy
+        floats, in any order through one `recent` list: every result is
+        scipy's exp(a t), the list keeps at most two entries, and an
+        exponential is computed exactly when a two-entry least-recently-used
+        cache keyed by t misses."""
         d = data.draw(st.integers(1, 8))
-        matrices = st.builds(_matrix, st.sampled_from(("rate", "generic", "upper", "diagonal", "zero")),
-                             st.just(d), st.sampled_from((0.5, 3.0, 30.0)), st.integers(0, 3))
-        pool = data.draw(st.lists(matrices, min_size=1, max_size=4))
+        a = data.draw(st.builds(_matrix, st.sampled_from(("rate", "generic", "upper", "diagonal", "zero")),
+                                st.just(d), st.sampled_from((0.5, 3.0, 30.0)), st.integers(0, 3)))
+        # abs: -0.0 shares 0.0's key, and only a trajectory's first step can be zero
+        pool = data.draw(st.lists(st.floats(0.0, 10.0).map(abs), min_size=1, max_size=4))
         picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), max_size=12))
-        dynamics.expm(np.eye(2))  # loads scipy before counting
+        dynamics.expm(np.eye(2), 1.0)  # loads scipy before counting
         real = dynamics._scipy_expm
         computed = []
         recent, lru, misses = [], [], 0
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "_scipy_expm", lambda a: computed.append(a) or real(a))
+            patch.setattr(dynamics, "_scipy_expm", lambda m: computed.append(m) or real(m))
             for index, copy in picks:
-                a = pool[index].copy() if copy else pool[index]
-                key = a.tobytes()
-                if key in lru:
-                    lru.remove(key)
+                t = np.float64(pool[index]) if copy else pool[index]
+                if t in lru:
+                    lru.remove(t)
                 else:
                     misses += 1
-                lru = [key] + lru[:1]
-                assert np.array_equal(dynamics.expm(a, recent), scipy_expm(a))
+                lru = [t] + lru[:1]
+                assert np.array_equal(dynamics.expm(a, t, recent), scipy_expm(a * t))
                 assert len(recent) <= 2
         assert len(computed) == misses
 
@@ -674,18 +704,18 @@ class TestExpm:
     def test_equals_scipy_bit_for_bit(self, kind, d, log_norm, seed):
         a = _matrix(kind, d, 10.0**log_norm, seed)
         with np.errstate(over="ignore", invalid="ignore"):  # exp(3e3) on a diagonal
-            assert np.array_equal(dynamics.expm(a), scipy_expm(a), equal_nan=True)
+            assert np.array_equal(dynamics.expm(a, 1.0), scipy_expm(a), equal_nan=True)
 
     def test_first_call_imports_scipys_expm_once(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_scipy_expm", None)
         a = _matrix("rate", 4, 3.0, 1)
-        assert np.array_equal(dynamics.expm(a), scipy_expm(a))
+        assert np.array_equal(dynamics.expm(a, 1.0), scipy_expm(a))
         assert dynamics._scipy_expm is scipy_expm  # kept for every later call
 
     def test_inputs_without_a_memo_go_to_scipy_as_given(self, monkeypatch):
-        """Without `recent`, anything scipy accepts is passed on unchanged and
-        computed once: other sizes, dtypes, a nested list, a stack."""
-        dynamics.expm(np.eye(2))  # loads scipy
+        """Without `recent`, anything scipy accepts goes to it as a * t, of
+        a's dtype, and is computed once: other sizes, dtypes, a stack."""
+        dynamics.expm(np.eye(2), 1.0)  # loads scipy
         seen = []
         real = dynamics._scipy_expm
         monkeypatch.setattr(dynamics, "_scipy_expm", lambda a: seen.append(a) or real(a))
@@ -696,41 +726,40 @@ class TestExpm:
             _matrix("lower", 20, 3.0, 1),
             generic.astype(np.complex128),
             generic.astype(np.float32),
-            generic.tolist(),
             np.stack([generic, generic]),
         ]
         for a in inputs:
-            assert np.array_equal(dynamics.expm(a), scipy_expm(a))
-            assert seen[-1] is a
+            assert np.array_equal(dynamics.expm(a, 0.7), scipy_expm(a * 0.7))
+            assert seen[-1].dtype == a.dtype and np.array_equal(seen[-1], a * 0.7)
         assert len(seen) == len(inputs)
 
     @pytest.mark.parametrize("n", [2, 4, 17, 128])
     def test_memo_keeps_scipys_bits_across_kinds(self, monkeypatch, n):
-        """Generic, triangular, diagonal and NaN-poisoned inputs of one size
-        through one `recent` list: misses get scipy's bits, hits by identity or
-        by equal bytes (NaN included) get the stored result back, and an input
-        evicted by two others is computed again."""
-        dynamics.expm(np.eye(2))  # loads scipy
+        """Generic, triangular, diagonal and NaN-poisoned matrices of one size,
+        each through its own `recent` list at several t: misses get scipy's
+        bits, a repeated t gets the stored result back (NaN included), and a
+        t evicted by two others is computed again."""
+        dynamics.expm(np.eye(2), 1.0)  # loads scipy
         seen = []
         real = dynamics._scipy_expm
         monkeypatch.setattr(dynamics, "_scipy_expm", lambda a: seen.append(a) or real(a))
-        recent = []
         generic = _matrix("generic", n, 3.0, n)
         poisoned = generic.copy()
         poisoned.flat[n + 1 if n > 1 else 0] = np.nan
-        results = {}
         with np.errstate(over="ignore", invalid="ignore"):
-            for kind, a in [("generic", generic), ("upper", _matrix("upper", n, 3.0, n)),
-                            ("lower", _matrix("lower", n, 3.0, n)),
-                            ("diagonal", _matrix("diagonal", n, 3.0, n)), ("poisoned", poisoned)]:
-                results[kind] = dynamics.expm(a, recent)
-                assert np.array_equal(results[kind], scipy_expm(a), equal_nan=True)
-            assert len(seen) == 5 and len(recent) == 2
-            assert dynamics.expm(poisoned.copy(), recent) is results["poisoned"]
-            assert dynamics.expm(recent[1][0], recent) is results["diagonal"]
-            again = dynamics.expm(generic.copy(), recent)
-        assert len(seen) == 6 and again is not results["generic"]
-        assert np.array_equal(again, results["generic"])
+            for a in (generic, _matrix("upper", n, 3.0, n), _matrix("lower", n, 3.0, n),
+                      _matrix("diagonal", n, 3.0, n), poisoned):
+                recent, results = [], {}
+                seen.clear()
+                for t in (0.5, 1.0, 2.0):
+                    results[t] = dynamics.expm(a, t, recent)
+                    assert np.array_equal(results[t], scipy_expm(a * t), equal_nan=True)
+                assert len(seen) == 3 and [t for t, _ in recent] == [2.0, 1.0]
+                assert dynamics.expm(a, 1.0, recent) is results[1.0]
+                assert dynamics.expm(a, 2.0, recent) is results[2.0]
+                again = dynamics.expm(a, 0.5, recent)
+                assert len(seen) == 4 and again is not results[0.5]
+                assert np.array_equal(again, results[0.5], equal_nan=True)
 
     def test_seven_site_snapshots(self):
         """Snapshot generators of a seeded all-pairs 7-site chain in the paper's
@@ -740,8 +769,7 @@ class TestExpm:
         dec = spectral_decomposition(build_hamiltonian(spec))
         rates = build_rate_matrix(coupling_matrix_elements(dec), baths)
         for t in np.linspace(0.0, 10.0, 201)[::5]:
-            a = rates.matrix * t
-            assert np.array_equal(dynamics.expm(a), scipy_expm(a))
+            assert np.array_equal(dynamics.expm(rates.matrix, t), scipy_expm(rates.matrix * t))
 
 
 def test_src_imports_no_private_scipy_module():

@@ -39,6 +39,8 @@ from spinbath import (
     excitation_curves,
     parse_config,
     predicted_zero_count,
+    propagate_density,
+    propagate_populations,
     random_nondegenerate_chain,
     spectral_decomposition,
     structural_blocks,
@@ -440,6 +442,37 @@ def test_decomposition_arrays_are_private_and_read_only():
     assert check_degeneracy(dec, 1e-9) == report
     with pytest.raises(ValidationError, match="permutation"):
         SpectralDecomposition(energies=energies, basis=np.array([0, 0, 1]))
+
+
+def _array_record(name: str, spec: ChainSpec):
+    """A record of the paper chain that holds arrays, built from scratch, so
+    two calls give equal values in distinct objects."""
+    dec = spectral_decomposition(build_hamiltonian(spec))
+    elems, baths = coupling_matrix_elements(dec), BathConfig(temperature=1.0, kappas=(1.0, 1.0))
+    p0, times = PopulationState.basis(4, 3), np.linspace(0.0, 1.0, 3)
+    rho0 = np.diag([0.0, 0.0, 0.0, 1.0])
+    return {
+        "SpectralDecomposition": lambda: dec,
+        "CouplingElements": lambda: elems,
+        "RateMatrix": lambda: build_rate_matrix(elems, baths),
+        "PopulationState": lambda: p0,
+        "Trajectory": lambda: propagate_populations(build_rate_matrix(elems, baths), p0, times),
+        "BlockPartition": lambda: connectivity_blocks(elems, baths),
+        "SweepResult": lambda: sweep(elems, baths, "temperature", [1.0, 2.0], 1.0, p0),
+        "DensityTrajectory": lambda: propagate_density(build_lindblad_superoperator(elems, baths), rho0, times),
+        "LindbladSuperoperator": lambda: build_lindblad_superoperator(elems, baths),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["SpectralDecomposition", "CouplingElements", "RateMatrix", "PopulationState",
+                                  "Trajectory", "BlockPartition", "SweepResult", "DensityTrajectory",
+                                  "LindbladSuperoperator"])
+def test_records_that_hold_arrays_compare_and_hash_by_identity(name, paper_spec):
+    # the generated __eq__ and __hash__ would compare and hash the arrays, which raises
+    a, b = _array_record(name, paper_spec), _array_record(name, paper_spec)
+    assert type(a).__name__ == name and a is not b
+    assert a == a and (a == b) is False and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def reference_render_rows(matrix) -> list[str]:
